@@ -52,18 +52,12 @@ chaos-store:
 	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' -v ./internal/store ./internal/service
 
 # The PR gate: vet, the full test suite, the race pass, the certified fuzz
-# smoke, the native fuzz harnesses, and both chaos drills.
-check:
-	$(GO) vet ./...
-	$(GO) test ./...
-	$(GO) test -race ./internal/sat ./internal/aig ./internal/cert ./internal/oracle ./internal/core ./internal/defex ./internal/expand ./internal/service ./internal/store ./internal/faults ./internal/leakcheck ./internal/problem ./internal/pqe ./internal/httpapi ./internal/cluster ./internal/cube ./cmd/hqsd
-	$(GO) run ./cmd/dqbffuzz -n 200 -seed 1 -cert
-	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
-	$(GO) test ./internal/problem -run '^$$' -fuzz FuzzAIGERReader -fuzztime 10s
-	$(GO) test ./internal/aig -run '^$$' -fuzz FuzzAIGCompose -fuzztime 10s
-	$(GO) test -race -run 'TestChaos|TestDrainRace' ./internal/service
-	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' ./internal/store ./internal/service
-	$(GO) test -tags smoke -run TestClusterSmoke ./cmd/hqsc
+# smoke, the native fuzz harnesses, both chaos drills, the cluster smoke,
+# the nested benchmark module (so an internal API change that breaks
+# perfbench/ fails here), and the quick bench gate. Each step is defined
+# once, by its own target.
+check: vet test race fuzz-smoke fuzz-native chaos chaos-store cluster-smoke
+	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) bench-gate-quick
 
 # End-to-end service smoke tests: build hqsd, start it, solve the example

@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/budget"
+	"repro/internal/problem"
 	"repro/internal/service"
 )
 
@@ -155,15 +155,15 @@ func main() {
 
 	if *portfolio {
 		fmt.Printf("\nPortfolio race (timeout %v per instance):\n\n", *timeout)
-		service.ResetEngineStats()
+		runner := &service.Runner{}
 		solved, unknown := 0, 0
 		start := time.Now()
 		for _, inst := range instances {
-			out, err := service.Run(inst.Formula, service.EnginePortfolio,
-				budget.New(budget.Limits{Timeout: *timeout, Nodes: *nodeLim}))
-			if err != nil {
-				fatal(err)
-			}
+			out := runner.Run(nil, service.Request{
+				Problem: problem.FromDQBF(inst.Formula),
+				Engine:  service.EnginePortfolio,
+				Limits:  service.Limits{Timeout: *timeout, Nodes: *nodeLim},
+			})
 			if out.Verdict == service.VerdictSat || out.Verdict == service.VerdictUnsat {
 				solved++
 			} else {
@@ -172,7 +172,7 @@ func main() {
 		}
 		fmt.Printf("solved %d/%d (%d unknown) in %v\n\n", solved, len(instances), unknown, time.Since(start).Round(time.Millisecond))
 		fmt.Println("per-engine attempts and wins (wins credit the arm that answered):")
-		fmt.Print(service.FormatEngineStats(service.EngineStats()))
+		fmt.Print(service.FormatEngineStats(runner.Stats().Engines))
 		return
 	}
 

@@ -30,6 +30,7 @@ import (
 	"repro/internal/dqbf"
 	"repro/internal/expand"
 	"repro/internal/idq"
+	"repro/internal/problem"
 	"repro/internal/refute"
 )
 
@@ -65,7 +66,7 @@ func main() {
 		verdicts := map[string]bool{}
 
 		for name, opt := range hqsVariants {
-			res := core.New(opt).SolveDQBF(f)
+			res := core.New(opt).Solve(problem.FromDQBF(f))
 			if res.Status != core.Solved {
 				fail(f, fmt.Sprintf("%s did not finish: %v", name, res.Status))
 				bad++

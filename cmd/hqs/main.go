@@ -123,8 +123,8 @@ func main() {
 		}
 		// The service path re-checks HQS SAT answers itself (and always checks
 		// iDQ certificates); -cert opts the HQS arms in.
-		service.SetCertifyHQS(*certFlag)
-		runService(prob, eng, bud, *stats, sink, rec)
+		runner := &service.Runner{Certify: *certFlag}
+		runService(runner, service.Request{Problem: prob, Engine: eng, Trace: sink}, bud, *stats, rec)
 	}
 
 	opt := core.DefaultOptions()
@@ -220,15 +220,16 @@ func main() {
 // in DIMACS form ("c Q" header, one 0-terminated line per clause), a budget
 // stop prints UNKNOWN with exit code 2, and failures exit 1.
 func runPQE(p *problem.Problem, bud *budget.Budget) {
-	res, err := service.SolvePQE(p.PQE, bud, nil)
-	if err != nil {
-		if bud.Stopped() {
+	out := (&service.Runner{}).SolvePQE(bud, service.Request{Problem: p})
+	if out.Err != nil {
+		if out.Stopped {
 			fmt.Println("UNKNOWN")
 			os.Exit(2)
 		}
-		fmt.Fprintln(os.Stderr, "hqs:", err)
+		fmt.Fprintln(os.Stderr, "hqs:", out.Err)
 		os.Exit(1)
 	}
+	res := out.Result
 	fmt.Printf("c pqe rounds=%d sat_calls=%d blocked=%d\n", res.Rounds, res.SATCalls, res.Blocked)
 	fmt.Printf("p cnf %d %d\n", p.PQE.NumVars, len(res.Q))
 	for _, c := range res.Q {
@@ -240,17 +241,13 @@ func runPQE(p *problem.Problem, bud *budget.Budget) {
 	os.Exit(0)
 }
 
-// runService decides the problem through internal/service (engines other
-// than the native hqs core) and exits with the solver exit codes. The HQS
-// arm of the selected engine emits pass events to sink; rec backs the
-// -trace table.
-func runService(p *problem.Problem, eng service.Engine, bud *budget.Budget, stats bool, sink trace.Sink, rec *trace.Recorder) {
+// runService decides req through internal/service (engines other than the
+// native hqs core) and exits with the solver exit codes. The HQS arm of the
+// selected engine emits pass events to req.Trace; rec backs the -trace
+// table.
+func runService(runner *service.Runner, req service.Request, bud *budget.Budget, stats bool, rec *trace.Recorder) {
 	start := time.Now()
-	out, err := service.RunTracedProblem(p, eng, bud, sink)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hqs:", err)
-		os.Exit(1)
-	}
+	out := runner.Run(bud, req)
 	if rec != nil {
 		fmt.Fprint(os.Stderr, trace.FormatTable(rec.Events()))
 	}

@@ -28,7 +28,9 @@
 // Q ∧ ∃X[G] ≡ ∃X[F ∧ G]; POSTing one to /solve is a 400.
 //
 // Limit query parameters: timeout (Go duration), conflicts, decisions
-// (CDCL caps), nodes (AIG node cap). Oversized bodies get 413 (-max-body).
+// (CDCL caps), nodes (AIG node cap). -default-timeout and -max-timeout
+// apply to /jobs, /solve, and /pqe alike. Oversized bodies get 413
+// (-max-body).
 //
 // Failure handling: engine panics and oracle errors are contained per job
 // (verdict ERROR, worker survives), transient failures are retried with
@@ -92,7 +94,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hqsd:", err)
 		os.Exit(1)
 	}
-	service.SetCertifyHQS(*certify)
 	if *faultSpec != "" {
 		plan, err := faults.ParseSpec(*faultSpec, *faultSeed)
 		if err != nil {
@@ -129,7 +130,8 @@ func main() {
 			BaseDelay:   *retryBase,
 			MaxDelay:    *retryCeiling,
 		},
-		Store: st,
+		Store:   st,
+		Certify: *certify,
 	})
 	srv := httpapi.New(sched)
 	srv.MaxBody = *maxBody

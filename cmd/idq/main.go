@@ -18,6 +18,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/dqbf"
 	"repro/internal/idq"
+	"repro/internal/problem"
 	"repro/internal/service"
 )
 
@@ -67,11 +68,7 @@ func main() {
 			os.Exit(1)
 		}
 		start := time.Now()
-		out, err := service.Run(formula, eng, bud)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "idq:", err)
-			os.Exit(1)
-		}
+		out := (&service.Runner{}).Run(bud, service.Request{Problem: problem.FromDQBF(formula), Engine: eng})
 		if *stats {
 			fmt.Fprintf(os.Stderr, "c time      %v\n", time.Since(start))
 			fmt.Fprintf(os.Stderr, "c engine    %s\n", out.Engine)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dqbf"
 	"repro/internal/pec"
+	"repro/internal/problem"
 )
 
 func main() {
@@ -46,8 +47,8 @@ func solve(title string, spec, impl *circuit.Circuit, cut []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	problem := &pec.Problem{Spec: spec, Impl: incomplete, Boxes: boxes}
-	formula, err := problem.ToDQBF()
+	pp := &pec.Problem{Spec: spec, Impl: incomplete, Boxes: boxes}
+	formula, err := pp.ToDQBF()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func solve(title string, spec, impl *circuit.Circuit, cut []string) {
 		len(formula.Univ), len(formula.Exist), len(formula.Matrix.Clauses),
 		dqbf.HasQBFPrefix(formula))
 
-	res := core.New(core.DefaultOptions()).SolveDQBF(formula)
+	res := core.New(core.DefaultOptions()).Solve(problem.FromDQBF(formula))
 	verdict := "UNREALIZABLE (no black-box implementation works)"
 	if res.Sat {
 		verdict = "REALIZABLE (suitable black-box implementations exist)"

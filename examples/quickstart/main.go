@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dqbf"
 	"repro/internal/idq"
+	"repro/internal/problem"
 )
 
 const input = `c paper example 1
@@ -50,7 +51,7 @@ func main() {
 	fmt.Println("minimum universal elimination set (partial MaxSAT):", elim)
 
 	// Solve with HQS.
-	res := core.New(core.DefaultOptions()).SolveDQBF(f)
+	res := core.New(core.DefaultOptions()).Solve(problem.FromDQBF(f))
 	fmt.Printf("HQS: %v (sat=%v, decided by %s, %v)\n",
 		res.Status, res.Sat, res.Stats.DecidedBy, res.Stats.TotalTime)
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/problem"
 	"repro/internal/trace"
 )
 
@@ -71,7 +72,7 @@ func RunAblation(instances []Instance, variants []AblationVariant, timeout time.
 			rec := trace.NewRecorder(0)
 			opt.Trace = rec
 			start := time.Now()
-			res := core.New(opt).SolveDQBF(inst.Formula)
+			res := core.New(opt).Solve(problem.FromDQBF(inst.Formula))
 			sec := time.Since(start).Seconds()
 			switch res.Status {
 			case core.Solved:

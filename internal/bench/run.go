@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/idq"
+	"repro/internal/problem"
 )
 
 // SolverName identifies which solver produced a result.
@@ -98,7 +99,7 @@ func RunHQS(inst Instance, opt RunOptions) RunResult {
 	o.Timeout = opt.Timeout
 	o.NodeLimit = opt.HQSNodeLimit
 	start := time.Now()
-	res := core.New(o).SolveDQBF(inst.Formula)
+	res := core.New(o).Solve(problem.FromDQBF(inst.Formula))
 	sw := res.Stats.Sweep
 	sw.Add(res.Stats.QBF.Sweep)
 	rr := RunResult{

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dqbf"
 	"repro/internal/idq"
+	"repro/internal/problem"
 )
 
 // optionSets are the HQS configurations certificates must survive: the full
@@ -43,7 +44,7 @@ func TestExtractCheckRandom(t *testing.T) {
 		orig := f.Clone()
 		for name, opt := range sets {
 			opt.Certify = true
-			res := core.New(opt).SolveDQBF(f)
+			res := core.New(opt).Solve(problem.FromDQBF(f))
 			if res.Status != core.Solved {
 				t.Fatalf("instance %d (%s): status %v", i, name, res.Status)
 			}
@@ -81,7 +82,7 @@ func TestCheckRejectsCorrupted(t *testing.T) {
 	}
 	opt := core.DefaultOptions()
 	opt.Certify = true
-	res := core.New(opt).SolveDQBF(f.Clone())
+	res := core.New(opt).Solve(problem.FromDQBF(f.Clone()))
 	if res.Status != core.Solved || !res.Sat || res.CertErr != nil {
 		t.Fatalf("solve: status %v sat %v certErr %v", res.Status, res.Sat, res.CertErr)
 	}
@@ -245,7 +246,7 @@ func TestFormatShape(t *testing.T) {
 	}
 	opt := core.DefaultOptions()
 	opt.Certify = true
-	res := core.New(opt).SolveDQBF(f.Clone())
+	res := core.New(opt).Solve(problem.FromDQBF(f.Clone()))
 	if !res.Sat || res.CertErr != nil {
 		t.Fatalf("solve: sat %v certErr %v", res.Sat, res.CertErr)
 	}

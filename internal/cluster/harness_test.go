@@ -112,7 +112,7 @@ func paperExample1Wide() *dqbf.Formula {
 // serialVerdict is the oracle: the serial HQS core on the same formula.
 func serialVerdict(t *testing.T, f *dqbf.Formula) service.Verdict {
 	t.Helper()
-	res := core.New(core.DefaultOptions()).SolveDQBF(f)
+	res := core.New(core.DefaultOptions()).Solve(problem.FromDQBF(f))
 	if res.Status != core.Solved {
 		t.Fatalf("serial solve did not finish: %v", res.Status)
 	}
@@ -141,11 +141,22 @@ func clusterSolve(t *testing.T, c *Coordinator, f *dqbf.Formula, eng service.Eng
 // instances (half with widened, cube-eligible dependency sets) through a
 // 3-worker cluster with cube-and-conquer enabled, each checked against the
 // serial core verdict; every SAT must carry a checker-accepted certificate,
-// merged certificates included.
+// merged certificates included. It runs once on the iDQ engine, whose
+// certificates are always checked, and once on HQS with certification on
+// every worker — the path of the benchmark's cluster-cube workload.
 func TestClusterDifferentialRandom(t *testing.T) {
-	ws := startWorkers(t, 3, defaultWorkerConfig())
-	c := newCoordinator(t, ws, func(cfg *Config) { cfg.CubeVars = 2 })
+	for _, eng := range []service.Engine{service.EngineIDQ, service.EngineHQS} {
+		t.Run(string(eng), func(t *testing.T) {
+			cfg := defaultWorkerConfig()
+			cfg.Certify = true
+			ws := startWorkers(t, 3, cfg)
+			c := newCoordinator(t, ws, func(cfg *Config) { cfg.CubeVars = 2 })
+			differentialRandom(t, c, eng)
+		})
+	}
+}
 
+func differentialRandom(t *testing.T, c *Coordinator, eng service.Engine) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := [][3]int{{2, 3, 4}, {2, 4, 4}, {3, 3, 6}}
 	sat, unsat := 0, 0
@@ -156,7 +167,7 @@ func TestClusterDifferentialRandom(t *testing.T) {
 			f = wideDeps(f)
 		}
 		want := serialVerdict(t, f)
-		res := clusterSolve(t, c, f, service.EngineIDQ, true)
+		res := clusterSolve(t, c, f, eng, true)
 		if got := res.Info.Outcome.Verdict; got != want {
 			t.Fatalf("instance %d: cluster says %s, serial says %s", i, got, want)
 		}
@@ -182,8 +193,8 @@ func TestClusterDifferentialRandom(t *testing.T) {
 	if cs.Forwards == 0 {
 		t.Fatal("no forwards recorded")
 	}
-	t.Logf("60 instances: %d SAT, %d UNSAT; %d cube fans, %d forwards, %d short circuits",
-		sat, unsat, cs.CubeSplits, cs.Forwards, cs.CubeUnsatShortCircuits)
+	t.Logf("%s, 60 instances: %d SAT, %d UNSAT; %d cube fans, %d forwards, %d short circuits",
+		eng, sat, unsat, cs.CubeSplits, cs.Forwards, cs.CubeUnsatShortCircuits)
 }
 
 // TestClusterDifferentialFamilies runs the structured benchmark families

@@ -198,13 +198,6 @@ var errTimeout = errors.New("core: timeout")
 // the budget's reason.
 type budgetStop struct{ err error }
 
-// SolveDQBF decides a bare DQBF formula. It is the historical entry point,
-// kept as a thin wrapper that lifts the formula into a Problem; new callers
-// with format/kind provenance should use Solve directly.
-func (s *Solver) SolveDQBF(f *dqbf.Formula) Result {
-	return s.Solve(problem.FromDQBF(f))
-}
-
 // Solve decides the ingested problem by assembling and running the standard
 // HQS pass pipeline. The problem must be a formula kind (DQBF or QBF); its
 // formula is not modified.

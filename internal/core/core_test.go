@@ -8,6 +8,7 @@ import (
 	"repro/internal/aig"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/problem"
 	"repro/internal/qbf"
 )
 
@@ -41,7 +42,7 @@ func crossExample() *dqbf.Formula {
 
 func TestSolvePaperExample1(t *testing.T) {
 	for _, opt := range testOptionMatrix() {
-		res := New(opt).SolveDQBF(paperExample1())
+		res := New(opt).Solve(problem.FromDQBF(paperExample1()))
 		if res.Status != Solved || !res.Sat {
 			t.Fatalf("opt %+v: got %v/%v, want solved SAT", opt, res.Status, res.Sat)
 		}
@@ -50,7 +51,7 @@ func TestSolvePaperExample1(t *testing.T) {
 
 func TestSolveCrossExampleUnsat(t *testing.T) {
 	for _, opt := range testOptionMatrix() {
-		res := New(opt).SolveDQBF(crossExample())
+		res := New(opt).Solve(problem.FromDQBF(crossExample()))
 		if res.Status != Solved || res.Sat {
 			t.Fatalf("opt %+v: got %v/%v, want solved UNSAT", opt, res.Status, res.Sat)
 		}
@@ -114,7 +115,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := opts[iter%len(opts)]
-		res := New(opt).SolveDQBF(f)
+		res := New(opt).Solve(problem.FromDQBF(f))
 		if res.Status != Solved {
 			t.Fatalf("iter %d: status %v", iter, res.Status)
 		}
@@ -132,12 +133,12 @@ func TestRandomAllOptionsAgree(t *testing.T) {
 	opts := testOptionMatrix()
 	for iter := 0; iter < 40; iter++ {
 		f := randomDQBF(rng, 2+rng.Intn(4), 2+rng.Intn(4), 5+rng.Intn(20))
-		ref := New(DefaultOptions()).SolveDQBF(f)
+		ref := New(DefaultOptions()).Solve(problem.FromDQBF(f))
 		if ref.Status != Solved {
 			t.Fatalf("iter %d: reference status %v", iter, ref.Status)
 		}
 		for _, opt := range opts {
-			res := New(opt).SolveDQBF(f)
+			res := New(opt).Solve(problem.FromDQBF(f))
 			if res.Status != Solved || res.Sat != ref.Sat {
 				t.Fatalf("iter %d opt %+v: got %v/%v, reference %v",
 					iter, opt, res.Status, res.Sat, ref.Sat)
@@ -171,13 +172,13 @@ func TestTseitinCircuitInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opt := range testOptionMatrix() {
-		res := New(opt).SolveDQBF(f)
+		res := New(opt).Solve(problem.FromDQBF(f))
 		if res.Status != Solved || res.Sat != want {
 			t.Fatalf("opt %+v: got %v/%v want %v", opt, res.Status, res.Sat, want)
 		}
 	}
 	// With gate detection on, at least one gate must be found.
-	res := New(DefaultOptions()).SolveDQBF(f)
+	res := New(DefaultOptions()).Solve(problem.FromDQBF(f))
 	if len(res.Stats.Preprocess.Gates) == 0 {
 		t.Fatal("expected XOR gate detection")
 	}
@@ -220,7 +221,7 @@ func TestTimeout(t *testing.T) {
 	opt.Preprocess = false
 	opt.DetectGates = false
 	opt.Timeout = time.Nanosecond
-	res := New(opt).SolveDQBF(hardInstance(1, 6, 3))
+	res := New(opt).Solve(problem.FromDQBF(hardInstance(1, 6, 3)))
 	if res.Status != Timeout {
 		t.Fatalf("status = %v, want timeout", res.Status)
 	}
@@ -231,7 +232,7 @@ func TestMemout(t *testing.T) {
 	opt.Preprocess = false
 	opt.DetectGates = false
 	opt.NodeLimit = 16
-	res := New(opt).SolveDQBF(hardInstance(2, 6, 3))
+	res := New(opt).Solve(problem.FromDQBF(hardInstance(2, 6, 3)))
 	if res.Status != Memout {
 		t.Fatalf("status = %v, want memout", res.Status)
 	}
@@ -240,7 +241,7 @@ func TestMemout(t *testing.T) {
 func TestStatsInstrumentation(t *testing.T) {
 	// Preprocessing solves Example 1 outright (the equivalences y1≡x1,
 	// y2≡x2 empty the matrix); verify that path first.
-	res := New(DefaultOptions()).SolveDQBF(paperExample1())
+	res := New(DefaultOptions()).Solve(problem.FromDQBF(paperExample1()))
 	if res.Stats.DecidedBy != "preprocess" || !res.Sat {
 		t.Fatalf("Example 1 should be decided by preprocessing, got %+v", res.Stats)
 	}
@@ -249,7 +250,7 @@ func TestStatsInstrumentation(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Preprocess = false
 	opt.DetectGates = false
-	res = New(opt).SolveDQBF(paperExample1())
+	res = New(opt).Solve(problem.FromDQBF(paperExample1()))
 	st := res.Stats
 	if res.Status != Solved || !res.Sat {
 		t.Fatalf("got %v/%v", res.Status, res.Sat)
@@ -273,7 +274,7 @@ func TestEmptyAndTrivialFormulas(t *testing.T) {
 	f := dqbf.New()
 	f.AddUniversal(1)
 	f.AddExistential(2, 1)
-	res := New(DefaultOptions()).SolveDQBF(f)
+	res := New(DefaultOptions()).Solve(problem.FromDQBF(f))
 	if !res.Sat {
 		t.Fatal("empty matrix must be SAT")
 	}
@@ -281,7 +282,7 @@ func TestEmptyAndTrivialFormulas(t *testing.T) {
 	f2 := dqbf.New()
 	f2.AddExistential(1)
 	f2.Matrix.Clauses = append(f2.Matrix.Clauses, cnf.Clause{})
-	res2 := New(DefaultOptions()).SolveDQBF(f2)
+	res2 := New(DefaultOptions()).Solve(problem.FromDQBF(f2))
 	if res2.Sat {
 		t.Fatal("empty clause must be UNSAT")
 	}
@@ -290,7 +291,7 @@ func TestEmptyAndTrivialFormulas(t *testing.T) {
 	f3 := dqbf.New()
 	f3.AddExistential(1)
 	f3.Matrix.AddDimacsClause(1)
-	if res := New(DefaultOptions()).SolveDQBF(f3); !res.Sat {
+	if res := New(DefaultOptions()).Solve(problem.FromDQBF(f3)); !res.Sat {
 		t.Fatal("∃y: y must be SAT")
 	}
 }
@@ -316,7 +317,7 @@ func TestPureSATInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := New(DefaultOptions()).SolveDQBF(f)
+		res := New(DefaultOptions()).Solve(problem.FromDQBF(f))
 		if res.Status != Solved || res.Sat != want {
 			t.Fatalf("iter %d: got %v/%v want %v", iter, res.Status, res.Sat, want)
 		}
@@ -326,7 +327,7 @@ func TestPureSATInstances(t *testing.T) {
 func TestInputNotModified(t *testing.T) {
 	f := paperExample1()
 	before := f.String() + f.Matrix.Clauses[0].String()
-	New(DefaultOptions()).SolveDQBF(f)
+	New(DefaultOptions()).Solve(problem.FromDQBF(f))
 	after := f.String() + f.Matrix.Clauses[0].String()
 	if before != after {
 		t.Fatal("Solve modified its input")
@@ -383,7 +384,7 @@ func solveAIGAsDQBF(t *testing.T, g *aig.Graph, m aig.Ref, work *dqbf.Formula) b
 	}
 	nf.Matrix = form
 	nf.Matrix.AddClause(lit)
-	res := New(DefaultOptions()).SolveDQBF(nf)
+	res := New(DefaultOptions()).Solve(problem.FromDQBF(nf))
 	if res.Status != Solved {
 		t.Fatalf("nested solve status %v", res.Status)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dqbf"
 	"repro/internal/pec"
+	"repro/internal/problem"
 	"repro/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func goldenTrace(t *testing.T, f *dqbf.Formula, certify bool) (string, core.Resu
 	opt.Trace = rec
 	opt.Workers = 1 // serial sweeps, so the pass schedule is deterministic
 	opt.Certify = certify
-	res := core.New(opt).SolveDQBF(f)
+	res := core.New(opt).Solve(problem.FromDQBF(f))
 	if res.Status != core.Solved {
 		t.Fatalf("status %v, want solved", res.Status)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/dqbf"
+	"repro/internal/problem"
 )
 
 // The metamorphic suite checks verdict invariants no DQBF solver may break:
@@ -21,7 +22,7 @@ import (
 // non-verdict.
 func solveVerdict(t *testing.T, f *dqbf.Formula) bool {
 	t.Helper()
-	res := core.New(core.DefaultOptions()).SolveDQBF(f)
+	res := core.New(core.DefaultOptions()).Solve(problem.FromDQBF(f))
 	if res.Status != core.Solved {
 		t.Fatalf("status %v, want solved", res.Status)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dqbf"
 	"repro/internal/oracle"
+	"repro/internal/problem"
 )
 
 // oracleConfigs are the pipeline configurations the differential suite pits
@@ -41,7 +42,7 @@ func diffSolve(t *testing.T, name string, f *dqbf.Formula) {
 	}
 	got := make(map[string]verdict)
 	for cfg, opt := range oracleConfigs() {
-		res := core.New(opt).SolveDQBF(f)
+		res := core.New(opt).Solve(problem.FromDQBF(f))
 		if res.Status != core.Solved {
 			t.Fatalf("%s [%s]: status %v, want solved", name, cfg, res.Status)
 		}
@@ -85,7 +86,7 @@ func TestOracleDifferentialFamilies(t *testing.T) {
 		sawOracleQueries := false
 		for _, inst := range insts {
 			opt := core.DefaultOptions()
-			res := core.New(opt).SolveDQBF(inst.Formula)
+			res := core.New(opt).Solve(problem.FromDQBF(inst.Formula))
 			if res.Status == core.Solved && res.Stats.Oracle.Queries > 0 {
 				sawOracleQueries = true
 			}

@@ -565,10 +565,12 @@ func (e *engine) expandResidual(st *pipeline.State) (pipeline.Result, error) {
 			errors.Is(err, budget.ErrConflicts),
 			errors.Is(err, budget.ErrDecisions):
 			panic(budgetStop{err: e.opt.Budget.Err()})
-		default:
-			// Expansion refusal (too many universals) is the engine's memory
-			// limit: the residual problem is too large for this back end.
+		case errors.Is(err, expand.ErrTooManyUniversals):
+			// The expansion refusal is the engine's memory limit: the
+			// residual problem is too large for this back end.
 			panic(aig.ErrNodeLimit{Limit: e.opt.ExpandMaxUniversals})
+		default:
+			return pipeline.Result{}, fmt.Errorf("defex: residual expansion: %w", err)
 		}
 	}
 	if !eres.Sat {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,7 +58,7 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 				return nil, fmt.Errorf("dqdimacs line %d: malformed problem line (want \"p cnf <vars> <clauses>\")", lineNo)
 			}
 			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > math.MaxInt32 {
 				return nil, fmt.Errorf("dqdimacs line %d: bad variable count %q", lineNo, fields[2])
 			}
 			if k, err := strconv.Atoi(fields[3]); err != nil || k < 0 {
@@ -101,12 +102,13 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 					cur = nil
 					continue
 				}
-				l := cnf.LitFromDimacs(d)
-				if int(l.Var()) > f.Matrix.NumVars {
+				// Range-check before the conversion: a literal beyond the
+				// variable type's range would wrap into it.
+				if d > f.Matrix.NumVars || d < -f.Matrix.NumVars {
 					return nil, fmt.Errorf("dqdimacs line %d: literal %d out of range (declared %d variables)",
 						lineNo, d, f.Matrix.NumVars)
 				}
-				cur = append(cur, l)
+				cur = append(cur, cnf.LitFromDimacs(d))
 			}
 		}
 	}

@@ -21,6 +21,7 @@ func TestParseMalformedInputs(t *testing.T) {
 		{"not cnf", "p dnf 2 1\n1 2 0\n", "malformed problem line"},
 		{"bad variable count", "p cnf x 1\n", "bad variable count"},
 		{"negative variable count", "p cnf -2 1\n", "bad variable count"},
+		{"variable count beyond int32", "p cnf 10000000000 1\n", "bad variable count"},
 		{"bad clause count", "p cnf 2 many\n", "bad clause count"},
 		{"negative clause count", "p cnf 2 -1\n", "bad clause count"},
 		{"prefix var not a number", "p cnf 2 1\na one 0\n", "line 2: bad variable"},
@@ -33,6 +34,7 @@ func TestParseMalformedInputs(t *testing.T) {
 		{"literal not a number", "p cnf 2 1\n1 zwei 0\n", "bad literal"},
 		{"literal out of range", "p cnf 2 1\n1 3 0\n", "line 2: literal 3 out of range"},
 		{"negative literal out of range", "p cnf 2 1\n-4 1 0\n", "line 2: literal -4 out of range"},
+		{"literal beyond int32", "p cnf 0 0\n10000000000", "line 2: literal 10000000000 out of range"},
 		{"quantifier after clauses", "p cnf 2 1\n1 2 0\na 1 0\n", "quantifier line after clauses"},
 	}
 	for _, tc := range cases {

@@ -15,6 +15,7 @@
 package expand
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -25,13 +26,15 @@ import (
 	"repro/internal/sat"
 )
 
+// ErrTooManyUniversals is the refusal of a formula whose universal count
+// exceeds Options.MaxUniversals: its expansion would be too large.
+var ErrTooManyUniversals = errors.New("expand: too many universal variables")
+
 // Options configure the solver.
 type Options struct {
 	// MaxUniversals refuses formulas whose expansion would be too large;
 	// 0 means the default of 20.
 	MaxUniversals int
-	// Timeout bounds wall-clock time; 0 means unlimited.
-	Timeout time.Duration
 	// Budget, when non-nil, bounds the expansion loop and the SAT call and
 	// makes them cancellable; exhaustion surfaces as an error wrapping the
 	// budget's sentinel.
@@ -68,8 +71,9 @@ type Solver struct {
 // New returns a solver with the given options.
 func New(opt Options) *Solver { return &Solver{Opt: opt} }
 
-// Solve decides the DQBF. It returns an error when the expansion limit or
-// deadline is exceeded, or when the formula has unquantified variables.
+// Solve decides the DQBF. It returns an error wrapping ErrTooManyUniversals
+// when the expansion limit is exceeded, one wrapping the budget's sentinel
+// when the budget stops the solve, and one for unquantified variables.
 func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 	start := time.Now()
 	res := Result{}
@@ -80,11 +84,7 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 		limit = 20
 	}
 	if len(f.Univ) > limit {
-		return res, fmt.Errorf("expand: %d universal variables exceed limit %d", len(f.Univ), limit)
-	}
-	var deadline time.Time
-	if s.Opt.Timeout > 0 {
-		deadline = start.Add(s.Opt.Timeout)
+		return res, fmt.Errorf("%w: %d exceed limit %d", ErrTooManyUniversals, len(f.Univ), limit)
 	}
 
 	solver := sat.New()
@@ -119,9 +119,6 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 	n := len(f.Univ)
 	a := make([]bool, n)
 	for bits := 0; bits < 1<<n; bits++ {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return res, fmt.Errorf("expand: timeout after %d of %d instances", bits, 1<<n)
-		}
 		if err := s.Opt.Budget.Err(); err != nil {
 			return res, fmt.Errorf("expand: stopped after %d of %d instances: %w", bits, 1<<n, err)
 		}

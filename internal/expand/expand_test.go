@@ -1,14 +1,17 @@
 package expand
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/dqbf"
 	"repro/internal/idq"
+	"repro/internal/problem"
 )
 
 func paperExample1() *dqbf.Formula {
@@ -97,7 +100,7 @@ func TestThreeWayAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := hqs.SolveDQBF(f)
+		h := hqs.Solve(problem.FromDQBF(f))
 		q := idq.New(idq.Options{}).Solve(f)
 		if h.Status != core.Solved || q.Status != idq.Solved {
 			t.Fatalf("iter %d: solver did not finish (%v/%v)", iter, h.Status, q.Status)
@@ -118,11 +121,11 @@ func TestUniversalLimit(t *testing.T) {
 		f.Matrix.AddDimacsClause(n + 1)
 		return f
 	}
-	if _, err := New(Options{}).Solve(mk(25)); err == nil {
-		t.Fatal("expected limit error for 25 universals (default limit 20)")
+	if _, err := New(Options{}).Solve(mk(25)); !errors.Is(err, ErrTooManyUniversals) {
+		t.Fatalf("25 universals (default limit 20): err = %v, want ErrTooManyUniversals", err)
 	}
-	if _, err := New(Options{MaxUniversals: 5}).Solve(mk(6)); err == nil {
-		t.Fatal("expected limit error for 6 universals at limit 5")
+	if _, err := New(Options{MaxUniversals: 5}).Solve(mk(6)); !errors.Is(err, ErrTooManyUniversals) {
+		t.Fatalf("6 universals at limit 5: err = %v, want ErrTooManyUniversals", err)
 	}
 	if res, err := New(Options{MaxUniversals: 5}).Solve(mk(5)); err != nil || !res.Sat {
 		t.Fatalf("5 universals at limit 5 should solve: %v %v", res.Sat, err)
@@ -131,9 +134,11 @@ func TestUniversalLimit(t *testing.T) {
 
 func TestTimeout(t *testing.T) {
 	f := randomDQBF(rand.New(rand.NewSource(8)), 18, 4, 30)
-	_, err := New(Options{Timeout: time.Microsecond}).Solve(f)
-	if err == nil {
-		t.Fatal("expected timeout error")
+	b := budget.WithTimeout(time.Microsecond)
+	time.Sleep(time.Millisecond) // the deadline has passed before the solve starts
+	_, err := New(Options{Budget: b}).Solve(f)
+	if !errors.Is(err, budget.ErrDeadline) {
+		t.Fatalf("err = %v, want budget.ErrDeadline", err)
 	}
 }
 

@@ -41,9 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/budget"
 	"repro/internal/cert"
-	"repro/internal/faults"
 	"repro/internal/problem"
 	"repro/internal/service"
 	"repro/internal/trace"
@@ -250,7 +248,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*service.Job, b
 	if !ok {
 		return nil, false
 	}
-	job, err := s.sched.SubmitProblemIdem(p, eng, lim, r.Header.Get(IdempotencyHeader))
+	job, err := s.sched.Submit(service.Request{
+		Problem: p, Engine: eng, Limits: lim, IdemKey: r.Header.Get(IdempotencyHeader),
+	})
 	switch {
 	case errors.Is(err, service.ErrQueueFull):
 		// Load shedding: the client should back off and retry, which is 429,
@@ -307,10 +307,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // handlePQE answers a partial-quantifier-elimination query synchronously:
 // the body must be a PQE problem ("p pqe" header; Content-Type
 // application/x-pqe or sniffed), the timeout/conflicts/decisions query
-// parameters bound the query, and the response carries the computed clause
-// set Q (DIMACS literal arrays) with Q ∧ ∃X[G] ≡ ∃X[F ∧ G], plus the
-// canonical hash of the query and the engine's round counters. A budget
-// stop degrades to {"status": "unknown"}; internal failures are 500s.
+// parameters bound the query under the scheduler's timeout policy (the
+// same -default-timeout/-max-timeout clamp /solve gets), a client that goes
+// away cancels it, and the response carries the computed clause set Q
+// (DIMACS literal arrays) with Q ∧ ∃X[G] ≡ ∃X[F ∧ G], plus the canonical
+// hash of the query and the engine's round counters. A budget stop
+// degrades to {"status": "unknown"}; internal failures are 500s.
 func (s *Server) handlePQE(w http.ResponseWriter, r *http.Request) {
 	_, lim, ok := s.parseLimits(w, r)
 	if !ok {
@@ -325,19 +327,19 @@ func (s *Server) handlePQE(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("/pqe wants a PQE query (\"p pqe\" header), got a %s problem; POST it to /solve", p.Kind))
 		return
 	}
-	b := budget.New(budget.Limits{Timeout: lim.Timeout, Conflicts: lim.Conflicts, Decisions: lim.Decisions})
-	res, err := service.SolvePQE(p.PQE, b, nil)
-	if err != nil {
-		if b.Stopped() || errors.Is(err, faults.ErrUnknown) {
+	out := s.sched.SolvePQE(r.Context(), service.Request{Problem: p, Limits: lim})
+	if out.Err != nil {
+		if out.Stopped {
 			writeJSON(w, http.StatusOK, map[string]any{
 				"status": "unknown",
-				"reason": err.Error(),
+				"reason": out.Err.Error(),
 			})
 			return
 		}
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, http.StatusInternalServerError, out.Err)
 		return
 	}
+	res := out.Result
 	clauses := make([][]int, len(res.Q))
 	for i, c := range res.Q {
 		lits := make([]int, len(c))
@@ -353,8 +355,8 @@ func (s *Server) handlePQE(w http.ResponseWriter, r *http.Request) {
 		"rounds":    res.Rounds,
 		"sat_calls": res.SATCalls,
 		"blocked":   res.Blocked,
-		"conflicts": b.ConflictsUsed(),
-		"decisions": b.DecisionsUsed(),
+		"conflicts": out.Conflicts,
+		"decisions": out.Decisions,
 	})
 }
 

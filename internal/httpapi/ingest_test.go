@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/faults"
@@ -241,9 +242,10 @@ func TestIngestionFaultDrill(t *testing.T) {
 
 // TestPQEFaultDrill arms the pqe.solve point: spurious unknowns degrade to
 // {"status":"unknown"}, hard errors to 500s, panics are contained by the
-// service layer, and the failure counter advances.
+// service layer, and the scheduler's PQE meters count every query and
+// failure.
 func TestPQEFaultDrill(t *testing.T) {
-	_, ts := newTestServer(t, service.Config{Workers: 1})
+	srv, ts := newTestServer(t, service.Config{Workers: 1})
 
 	arm := func(spec string) {
 		plan, err := faults.ParseSpec(spec, 1)
@@ -274,8 +276,26 @@ func TestPQEFaultDrill(t *testing.T) {
 	if code, raw = postBody(t, ts.URL+"/pqe", "application/x-pqe", []byte(pqeQuery)); code != http.StatusOK {
 		t.Fatalf("post-drill query: status %d: %s", code, raw)
 	}
-	queries, failures := service.PQEStats()
-	if queries < 4 || failures < 2 {
-		t.Fatalf("pqe meters: %d queries, %d failures", queries, failures)
+	if st := srv.Scheduler().Stats(); st.PQEQueries != 4 || st.PQEFailures != 3 {
+		t.Fatalf("pqe meters: %d queries, %d failures; want 4 and 3", st.PQEQueries, st.PQEFailures)
+	}
+}
+
+// TestPQETimeoutClamp is the regression test for /pqe bypassing the
+// scheduler's timeout policy: with MaxTimeout 20ms, a query that sets no
+// timeout and is held up 100ms by an injected latency must come back
+// unknown, exactly like a /solve job under the same clamp.
+func TestPQETimeoutClamp(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{Workers: 1, MaxTimeout: 20 * time.Millisecond})
+	plan, err := faults.ParseSpec("pqe.solve:latency:every=1,latency=100ms", 1)
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	faults.Activate(plan)
+	t.Cleanup(faults.Deactivate)
+
+	code, raw := postBody(t, ts.URL+"/pqe", "application/x-pqe", []byte(pqeQuery))
+	if code != http.StatusOK || !strings.Contains(string(raw), `"unknown"`) {
+		t.Fatalf("clamped query: status %d, want 200 with status unknown: %s", code, raw)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/dqbf"
+	"repro/internal/problem"
 )
 
 func paperExample1() *dqbf.Formula {
@@ -120,7 +121,7 @@ func TestAgreesWithHQSOnLargerInstances(t *testing.T) {
 	hqs := core.New(core.DefaultOptions())
 	for iter := 0; iter < 30; iter++ {
 		f := randomDQBF(rng, 2+rng.Intn(4), 2+rng.Intn(4), 5+rng.Intn(20))
-		ref := hqs.SolveDQBF(f)
+		ref := hqs.Solve(problem.FromDQBF(f))
 		if ref.Status != core.Solved {
 			t.Fatalf("iter %d: HQS status %v", iter, ref.Status)
 		}

@@ -27,11 +27,6 @@ type Backend struct {
 	// Reuse counters, read by the oracle pool's stats.
 	Scopes  int64 // instances solved (activation scopes opened + retracted)
 	Queries int64 // SAT queries issued across all scopes
-
-	// OnQueries, when set, receives each solve's query count as it lands
-	// (the oracle pool uses it to feed the process-global reuse counters
-	// without maxsat importing the oracle package).
-	OnQueries func(n int64)
 }
 
 // NewBackend returns a persistent MaxSAT substrate with a raised
@@ -62,10 +57,6 @@ func (be *Backend) solve(m *Solver) (Result, error) {
 
 	// Scope epilogue: retract every guarded clause with one top-level unit.
 	s.AddClause(act.Not())
-	n := s.Stats.SolveCalls - q0
-	be.Queries += n
-	if be.OnQueries != nil {
-		be.OnQueries(n)
-	}
+	be.Queries += s.Stats.SolveCalls - q0
 	return res, err
 }

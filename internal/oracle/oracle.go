@@ -25,8 +25,6 @@
 package oracle
 
 import (
-	"sync/atomic"
-
 	"repro/internal/aig"
 	"repro/internal/budget"
 	"repro/internal/cnf"
@@ -90,20 +88,6 @@ func (s Stats) Counters() map[string]int64 {
 	}
 }
 
-// Process-global counters, for stats surfaces (hqsd /stats) that aggregate
-// across many concurrent solver runs and cannot reach into per-run pools.
-var (
-	globalQueries     atomic.Int64
-	globalIncremental atomic.Int64
-	globalRebuilds    atomic.Int64
-)
-
-// GlobalStats returns the process-wide oracle counters: total queries,
-// queries answered incrementally, and solver rebuilds, since process start.
-func GlobalStats() (queries, incremental, rebuilds int64) {
-	return globalQueries.Load(), globalIncremental.Load(), globalRebuilds.Load()
-}
-
 // Oracle is one persistent incremental SAT instance over a single AIG. It
 // is single-goroutine: each consumer (a sweep worker, the final check)
 // owns its oracle exclusively. Use a Pool to hand oracles to workers.
@@ -121,7 +105,6 @@ func New(g *aig.Graph) *Oracle {
 	s.KeepLearnts = keepLearnts
 	o := &Oracle{g: g, s: s, b: aig.NewCNFBuilder(g, s)}
 	o.stats.Rebuilds = 1
-	globalRebuilds.Add(1)
 	return o
 }
 
@@ -146,10 +129,8 @@ func (o *Oracle) query(assumps []cnf.Lit, conflictBudget int64, bud *budget.Budg
 	}
 	if o.stats.Queries > 0 {
 		o.stats.Incremental++
-		globalIncremental.Add(1)
 	}
 	o.stats.Queries++
-	globalQueries.Add(1)
 	if n := int64(o.s.NumLearnts()); n > o.stats.LearntsRetained {
 		o.stats.LearntsRetained = n
 	}

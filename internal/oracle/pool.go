@@ -61,19 +61,6 @@ func (p *Pool) MaxSATBackend() *maxsat.Backend {
 	defer p.mu.Unlock()
 	if p.mx == nil {
 		p.mx = maxsat.NewBackend()
-		// Feed the backend into the process-global counters alongside the
-		// real oracles: one rebuild for its lifetime, and per solve all
-		// queries but the backend's very first count as incremental.
-		globalRebuilds.Add(1)
-		first := true
-		p.mx.OnQueries = func(n int64) {
-			globalQueries.Add(n)
-			if first && n > 0 {
-				n--
-				first = false
-			}
-			globalIncremental.Add(n)
-		}
 	}
 	return p.mx
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dqbf"
 	"repro/internal/idq"
+	"repro/internal/problem"
 )
 
 // cutSingle cuts the named gates, one box per gate.
@@ -104,7 +105,7 @@ func decide(t *testing.T, p *Problem) bool {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := core.New(core.DefaultOptions()).SolveDQBF(f)
+	res := core.New(core.DefaultOptions()).Solve(problem.FromDQBF(f))
 	if res.Status != core.Solved {
 		t.Fatalf("HQS status %v", res.Status)
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -51,7 +52,7 @@ func parsePQE(data []byte) (*Problem, error) {
 			nums := make([]int, 3)
 			for i, tok := range fields[2:] {
 				n, err := strconv.Atoi(tok)
-				if err != nil || n < 0 {
+				if err != nil || n < 0 || n > math.MaxInt32 {
 					return nil, fmt.Errorf("pqe line %d: bad count %q", lineNo, tok)
 				}
 				nums[i] = n
@@ -78,12 +79,13 @@ func parsePQE(data []byte) (*Problem, error) {
 					cur = nil
 					continue
 				}
-				l := cnf.LitFromDimacs(d)
-				if int(l.Var()) > q.NumVars {
+				// Range-check before the conversion: a literal beyond the
+				// variable type's range would wrap into it.
+				if d > q.NumVars || d < -q.NumVars {
 					return nil, fmt.Errorf("pqe line %d: literal %d out of range (declared %d variables)",
 						lineNo, d, q.NumVars)
 				}
-				cur = append(cur, l)
+				cur = append(cur, cnf.LitFromDimacs(d))
 			}
 		}
 	}

@@ -315,6 +315,8 @@ func TestParsePQEMalformed(t *testing.T) {
 		{"negative prefix var", "p pqe 2 0 0\ne -1 0\n"},
 		{"prefix var out of range", "p pqe 1 0 0\ne 2 0\n"},
 		{"literal out of range", "p pqe 1 1 0\n2 0\n"},
+		{"literal wrapping into range", "p pqe 1 1 0\n4294967297 0\n"},
+		{"count beyond int32", "p pqe 10000000000 0 0\n"},
 		{"bad literal", "p pqe 1 1 0\nx 0\n"},
 		{"clause count mismatch", "p pqe 1 2 1\n1 0\n"},
 		{"duplicate X variable", "p pqe 2 0 0\ne 1 1 0\n"},

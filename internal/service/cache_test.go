@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dqbf"
+	"repro/internal/problem"
 )
 
 // TestCacheConcurrentEviction hammers the LRU with concurrent Get/Put under
@@ -91,13 +92,13 @@ func parseDQ(t *testing.T, s string) *dqbf.Formula {
 func TestCanonicalHashPermutationInvariant(t *testing.T) {
 	fa := parseDQ(t, dqdimacsA)
 	fb := parseDQ(t, dqdimacsB)
-	ha, hb := CanonicalHash(fa), CanonicalHash(fb)
+	ha, hb := problem.CanonicalFormulaHash(fa), problem.CanonicalFormulaHash(fb)
 	if ha != hb {
 		t.Fatalf("permuted serializations hash differently:\n  %s\n  %s", ha, hb)
 	}
 	fc := parseDQ(t, dqdimacsA)
 	fc.Matrix.AddDimacsClause(1, 2)
-	if CanonicalHash(fc) == ha {
+	if problem.CanonicalFormulaHash(fc) == ha {
 		t.Fatal("adding a clause did not change the hash")
 	}
 }
@@ -109,7 +110,7 @@ func TestSchedulerCacheHitOnPermutedInput(t *testing.T) {
 	s := NewScheduler(Config{Workers: 1, DefaultTimeout: 5 * time.Second})
 	defer drainNow(t, s)
 
-	j1, err := s.Submit(parseDQ(t, dqdimacsA), EngineHQS, Limits{})
+	j1, err := s.Submit(request(parseDQ(t, dqdimacsA), EngineHQS, Limits{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestSchedulerCacheHitOnPermutedInput(t *testing.T) {
 		t.Fatalf("first solve verdict = %v, want SAT", out.Verdict)
 	}
 
-	j2, err := s.Submit(parseDQ(t, dqdimacsB), EngineHQS, Limits{})
+	j2, err := s.Submit(request(parseDQ(t, dqdimacsB), EngineHQS, Limits{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestChaosSchedulerUnderFaults(t *testing.T) {
 				} else {
 					f = unsatExample()
 				}
-				job, err := s.Submit(f, engines[rng.Intn(len(engines))], Limits{})
+				job, err := s.Submit(request(f, engines[rng.Intn(len(engines))], Limits{}))
 				if err != nil {
 					if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrDraining) {
 						t.Errorf("unexpected submit error: %v", err)
@@ -141,7 +141,7 @@ func TestChaosSchedulerUnderFaults(t *testing.T) {
 	faults.Deactivate()
 	sentinels := make([]*Job, 0, 4)
 	for i := 0; i < 4; i++ {
-		job, err := s.Submit(pigeonholeDQBF(2), EngineHQS, Limits{})
+		job, err := s.Submit(request(pigeonholeDQBF(2), EngineHQS, Limits{}))
 		if err != nil {
 			t.Fatalf("sentinel submit: %v", err)
 		}
@@ -217,7 +217,7 @@ func TestChaosDrainUnderFaults(t *testing.T) {
 					return
 				default:
 				}
-				job, err := s.Submit(paperExample1(), EnginePortfolio, Limits{})
+				job, err := s.Submit(request(paperExample1(), EnginePortfolio, Limits{}))
 				if err != nil {
 					if errors.Is(err, ErrDraining) {
 						return
@@ -252,7 +252,7 @@ func TestChaosDrainUnderFaults(t *testing.T) {
 			t.Fatalf("job %s not terminal after drain", job.ID())
 		}
 	}
-	if _, err := s.Submit(paperExample1(), EngineHQS, Limits{}); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit(request(paperExample1(), EngineHQS, Limits{})); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit error = %v, want ErrDraining", err)
 	}
 	st := s.Stats()
@@ -285,7 +285,7 @@ func TestDrainRaceRejectsOrRuns(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 32; i++ {
-					job, err := s.Submit(unsatExample(), EngineIDQ, Limits{})
+					job, err := s.Submit(request(unsatExample(), EngineIDQ, Limits{}))
 					if err != nil {
 						if !errors.Is(err, ErrDraining) && !errors.Is(err, ErrQueueFull) {
 							t.Errorf("submit: %v", err)

@@ -19,11 +19,11 @@ func TestIdempotentSubmitDeduplicates(t *testing.T) {
 
 	p := problem.FromDQBF(paperExample1())
 	key := p.CanonicalHash() + ":attempt0"
-	j1, err := s.SubmitProblemIdem(p, EngineHQS, Limits{Timeout: 30 * time.Second}, key)
+	j1, err := s.Submit(Request{Problem: p, Engine: EngineHQS, Limits: Limits{Timeout: 30 * time.Second}, IdemKey: key})
 	if err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	j2, err := s.SubmitProblemIdem(p, EngineHQS, Limits{Timeout: 30 * time.Second}, key)
+	j2, err := s.Submit(Request{Problem: p, Engine: EngineHQS, Limits: Limits{Timeout: 30 * time.Second}, IdemKey: key})
 	if err != nil {
 		t.Fatalf("retried submit: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestIdempotentSubmitDeduplicates(t *testing.T) {
 
 	// A later attempt is a distinct key on purpose: the coordinator only
 	// dedupes exact resends, not escalations.
-	j3, err := s.SubmitProblemIdem(p, EngineHQS, Limits{Timeout: 30 * time.Second}, p.CanonicalHash()+":attempt1")
+	j3, err := s.Submit(Request{Problem: p, Engine: EngineHQS, Limits: Limits{Timeout: 30 * time.Second}, IdemKey: p.CanonicalHash() + ":attempt1"})
 	if err != nil {
 		t.Fatalf("second attempt: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestIdempotentKeyEviction(t *testing.T) {
 
 	p1 := problem.FromDQBF(paperExample1())
 	key := p1.CanonicalHash() + ":attempt0"
-	j1, err := s.SubmitProblemIdem(p1, EngineHQS, Limits{Timeout: 30 * time.Second}, key)
+	j1, err := s.Submit(Request{Problem: p1, Engine: EngineHQS, Limits: Limits{Timeout: 30 * time.Second}, IdemKey: key})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -75,13 +75,13 @@ func TestIdempotentKeyEviction(t *testing.T) {
 
 	// Push j1 out of the single-slot history with an unrelated job.
 	p2 := problem.FromDQBF(unsatExample())
-	j2, err := s.SubmitProblem(p2, EngineHQS, Limits{Timeout: 30 * time.Second})
+	j2, err := s.Submit(Request{Problem: p2, Engine: EngineHQS, Limits: Limits{Timeout: 30 * time.Second}})
 	if err != nil {
 		t.Fatalf("submit evictor: %v", err)
 	}
 	waitDone(t, j2)
 
-	j3, err := s.SubmitProblemIdem(p1, EngineHQS, Limits{Timeout: 30 * time.Second}, key)
+	j3, err := s.Submit(Request{Problem: p1, Engine: EngineHQS, Limits: Limits{Timeout: 30 * time.Second}, IdemKey: key})
 	if err != nil {
 		t.Fatalf("resend after eviction: %v", err)
 	}

@@ -5,9 +5,6 @@ import (
 	"time"
 
 	"repro/internal/budget"
-	"repro/internal/dqbf"
-	"repro/internal/problem"
-	"repro/internal/trace"
 )
 
 // RetryPolicy bounds how hard the service fights transient failures before
@@ -48,12 +45,12 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)+1))
 }
 
-// FallbackChain returns the engines tried for a job that requested eng, in
+// fallbackChain returns the engines tried for a job that requested eng, in
 // order: the requested engine first, then the portfolio (which still
 // includes the requested engine — a transiently failing engine may well win
 // its rematch), then the iDQ baseline alone; the baseline itself is last,
 // with nothing to fall back to.
-func FallbackChain(eng Engine) []Engine {
+func fallbackChain(eng Engine) []Engine {
 	switch eng {
 	case EngineHQS, EngineDefex, EngineExpand:
 		return []Engine{eng, EnginePortfolio, EngineIDQ}
@@ -107,28 +104,22 @@ func classify(out Outcome, b *budget.Budget) attemptDisposition {
 	}
 }
 
-// Solve decides f with retry and engine fallback: each engine in
-// FallbackChain(eng) is attempted up to pol.MaxAttempts times with
+// solve decides req with retry and engine fallback: each engine in
+// fallbackChain(req.Engine) is attempted up to pol.MaxAttempts times with
 // exponential backoff and jitter between attempts, transient failures
 // (panics, oracle errors, unexplained Unknowns) trigger retries, and
 // engine-local resource exhaustion falls through to the next engine. The
 // returned outcome carries the total attempt count and fallback depth. This
-// is the entry point the scheduler uses; Run is the single-attempt variant.
-func Solve(f *dqbf.Formula, eng Engine, b *budget.Budget, pol RetryPolicy) Outcome {
-	return solveRetry(problem.FromDQBF(f), eng, b, pol, nil, nil)
-}
-
-// solveRetry is Solve with an observer invoked after every attempt (used by
-// the scheduler to meter retries, fallbacks, and contained panics without
-// losing intermediate outcomes) and a per-pass trace sink threaded into
-// every HQS attempt, retries and fallback runs included (so a job's trace
-// shows the full attempt history, not just the final run).
-func solveRetry(p *problem.Problem, eng Engine, b *budget.Budget, pol RetryPolicy, observe func(Outcome), sink trace.Sink) Outcome {
+// is the attempt loop behind Scheduler.Submit; observe, when non-nil, sees
+// every attempt (the scheduler meters retries and contained panics with it)
+// and req.Trace every pass of every HQS attempt, so a job's trace shows the
+// full attempt history, not just the final run.
+func (r *Runner) solve(b *budget.Budget, req Request, pol RetryPolicy, observe func(Outcome)) Outcome {
 	pol = pol.withDefaults()
-	if _, err := ParseEngine(string(eng)); err != nil {
+	if _, err := ParseEngine(string(req.Engine)); err != nil {
 		return Outcome{Verdict: VerdictError, Reason: "error", Error: err.Error(), Attempts: 0}
 	}
-	chain := FallbackChain(eng)
+	chain := fallbackChain(req.Engine)
 	attempts := 0
 	var last Outcome
 	for ci, e := range chain {
@@ -141,7 +132,7 @@ func solveRetry(p *problem.Problem, eng Engine, b *budget.Budget, pol RetryPolic
 				return last
 			}
 			attempts++
-			out := runGuarded(p, e, b, sink)
+			out := r.runGuarded(req.Problem, e, b, req.Trace)
 			out.Attempts = attempts
 			out.Fallbacks = ci
 			out.Conflicts = b.ConflictsUsed()

@@ -11,13 +11,10 @@ import (
 )
 
 // TestPanicBecomesErrorVerdict: a SAT-oracle panic on every call must not
-// escape Run — it becomes a VerdictError outcome with the stack preserved.
+// escape Runner.Run — it becomes a VerdictError outcome with the stack preserved.
 func TestPanicBecomesErrorVerdict(t *testing.T) {
 	withFaults(t, "sat.solve:panic", 1)
-	out, err := Run(unsatExample(), EngineIDQ, budget.New(budget.Limits{}))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	out := run(unsatExample(), EngineIDQ, budget.New(budget.Limits{}))
 	if out.Verdict != VerdictError {
 		t.Fatalf("verdict = %v, want ERROR", out.Verdict)
 	}
@@ -29,11 +26,18 @@ func TestPanicBecomesErrorVerdict(t *testing.T) {
 	}
 }
 
+// solve decides f with the retry/fallback loop of a fresh runner, an
+// unlimited budget, and a 1ms base backoff.
+func solve(f *dqbf.Formula, eng Engine) Outcome {
+	return (&Runner{}).solve(budget.New(budget.Limits{}), request(f, eng, Limits{}),
+		RetryPolicy{BaseDelay: time.Millisecond}, nil)
+}
+
 // TestRetryRecoversFromTransientFault: a fault that fires exactly once must
 // cost one retry, not the verdict.
 func TestRetryRecoversFromTransientFault(t *testing.T) {
 	withFaults(t, "sat.solve:panic:times=1", 1)
-	out := Solve(unsatExample(), EngineIDQ, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond})
+	out := solve(unsatExample(), EngineIDQ)
 	if out.Verdict != VerdictUnsat {
 		t.Fatalf("verdict = %v (%s: %s), want UNSAT after retry", out.Verdict, out.Reason, out.Error)
 	}
@@ -49,7 +53,7 @@ func TestRetryRecoversFromTransientFault(t *testing.T) {
 // spare must be retried rather than reported.
 func TestSpuriousUnknownIsRetried(t *testing.T) {
 	withFaults(t, "sat.solve:unknown:times=1", 1)
-	out := Solve(unsatExample(), EngineIDQ, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond})
+	out := solve(unsatExample(), EngineIDQ)
 	if out.Verdict != VerdictUnsat {
 		t.Fatalf("verdict = %v (%s), want UNSAT after retry", out.Verdict, out.Reason)
 	}
@@ -92,7 +96,7 @@ func xorLinkedDQBF() *dqbf.Formula {
 // permanently kills HQS on a cyclic instance while leaving iDQ untouched.
 func TestFallbackChainReachesBaseline(t *testing.T) {
 	withFaults(t, "maxsat.solve:error", 1)
-	out := Solve(xorLinkedDQBF(), EngineHQS, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond})
+	out := solve(xorLinkedDQBF(), EngineHQS)
 	if out.Verdict != VerdictSat {
 		t.Fatalf("verdict = %v (%s: %s), want SAT via fallback", out.Verdict, out.Reason, out.Error)
 	}
@@ -118,13 +122,13 @@ func TestFallbackChainShape(t *testing.T) {
 		{EngineIDQ, []Engine{EngineIDQ}},
 	}
 	for _, c := range cases {
-		got := FallbackChain(c.eng)
+		got := fallbackChain(c.eng)
 		if len(got) != len(c.want) {
-			t.Fatalf("FallbackChain(%q) = %v, want %v", c.eng, got, c.want)
+			t.Fatalf("fallbackChain(%q) = %v, want %v", c.eng, got, c.want)
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Fatalf("FallbackChain(%q) = %v, want %v", c.eng, got, c.want)
+				t.Fatalf("fallbackChain(%q) = %v, want %v", c.eng, got, c.want)
 			}
 		}
 	}
@@ -134,10 +138,7 @@ func TestFallbackChainShape(t *testing.T) {
 // fails verification must surface as ERROR, never as a silent SAT.
 func TestCertificateFailureIsError(t *testing.T) {
 	withFaults(t, "service.certify:error", 1)
-	out, err := Run(paperExample1(), EngineIDQ, budget.New(budget.Limits{}))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	out := run(paperExample1(), EngineIDQ, budget.New(budget.Limits{}))
 	if out.Verdict != VerdictError {
 		t.Fatalf("verdict = %v, want ERROR on certificate rejection", out.Verdict)
 	}
@@ -161,7 +162,7 @@ func TestSchedulerMetersRetriesAndErrors(t *testing.T) {
 
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
-		j, err := s.Submit(unsatExample(), EngineIDQ, Limits{})
+		j, err := s.Submit(request(unsatExample(), EngineIDQ, Limits{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cert"
 	"repro/internal/dqbf"
 	"repro/internal/faults"
-	"repro/internal/oracle"
 	"repro/internal/problem"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -61,6 +60,11 @@ type Config struct {
 	// certificate re-verified first; rejects are quarantined and re-solved.
 	// The scheduler does not close the store — its opener does.
 	Store *store.Store
+	// Certify is the certify policy of the scheduler's Runner (hqsd
+	// -certify): HQS and defex SAT verdicts are reported only with a checked
+	// Skolem certificate, and bare SAT store entries are re-solved instead
+	// of served.
+	Certify bool
 }
 
 func (c Config) withDefaults() Config {
@@ -97,6 +101,10 @@ type Limits struct {
 	Nodes int
 }
 
+func (l Limits) budgetLimits() budget.Limits {
+	return budget.Limits{Timeout: l.Timeout, Conflicts: l.Conflicts, Decisions: l.Decisions, Nodes: l.Nodes}
+}
+
 // JobState is the lifecycle phase of a job.
 type JobState string
 
@@ -131,19 +139,17 @@ type JobInfo struct {
 
 // Job is one scheduled solve.
 type Job struct {
-	id  string
-	p   *problem.Problem
+	id string
+	// req is the submitted request with its problem cloned, its engine
+	// resolved, and its trace sink joined with trc.
+	req Request
 	key string
-	eng Engine
 	bud *budget.Budget
 	// journaled is set once the persistent store has a start record for this
 	// job, so finishJob knows whether a matching done record is owed. Only
 	// the owning worker and its finisher touch it (happens-before via the
 	// queue hand-off and the finish path).
 	journaled bool
-	// idemKey is the caller-supplied idempotency key ("" when none), kept so
-	// history eviction can drop the key's registration with the job.
-	idemKey string
 	// trc records the per-pass pipeline trace of every engine attempt; nil
 	// when the scheduler's TraceEvents config disables tracing.
 	trc *trace.Recorder
@@ -186,10 +192,10 @@ func (j *Job) Trace() ([]trace.Event, int) {
 func (j *Job) Info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	info := JobInfo{ID: j.id, State: j.state, Engine: j.eng}
-	if j.p != nil {
-		info.Format = string(j.p.Format)
-		info.Kind = j.p.Kind.String()
+	info := JobInfo{ID: j.id, State: j.state, Engine: j.req.Engine}
+	if p := j.req.Problem; p != nil {
+		info.Format = string(p.Format)
+		info.Kind = p.Kind.String()
 	}
 	switch j.state {
 	case StateQueued:
@@ -237,7 +243,8 @@ func (j *Job) beginFinish(out Outcome) bool {
 	return true
 }
 
-// Stats are scheduler-wide counters, shaped for JSON.
+// Stats are service counters, shaped for JSON: a Runner fills in the
+// engine, oracle, and PQE meters, a Scheduler everything.
 type Stats struct {
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
@@ -272,18 +279,20 @@ type Stats struct {
 	Running        int   `json:"running"`
 	CacheLen       int   `json:"cache_len"`
 	Workers        int   `json:"workers"`
-	// Oracle counters aggregate over every persistent incremental SAT
-	// oracle created in this process (one pool per pipeline run), counted
-	// at the oracle layer rather than per job so cache hits and fallbacks
-	// don't skew them.
+	// Oracle counters sum the persistent incremental SAT oracle stats that
+	// the runner's HQS and defex runs report (portfolio arms, retries and
+	// fallbacks included; certificate checks are not counted).
 	OracleQueries     int64 `json:"oracle_queries"`
 	OracleIncremental int64 `json:"oracle_incremental"`
 	OracleRebuilds    int64 `json:"oracle_rebuilds"`
-	// Engines breaks attempts and definitive verdicts down per engine
-	// (process-wide, like the oracle counters): in portfolio mode the winning
-	// arm is credited, so the table answers which engine actually produces
-	// the verdicts.
+	// Engines breaks the runner's attempts and definitive verdicts down per
+	// engine: in portfolio mode the winning arm is credited, so the table
+	// answers which engine actually produces the verdicts.
 	Engines map[Engine]EngineCounters `json:"engines"`
+	// PQEQueries and PQEFailures count PQE queries answered and failed. They
+	// are not part of the /stats wire format.
+	PQEQueries  int64 `json:"-"`
+	PQEFailures int64 `json:"-"`
 	// Store holds the persistent tier's own counters (hits, misses, corrupt,
 	// quarantined, io_errors, …); nil when the daemon runs without -store.
 	Store *store.Stats `json:"store,omitempty"`
@@ -291,9 +300,10 @@ type Stats struct {
 
 // Scheduler runs submitted jobs on a bounded worker pool.
 type Scheduler struct {
-	cfg   Config
-	cache *resultCache
-	store *store.Store // nil without -store; second cache tier below the LRU
+	cfg    Config
+	runner *Runner
+	cache  *resultCache
+	store  *store.Store // nil without -store; second cache tier below the LRU
 
 	mu       sync.Mutex
 	queue    chan *Job
@@ -326,12 +336,13 @@ type Scheduler struct {
 func NewScheduler(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
-		cfg:   cfg,
-		cache: newResultCache(cfg.CacheSize),
-		store: cfg.Store,
-		queue: make(chan *Job, cfg.QueueCap),
-		jobs:  make(map[string]*Job),
-		idem:  make(map[string]string),
+		cfg:    cfg,
+		runner: &Runner{Certify: cfg.Certify},
+		cache:  newResultCache(cfg.CacheSize),
+		store:  cfg.Store,
+		queue:  make(chan *Job, cfg.QueueCap),
+		jobs:   make(map[string]*Job),
+		idem:   make(map[string]string),
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -340,16 +351,9 @@ func NewScheduler(cfg Config) *Scheduler {
 	return s
 }
 
-// Submit validates and enqueues a bare-formula job; it lifts the formula
-// into a Problem and delegates to SubmitProblem. The formula is cloned, so
-// the caller may reuse f.
-func (s *Scheduler) Submit(f *dqbf.Formula, eng Engine, lim Limits) (*Job, error) {
-	return s.SubmitProblem(problem.FromDQBF(f), eng, lim)
-}
-
-// SubmitProblem validates and enqueues a job for an ingested problem of any
-// formula kind (PQE queries are not jobs — they are answered synchronously
-// by SolvePQE). The problem is cloned, so the caller may reuse p. A cache
+// Submit validates and enqueues a job for req.Problem, any formula kind
+// from any input format (PQE queries are not jobs — SolvePQE answers them
+// synchronously). The problem is cloned, so the caller may reuse it. A cache
 // hit completes the job immediately without queueing. Returns ErrQueueFull
 // when the queue has no slot and ErrDraining once Drain has begun — the
 // draining check and the queue send happen under one lock with Drain's
@@ -359,25 +363,22 @@ func (s *Scheduler) Submit(f *dqbf.Formula, eng Engine, lim Limits) (*Job, error
 // The cache/store key is the problem's canonical hash, which is computed on
 // the normalized formula: the same instance ingested as DQDIMACS and as a
 // BENCH netlist shares one cache and store entry.
-func (s *Scheduler) SubmitProblem(p *problem.Problem, eng Engine, lim Limits) (*Job, error) {
-	return s.SubmitProblemIdem(p, eng, lim, "")
-}
-
-// SubmitProblemIdem is SubmitProblem with an idempotency key: while a job
-// submitted under the same non-empty key is still tracked (queued, running,
-// or finished-but-unevicted), resubmits return that job instead of creating
-// a new one, and count as IdemHits rather than submissions. The cluster
-// coordinator keys forwarded submits on canonical hash plus attempt number,
-// so a forward retried after a network failure cannot double-run — and
-// double-count — a job the worker had in fact accepted. Keys unregister when
-// their job is evicted from history.
-func (s *Scheduler) SubmitProblemIdem(p *problem.Problem, eng Engine, lim Limits, idemKey string) (*Job, error) {
-	if eng == "" {
-		eng = s.cfg.DefaultEngine
+//
+// With a non-empty req.IdemKey, while a job submitted under the same key is
+// still tracked (queued, running, or finished-but-unevicted), resubmits
+// return that job instead of creating a new one, and count as IdemHits
+// rather than submissions. The cluster coordinator keys forwarded submits on
+// canonical hash plus attempt number, so a forward retried after a network
+// failure cannot double-run — and double-count — a job the worker had in
+// fact accepted. Keys unregister when their job is evicted from history.
+func (s *Scheduler) Submit(req Request) (*Job, error) {
+	if req.Engine == "" {
+		req.Engine = s.cfg.DefaultEngine
 	}
-	if _, err := ParseEngine(string(eng)); err != nil {
+	if _, err := ParseEngine(string(req.Engine)); err != nil {
 		return nil, err
 	}
+	p := req.Problem
 	if p.Kind == problem.KindPQE {
 		s.rejected.Add(1)
 		return nil, fmt.Errorf("service: PQE queries are not scheduler jobs (use SolvePQE)")
@@ -386,16 +387,6 @@ func (s *Scheduler) SubmitProblemIdem(p *problem.Problem, eng Engine, lim Limits
 		s.rejected.Add(1)
 		return nil, err
 	}
-	f := p.Formula
-
-	timeout := lim.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
-		timeout = s.cfg.MaxTimeout
-	}
-	bl := budget.Limits{Timeout: timeout, Conflicts: lim.Conflicts, Decisions: lim.Decisions, Nodes: lim.Nodes}
 
 	// Both cache tiers are probed before s.mu is taken: the disk tier
 	// re-verifies Skolem certificates (a SAT call) and must not run under the
@@ -405,7 +396,7 @@ func (s *Scheduler) SubmitProblemIdem(p *problem.Problem, eng Engine, lim Limits
 	out, hit := s.cacheLookup(key)
 	if hit {
 		out.FromCache = true
-	} else if out, hit = s.storeLookup(f, key); hit {
+	} else if out, hit = s.storeLookup(p.Formula, key); hit {
 		out.FromStore = true
 	}
 
@@ -415,29 +406,29 @@ func (s *Scheduler) SubmitProblemIdem(p *problem.Problem, eng Engine, lim Limits
 		s.rejected.Add(1)
 		return nil, ErrDraining
 	}
-	if idemKey != "" {
-		if id, ok := s.idem[idemKey]; ok {
+	if req.IdemKey != "" {
+		if id, ok := s.idem[req.IdemKey]; ok {
 			if j, tracked := s.jobs[id]; tracked {
 				s.idemHits.Add(1)
 				return j, nil
 			}
-			delete(s.idem, idemKey) // job evicted underneath the key
+			delete(s.idem, req.IdemKey) // job evicted underneath the key
 		}
 	}
 	s.nextID++
+	req.Problem = p.Clone()
 	job := &Job{
 		id:        fmt.Sprintf("j%d", s.nextID),
-		p:         p.Clone(),
+		req:       req,
 		key:       key,
-		eng:       eng,
-		bud:       budget.New(bl),
-		idemKey:   idemKey,
+		bud:       budget.New(s.budgetLimits(req.Limits)),
 		state:     StateQueued,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
 	if s.cfg.TraceEvents > 0 {
 		job.trc = trace.NewRecorder(s.cfg.TraceEvents)
+		job.req.Trace = trace.Multi(job.trc, req.Trace)
 	}
 
 	if hit {
@@ -451,8 +442,8 @@ func (s *Scheduler) SubmitProblemIdem(p *problem.Problem, eng Engine, lim Limits
 		s.solved.Add(1)
 		job.finish(out)
 		s.remember(job)
-		if idemKey != "" {
-			s.idem[idemKey] = job.id
+		if req.IdemKey != "" {
+			s.idem[req.IdemKey] = job.id
 		}
 		return job, nil
 	}
@@ -465,10 +456,32 @@ func (s *Scheduler) SubmitProblemIdem(p *problem.Problem, eng Engine, lim Limits
 	}
 	s.submitted.Add(1)
 	s.jobs[job.id] = job
-	if idemKey != "" {
-		s.idem[idemKey] = job.id
+	if req.IdemKey != "" {
+		s.idem[req.IdemKey] = job.id
 	}
 	return job, nil
+}
+
+// budgetLimits applies the scheduler's timeout policy to a request's
+// limits: DefaultTimeout when the request sets none, clamped to MaxTimeout.
+func (s *Scheduler) budgetLimits(lim Limits) budget.Limits {
+	if lim.Timeout <= 0 {
+		lim.Timeout = s.cfg.DefaultTimeout
+	}
+	if s.cfg.MaxTimeout > 0 && (lim.Timeout <= 0 || lim.Timeout > s.cfg.MaxTimeout) {
+		lim.Timeout = s.cfg.MaxTimeout
+	}
+	return lim.budgetLimits()
+}
+
+// SolvePQE answers the PQE query req.Problem on the caller's goroutine —
+// PQE queries are not jobs — under the same DefaultTimeout/MaxTimeout
+// policy Submit applies. The query is cancelled when ctx ends (say, when
+// the client that asked has gone away).
+func (s *Scheduler) SolvePQE(ctx context.Context, req Request) PQEOutcome {
+	b := budget.New(s.budgetLimits(req.Limits))
+	defer context.AfterFunc(ctx, b.Cancel)()
+	return s.runner.SolvePQE(b, req)
 }
 
 // cacheLookup consults the result cache with panic containment: a broken
@@ -511,7 +524,7 @@ func (s *Scheduler) storeLookup(f *dqbf.Formula, key string) (out Outcome, ok bo
 			// A bare SAT entry (written by an engine without certificate
 			// support) cannot be re-proved; while certification is on it does
 			// not meet the service's bar, so re-solve instead of trusting it.
-			if certifyHQS.Load() {
+			if s.cfg.Certify {
 				return Outcome{}, false
 			}
 		} else if err := cert.Check(f, e.Cert); err != nil {
@@ -569,8 +582,8 @@ func (s *Scheduler) remember(j *Job) {
 	s.jobs[j.id] = j
 	s.doneIDs = append(s.doneIDs, j.id)
 	for len(s.doneIDs) > s.cfg.HistorySize {
-		if old := s.jobs[s.doneIDs[0]]; old != nil && old.idemKey != "" {
-			delete(s.idem, old.idemKey)
+		if old := s.jobs[s.doneIDs[0]]; old != nil && old.req.IdemKey != "" {
+			delete(s.idem, old.req.IdemKey)
 		}
 		delete(s.jobs, s.doneIDs[0])
 		s.doneIDs = s.doneIDs[1:]
@@ -667,7 +680,7 @@ func (s *Scheduler) runJob(job *Job) {
 			s.panics.Add(1)
 			s.finishJob(job, Outcome{
 				Verdict:    VerdictError,
-				Engine:     job.eng,
+				Engine:     job.req.Engine,
 				Reason:     "error",
 				Error:      fmt.Sprintf("worker panic: %v", r),
 				PanicStack: string(debug.Stack()),
@@ -691,7 +704,7 @@ func (s *Scheduler) runJob(job *Job) {
 	if err := faults.Fire(faults.SchedDispatch); err != nil {
 		s.finishJob(job, Outcome{
 			Verdict: VerdictError,
-			Engine:  job.eng,
+			Engine:  job.req.Engine,
 			Reason:  "error",
 			Error:   fmt.Sprintf("dispatch failed: %v", err),
 		})
@@ -699,11 +712,7 @@ func (s *Scheduler) runJob(job *Job) {
 	}
 
 	attempt := 0
-	var sink trace.Sink
-	if job.trc != nil {
-		sink = job.trc
-	}
-	out := solveRetry(job.p, job.eng, job.bud, s.cfg.Retry, func(att Outcome) {
+	out := s.runner.solve(job.bud, job.req, s.cfg.Retry, func(att Outcome) {
 		attempt++
 		if attempt > 1 {
 			s.retries.Add(1)
@@ -711,7 +720,7 @@ func (s *Scheduler) runJob(job *Job) {
 		if att.PanicStack != "" {
 			s.panics.Add(1)
 		}
-	}, sink)
+	})
 	s.fallbacks.Add(int64(out.Fallbacks))
 	out.Conflicts = job.bud.ConflictsUsed()
 	out.Decisions = job.bud.DecisionsUsed()
@@ -777,36 +786,29 @@ func (s *Scheduler) QueueFree() int {
 
 // Stats returns a snapshot of the scheduler counters.
 func (s *Scheduler) Stats() Stats {
-	oq, oi, orb := oracle.GlobalStats()
 	s.mu.Lock()
 	historyLen := len(s.doneIDs)
 	s.mu.Unlock()
-	st := Stats{
-		Submitted:      s.submitted.Load(),
-		Completed:      s.completed.Load(),
-		Solved:         s.solved.Load(),
-		Unknown:        s.unknown.Load(),
-		Cancelled:      s.cancelled.Load(),
-		Errors:         s.errored.Load(),
-		Retries:        s.retries.Load(),
-		Fallbacks:      s.fallbacks.Load(),
-		Panics:         s.panics.Load(),
-		CacheHits:      s.cacheHits.Load(),
-		StoreHits:      s.storeHits.Load(),
-		IdemHits:       s.idemHits.Load(),
-		Rejected:       s.rejected.Load(),
-		HistoryEvicted: s.historyEvicted.Load(),
-		HistoryLen:     historyLen,
-		Queued:         len(s.queue),
-		Running:        int(s.running.Load()),
-		CacheLen:       s.cache.Len(),
-		Workers:        s.cfg.Workers,
-
-		OracleQueries:     oq,
-		OracleIncremental: oi,
-		OracleRebuilds:    orb,
-		Engines:           EngineStats(),
-	}
+	st := s.runner.Stats()
+	st.Submitted = s.submitted.Load()
+	st.Completed = s.completed.Load()
+	st.Solved = s.solved.Load()
+	st.Unknown = s.unknown.Load()
+	st.Cancelled = s.cancelled.Load()
+	st.Errors = s.errored.Load()
+	st.Retries = s.retries.Load()
+	st.Fallbacks = s.fallbacks.Load()
+	st.Panics = s.panics.Load()
+	st.CacheHits = s.cacheHits.Load()
+	st.StoreHits = s.storeHits.Load()
+	st.IdemHits = s.idemHits.Load()
+	st.Rejected = s.rejected.Load()
+	st.HistoryEvicted = s.historyEvicted.Load()
+	st.HistoryLen = historyLen
+	st.Queued = len(s.queue)
+	st.Running = int(s.running.Load())
+	st.CacheLen = s.cache.Len()
+	st.Workers = s.cfg.Workers
 	if s.store != nil {
 		ss := s.store.Stats()
 		st.Store = &ss

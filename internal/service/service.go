@@ -1,11 +1,19 @@
 // Package service turns the batch DQBF solvers into a long-running solver
-// service: it provides cancellable engine runners over a shared budget, a
-// portfolio mode that races HQS, the iDQ baseline, the definition-extraction
-// engine, and the expansion reference — cancelling the losers, with
-// per-engine win/attempt counters answering which arm actually produces
-// verdicts — a bounded worker-pool scheduler with a job queue and per-job
-// limits, and an LRU result cache keyed by a canonical hash of the parsed
-// formula.
+// service. It has one entry point per layer, all taking a Request:
+//
+//   - Runner.Run makes one budgeted engine attempt — HQS, the iDQ baseline,
+//     the definition-extraction engine, the expansion reference, or a
+//     portfolio racing all four and cancelling the losers. Runner.SolvePQE
+//     answers partial-quantifier-elimination queries the same way.
+//   - Scheduler.Submit queues a job on a bounded worker pool with per-job
+//     limits, retries and engine fallback, in front of an LRU result cache
+//     keyed by a canonical hash of the parsed formula and an optional
+//     persistent store. Scheduler.SolvePQE runs a PQE query under the same
+//     timeout policy.
+//
+// Policy and meters live in values, not in the process: a Runner carries the
+// certify policy and counts its own engine attempts and wins, PQE queries and
+// oracle reuse, and each Scheduler owns one Runner built from its Config.
 //
 // The package is also the failure-containment boundary of the stack: every
 // engine attempt runs under recover (a panicking solver core becomes an
@@ -33,6 +41,7 @@ import (
 	"repro/internal/expand"
 	"repro/internal/faults"
 	"repro/internal/idq"
+	"repro/internal/oracle"
 	"repro/internal/pqe"
 	"repro/internal/problem"
 	"repro/internal/trace"
@@ -57,23 +66,32 @@ const (
 	EnginePortfolio Engine = "portfolio"
 )
 
-// Engines lists every selectable engine (portfolio arms first).
-var Engines = []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand, EnginePortfolio}
+// numArms is how many engines the portfolio races: the first numArms
+// entries of allEngines.
+const numArms = 4
+
+// allEngines lists every selectable engine: the portfolio arms in launch
+// order, then the portfolio itself. It is also the display order of
+// FormatEngineStats and the slot order of a Runner's engine meters.
+func allEngines() [numArms + 1]Engine {
+	return [...]Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand, EnginePortfolio}
+}
 
 // ParseEngine maps a user-supplied engine name to an Engine; the empty
 // string selects the portfolio.
 func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case EngineHQS, EngineIDQ, EngineDefex, EngineExpand, EnginePortfolio:
-		return Engine(s), nil
-	case "":
+	if s == "" {
 		return EnginePortfolio, nil
-	default:
-		return "", fmt.Errorf("service: unknown engine %q (want hqs, idq, defex, expand, or portfolio)", s)
 	}
+	for _, eng := range allEngines() {
+		if Engine(s) == eng {
+			return eng, nil
+		}
+	}
+	return "", fmt.Errorf("service: unknown engine %q (want hqs, idq, defex, expand, or portfolio)", s)
 }
 
-// EngineCounters are the per-engine attempt/win totals of the process.
+// EngineCounters are the attempt/win totals of one engine.
 type EngineCounters struct {
 	// Attempts counts engine runs started (portfolio arms count for the arm's
 	// engine AND one attempt for the portfolio row itself).
@@ -83,39 +101,11 @@ type EngineCounters struct {
 	Wins int64 `json:"wins"`
 }
 
-// engineMeters holds the process-global per-engine counters; index by the
-// engine constants above. Atomic because portfolio arms run concurrently.
-var engineMeters = map[Engine]*struct{ attempts, wins atomic.Int64 }{
-	EngineHQS:       {},
-	EngineIDQ:       {},
-	EngineDefex:     {},
-	EngineExpand:    {},
-	EnginePortfolio: {},
-}
-
-// EngineStats snapshots the process-wide per-engine attempt/win counters —
-// the answer to "which portfolio arm actually produces the verdicts".
-func EngineStats() map[Engine]EngineCounters {
-	out := make(map[Engine]EngineCounters, len(engineMeters))
-	for eng, m := range engineMeters {
-		out[eng] = EngineCounters{Attempts: m.attempts.Load(), Wins: m.wins.Load()}
-	}
-	return out
-}
-
-// ResetEngineStats zeroes the per-engine counters (tests, benchmark runs).
-func ResetEngineStats() {
-	for _, m := range engineMeters {
-		m.attempts.Store(0)
-		m.wins.Store(0)
-	}
-}
-
 // FormatEngineStats renders the counters as a stable one-line-per-engine
-// table in the fixed Engines order.
+// table in the fixed engine order.
 func FormatEngineStats(stats map[Engine]EngineCounters) string {
 	var b strings.Builder
-	for _, eng := range Engines {
+	for _, eng := range allEngines() {
 		c := stats[eng]
 		if c.Attempts == 0 && c.Wins == 0 {
 			continue
@@ -214,59 +204,105 @@ type Outcome struct {
 	// Cert is the verified Skolem certificate backing a SAT verdict, carried
 	// so the scheduler's persistent store can write it next to the result
 	// (and re-verify it on every future load). Nil for UNSAT, for engines
-	// that emitted none, and for HQS/defex runs without -certify. Not part
-	// of the JSON surface — certificates are large and internal.
+	// that emitted none, and for HQS/defex runs of a non-certifying Runner.
+	// Not part of the JSON surface — certificates are large and internal.
 	Cert *cert.Certificate `json:"-"`
 }
 
-// Run decides f with the given engine under budget b (nil means unlimited).
-// It performs exactly one attempt — no retries or fallbacks (see Solve for
-// the hardened entry point) — but panics are still isolated into a
-// VerdictError outcome, and SAT answers carrying a Skolem certificate are
-// verified before being reported. The formula is not modified.
-// Conflict/decision meters are read from b, so callers wanting per-call
-// totals should pass a fresh budget per call.
-func Run(f *dqbf.Formula, eng Engine, b *budget.Budget) (Outcome, error) {
-	return RunTraced(f, eng, b, nil)
+// Request is one solve or PQE query, the single argument of every entry
+// point in this package.
+type Request struct {
+	// Problem is the ingested instance: a formula kind (DQBF or QBF) for
+	// Run and Submit, a PQE query for SolvePQE. It is never modified.
+	Problem *problem.Problem
+	// Engine selects the solver core; "" takes the scheduler's default
+	// engine (the portfolio for a bare Runner). SolvePQE ignores it.
+	Engine Engine
+	// Limits bound the solve. The scheduler applies its timeout policy to
+	// them; a Runner uses them only when it is handed no budget.
+	Limits Limits
+	// IdemKey, when non-empty, dedupes Submit: while a job submitted under
+	// the same key is still tracked, resubmits return that job.
+	IdemKey string
+	// Trace, when non-nil, receives one trace.Event per executed pipeline
+	// pass (in portfolio mode, of the HQS arm; PQE rounds for SolvePQE). A
+	// scheduled job emits to it from a worker goroutine, next to the job's
+	// own trace ring.
+	Trace trace.Sink
 }
 
-// RunTraced is Run with a per-pass trace sink; both lift the bare formula
-// into a Problem and delegate to the Problem entry points below.
-func RunTraced(f *dqbf.Formula, eng Engine, b *budget.Budget, sink trace.Sink) (Outcome, error) {
-	return RunTracedProblem(problem.FromDQBF(f), eng, b, sink)
+// Runner makes single engine attempts and PQE queries under the certify
+// policy it carries, and meters them: per-engine attempts and wins, PQE
+// queries and failures, and the oracle reuse counters the HQS and defex
+// engines report. Two runners in one process — a certifying scheduler next
+// to a plain one, say — share neither policy nor counts. The zero value is
+// ready to use; a Runner must not be copied after first use.
+type Runner struct {
+	// Certify makes every HQS and defex run extract a Skolem certificate
+	// and has it verified before a SAT verdict is reported (hqs -cert,
+	// hqsd -certify). iDQ and expand certificates are always verified.
+	Certify bool
+
+	engines                 [numArms + 1]struct{ attempts, wins atomic.Int64 }
+	pqeQueries, pqeFailures atomic.Int64
+	oracleQueries           atomic.Int64
+	oracleIncremental       atomic.Int64
+	oracleRebuilds          atomic.Int64
 }
 
-// RunProblem decides an ingested problem (any formula kind, from any input
-// format) with the given engine under budget b. See Run for the attempt
-// semantics.
-func RunProblem(p *problem.Problem, eng Engine, b *budget.Budget) (Outcome, error) {
-	return RunTracedProblem(p, eng, b, nil)
-}
-
-// RunTracedProblem is RunProblem with a per-pass trace sink: every pipeline
-// pass the HQS engine executes (in portfolio mode, the HQS arm) emits one
-// structured trace.Event to sink. A nil sink disables tracing; the iDQ
-// engine has no pass pipeline and emits nothing. PQE problems are not
-// engine jobs — route them through SolvePQE instead.
-func RunTracedProblem(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sink) (Outcome, error) {
-	if _, err := ParseEngine(string(eng)); err != nil {
-		return Outcome{}, err
+// Stats snapshots the runner's meters into the Engines, Oracle* and PQE*
+// fields of a Stats value; a Scheduler fills in the rest.
+func (r *Runner) Stats() Stats {
+	st := Stats{
+		OracleQueries:     r.oracleQueries.Load(),
+		OracleIncremental: r.oracleIncremental.Load(),
+		OracleRebuilds:    r.oracleRebuilds.Load(),
+		PQEQueries:        r.pqeQueries.Load(),
+		PQEFailures:       r.pqeFailures.Load(),
+		Engines:           make(map[Engine]EngineCounters, len(r.engines)),
 	}
-	if p.Formula == nil {
-		return Outcome{}, fmt.Errorf("service: %s problem has no formula (use SolvePQE for PQE queries)", p.Kind)
+	for i, eng := range allEngines() {
+		m := &r.engines[i]
+		st.Engines[eng] = EngineCounters{Attempts: m.attempts.Load(), Wins: m.wins.Load()}
 	}
-	out := runGuarded(p, eng, b, sink)
+	return st
+}
+
+// Run decides req.Problem with req.Engine under b; a nil b means a fresh
+// budget from req.Limits. It performs exactly one attempt — no retries or
+// fallbacks (Scheduler.Submit adds those) — but panics are still isolated
+// into a VerdictError outcome, and SAT answers pass the certify step before
+// being reported. An unknown engine or a problem without a formula (a PQE
+// query; see SolvePQE) is an Error outcome. Conflict/decision meters are
+// read from b, so callers wanting per-call totals should pass a fresh
+// budget per call.
+func (r *Runner) Run(b *budget.Budget, req Request) Outcome {
+	if b == nil {
+		b = budget.New(req.Limits.budgetLimits())
+	}
+	eng, err := ParseEngine(string(req.Engine))
+	if err == nil && req.Problem.Formula == nil {
+		err = fmt.Errorf("service: %s problem has no formula (use SolvePQE for PQE queries)", req.Problem.Kind)
+	}
+	if err != nil {
+		return Outcome{Verdict: VerdictError, Reason: "error", Error: err.Error()}
+	}
+	out := r.runGuarded(req.Problem, eng, b, req.Trace)
 	out.Attempts = 1
 	out.Conflicts = b.ConflictsUsed()
 	out.Decisions = b.DecisionsUsed()
-	return out, nil
+	return out
 }
 
 // runGuarded executes one engine attempt with panic isolation: a panic
 // anywhere in the engine (or injected by a fault plan) is converted into a
 // VerdictError outcome carrying the message and captured stack.
-func runGuarded(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sink) (out Outcome) {
-	if m := engineMeters[eng]; m != nil {
+func (r *Runner) runGuarded(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sink) (out Outcome) {
+	for i, e := range allEngines() {
+		if e != eng {
+			continue
+		}
+		m := &r.engines[i]
 		m.attempts.Add(1)
 		defer func() {
 			// A win is a definitive verdict produced by this engine itself;
@@ -278,39 +314,97 @@ func runGuarded(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sin
 		}()
 	}
 	defer func() {
-		if r := recover(); r != nil {
+		if rec := recover(); rec != nil {
 			out = Outcome{
 				Verdict:    VerdictError,
 				Engine:     eng,
 				Reason:     "error",
-				Error:      fmt.Sprintf("engine %s panicked: %v", eng, r),
+				Error:      fmt.Sprintf("engine %s panicked: %v", eng, rec),
 				PanicStack: string(debug.Stack()),
 			}
 		}
 	}()
+	var a answer
 	switch eng {
 	case EngineHQS:
-		return runHQS(p, b, sink)
+		a = r.runHQS(p, b, sink)
 	case EngineIDQ:
-		return runIDQ(p.Formula, b)
+		a = runIDQ(p.Formula, b)
 	case EngineDefex:
-		return runDefex(p.Formula, b, sink)
+		a = r.runDefex(p.Formula, b, sink)
 	case EngineExpand:
-		return runExpand(p.Formula, b)
+		a = runExpand(p.Formula, b)
 	default:
-		return runPortfolio(p, b, sink)
+		return r.runPortfolio(p, b, sink)
 	}
+	return a.outcome(eng, p.Formula, b)
+}
+
+// answer is one engine run in engine-neutral form, before the certify step.
+type answer struct {
+	// reason is "solved", "timeout", "memout", "cancelled" (a budget stop,
+	// refined from the budget's reason), or "error" (see err).
+	reason string
+	err    error
+	sat    bool
+	// check makes a SAT answer pass certify before it is reported; cert and
+	// certErr are the engine's Skolem certificate or why it has none.
+	check   bool
+	cert    *cert.Certificate
+	certErr error
+}
+
+// outcome reports the answer of engine eng on f. A SAT answer under check
+// is reported only once its certificate passes certify: a rejected
+// certificate means the solver (or the memory under it) is broken, and the
+// honest answer is Error, not a silent SAT.
+func (a answer) outcome(eng Engine, f *dqbf.Formula, b *budget.Budget) Outcome {
+	out := Outcome{Engine: eng, Reason: a.reason}
+	switch {
+	case a.reason == "cancelled":
+		out.Reason = reasonFromErr(b.Err())
+	case a.reason == "error":
+		out.Verdict, out.Error = VerdictError, a.err.Error()
+	case a.reason != "solved":
+	case !a.sat:
+		out.Verdict = VerdictUnsat
+	case !a.check:
+		out.Verdict = VerdictSat
+	default:
+		c, err := certify(f, a.cert, a.certErr)
+		if err != nil {
+			out.Verdict, out.Reason = VerdictError, "error"
+			out.Error = fmt.Sprintf("skolem certificate rejected: %v", err)
+			return out
+		}
+		out.Verdict, out.Cert = VerdictSat, c
+	}
+	return out
+}
+
+// certify is the trust step behind every checked SAT verdict: the
+// service.certify fault point, then the independent checker (one SAT call)
+// on the engine's Skolem certificate. A certificate the engine failed to
+// produce fails like one the checker rejects. It returns the checked
+// certificate so the outcome can carry it to the persistent store.
+func certify(f *dqbf.Formula, c *cert.Certificate, extractErr error) (*cert.Certificate, error) {
+	if err := faults.Fire(faults.CertVerify); err != nil {
+		return nil, err
+	}
+	if extractErr != nil {
+		return nil, fmt.Errorf("extraction failed: %w", extractErr)
+	}
+	if err := cert.Check(f, c); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // reasonFromErr maps a budget stop reason to an Outcome.Reason.
 func reasonFromErr(err error) string {
 	switch {
-	case err == nil:
-		return "cancelled"
 	case errors.Is(err, budget.ErrDeadline):
 		return "timeout"
-	case errors.Is(err, budget.ErrCancelled):
-		return "cancelled"
 	case errors.Is(err, budget.ErrConflicts), errors.Is(err, budget.ErrDecisions):
 		return "budget"
 	default:
@@ -318,241 +412,118 @@ func reasonFromErr(err error) string {
 	}
 }
 
-// certifyHQS, when set, makes every HQS run extract a Skolem certificate and
-// has the service verify it before a SAT verdict is reported (the same
-// trust policy the iDQ engine always gets). Atomic because portfolio mode
-// runs HQS arms on concurrent goroutines.
-var certifyHQS atomic.Bool
+// countOracle folds one engine run's oracle reuse counters into the meters.
+func (r *Runner) countOracle(st oracle.Stats) {
+	r.oracleQueries.Add(st.Queries)
+	r.oracleIncremental.Add(st.Incremental)
+	r.oracleRebuilds.Add(st.Rebuilds)
+}
 
-// SetCertifyHQS toggles certificate-checked HQS SAT verdicts service-wide
-// (hqs -cert / hqsd -certify).
-func SetCertifyHQS(on bool) { certifyHQS.Store(on) }
-
-func runHQS(p *problem.Problem, b *budget.Budget, sink trace.Sink) Outcome {
-	f := p.Formula
+func (r *Runner) runHQS(p *problem.Problem, b *budget.Budget, sink trace.Sink) answer {
 	opt := core.DefaultOptions()
 	opt.Budget = b
 	opt.Trace = sink
-	opt.Certify = certifyHQS.Load()
+	opt.Certify = r.Certify
 	res := core.New(opt).Solve(p)
-	out := Outcome{Engine: EngineHQS}
-	switch res.Status {
-	case core.Solved:
-		out.Reason = "solved"
-		if res.Sat {
-			// Under -certify a SAT verdict must survive the independent
-			// checker, exactly like the iDQ engine's table certificates.
-			if opt.Certify {
-				if err := verifySkolem(f, res.Certificate, res.CertErr); err != nil {
-					return Outcome{
-						Verdict: VerdictError,
-						Engine:  EngineHQS,
-						Reason:  "error",
-						Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
-					}
-				}
-				out.Cert = res.Certificate
-			}
-			out.Verdict = VerdictSat
-		} else {
-			out.Verdict = VerdictUnsat
-		}
-	case core.Timeout:
-		out.Reason = "timeout"
-	case core.Memout:
-		out.Reason = "memout"
-	case core.Cancelled:
-		out.Reason = reasonFromErr(b.Err())
-	}
-	return out
+	r.countOracle(res.Stats.Oracle)
+	return answer{reason: res.Status.String(), sat: res.Sat,
+		check: opt.Certify, cert: res.Certificate, certErr: res.CertErr}
 }
 
-func runIDQ(f *dqbf.Formula, b *budget.Budget) Outcome {
+// runIDQ runs the iDQ baseline. Its table certificates are always checked:
+// the solver alone is not trusted with a SAT answer.
+func runIDQ(f *dqbf.Formula, b *budget.Budget) answer {
 	res := idq.New(idq.Options{Budget: b}).Solve(f)
-	out := Outcome{Engine: EngineIDQ}
-	switch res.Status {
-	case idq.Solved:
-		if res.Sat {
-			// Do not report SAT on the strength of the solver alone: the
-			// emitted Skolem certificate is checked independently first. A
-			// certificate the checker rejects means the solver (or the
-			// memory under it) is broken, and the honest answer is Error,
-			// not a silent SAT.
-			ac, err := verifyCertificate(f, res.Certificate)
-			if err != nil {
-				return Outcome{
-					Verdict: VerdictError,
-					Engine:  EngineIDQ,
-					Reason:  "error",
-					Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
-				}
-			}
-			out.Cert = ac
-			out.Verdict = VerdictSat
-		} else {
-			out.Verdict = VerdictUnsat
-		}
-		out.Reason = "solved"
-	case idq.Timeout:
-		out.Reason = "timeout"
-	case idq.Memout:
-		out.Reason = "memout"
-	case idq.Cancelled:
-		out.Reason = reasonFromErr(b.Err())
+	a := answer{reason: res.Status.String(), sat: res.Sat, check: true}
+	if res.Sat {
+		a.cert, a.certErr = cert.FromTables(f, res.Certificate)
 	}
-	return out
+	return a
 }
 
 // runDefex runs the definition-extraction engine. Like HQS it extracts AIG
-// Skolem certificates, so it shares the certifyHQS trust policy: under
-// -certify a SAT verdict must survive the independent checker.
-func runDefex(f *dqbf.Formula, b *budget.Budget, sink trace.Sink) Outcome {
+// Skolem certificates, so it shares the runner's Certify policy.
+func (r *Runner) runDefex(f *dqbf.Formula, b *budget.Budget, sink trace.Sink) answer {
 	opt := defex.DefaultOptions()
 	opt.Budget = b
 	opt.Trace = sink
-	opt.Certify = certifyHQS.Load()
+	opt.Certify = r.Certify
 	res := defex.New(opt).Solve(f)
-	out := Outcome{Engine: EngineDefex}
-	switch res.Status {
-	case defex.Solved:
-		out.Reason = "solved"
-		if res.Sat {
-			if opt.Certify {
-				if err := verifySkolem(f, res.Certificate, res.CertErr); err != nil {
-					return Outcome{
-						Verdict: VerdictError,
-						Engine:  EngineDefex,
-						Reason:  "error",
-						Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
-					}
-				}
-				out.Cert = res.Certificate
-			}
-			out.Verdict = VerdictSat
-		} else {
-			out.Verdict = VerdictUnsat
-		}
-	case defex.Timeout:
-		out.Reason = "timeout"
-	case defex.Memout:
-		out.Reason = "memout"
-	case defex.Cancelled:
-		out.Reason = reasonFromErr(b.Err())
-	}
-	return out
+	r.countOracle(res.Stats.Oracle)
+	return answer{reason: res.Status.String(), sat: res.Sat,
+		check: opt.Certify, cert: res.Certificate, certErr: res.CertErr}
 }
 
 // runExpand runs the eager full-expansion reference engine. Its table
 // certificates are always checked (the iDQ trust policy): the engine exists
 // for cross-checking, so an unverified SAT from it has no value.
-func runExpand(f *dqbf.Formula, b *budget.Budget) Outcome {
+func runExpand(f *dqbf.Formula, b *budget.Budget) answer {
 	res, err := expand.New(expand.Options{Budget: b, Certify: true}).Solve(f)
-	out := Outcome{Engine: EngineExpand}
-	if err != nil {
-		switch {
-		case errors.Is(err, budget.ErrDeadline):
-			out.Reason = "timeout"
-		case errors.Is(err, budget.ErrCancelled),
-			errors.Is(err, budget.ErrConflicts),
-			errors.Is(err, budget.ErrDecisions):
-			out.Reason = reasonFromErr(b.Err())
-		case strings.Contains(err.Error(), "exceed limit"):
-			// The expansion refusal is this engine's memory limit.
-			out.Reason = "memout"
-		default:
-			out.Verdict = VerdictError
-			out.Reason = "error"
-			out.Error = err.Error()
+	switch {
+	case err == nil:
+	case errors.Is(err, budget.ErrDeadline):
+		return answer{reason: "timeout"}
+	case errors.Is(err, budget.ErrCancelled),
+		errors.Is(err, budget.ErrConflicts),
+		errors.Is(err, budget.ErrDecisions):
+		return answer{reason: "cancelled"}
+	case errors.Is(err, expand.ErrTooManyUniversals):
+		// The expansion refusal is this engine's memory limit.
+		return answer{reason: "memout"}
+	default:
+		return answer{reason: "error", err: err}
+	}
+	a := answer{reason: "solved", sat: res.Sat, check: true}
+	if res.Sat {
+		a.cert, a.certErr = cert.FromTables(f, res.Certificate)
+	}
+	return a
+}
+
+// PQEOutcome is the answer to one PQE query.
+type PQEOutcome struct {
+	// Result holds the computed clause set Q, with Q ∧ ∃X[G] ≡ ∃X[F ∧ G],
+	// and the engine's round counters; nil when Err is set.
+	Result *pqe.Result
+	// Err is why the query has no answer. With Stopped set it is a budget
+	// stop or an injected spurious Unknown — the answer is unknown, not a
+	// failure.
+	Err     error
+	Stopped bool
+	// Conflicts and Decisions are the CDCL totals metered into the query's
+	// budget.
+	Conflicts int64
+	Decisions int64
+}
+
+// SolvePQE answers the PQE query req.Problem under b (nil means a fresh
+// budget from req.Limits) with the failure containment engine runs get: a
+// panic anywhere in the PQE engine becomes a failure, never a dead caller.
+func (r *Runner) SolvePQE(b *budget.Budget, req Request) (out PQEOutcome) {
+	if b == nil {
+		b = budget.New(req.Limits.budgetLimits())
+	}
+	r.pqeQueries.Add(1)
+	defer func() {
+		if rec := recover(); rec != nil {
+			out.Result = nil
+			out.Err = fmt.Errorf("pqe engine panicked: %v\n%s", rec, debug.Stack())
 		}
+		if out.Err != nil {
+			out.Result = nil
+			r.pqeFailures.Add(1)
+			out.Stopped = b.Stopped() || errors.Is(out.Err, faults.ErrUnknown)
+		}
+		out.Conflicts = b.ConflictsUsed()
+		out.Decisions = b.DecisionsUsed()
+	}()
+	if req.Problem.PQE == nil {
+		out.Err = fmt.Errorf("service: %s problem is not a PQE query", req.Problem.Kind)
 		return out
 	}
-	if res.Sat {
-		ac, err := verifyCertificate(f, res.Certificate)
-		if err != nil {
-			return Outcome{
-				Verdict: VerdictError,
-				Engine:  EngineExpand,
-				Reason:  "error",
-				Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
-			}
-		}
-		out.Cert = ac
-		out.Verdict = VerdictSat
-	} else {
-		out.Verdict = VerdictUnsat
-	}
-	out.Reason = "solved"
+	out.Result, out.Err = pqe.Solve(req.Problem.PQE, pqe.Options{Budget: b, Trace: req.Trace})
 	return out
 }
-
-// verifyCertificate checks a table-based Skolem certificate against the
-// formula by lifting it into the shared AIG checker (internal/cert) — the
-// same code path that validates HQS-extracted certificates — and returns
-// the lifted certificate so the outcome can carry it to the persistent
-// store. A nil certificate passes with a nil result — engines without
-// certificate support report bare verdicts.
-func verifyCertificate(f *dqbf.Formula, c *dqbf.Certificate) (*cert.Certificate, error) {
-	if err := faults.Fire(faults.CertVerify); err != nil {
-		return nil, err
-	}
-	if c == nil {
-		return nil, nil
-	}
-	ac, err := cert.FromTables(f, c)
-	if err != nil {
-		return nil, err
-	}
-	if err := cert.Check(f, ac); err != nil {
-		return nil, err
-	}
-	return ac, nil
-}
-
-// verifySkolem checks an HQS-extracted certificate (one independent SAT
-// call), surfacing an extraction failure or a missing certificate as a
-// verification failure. It shares the service.certify fault point with the
-// table path.
-func verifySkolem(f *dqbf.Formula, c *cert.Certificate, extractErr error) error {
-	if err := faults.Fire(faults.CertVerify); err != nil {
-		return err
-	}
-	if extractErr != nil {
-		return fmt.Errorf("extraction failed: %w", extractErr)
-	}
-	return cert.Check(f, c)
-}
-
-// pqeMeters counts PQE queries answered and failed, the PQE analogue of the
-// per-engine counters.
-var pqeMeters struct{ queries, failures atomic.Int64 }
-
-// PQEStats returns the process-wide (queries answered, failures) totals of
-// SolvePQE.
-func PQEStats() (queries, failures int64) {
-	return pqeMeters.queries.Load(), pqeMeters.failures.Load()
-}
-
-// SolvePQE answers a partial-quantifier-elimination query under budget b
-// (nil means unlimited) with the same failure containment engine runs get:
-// a panic anywhere in the PQE engine becomes an error, never a dead caller.
-// On success the returned result's Q satisfies Q ∧ ∃X[G] ≡ ∃X[F ∧ G].
-func SolvePQE(sp *problem.PQESplit, b *budget.Budget, sink trace.Sink) (res *pqe.Result, err error) {
-	pqeMeters.queries.Add(1)
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("pqe engine panicked: %v\n%s", r, debug.Stack())
-		}
-		if err != nil {
-			pqeMeters.failures.Add(1)
-		}
-	}()
-	return pqe.Solve(sp, pqe.Options{Budget: b, Trace: sink})
-}
-
-// PortfolioArms lists the engines the portfolio races, in the order their
-// goroutines are launched.
-var PortfolioArms = []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand}
 
 // runPortfolio races the portfolio arms (HQS, iDQ, defex, expand) on child
 // budgets of b. The first definitive verdict wins and the losers are
@@ -565,8 +536,9 @@ var PortfolioArms = []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand}
 // Each arm runs guarded in its own goroutine, so a panicking engine loses
 // the race instead of killing the process; the portfolio reports Error only
 // when no arm produced a verdict and at least one failed outright.
-func runPortfolio(p *problem.Problem, b *budget.Budget, sink trace.Sink) Outcome {
-	arms := PortfolioArms
+func (r *Runner) runPortfolio(p *problem.Problem, b *budget.Budget, sink trace.Sink) Outcome {
+	all := allEngines()
+	arms := all[:numArms]
 	buds := make([]*budget.Budget, len(arms))
 	ch := make(chan Outcome, len(arms))
 	cancelAll := func() {
@@ -583,7 +555,7 @@ func runPortfolio(p *problem.Problem, b *budget.Budget, sink trace.Sink) Outcome
 			armSink = sink
 		}
 		go func(eng Engine, cb *budget.Budget, s trace.Sink) {
-			ch <- runGuarded(p, eng, cb, s)
+			ch <- r.runGuarded(p, eng, cb, s)
 		}(eng, buds[i], armSink)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/problem"
 )
 
 // paperExample1 is ∀x1∀x2 ∃y1(x1) ∃y2(x2) with matrix (y1↔x1)∧(y2↔x2):
@@ -72,8 +73,18 @@ func pigeonholeDQBF(n int) *dqbf.Formula {
 	return f
 }
 
+// request lifts a bare formula into a Request.
+func request(f *dqbf.Formula, eng Engine, lim Limits) Request {
+	return Request{Problem: problem.FromDQBF(f), Engine: eng, Limits: lim}
+}
+
+// run makes one attempt on f with a fresh non-certifying runner.
+func run(f *dqbf.Formula, eng Engine, b *budget.Budget) Outcome {
+	return (&Runner{}).Run(b, request(f, eng, Limits{}))
+}
+
 func TestRunEngines(t *testing.T) {
-	for _, eng := range Engines {
+	for _, eng := range allEngines() {
 		for _, tc := range []struct {
 			f    *dqbf.Formula
 			want Verdict
@@ -81,10 +92,7 @@ func TestRunEngines(t *testing.T) {
 			{paperExample1(), VerdictSat},
 			{unsatExample(), VerdictUnsat},
 		} {
-			out, err := Run(tc.f, eng, budget.WithTimeout(30*time.Second))
-			if err != nil {
-				t.Fatalf("%s: Run: %v", eng, err)
-			}
+			out := run(tc.f, eng, budget.WithTimeout(30*time.Second))
 			if out.Verdict != tc.want {
 				t.Fatalf("%s: verdict = %v, want %v", eng, out.Verdict, tc.want)
 			}
@@ -96,8 +104,12 @@ func TestRunEngines(t *testing.T) {
 }
 
 func TestRunUnknownEngine(t *testing.T) {
-	if _, err := Run(paperExample1(), Engine("bogus"), nil); err == nil {
-		t.Fatal("want error for unknown engine")
+	if out := run(paperExample1(), Engine("bogus"), nil); out.Verdict != VerdictError || !strings.Contains(out.Error, "unknown engine") {
+		t.Fatalf("unknown engine: %+v, want an Error outcome", out)
+	}
+	pq := &problem.Problem{Kind: problem.KindPQE, PQE: &problem.PQESplit{}}
+	if out := (&Runner{}).Run(nil, Request{Problem: pq, Engine: EngineHQS}); out.Verdict != VerdictError {
+		t.Fatalf("PQE problem through Run: %+v, want an Error outcome", out)
 	}
 	if _, err := ParseEngine("bogus"); err == nil {
 		t.Fatal("want error from ParseEngine")
@@ -120,11 +132,8 @@ func TestCancelMidSolve(t *testing.T) {
 				b.Cancel()
 			}()
 			start := time.Now()
-			out, err := Run(pigeonholeDQBF(11), eng, b)
+			out := run(pigeonholeDQBF(11), eng, b)
 			elapsed := time.Since(start)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
 			if out.Verdict != VerdictUnknown {
 				t.Fatalf("verdict = %v (in %v), want UNKNOWN", out.Verdict, elapsed)
 			}
@@ -143,22 +152,19 @@ func TestCancelMidSolve(t *testing.T) {
 // change.
 func TestPortfolioDeterministicAnswer(t *testing.T) {
 	for i := 0; i < 8; i++ {
-		out, err := Run(paperExample1(), EnginePortfolio, budget.WithTimeout(30*time.Second))
-		if err != nil || out.Verdict != VerdictSat {
-			t.Fatalf("round %d: got %v (err %v), want SAT", i, out.Verdict, err)
+		out := run(paperExample1(), EnginePortfolio, budget.WithTimeout(30*time.Second))
+		if out.Verdict != VerdictSat {
+			t.Fatalf("round %d: got %v (%s), want SAT", i, out.Verdict, out.Error)
 		}
-		out, err = Run(unsatExample(), EnginePortfolio, budget.WithTimeout(30*time.Second))
-		if err != nil || out.Verdict != VerdictUnsat {
-			t.Fatalf("round %d: got %v (err %v), want UNSAT", i, out.Verdict, err)
+		out = run(unsatExample(), EnginePortfolio, budget.WithTimeout(30*time.Second))
+		if out.Verdict != VerdictUnsat {
+			t.Fatalf("round %d: got %v (%s), want UNSAT", i, out.Verdict, out.Error)
 		}
 	}
 }
 
 func TestPortfolioTimeout(t *testing.T) {
-	out, err := Run(pigeonholeDQBF(11), EnginePortfolio, budget.WithTimeout(100*time.Millisecond))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	out := run(pigeonholeDQBF(11), EnginePortfolio, budget.WithTimeout(100*time.Millisecond))
 	if out.Verdict != VerdictUnknown || out.Reason != "timeout" {
 		t.Fatalf("got verdict %v reason %q, want UNKNOWN/timeout", out.Verdict, out.Reason)
 	}
@@ -171,18 +177,12 @@ func TestPortfolioAgreesWithSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 25; i++ {
 		f := dqbf.RandomFormula(rng, 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(10))
-		port, err := Run(f, EnginePortfolio, budget.WithTimeout(30*time.Second))
-		if err != nil {
-			t.Fatalf("instance %d: portfolio: %v", i, err)
-		}
+		port := run(f, EnginePortfolio, budget.WithTimeout(30*time.Second))
 		if port.Verdict != VerdictSat && port.Verdict != VerdictUnsat {
 			t.Fatalf("instance %d: portfolio verdict %v (%s)", i, port.Verdict, port.Reason)
 		}
 		for _, eng := range []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand} {
-			out, err := Run(f, eng, budget.WithTimeout(30*time.Second))
-			if err != nil {
-				t.Fatalf("instance %d %s: %v", i, eng, err)
-			}
+			out := run(f, eng, budget.WithTimeout(30*time.Second))
 			if out.Verdict != VerdictSat && out.Verdict != VerdictUnsat {
 				continue // engine-local limit; nothing to compare
 			}
@@ -196,26 +196,22 @@ func TestPortfolioAgreesWithSerial(t *testing.T) {
 
 // TestEngineStatsMetering pins the per-engine win accounting: serial runs win
 // for themselves, and a portfolio run credits the winning arm — never the
-// portfolio row itself.
+// portfolio row itself. The meters belong to the runner, so the test runs in
+// parallel with everything else and needs no reset.
 func TestEngineStatsMetering(t *testing.T) {
-	ResetEngineStats()
-	defer ResetEngineStats()
-
+	t.Parallel()
 	for _, eng := range []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand} {
-		if _, err := Run(paperExample1(), eng, budget.WithTimeout(30*time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		st := EngineStats()
+		r := &Runner{}
+		r.Run(budget.WithTimeout(30*time.Second), request(paperExample1(), eng, Limits{}))
+		st := r.Stats().Engines
 		if st[eng].Attempts != 1 || st[eng].Wins != 1 {
 			t.Fatalf("%s: counters = %+v, want 1 attempt / 1 win", eng, st[eng])
 		}
 	}
 
-	ResetEngineStats()
-	if _, err := Run(unsatExample(), EnginePortfolio, budget.WithTimeout(30*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	st := EngineStats()
+	r := &Runner{}
+	r.Run(budget.WithTimeout(30*time.Second), request(unsatExample(), EnginePortfolio, Limits{}))
+	st := r.Stats().Engines
 	if st[EnginePortfolio].Attempts != 1 {
 		t.Fatalf("portfolio attempts = %d, want 1", st[EnginePortfolio].Attempts)
 	}
@@ -244,10 +240,10 @@ func TestCanonicalHashInvariance(t *testing.T) {
 	perm.Matrix.AddDimacsClause(1, -3)
 	perm.Matrix.AddDimacsClause(-1, 3)
 
-	if CanonicalHash(base) != CanonicalHash(perm) {
+	if problem.CanonicalFormulaHash(base) != problem.CanonicalFormulaHash(perm) {
 		t.Fatal("hash not invariant under prefix/clause/literal reordering")
 	}
-	if CanonicalHash(base) == CanonicalHash(unsatExample()) {
+	if problem.CanonicalFormulaHash(base) == problem.CanonicalFormulaHash(unsatExample()) {
 		t.Fatal("distinct formulas collide")
 	}
 
@@ -255,7 +251,7 @@ func TestCanonicalHashInvariance(t *testing.T) {
 	// else agrees.
 	dep := paperExample1()
 	dep.Deps[3].Add(2)
-	if CanonicalHash(base) == CanonicalHash(dep) {
+	if problem.CanonicalFormulaHash(base) == problem.CanonicalFormulaHash(dep) {
 		t.Fatal("hash ignores dependency sets")
 	}
 }
@@ -293,7 +289,7 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 	s := NewScheduler(Config{Workers: 2})
 	defer s.Drain(context.Background())
 
-	j1, err := s.Submit(paperExample1(), EnginePortfolio, Limits{Timeout: 30 * time.Second})
+	j1, err := s.Submit(request(paperExample1(), EnginePortfolio, Limits{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -309,7 +305,7 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 	// Same instance with permuted clauses must hit the cache.
 	perm := paperExample1()
 	perm.Matrix.Clauses[0], perm.Matrix.Clauses[3] = perm.Matrix.Clauses[3], perm.Matrix.Clauses[0]
-	j2, err := s.Submit(perm, EngineHQS, Limits{})
+	j2, err := s.Submit(request(perm, EngineHQS, Limits{}))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -340,7 +336,7 @@ func TestSchedulerConcurrentSubmit(t *testing.T) {
 				f = unsatExample()
 				want = VerdictUnsat
 			}
-			j, err := s.Submit(f, EnginePortfolio, Limits{Timeout: 30 * time.Second})
+			j, err := s.Submit(request(f, EnginePortfolio, Limits{Timeout: 30 * time.Second}))
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -367,7 +363,7 @@ func TestSchedulerCancelRunningJob(t *testing.T) {
 	s := NewScheduler(Config{Workers: 1, CacheSize: -1})
 	defer s.Drain(context.Background())
 
-	j, err := s.Submit(pigeonholeDQBF(11), EngineHQS, Limits{})
+	j, err := s.Submit(request(pigeonholeDQBF(11), EngineHQS, Limits{}))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -388,7 +384,7 @@ func TestSchedulerCancelRunningJob(t *testing.T) {
 		t.Fatalf("cancelled job: %+v", out)
 	}
 	// The worker must remain usable: a fresh easy job still solves.
-	j2, err := s.Submit(paperExample1(), EngineHQS, Limits{Timeout: 30 * time.Second})
+	j2, err := s.Submit(request(paperExample1(), EngineHQS, Limits{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatalf("Submit after cancel: %v", err)
 	}
@@ -404,7 +400,7 @@ func TestSchedulerQueueFullAndLimits(t *testing.T) {
 	// One worker stuck on a hard job, a queue of one: the third submit must
 	// be rejected with ErrQueueFull.
 	s := NewScheduler(Config{Workers: 1, QueueCap: 1, CacheSize: -1})
-	blocker, err := s.Submit(pigeonholeDQBF(11), EngineHQS, Limits{})
+	blocker, err := s.Submit(request(pigeonholeDQBF(11), EngineHQS, Limits{}))
 	if err != nil {
 		t.Fatalf("Submit blocker: %v", err)
 	}
@@ -415,24 +411,24 @@ func TestSchedulerQueueFullAndLimits(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit(paperExample1(), EngineHQS, Limits{}); err != nil {
+	if _, err := s.Submit(request(paperExample1(), EngineHQS, Limits{})); err != nil {
 		t.Fatalf("queued submit: %v", err)
 	}
-	if _, err := s.Submit(paperExample1(), EngineHQS, Limits{}); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(request(paperExample1(), EngineHQS, Limits{})); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	if _, err := s.Submit(paperExample1(), Engine("bogus"), Limits{}); err == nil {
+	if _, err := s.Submit(request(paperExample1(), Engine("bogus"), Limits{})); err == nil {
 		t.Fatal("want engine validation error")
 	}
 	bad := dqbf.New()
 	bad.Matrix.AddDimacsClause(1) // free variable: must be rejected
-	if _, err := s.Submit(bad, EngineHQS, Limits{}); err == nil {
+	if _, err := s.Submit(request(bad, EngineHQS, Limits{})); err == nil {
 		t.Fatal("want validation error for free variable")
 	}
 
 	// MaxTimeout clamp: with a 50ms cap the blocker-class job times out.
 	s2 := NewScheduler(Config{Workers: 1, CacheSize: -1, MaxTimeout: 50 * time.Millisecond})
-	j, err := s2.Submit(pigeonholeDQBF(11), EngineHQS, Limits{Timeout: time.Hour})
+	j, err := s2.Submit(request(pigeonholeDQBF(11), EngineHQS, Limits{Timeout: time.Hour}))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -452,7 +448,7 @@ func TestSchedulerQueueFullAndLimits(t *testing.T) {
 	if out := blocker.Outcome(); out.Verdict != VerdictUnknown {
 		t.Fatalf("blocker after hard drain: %+v", out)
 	}
-	if _, err := s.Submit(paperExample1(), EngineHQS, Limits{}); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit(request(paperExample1(), EngineHQS, Limits{})); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain = %v, want ErrDraining", err)
 	}
 	if !s.Draining() {
@@ -464,7 +460,7 @@ func TestSchedulerDrainWaitsForQueued(t *testing.T) {
 	s := NewScheduler(Config{Workers: 2, CacheSize: -1})
 	jobs := make([]*Job, 0, 8)
 	for i := 0; i < 8; i++ {
-		j, err := s.Submit(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+		j, err := s.Submit(request(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second}))
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
@@ -490,7 +486,7 @@ func TestJobHistoryEviction(t *testing.T) {
 	defer s.Drain(context.Background())
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := s.Submit(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+		j, err := s.Submit(request(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second}))
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -518,5 +514,36 @@ func TestVerdictJSON(t *testing.T) {
 		if fmt.Sprint(v) != want[1:len(want)-1] {
 			t.Fatalf("String(%d) = %s", int(v), v)
 		}
+	}
+}
+
+// TestSchedulerSolvePQE: a PQE query answers on the caller's goroutine, and
+// a context that has ended stops it with the budget's cancel reason — the
+// path /pqe takes when its client goes away.
+func TestSchedulerSolvePQE(t *testing.T) {
+	// ∃x3[(¬x3) ∧ (x3 ∨ y1)]: the exact answer is the unit clause (y1).
+	q, err := problem.ParseBytes([]byte("p pqe 3 1 1\ne 3 0\n-3 0\n3 1 0\n"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(Config{Workers: 1})
+	defer drainNow(t, s)
+	out := s.SolvePQE(context.Background(), Request{Problem: q})
+	if out.Err != nil || len(out.Result.Q) != 1 {
+		t.Fatalf("PQE query: %+v", out)
+	}
+	if _, err := s.Submit(Request{Problem: q}); err == nil {
+		t.Fatal("Submit accepted a PQE query")
+	}
+
+	withFaults(t, "pqe.solve:latency:every=1,latency=50ms", 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out = s.SolvePQE(ctx, Request{Problem: q})
+	if !out.Stopped || !errors.Is(out.Err, budget.ErrCancelled) || out.Result != nil {
+		t.Fatalf("PQE query with an ended context: %+v, want stopped by cancellation", out)
+	}
+	if st := s.Stats(); st.PQEQueries != 2 || st.PQEFailures != 1 {
+		t.Fatalf("pqe meters: %d queries, %d failures; want 2 and 1", st.PQEQueries, st.PQEFailures)
 	}
 }

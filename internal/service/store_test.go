@@ -9,6 +9,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/faults"
 	"repro/internal/leakcheck"
+	"repro/internal/problem"
 	"repro/internal/store"
 )
 
@@ -30,14 +31,14 @@ func TestSchedulerStoreWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	st1 := quietStore(t, dir)
 	s1 := NewScheduler(Config{Workers: 2, Store: st1})
-	sat, err := s1.Submit(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+	sat, err := s1.Submit(request(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	if out := waitDone(t, sat); out.Verdict != VerdictSat || out.FromStore {
 		t.Fatalf("cold solve: %+v", out)
 	}
-	uns, err := s1.Submit(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+	uns, err := s1.Submit(request(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -51,7 +52,7 @@ func TestSchedulerStoreWarmStart(t *testing.T) {
 	defer st2.Close()
 	s2 := NewScheduler(Config{Workers: 2, Store: st2})
 	defer drainNow(t, s2)
-	j, err := s2.Submit(paperExample1(), EngineIDQ, Limits{})
+	j, err := s2.Submit(request(paperExample1(), EngineIDQ, Limits{}))
 	if err != nil {
 		t.Fatalf("warm Submit: %v", err)
 	}
@@ -59,7 +60,7 @@ func TestSchedulerStoreWarmStart(t *testing.T) {
 	if out.Verdict != VerdictSat || !out.FromStore || out.FromCache {
 		t.Fatalf("warm SAT not served from store: %+v", out)
 	}
-	j, err = s2.Submit(unsatExample(), EngineIDQ, Limits{})
+	j, err = s2.Submit(request(unsatExample(), EngineIDQ, Limits{}))
 	if err != nil {
 		t.Fatalf("warm Submit: %v", err)
 	}
@@ -71,7 +72,7 @@ func TestSchedulerStoreWarmStart(t *testing.T) {
 		t.Fatalf("warm-start stats: %+v / %+v", stats, stats.Store)
 	}
 	// A repeat now comes from the promoted memory-cache entry, not the disk.
-	j, _ = s2.Submit(paperExample1(), EngineIDQ, Limits{})
+	j, _ = s2.Submit(request(paperExample1(), EngineIDQ, Limits{}))
 	if out := waitDone(t, j); !out.FromCache {
 		t.Fatalf("store hit was not promoted to the memory cache: %+v", out)
 	}
@@ -84,7 +85,7 @@ func TestSchedulerStoreWarmStart(t *testing.T) {
 func TestSchedulerStoreRejectsBadCertificate(t *testing.T) {
 	dir := t.TempDir()
 	f := paperExample1()
-	key := CanonicalHash(f)
+	key := problem.CanonicalFormulaHash(f)
 	st0 := quietStore(t, dir)
 	// y1 and y2 pinned to constant false: violates y1↔x1 under x1=1, so the
 	// checker must reject, even though the entry's bytes are pristine.
@@ -100,7 +101,7 @@ func TestSchedulerStoreRejectsBadCertificate(t *testing.T) {
 	st := quietStore(t, dir)
 	defer st.Close()
 	s := NewScheduler(Config{Workers: 1, Store: st})
-	j, err := s.Submit(f, EngineIDQ, Limits{Timeout: 30 * time.Second})
+	j, err := s.Submit(request(f, EngineIDQ, Limits{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestSchedulerStoreRejectsBadCertificate(t *testing.T) {
 	// passes.
 	s2 := NewScheduler(Config{Workers: 1, Store: st})
 	defer drainNow(t, s2)
-	j2, _ := s2.Submit(paperExample1(), EngineIDQ, Limits{})
+	j2, _ := s2.Submit(request(paperExample1(), EngineIDQ, Limits{}))
 	if out := waitDone(t, j2); out.Verdict != VerdictSat || !out.FromStore {
 		t.Fatalf("repaired entry not served: %+v", out)
 	}
@@ -131,20 +132,18 @@ func TestSchedulerStoreBareSATUnderCertify(t *testing.T) {
 	f := paperExample1()
 	st0 := quietStore(t, dir)
 	if err := st0.Put(&store.Entry{
-		Key: CanonicalHash(f), Verdict: store.VerdictSat, Engine: "hqs",
+		Key: problem.CanonicalFormulaHash(f), Verdict: store.VerdictSat, Engine: "hqs",
 		CreatedUnix: time.Now().Unix(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	st0.Close()
 
-	SetCertifyHQS(true)
-	defer SetCertifyHQS(false)
 	st := quietStore(t, dir)
 	defer st.Close()
-	s := NewScheduler(Config{Workers: 1, Store: st})
+	s := NewScheduler(Config{Workers: 1, Store: st, Certify: true})
 	defer drainNow(t, s)
-	j, err := s.Submit(f, EngineIDQ, Limits{Timeout: 30 * time.Second})
+	j, err := s.Submit(request(f, EngineIDQ, Limits{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +161,7 @@ func TestSchedulerStoreFaultsNeverChangeVerdict(t *testing.T) {
 	dir := t.TempDir()
 	st0 := quietStore(t, dir)
 	s0 := NewScheduler(Config{Workers: 2, Store: st0})
-	j, err := s0.Submit(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+	j, err := s0.Submit(request(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +177,14 @@ func TestSchedulerStoreFaultsNeverChangeVerdict(t *testing.T) {
 	s := NewScheduler(Config{Workers: 2, CacheSize: -1, Store: st})
 	defer drainNow(t, s)
 	for i := 0; i < 8; i++ {
-		sat, err := s.Submit(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+		sat, err := s.Submit(request(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second}))
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 		if out := waitDone(t, sat); out.Verdict != VerdictSat {
 			t.Fatalf("round %d: disk faults changed SAT verdict: %+v", i, out)
 		}
-		uns, err := s.Submit(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+		uns, err := s.Submit(request(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second}))
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
@@ -205,7 +204,7 @@ func TestSchedulerHistoryEvictionCounted(t *testing.T) {
 	s := NewScheduler(Config{Workers: 1, HistorySize: 3, CacheSize: -1})
 	defer drainNow(t, s)
 	for i := 0; i < 8; i++ {
-		j, err := s.Submit(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+		j, err := s.Submit(request(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second}))
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}

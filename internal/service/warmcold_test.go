@@ -27,8 +27,6 @@ func TestExperimentWarmColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	SetCertifyHQS(true)
-	defer SetCertifyHQS(false)
 
 	pass := func(label string) (time.Duration, Stats) {
 		st, _, err := store.Open(dir, store.Options{Logf: func(string, ...any) {}})
@@ -36,11 +34,11 @@ func TestExperimentWarmColdStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		s := NewScheduler(Config{Workers: 1, Store: st})
+		s := NewScheduler(Config{Workers: 1, Store: st, Certify: true})
 		defer drainNow(t, s)
 		begin := time.Now()
 		for _, inst := range insts {
-			j, err := s.Submit(inst.Formula, EngineHQS, Limits{Timeout: 30 * time.Second})
+			j, err := s.Submit(request(inst.Formula, EngineHQS, Limits{Timeout: 30 * time.Second}))
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, inst.Name, err)
 			}

@@ -90,7 +90,7 @@ func (v Verdict) String() string {
 // certificate-producing engines — the Skolem certificate that makes the
 // verdict independently re-checkable on load.
 type Entry struct {
-	// Key is the hex-encoded canonical formula hash (service.CanonicalHash).
+	// Key is the hex-encoded canonical formula hash (problem.CanonicalFormulaHash).
 	Key string
 	// Verdict is the persisted answer (SAT or UNSAT only).
 	Verdict Verdict

@@ -1,6 +1,6 @@
 // Package store is the crash-safe persistent result-and-certificate store
 // under the solver service: a content-addressed on-disk map from canonical
-// formula hashes (service.CanonicalHash) to definitive verdicts, solver
+// formula hashes (problem.CanonicalFormulaHash) to definitive verdicts, solver
 // accounting, and Skolem certificates, plus a small append-only journal of
 // in-flight jobs so a killed daemon can report on restart what was lost.
 //
