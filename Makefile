@@ -29,13 +29,17 @@ fuzz-smoke:
 	$(GO) run ./cmd/dqbffuzz -n 200 -seed 1 -cert
 
 # Native go-fuzz harnesses, run briefly from the committed corpora: the
-# DQDIMACS reader (no panics; accepted input round-trips), the AIGER reader
-# (no panics; accepted input normalizes to a read/write fixpoint), and the
-# AIG compose/cofactor identities the certificate extractor relies on.
+# DQDIMACS reader (no panics; accepted input round-trips), the one AIGER
+# parser (no panics; accepted input normalizes to a read/write fixpoint)
+# and the problem encoding over it, the certificate wire decoder (no panics;
+# Encode→Decode→Encode fixpoint; Check returns), and the AIG
+# compose/cofactor identities the certificate extractor relies on.
 fuzz-native:
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
+	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGERReader$$' -fuzztime 10s
 	$(GO) test ./internal/problem -run '^$$' -fuzz FuzzAIGERReader -fuzztime 10s
-	$(GO) test ./internal/aig -run '^$$' -fuzz FuzzAIGCompose -fuzztime 10s
+	$(GO) test ./internal/cert -run '^$$' -fuzz FuzzCertDecode -fuzztime 10s
+	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGCompose$$' -fuzztime 10s
 
 # Chaos drill under the race detector: fault-injected panics, errors, and
 # spurious Unknowns against the scheduler with concurrent submits, cancels,

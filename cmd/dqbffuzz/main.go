@@ -107,15 +107,9 @@ func main() {
 		}
 		ires := idq.New(idq.Options{}).Solve(f)
 		verdicts["idq"] = ires.Sat
-		if ires.Sat && ires.Certificate != nil {
-			// One checker code path for every engine: lift the table
-			// certificate to Skolem AIGs and check it independently.
-			ic, err := cert.FromTables(f, ires.Certificate)
-			if err != nil {
-				fail(f, fmt.Sprintf("idq certificate conversion failed: %v", err))
-				bad++
-			} else if err := cert.Check(f, ic); err != nil {
-				failCert(f, fmt.Sprintf("idq certificate rejected: %v", err), ic)
+		if ires.Sat {
+			if err := cert.Check(f, ires.Certificate); err != nil {
+				failCert(f, fmt.Sprintf("idq certificate rejected: %v", err), ires.Certificate)
 				bad++
 			}
 		}

@@ -1,17 +1,16 @@
 // Certificates example: solving a satisfiable DQBF with the
-// instantiation-based solver yields Skolem function tables — an independently
+// instantiation-based solver yields Skolem functions — an independently
 // checkable witness (the certification perspective the paper cites from
 // Balabanov et al.). The example extracts the certificate for the paper's
-// Example 1, prints the tables, verifies them with one SAT call, and shows
+// Example 1, prints its truth tables, checks it with one SAT call, and shows
 // that a tampered certificate is rejected.
 package main
 
 import (
 	"fmt"
 	"log"
-	"sort"
 
-	"repro/internal/cnf"
+	"repro/internal/cert"
 	"repro/internal/dqbf"
 	"repro/internal/idq"
 )
@@ -38,43 +37,23 @@ func main() {
 	fmt.Println("formula:", f)
 	fmt.Printf("iDQ: SAT after %d refinement iterations\n\n", res.Stats.Iterations)
 
-	fmt.Println("Skolem tables (projection of the universal assignment onto")
-	fmt.Println("the dependency set → value; off-table projections default 0):")
-	var ys []cnf.Var
-	for y := range res.Certificate.Tables {
-		ys = append(ys, y)
-	}
-	sort.Slice(ys, func(i, j int) bool { return ys[i] < ys[j] })
-	for _, y := range ys {
-		tab := res.Certificate.Tables[y]
-		var keys []string
-		for k := range tab {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Printf("  y%d over D=%v:\n", y, f.Deps[y].Vars())
-		for _, k := range keys {
-			fmt.Printf("    %s -> %v\n", k, tab[k])
-		}
-	}
+	fmt.Println("Skolem functions (projection of the universal assignment onto")
+	fmt.Println("the dependency set -> value):")
+	fmt.Print(cert.Format(f, res.Certificate))
 
-	if err := res.Certificate.Verify(f); err != nil {
+	if err := cert.Check(f, res.Certificate); err != nil {
 		log.Fatal("valid certificate rejected: ", err)
 	}
-	fmt.Println("\nindependent SAT-based verification: certificate VALID")
+	fmt.Println("\nindependent SAT-based check: certificate VALID")
 
-	// Tamper with one entry; the verifier pinpoints a falsifying assignment.
-	for y, tab := range res.Certificate.Tables {
-		for k, v := range tab {
-			tab[k] = !v
-			fmt.Printf("\nflipping table entry of y%d at %q ...\n", y, k)
-			if err := res.Certificate.Verify(f); err != nil {
-				fmt.Println("verifier correctly rejects:", err)
-			} else {
-				log.Fatal("tampered certificate accepted")
-			}
-			tab[k] = v
-			return
-		}
+	// Tamper with one function; the checker pinpoints a falsifying
+	// assignment.
+	y := f.Exist[0]
+	res.Certificate.Funcs[y] = res.Certificate.Funcs[y].Not()
+	fmt.Printf("\nnegating the function of y%d ...\n", y)
+	if err := cert.Check(f, res.Certificate); err != nil {
+		fmt.Println("checker correctly rejects:", err)
+	} else {
+		log.Fatal("tampered certificate accepted")
 	}
 }

@@ -2,8 +2,9 @@ package aig
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
-	"strings"
+	"sort"
 	"testing"
 
 	"repro/internal/cnf"
@@ -17,7 +18,7 @@ func TestAAGRoundTripSimple(t *testing.T) {
 	if err := g.WriteAAG(&buf, out); err != nil {
 		t.Fatal(err)
 	}
-	g2, outs, err := ReadAAG(&buf)
+	g2, outs, err := ReadAAG(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestAAGRoundTripRandom(t *testing.T) {
 		if err := g.WriteAAG(&buf, r1, r2); err != nil {
 			t.Fatal(err)
 		}
-		g2, outs, err := ReadAAG(&buf)
+		g2, outs, err := ReadAAG(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestAAGConstantOutputs(t *testing.T) {
 	if err := g.WriteAAG(&buf, True, False); err != nil {
 		t.Fatal(err)
 	}
-	_, outs, err := ReadAAG(&buf)
+	_, outs, err := ReadAAG(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestReadAAGKnownFile(t *testing.T) {
 6
 6 2 4
 `
-	g, outs, err := ReadAAG(strings.NewReader(src))
+	g, outs, err := ReadAAG([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,15 +117,88 @@ func TestReadAAGErrors(t *testing.T) {
 		"",
 		"aig 1 1 0 0 0\n",
 		"aag 1 1 0 0\n",
-		"aag 1 1 1 0 0\n2\n",       // latches unsupported
-		"aag 1 1 0 0 0\n3\n",       // odd input literal
-		"aag 2 1 0 1 0\n2\n6\n",    // output exceeds maxvar
-		"aag 2 1 0 1 1\n2\n4\n4 2", // malformed AND line
-		"aag 2 1 0 1 0\n2\n4\n",    // output uses undefined variable
+		"aag 1 1 1 0 0\n2\n",                  // latches unsupported
+		"aag 1 1 0 0 0\n3\n",                  // odd input literal
+		"aag 2 1 0 1 0\n2\n6\n",               // output exceeds maxvar
+		"aag 2 1 0 1 1\n2\n4\n4 2",            // malformed AND line
+		"aag 2 1 0 1 0\n2\n4\n",               // output uses undefined variable
+		"aag 1 1 0 1 0\n100\n2\n",             // input literal above 2·M
+		"aag 1 0 0 1 1\n2\n100 0 1\n",         // AND lhs above 2·M
+		"aag 100000000000 1 0 1 0\n2\n2\n",    // M beyond the cnf.Var range
+		"aag 3 1 0 1 2\n2\n4\n4 6 2\n6 2 2\n", // AND input used before its definition
+		"aig 1 1 0 1 0\n2\n",                  // binary flavor
 	}
 	for _, src := range cases {
-		if _, _, err := ReadAAG(strings.NewReader(src)); err == nil {
+		if _, _, err := ReadAAG([]byte(src)); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}
+}
+
+// writeNormalized serializes a parsed file in the normalized ascii form:
+// header, inputs, outputs, ands, then input/output symbols in position
+// order. Parsing the output and writing it again is byte-identical.
+func writeNormalized(af *File) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "aag %d %d 0 %d %d\n", af.MaxVar, len(af.Inputs), len(af.Outputs), len(af.Ands))
+	for _, l := range af.Inputs {
+		fmt.Fprintf(&b, "%d\n", l)
+	}
+	for _, l := range af.Outputs {
+		fmt.Fprintf(&b, "%d\n", l)
+	}
+	for _, a := range af.Ands {
+		fmt.Fprintf(&b, "%d %d %d\n", a[0], a[1], a[2])
+	}
+	writeSyms := func(tag byte, syms map[int]string) {
+		pos := make([]int, 0, len(syms))
+		for p := range syms {
+			pos = append(pos, p)
+		}
+		sort.Ints(pos)
+		for _, p := range pos {
+			fmt.Fprintf(&b, "%c%d %s\n", tag, p, syms[p])
+		}
+	}
+	writeSyms('i', af.InSyms)
+	writeSyms('o', af.OutSyms)
+	return b.Bytes()
+}
+
+// FuzzAIGERReader drives the AIGER parser (both flavors) and the graph
+// builder over it with arbitrary bytes. The invariants: neither panics; any
+// accepted input serializes to the normalized ascii form, which re-parses
+// and re-serializes byte-identically (read/write fixpoint); and ReadAAG
+// builds one output reference per declared output.
+func FuzzAIGERReader(f *testing.F) {
+	seeds := [][]byte{
+		[]byte("aag 3 2 0 1 1\n2\n4\n6\n6 4 2\ni0 a_x\no0 out\n"),
+		[]byte("aig 3 2 0 1 1\n6\n\x02\x02\ni0 a_x\no0 out\n"),
+		[]byte("aag 0 0 0 0 0\n"),
+		[]byte("aag 1 1 0 2 0\n2\n1\n0\n"),
+		[]byte("aag 5 2 0 1 3\n2\n4\n10\n6 2 4\n8 3 5\n10 7 9\nc\nfree-form comment\n"),
+		[]byte("agg 1 1 0 0 0\n2\n"),
+		[]byte("aig 2 1 0 0 1\n\xff\xff\xff\xff\xff\xff\x01\x00"),
+		[]byte("aag 4 2 0 1 1\n2\n4\n6\n6 2 4\ni0 v3\ni1 v1\nc\n"),
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		af, err := ParseAIGER(data)
+		if err != nil {
+			return // rejected cleanly
+		}
+		norm := writeNormalized(af)
+		af2, err := ParseAIGER(norm)
+		if err != nil {
+			t.Fatalf("normalized form rejected: %v\ninput: %q\nnormalized: %q", err, data, norm)
+		}
+		if again := writeNormalized(af2); !bytes.Equal(norm, again) {
+			t.Fatalf("read/write fixpoint violated:\nfirst:  %q\nsecond: %q", norm, again)
+		}
+		if _, outs, err := ReadAAG(norm); err == nil && len(outs) != len(af.Outputs) {
+			t.Fatalf("ReadAAG built %d outputs for %d declared", len(outs), len(af.Outputs))
+		}
+	})
 }

@@ -31,9 +31,12 @@
 // the functions into a fresh graph, verifies each function's support against
 // the dependency sets of the original formula, substitutes the functions
 // into the original matrix, and asks a SAT solver for a falsifying universal
-// assignment. FromTables converts the table-based certificates of the iDQ
-// baseline (dqbf.Certificate) into the same representation, so one checker
-// code path serves every certificate-producing engine.
+// assignment.
+//
+// Certificate is the module's one certificate representation. The
+// table-producing engines (idq, expand) lower their Skolem tables into it
+// with FromTruePoints, so one checker serves every engine, and Encode and
+// the persistent store share one serialized cone section (Cones).
 package cert
 
 import (

@@ -137,58 +137,54 @@ func TestCheckRejectsMissingFunction(t *testing.T) {
 	}
 }
 
-// TestFromTablesMatchesTableSemantics lifts random table certificates into
-// AIG form and compares both representations pointwise over all universal
-// assignments.
-func TestFromTablesMatchesTableSemantics(t *testing.T) {
+// depAssign returns the assignment that sets the i-th dependency in deps to
+// bit i of bits and every other variable false.
+func depAssign(deps []cnf.Var, bits int) func(cnf.Var) bool {
+	return func(v cnf.Var) bool {
+		for i, d := range deps {
+			if d == v {
+				return bits&(1<<i) != 0
+			}
+		}
+		return false
+	}
+}
+
+// randomTruePoints draws a random Skolem truth table for every existential
+// of f: each dependency projection is a true point with probability 1/2.
+func randomTruePoints(rng *rand.Rand, f *dqbf.Formula) (map[cnf.Var][]string, map[cnf.Var]map[string]bool) {
+	points := make(map[cnf.Var][]string)
+	isTrue := make(map[cnf.Var]map[string]bool)
+	for _, y := range f.Exist {
+		deps := f.Deps[y].Vars()
+		isTrue[y] = make(map[string]bool)
+		for bits := 0; bits < 1<<len(deps); bits++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			key := dqbf.ProjectionKey(deps, depAssign(deps, bits))
+			points[y] = append(points[y], key)
+			isTrue[y][key] = true
+		}
+	}
+	return points, isTrue
+}
+
+// TestFromTruePointsMatchesTruePoints lowers random truth tables and
+// compares every function pointwise, on every dependency assignment, with
+// its true-point set: true exactly on the listed projections.
+func TestFromTruePointsMatchesTruePoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 60; i++ {
 		f := dqbf.RandomFormula(rng, 1+rng.Intn(3), 1+rng.Intn(3), 1)
-		tc := &dqbf.Certificate{
-			Tables:   make(map[cnf.Var]map[string]bool),
-			Defaults: make(map[cnf.Var]bool),
-		}
-		for _, y := range f.Exist {
-			tc.Defaults[y] = rng.Intn(2) == 0
-			tbl := make(map[string]bool)
-			deps := f.Deps[y].Vars()
-			// Fill a random subset of the projection keys.
-			for bits := 0; bits < 1<<len(deps); bits++ {
-				if rng.Intn(2) == 0 {
-					continue
-				}
-				bits := bits
-				key := dqbf.ProjectionKey(deps, func(v cnf.Var) bool {
-					for i, d := range deps {
-						if d == v {
-							return bits&(1<<i) != 0
-						}
-					}
-					return false
-				})
-				tbl[key] = rng.Intn(2) == 0
-			}
-			tc.Tables[y] = tbl
-		}
-		ac, err := cert.FromTables(f, tc)
-		if err != nil {
-			t.Fatalf("instance %d: FromTables: %v", i, err)
-		}
+		points, isTrue := randomTruePoints(rng, f)
+		c := cert.FromTruePoints(f, points)
 		for _, y := range f.Exist {
 			deps := f.Deps[y].Vars()
 			for bits := 0; bits < 1<<len(deps); bits++ {
-				bits := bits
-				assign := func(v cnf.Var) bool {
-					for i, d := range deps {
-						if d == v {
-							return bits&(1<<i) != 0
-						}
-					}
-					return false
-				}
-				want := tc.Value(f, y, assign)
-				got := ac.G.Eval(ac.Funcs[y], assign)
-				if got != want {
+				assign := depAssign(deps, bits)
+				want := isTrue[y][dqbf.ProjectionKey(deps, assign)]
+				if got := c.G.Eval(c.Funcs[y], assign); got != want {
 					t.Fatalf("instance %d: var %d bits %b: AIG %v, table %v", i, y, bits, got, want)
 				}
 			}
@@ -196,22 +192,42 @@ func TestFromTablesMatchesTableSemantics(t *testing.T) {
 	}
 }
 
-// TestFromTablesRejectsBadArity expects a key of the wrong length to be an
-// error, matching the table checker's own strictness.
-func TestFromTablesRejectsBadArity(t *testing.T) {
-	f := dqbf.New()
-	f.AddUniversal(1)
-	f.AddExistential(2, 1)
-	f.Matrix.Clauses = []cnf.Clause{{cnf.NewLit(2, false)}}
-	tc := &dqbf.Certificate{Tables: map[cnf.Var]map[string]bool{2: {"01": true}}}
-	if _, err := cert.FromTables(f, tc); err == nil || !strings.Contains(err.Error(), "arity") {
-		t.Fatalf("want an arity error, got: %v", err)
+// TestCheckAgreesWithExhaustiveRandom checks random truth-table
+// certificates of random formulas and compares Check's verdict with an
+// exhaustive evaluation of the matrix under the tables themselves.
+func TestCheckAgreesWithExhaustiveRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	accepted := 0
+	for iter := 0; iter < 150; iter++ {
+		f := dqbf.RandomFormula(rng, 1+rng.Intn(3), 1+rng.Intn(3), 2+rng.Intn(8))
+		points, isTrue := randomTruePoints(rng, f)
+		want := true
+		for bits := 0; bits < 1<<len(f.Univ) && want; bits++ {
+			a := cnf.NewAssignment(f.Matrix.NumVars)
+			for i, x := range f.Univ {
+				a.Set(x, bits&(1<<i) != 0)
+			}
+			for _, y := range f.Exist {
+				a.Set(y, isTrue[y][dqbf.ProjectionKey(f.Deps[y].Vars(), a.Get)])
+			}
+			want = f.Matrix.Eval(a)
+		}
+		err := cert.Check(f, cert.FromTruePoints(f, points))
+		if got := err == nil; got != want {
+			t.Fatalf("iter %d: Check=%v (%v) exhaustive=%v\n%v\n%v", iter, got, err, want, f, f.Matrix.Clauses)
+		}
+		if want {
+			accepted++
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no random certificate was valid; the accepting path went untested")
 	}
 }
 
 // TestIDQCertificatesThroughSharedChecker runs the table-producing engine
-// and validates its certificates through the same checker path the HQS
-// extractor uses.
+// and validates its lowered certificates with the same checker the HQS
+// extractor's certificates go through.
 func TestIDQCertificatesThroughSharedChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sat := 0
@@ -222,12 +238,8 @@ func TestIDQCertificatesThroughSharedChecker(t *testing.T) {
 			continue
 		}
 		sat++
-		ac, err := cert.FromTables(f, res.Certificate)
-		if err != nil {
-			t.Fatalf("instance %d: FromTables: %v", i, err)
-		}
-		if err := cert.Check(f, ac); err != nil {
-			t.Fatalf("instance %d: idq certificate rejected: %v\n%s", i, err, cert.Format(f, ac))
+		if err := cert.Check(f, res.Certificate); err != nil {
+			t.Fatalf("instance %d: idq certificate rejected: %v\n%s", i, err, cert.Format(f, res.Certificate))
 		}
 	}
 	if sat == 0 {

@@ -94,42 +94,29 @@ func Check(f *dqbf.Formula, c *Certificate) error {
 	return fmt.Errorf("cert: certificate falsified at universal assignment {%s}", strings.Join(parts, ","))
 }
 
-// FromTables converts a table-based Skolem certificate (the iDQ baseline's
-// output format, dqbf.Certificate) into the AIG form this package checks:
-// each table becomes default ⊕ (OR of the minterms whose value differs from
-// the default). Existentials without a table get the constant default. The
-// conversion lets the table-producing and function-producing engines share
-// one checker code path.
-func FromTables(f *dqbf.Formula, tc *dqbf.Certificate) (*Certificate, error) {
-	if tc == nil {
-		return nil, fmt.Errorf("cert: no table certificate")
-	}
-	out := &Certificate{G: aig.New(), Funcs: make(map[cnf.Var]aig.Ref, len(f.Exist))}
-	g := out.G
+// FromTruePoints lowers Skolem truth tables to a certificate. The function
+// of each existential y of f is the OR of the minterms over D_y listed in
+// points[y], each a dqbf.ProjectionKey over f.Deps[y], and false on every
+// other assignment. The table-producing engines (idq, expand) emit their
+// certificates through it. Each points[y] is sorted in place, so equal
+// tables lower to equal graphs.
+func FromTruePoints(f *dqbf.Formula, points map[cnf.Var][]string) *Certificate {
+	c := &Certificate{G: aig.New(), Funcs: make(map[cnf.Var]aig.Ref, len(f.Exist))}
 	for _, y := range f.Exist {
 		deps := f.Deps[y].Vars()
-		def := tc.Defaults[y]
-		var flips []string
-		for k, v := range tc.Tables[y] {
-			if len(k) != len(deps) {
-				return nil, fmt.Errorf("cert: table key %q for variable %d has wrong arity (deps %v)", k, y, deps)
-			}
-			if v != def {
-				flips = append(flips, k)
-			}
-		}
-		sort.Strings(flips)
-		minterms := make([]aig.Ref, len(flips))
-		for i, k := range flips {
+		keys := points[y]
+		sort.Strings(keys)
+		minterms := make([]aig.Ref, len(keys))
+		for i, k := range keys {
 			lits := make([]aig.Ref, len(deps))
 			for j, d := range deps {
-				lits[j] = g.Input(d).XorSign(k[j] == '0')
+				lits[j] = c.G.Input(d).XorSign(k[j] == '0')
 			}
-			minterms[i] = g.AndN(lits...)
+			minterms[i] = c.G.AndN(lits...)
 		}
-		out.Funcs[y] = g.OrN(minterms...).XorSign(def)
+		c.Funcs[y] = c.G.OrN(minterms...)
 	}
-	return out, nil
+	return c
 }
 
 // Format renders the certificate as human-readable Skolem tables against the

@@ -10,11 +10,16 @@ package cnf
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
 // Var is a propositional variable. Valid variables are >= 1.
 type Var int32
+
+// MaxVar is the largest variable whose literals fit the packed int32
+// encoding of Lit. Readers reject inputs naming larger variables.
+const MaxVar = math.MaxInt32 >> 1
 
 // Lit is a literal: a variable or its negation, in packed encoding.
 // For a variable v, the positive literal is 2v and the negative literal 2v+1.

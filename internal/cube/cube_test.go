@@ -156,14 +156,10 @@ func TestMergeCertsCheckerAccepted(t *testing.T) {
 				allSat = false
 				break
 			}
-			ac, err := cert.FromTables(cb.Formula, res.Certificate)
-			if err != nil {
-				t.Fatalf("instance %d cube %d: FromTables: %v", i, c, err)
-			}
-			if err := cert.Check(cb.Formula, ac); err != nil {
+			if err := cert.Check(cb.Formula, res.Certificate); err != nil {
 				t.Fatalf("instance %d cube %d: cube certificate rejected: %v", i, c, err)
 			}
-			certs[c] = ac
+			certs[c] = res.Certificate
 		}
 		if !allSat {
 			continue
@@ -207,11 +203,7 @@ func TestGoldenTraceSplitMerge(t *testing.T) {
 		if res.Status != idq.Solved || !res.Sat {
 			t.Fatalf("cube %d: unexpected verdict %v sat=%v", c, res.Status, res.Sat)
 		}
-		ac, err := cert.FromTables(cb.Formula, res.Certificate)
-		if err != nil {
-			t.Fatalf("cube %d: %v", c, err)
-		}
-		certs[c] = ac
+		certs[c] = res.Certificate
 	}
 	mc, err := MergeCerts(f, plan, certs, rec)
 	if err != nil {

@@ -31,7 +31,6 @@ package defex
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/aig"
@@ -577,11 +576,12 @@ func (e *engine) expandResidual(st *pipeline.State) (pipeline.Result, error) {
 		st.Decide(false, "expand")
 		return pipeline.Result{Changed: true}, nil
 	}
-	// Fold the table certificate back as definitions over the (shrunk)
-	// dependency sets: default ⊕ OR of flip minterms, like cert.FromTables.
+	// Fold the expansion's certificate back as definitions over the
+	// (shrunk) dependency sets, copied into the working graph.
 	if st.Cert != nil && eres.Certificate != nil {
+		memo := make(map[int32]aig.Ref)
 		for _, z := range e.work.Exist {
-			st.Cert.RecordDef(z, e.tableFunc(fres, eres.Certificate, z))
+			st.Cert.RecordDef(z, eres.Certificate.G.Export(eres.Certificate.Funcs[z], e.g, memo))
 		}
 	}
 	st.Decide(true, "expand")
@@ -592,34 +592,4 @@ func (e *engine) expandResidual(st *pipeline.State) (pipeline.Result, error) {
 			"copies":    int64(eres.Stats.Copies),
 		},
 	}, nil
-}
-
-// tableFunc renders the certificate table of z as an AIG over its residual
-// dependency set.
-func (e *engine) tableFunc(fres *dqbf.Formula, c *dqbf.Certificate, z cnf.Var) aig.Ref {
-	deps := fres.Deps[z].Vars()
-	def := c.Defaults[z]
-	var flips []string
-	for k, v := range c.Tables[z] {
-		if v != def {
-			flips = append(flips, k)
-		}
-	}
-	sort.Strings(flips)
-	or := aig.False
-	for _, k := range flips {
-		minterm := aig.True
-		for i, d := range deps {
-			minterm = e.g.And(minterm, e.g.Input(d).XorSign(k[i] == '0'))
-		}
-		or = e.g.Or(or, minterm)
-	}
-	return e.g.Xor(or, constRef(def))
-}
-
-func constRef(b bool) aig.Ref {
-	if b {
-		return aig.True
-	}
-	return aig.False
 }

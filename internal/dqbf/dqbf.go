@@ -134,3 +134,17 @@ func (f *Formula) String() string {
 	}
 	return s + fmt.Sprintf(" : %d clauses", len(f.Matrix.Clauses))
 }
+
+// ProjectionKey renders the projection of a universal assignment onto the
+// ordered dependency set: one byte '0' or '1' per dependency variable in
+// ascending variable order. It names one entry of a Skolem truth table.
+func ProjectionKey(deps []cnf.Var, value func(cnf.Var) bool) string {
+	b := make([]byte, len(deps))
+	for i, d := range deps {
+		b[i] = '0'
+		if value(d) {
+			b[i] = '1'
+		}
+	}
+	return string(b)
+}

@@ -517,3 +517,14 @@ func TestFormulaString(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
+
+func TestProjectionKey(t *testing.T) {
+	deps := []cnf.Var{2, 5, 9}
+	key := ProjectionKey(deps, func(v cnf.Var) bool { return v == 5 })
+	if key != "010" {
+		t.Fatalf("key = %q", key)
+	}
+	if ProjectionKey(nil, nil) != "" {
+		t.Fatal("empty deps should give empty key")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,7 +57,7 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 				return nil, fmt.Errorf("dqdimacs line %d: malformed problem line (want \"p cnf <vars> <clauses>\")", lineNo)
 			}
 			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 || n > math.MaxInt32 {
+			if err != nil || n < 0 || n > cnf.MaxVar {
 				return nil, fmt.Errorf("dqdimacs line %d: bad variable count %q", lineNo, fields[2])
 			}
 			if k, err := strconv.Atoi(fields[3]); err != nil || k < 0 {

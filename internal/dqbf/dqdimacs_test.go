@@ -22,6 +22,7 @@ func TestParseMalformedInputs(t *testing.T) {
 		{"bad variable count", "p cnf x 1\n", "bad variable count"},
 		{"negative variable count", "p cnf -2 1\n", "bad variable count"},
 		{"variable count beyond int32", "p cnf 10000000000 1\n", "bad variable count"},
+		{"variable count beyond literal range", "p cnf 2000000000 1\n", "bad variable count"},
 		{"bad clause count", "p cnf 2 many\n", "bad clause count"},
 		{"negative clause count", "p cnf 2 -1\n", "bad clause count"},
 		{"prefix var not a number", "p cnf 2 1\na one 0\n", "line 2: bad variable"},

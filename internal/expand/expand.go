@@ -17,10 +17,10 @@ package expand
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/sat"
@@ -39,8 +39,8 @@ type Options struct {
 	// makes them cancellable; exhaustion surfaces as an error wrapping the
 	// budget's sentinel.
 	Budget *budget.Budget
-	// Certify extracts a table-based Skolem certificate from the SAT model
-	// on a satisfiable verdict.
+	// Certify lowers the SAT model's copy values to a Skolem certificate on
+	// a satisfiable verdict.
 	Certify bool
 }
 
@@ -58,9 +58,10 @@ type Stats struct {
 type Result struct {
 	Sat   bool
 	Stats Stats
-	// Certificate holds the Skolem tables of a certified SAT verdict
-	// (Options.Certify); nil otherwise.
-	Certificate *dqbf.Certificate
+	// Certificate holds the Skolem functions of a certified SAT verdict
+	// (Options.Certify): each existential is true exactly on the
+	// projections whose copy the model sets. Nil otherwise.
+	Certificate *cert.Certificate
 }
 
 // Solver decides DQBF by eager full expansion.
@@ -70,6 +71,13 @@ type Solver struct {
 
 // New returns a solver with the given options.
 func New(opt Options) *Solver { return &Solver{Opt: opt} }
+
+// copyKey names the copy of existential y for the projection proj of the
+// universal assignment onto D_y (a dqbf.ProjectionKey).
+type copyKey struct {
+	y    cnf.Var
+	proj string
+}
 
 // Solve decides the DQBF. It returns an error wrapping ErrTooManyUniversals
 // when the expansion limit is exceeded, one wrapping the budget's sentinel
@@ -93,20 +101,9 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 	for i, x := range f.Univ {
 		uidx[x] = i
 	}
-	copies := make(map[string]cnf.Var) // "y@projection" -> SAT var
+	copies := make(map[copyKey]cnf.Var)
 	copyOf := func(y cnf.Var, a []bool) cnf.Var {
-		deps := f.Deps[y].Vars()
-		var b strings.Builder
-		fmt.Fprintf(&b, "%d@", y)
-		for _, d := range deps {
-			idx := uidx[d]
-			if a[idx] {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		k := b.String()
+		k := copyKey{y, dqbf.ProjectionKey(f.Deps[y].Vars(), func(d cnf.Var) bool { return a[uidx[d]] })}
 		v, ok := copies[k]
 		if !ok {
 			v = solver.NewVar()
@@ -166,22 +163,13 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 	res.Sat = st == sat.Sat
 	if res.Sat && s.Opt.Certify {
 		m := solver.Model()
-		c := &dqbf.Certificate{
-			Tables:   make(map[cnf.Var]map[string]bool),
-			Defaults: make(map[cnf.Var]bool),
-		}
+		points := make(map[cnf.Var][]string)
 		for k, v := range copies {
-			at := strings.IndexByte(k, '@')
-			var y cnf.Var
-			fmt.Sscanf(k[:at], "%d", &y)
-			tab, ok := c.Tables[y]
-			if !ok {
-				tab = make(map[string]bool)
-				c.Tables[y] = tab
+			if m.Get(v) {
+				points[k.y] = append(points[k.y], k.proj)
 			}
-			tab[k[at+1:]] = m.Get(v)
 		}
-		res.Certificate = c
+		res.Certificate = cert.FromTruePoints(f, points)
 	}
 	return res, nil
 }

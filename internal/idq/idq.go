@@ -29,10 +29,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/sat"
@@ -97,11 +97,11 @@ type Result struct {
 	Status Status
 	Sat    bool
 	Stats  Stats
-	// Certificate holds the Skolem tables witnessing a Sat verdict (nil
-	// otherwise); any off-table completion is valid, so the default-false
-	// completion is certified. It can be checked independently with
-	// Certificate.Verify.
-	Certificate *dqbf.Certificate
+	// Certificate holds the Skolem functions witnessing a Sat verdict (nil
+	// otherwise): the final tables with every off-table projection false,
+	// which is certified because any off-table completion is valid. It can
+	// be checked independently with cert.Check.
+	Certificate *cert.Certificate
 }
 
 // Solver is the instantiation-based DQBF solver.
@@ -152,16 +152,7 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 	instVar := make(map[projKey]cnf.Var)
 
 	instOf := func(y cnf.Var, a map[cnf.Var]bool) cnf.Var {
-		deps := f.Deps[y].Vars()
-		var b strings.Builder
-		for _, d := range deps {
-			if a[d] {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		k := projKey{y, b.String()}
+		k := projKey{y, dqbf.ProjectionKey(f.Deps[y].Vars(), func(d cnf.Var) bool { return a[d] })}
 		v, ok := instVar[k]
 		if !ok {
 			v = abs.NewVar()
@@ -206,15 +197,7 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 
 	seen := make(map[string]bool) // guard against repeated counterexamples
 	keyOf := func(a map[cnf.Var]bool) string {
-		var b strings.Builder
-		for _, x := range univ {
-			if a[x] {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		return b.String()
+		return dqbf.ProjectionKey(univ, func(x cnf.Var) bool { return a[x] })
 	}
 
 	for {
@@ -278,7 +261,15 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 		if !found {
 			res.Status = Solved
 			res.Sat = true
-			res.Certificate = &dqbf.Certificate{Tables: tables}
+			points := make(map[cnf.Var][]string, len(tables))
+			for y, tab := range tables {
+				for k, v := range tab {
+					if v {
+						points[y] = append(points[y], k)
+					}
+				}
+			}
+			res.Certificate = cert.FromTruePoints(f, points)
 			return res
 		}
 		k := keyOf(cex)

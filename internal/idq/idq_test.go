@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/dqbf"
@@ -97,7 +98,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			if res.Certificate == nil {
 				t.Fatalf("iter %d: SAT without certificate", iter)
 			}
-			if err := res.Certificate.Verify(f); err != nil {
+			if err := cert.Check(f, res.Certificate); err != nil {
 				t.Fatalf("iter %d: certificate rejected: %v", iter, err)
 			}
 		} else if res.Certificate != nil {
@@ -111,7 +112,7 @@ func TestCertificateForExample1(t *testing.T) {
 	if !res.Sat || res.Certificate == nil {
 		t.Fatal("expected SAT with certificate")
 	}
-	if err := res.Certificate.Verify(paperExample1()); err != nil {
+	if err := cert.Check(paperExample1(), res.Certificate); err != nil {
 		t.Fatalf("certificate invalid: %v", err)
 	}
 }

@@ -1,328 +1,13 @@
 package problem
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"sort"
-	"strconv"
 	"strings"
 
+	"repro/internal/aig"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 )
-
-// aigerFile is a parsed combinational AIGER circuit (ascii "aag" or binary
-// "aig"), before DQBF encoding. Latches are rejected — the solver stack is
-// combinational.
-type aigerFile struct {
-	maxVar  int
-	inputs  []int    // input literals (even, nonzero)
-	outputs []int    // output literals
-	ands    [][3]int // lhs, rhs0, rhs1
-	inSyms  map[int]string
-	outSyms map[int]string
-}
-
-// parseAIGER parses either AIGER flavor, dispatching on the header magic.
-func parseAIGER(data []byte) (*aigerFile, error) {
-	nl := bytes.IndexByte(data, '\n')
-	header := data
-	rest := []byte(nil)
-	if nl >= 0 {
-		header, rest = data[:nl], data[nl+1:]
-	}
-	fields := strings.Fields(string(header))
-	if len(fields) != 6 || (fields[0] != "aag" && fields[0] != "aig") {
-		return nil, fmt.Errorf("aiger: malformed header (want \"aag|aig M I L O A\")")
-	}
-	nums := make([]int, 5)
-	for i, tok := range fields[1:] {
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("aiger: bad header count %q", tok)
-		}
-		nums[i] = n
-	}
-	m, nIn, nLatch, nOut, nAnd := nums[0], nums[1], nums[2], nums[3], nums[4]
-	if nLatch != 0 {
-		return nil, fmt.Errorf("aiger: %d latches not supported (combinational circuits only)", nLatch)
-	}
-	if nIn+nAnd > m {
-		return nil, fmt.Errorf("aiger: header declares %d variables for %d inputs + %d ands", m, nIn, nAnd)
-	}
-	af := &aigerFile{maxVar: m, inSyms: map[int]string{}, outSyms: map[int]string{}}
-	var err error
-	if fields[0] == "aag" {
-		err = af.parseASCII(rest, nIn, nOut, nAnd)
-	} else {
-		err = af.parseBinary(rest, nIn, nOut, nAnd)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return af, af.validate()
-}
-
-// nextLine splits off the next line (no trailing newline kept).
-func nextLine(data []byte) (line, rest []byte, ok bool) {
-	if len(data) == 0 {
-		return nil, nil, false
-	}
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		return data[:i], data[i+1:], true
-	}
-	return data, nil, true
-}
-
-func parseLits(line []byte, want int) ([]int, error) {
-	fields := strings.Fields(string(line))
-	if len(fields) != want {
-		return nil, fmt.Errorf("aiger: want %d literals on line %q", want, string(line))
-	}
-	out := make([]int, want)
-	for i, tok := range fields {
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("aiger: bad literal %q", tok)
-		}
-		out[i] = n
-	}
-	return out, nil
-}
-
-func (af *aigerFile) parseASCII(data []byte, nIn, nOut, nAnd int) error {
-	var line []byte
-	var ok bool
-	for i := 0; i < nIn; i++ {
-		if line, data, ok = nextLine(data); !ok {
-			return fmt.Errorf("aiger: truncated input section (%d of %d inputs)", i, nIn)
-		}
-		lits, err := parseLits(line, 1)
-		if err != nil {
-			return err
-		}
-		af.inputs = append(af.inputs, lits[0])
-	}
-	for i := 0; i < nOut; i++ {
-		if line, data, ok = nextLine(data); !ok {
-			return fmt.Errorf("aiger: truncated output section (%d of %d outputs)", i, nOut)
-		}
-		lits, err := parseLits(line, 1)
-		if err != nil {
-			return err
-		}
-		af.outputs = append(af.outputs, lits[0])
-	}
-	for i := 0; i < nAnd; i++ {
-		if line, data, ok = nextLine(data); !ok {
-			return fmt.Errorf("aiger: truncated and section (%d of %d ands)", i, nAnd)
-		}
-		lits, err := parseLits(line, 3)
-		if err != nil {
-			return err
-		}
-		af.ands = append(af.ands, [3]int{lits[0], lits[1], lits[2]})
-	}
-	return af.parseSymbols(data)
-}
-
-func (af *aigerFile) parseBinary(data []byte, nIn, nOut, nAnd int) error {
-	// Inputs are implicit in the binary format: literals 2, 4, ..., 2*nIn.
-	for i := 1; i <= nIn; i++ {
-		af.inputs = append(af.inputs, 2*i)
-	}
-	var line []byte
-	var ok bool
-	for i := 0; i < nOut; i++ {
-		if line, data, ok = nextLine(data); !ok {
-			return fmt.Errorf("aiger: truncated output section (%d of %d outputs)", i, nOut)
-		}
-		lits, err := parseLits(line, 1)
-		if err != nil {
-			return err
-		}
-		af.outputs = append(af.outputs, lits[0])
-	}
-	// And definitions: lhs is implicit (2*(nIn+i+1)); the two right-hand
-	// sides are delta-encoded LEB128 against it (lhs > rhs0 >= rhs1).
-	pos := 0
-	readDelta := func() (int, error) {
-		x, shift := 0, 0
-		for {
-			if pos >= len(data) {
-				return 0, io.ErrUnexpectedEOF
-			}
-			b := data[pos]
-			pos++
-			x |= int(b&0x7f) << shift
-			if b&0x80 == 0 {
-				return x, nil
-			}
-			shift += 7
-			if shift > 35 {
-				return 0, fmt.Errorf("aiger: delta code overflows")
-			}
-		}
-	}
-	for i := 0; i < nAnd; i++ {
-		lhs := 2 * (nIn + i + 1)
-		d0, err := readDelta()
-		if err != nil {
-			return fmt.Errorf("aiger: truncated and section (%d of %d ands): %v", i, nAnd, err)
-		}
-		d1, err := readDelta()
-		if err != nil {
-			return fmt.Errorf("aiger: truncated and section (%d of %d ands): %v", i, nAnd, err)
-		}
-		rhs0 := lhs - d0
-		rhs1 := rhs0 - d1
-		if d0 <= 0 || rhs1 < 0 {
-			return fmt.Errorf("aiger: and %d violates lhs > rhs0 >= rhs1", i)
-		}
-		af.ands = append(af.ands, [3]int{lhs, rhs0, rhs1})
-	}
-	return af.parseSymbols(data[pos:])
-}
-
-// parseSymbols reads the optional symbol table ("i<pos> <name>" /
-// "o<pos> <name>" lines) up to the optional comment section ("c" line).
-func (af *aigerFile) parseSymbols(data []byte) error {
-	for {
-		line, rest, ok := nextLine(data)
-		if !ok {
-			return nil
-		}
-		data = rest
-		s := strings.TrimRight(string(line), "\r")
-		if s == "" {
-			continue
-		}
-		if s == "c" {
-			return nil // comment section: everything after is free-form
-		}
-		sp := strings.IndexByte(s, ' ')
-		if sp <= 1 || (s[0] != 'i' && s[0] != 'o') {
-			return fmt.Errorf("aiger: malformed symbol line %q", s)
-		}
-		pos, err := strconv.Atoi(s[1:sp])
-		if err != nil || pos < 0 {
-			return fmt.Errorf("aiger: bad symbol position in %q", s)
-		}
-		name := s[sp+1:]
-		if name == "" {
-			return fmt.Errorf("aiger: empty symbol name in %q", s)
-		}
-		switch s[0] {
-		case 'i':
-			if pos >= len(af.inputs) {
-				return fmt.Errorf("aiger: input symbol position %d out of range (%d inputs)", pos, len(af.inputs))
-			}
-			if _, dup := af.inSyms[pos]; dup {
-				return fmt.Errorf("aiger: duplicate symbol for input %d", pos)
-			}
-			af.inSyms[pos] = name
-		case 'o':
-			if pos >= len(af.outputs) {
-				return fmt.Errorf("aiger: output symbol position %d out of range (%d outputs)", pos, len(af.outputs))
-			}
-			if _, dup := af.outSyms[pos]; dup {
-				return fmt.Errorf("aiger: duplicate symbol for output %d", pos)
-			}
-			af.outSyms[pos] = name
-		}
-	}
-}
-
-// validate checks structural invariants shared by both flavors: inputs are
-// even nonzero literals, every variable is defined exactly once (input or
-// and), definitions stay within maxVar, and every referenced literal is a
-// constant, an input, or a defined and gate.
-func (af *aigerFile) validate() error {
-	defined := make(map[int]bool, len(af.inputs)+len(af.ands)) // by variable index
-	for i, l := range af.inputs {
-		if l <= 1 || l%2 != 0 {
-			return fmt.Errorf("aiger: input %d literal %d must be a positive even literal", i, l)
-		}
-		v := l / 2
-		if v > af.maxVar {
-			return fmt.Errorf("aiger: input literal %d exceeds declared maximum variable %d", l, af.maxVar)
-		}
-		if defined[v] {
-			return fmt.Errorf("aiger: variable %d defined twice", v)
-		}
-		defined[v] = true
-	}
-	for i, a := range af.ands {
-		lhs := a[0]
-		if lhs <= 1 || lhs%2 != 0 {
-			return fmt.Errorf("aiger: and %d lhs %d must be a positive even literal", i, lhs)
-		}
-		v := lhs / 2
-		if v > af.maxVar {
-			return fmt.Errorf("aiger: and lhs %d exceeds declared maximum variable %d", lhs, af.maxVar)
-		}
-		if defined[v] {
-			return fmt.Errorf("aiger: variable %d defined twice", v)
-		}
-		defined[v] = true
-	}
-	ref := func(l int, what string) error {
-		if l < 0 || l/2 > af.maxVar {
-			return fmt.Errorf("aiger: %s literal %d out of range (maximum variable %d)", what, l, af.maxVar)
-		}
-		if l > 1 && !defined[l/2] {
-			return fmt.Errorf("aiger: %s literal %d references undefined variable %d", what, l, l/2)
-		}
-		return nil
-	}
-	for _, a := range af.ands {
-		if err := ref(a[1], "and rhs"); err != nil {
-			return err
-		}
-		if err := ref(a[2], "and rhs"); err != nil {
-			return err
-		}
-	}
-	for _, o := range af.outputs {
-		if err := ref(o, "output"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeAAG serializes the circuit in the normalized ascii form: header,
-// inputs, outputs, ands, then input/output symbols in position order. The
-// form is a fixpoint — parsing the output and writing it again is
-// byte-identical.
-func (af *aigerFile) writeAAG(w io.Writer) error {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "aag %d %d 0 %d %d\n", af.maxVar, len(af.inputs), len(af.outputs), len(af.ands))
-	for _, l := range af.inputs {
-		fmt.Fprintf(&b, "%d\n", l)
-	}
-	for _, l := range af.outputs {
-		fmt.Fprintf(&b, "%d\n", l)
-	}
-	for _, a := range af.ands {
-		fmt.Fprintf(&b, "%d %d %d\n", a[0], a[1], a[2])
-	}
-	writeSyms := func(tag byte, syms map[int]string) {
-		pos := make([]int, 0, len(syms))
-		for p := range syms {
-			pos = append(pos, p)
-		}
-		sort.Ints(pos)
-		for _, p := range pos {
-			fmt.Fprintf(&b, "%c%d %s\n", tag, p, syms[p])
-		}
-	}
-	writeSyms('i', af.inSyms)
-	writeSyms('o', af.outSyms)
-	_, err := w.Write(b.Bytes())
-	return err
-}
 
 // universalInputName reports whether an input symbol marks the input as
 // universally quantified: the "a_", "u_", or "forall_" naming convention.
@@ -333,18 +18,23 @@ func universalInputName(name string) bool {
 		strings.HasPrefix(name, "forall_")
 }
 
-// toProblem Tseitin-encodes the circuit as a Problem: each and gate becomes
-// three clauses over variables numbered as in the AIGER file, outputs become
-// unit clauses (all constrained true), inputs named with a universal prefix
-// (see universalInputName) quantify universally, and every other variable —
-// remaining inputs and the and gates — is existential over all universals.
-func (af *aigerFile) toProblem() (*Problem, error) {
+// aigerProblem Tseitin-encodes the circuit as a Problem: each and gate
+// becomes three clauses over variables numbered as in the AIGER file,
+// outputs become unit clauses (all constrained true), inputs named with a
+// universal prefix (see universalInputName) quantify universally, and every
+// other variable — remaining inputs and the and gates — is existential over
+// all universals. Literals 0/1 share one constant variable, M+1, so M must
+// stay below cnf.MaxVar.
+func aigerProblem(af *aig.File) (*Problem, error) {
+	if af.MaxVar >= cnf.MaxVar {
+		return nil, fmt.Errorf("aiger: maximum variable %d leaves no variable for the constant", af.MaxVar)
+	}
 	f := dqbf.New()
-	f.Matrix.NumVars = af.maxVar
+	f.Matrix.NumVars = af.MaxVar
 	var univ, rest []cnf.Var
-	for i, l := range af.inputs {
+	for i, l := range af.Inputs {
 		v := cnf.Var(l / 2)
-		if universalInputName(af.inSyms[i]) {
+		if universalInputName(af.InSyms[i]) {
 			univ = append(univ, v)
 		} else {
 			rest = append(rest, v)
@@ -356,7 +46,7 @@ func (af *aigerFile) toProblem() (*Problem, error) {
 	for _, v := range rest {
 		f.AddExistential(v, univ...)
 	}
-	for _, a := range af.ands {
+	for _, a := range af.Ands {
 		f.AddExistential(cnf.Var(a[0]/2), univ...)
 	}
 
@@ -384,14 +74,14 @@ func (af *aigerFile) toProblem() (*Problem, error) {
 		}
 		return b
 	}
-	for _, a := range af.ands {
+	for _, a := range af.Ands {
 		g := cnf.PosLit(cnf.Var(a[0] / 2))
 		r0, r1 := lit(a[1]), lit(a[2])
 		f.Matrix.AddClause(g.Not(), r0)
 		f.Matrix.AddClause(g.Not(), r1)
 		f.Matrix.AddClause(g, r0.Not(), r1.Not())
 	}
-	for _, o := range af.outputs {
+	for _, o := range af.Outputs {
 		f.Matrix.AddClause(lit(o))
 	}
 

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -52,7 +51,7 @@ func parsePQE(data []byte) (*Problem, error) {
 			nums := make([]int, 3)
 			for i, tok := range fields[2:] {
 				n, err := strconv.Atoi(tok)
-				if err != nil || n < 0 || n > math.MaxInt32 {
+				if err != nil || n < 0 || n > cnf.MaxVar {
 					return nil, fmt.Errorf("pqe line %d: bad count %q", lineNo, tok)
 				}
 				nums[i] = n

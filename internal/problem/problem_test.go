@@ -317,6 +317,7 @@ func TestParsePQEMalformed(t *testing.T) {
 		{"literal out of range", "p pqe 1 1 0\n2 0\n"},
 		{"literal wrapping into range", "p pqe 1 1 0\n4294967297 0\n"},
 		{"count beyond int32", "p pqe 10000000000 0 0\n"},
+		{"count beyond literal range", "p pqe 2000000000 0 0\n"},
 		{"bad literal", "p pqe 1 1 0\nx 0\n"},
 		{"clause count mismatch", "p pqe 1 2 1\n1 0\n"},
 		{"duplicate X variable", "p pqe 2 0 0\ne 1 1 0\n"},
@@ -363,6 +364,11 @@ func TestParseAIGERMalformed(t *testing.T) {
 		{"binary delta zero", "aig 2 1 0 0 1\n\x00\x00"},
 		{"binary delta overflow", "aig 2 1 0 0 1\n\xff\xff\xff\xff\xff\xff\x01\x00"},
 		{"binary rhs negative", "aig 2 1 0 0 1\n\x7f\x7f"},
+		{"maxvar beyond int32", "aag 3000000000 0 0 1 0\n1\n"},
+		{"maxvar beyond literal range", "aag 2000000000 0 0 1 0\n1\n"},
+		{"no variable left for constant", "aag 1073741823 0 0 1 0\n1\n"},
+		{"input literal above 2M", "aag 1 1 0 1 0\n100\n2\n"},
+		{"and lhs above 2M", "aag 1 0 0 1 1\n2\n100 0 1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -529,6 +535,26 @@ func TestValidateRejectsInconsistentProblems(t *testing.T) {
 	} {
 		if err := p.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", p)
+		}
+	}
+}
+
+// TestAIGERHashesPinned pins the canonical hashes of AIGER inputs: the
+// cache and the persistent store key entries by them, so moving the parser
+// or the Tseitin encoding must leave them unchanged.
+func TestAIGERHashesPinned(t *testing.T) {
+	for _, tc := range []struct{ input, hash string }{
+		{aagExample, "dfa1933aa9db7efdb55d4b4395d63b24700dcc0c6ebdd57294927a40f6fd1172"},
+		{"aig 3 2 0 1 1\n6\n\x02\x02\ni0 a_x\no0 out\n", "dfa1933aa9db7efdb55d4b4395d63b24700dcc0c6ebdd57294927a40f6fd1172"},
+		{"aag 1 1 0 2 0\n2\n1\n0\n", "2fd944a29e9a2c3793bac6cb19cb18d8b6fd777f8e48b19edf04cf93363e2610"},
+		{"aag 7 3 0 2 4\n2\n4\n6\n13\n14\n8 2 4\n10 9 6\n12 11 3\n14 5 1\ni0 a_x\ni1 u_y\ni2 z\n", "754ac95c19981385f4972cae1827ac3ef75fd77aa95f8e8aaba204af221f1202"},
+	} {
+		p, err := ParseBytes([]byte(tc.input), FormatAIGER)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.input, err)
+		}
+		if got := p.CanonicalHash(); got != tc.hash {
+			t.Errorf("hash of %q moved: %s, want %s", tc.input, got, tc.hash)
 		}
 	}
 }

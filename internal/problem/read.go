@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/aig"
 	"repro/internal/circuit"
 	"repro/internal/dqbf"
 	"repro/internal/faults"
@@ -38,11 +39,11 @@ func ParseBytes(data []byte, hint Format) (*Problem, error) {
 		p.Format = format
 		return p, nil
 	case FormatAIGER:
-		af, err := parseAIGER(data)
+		af, err := aig.ParseAIGER(data)
 		if err != nil {
 			return nil, err
 		}
-		return af.toProblem()
+		return aigerProblem(af)
 	case FormatBENCH:
 		c, err := circuit.ParseBench(bytes.NewReader(data))
 		if err != nil {

@@ -430,15 +430,11 @@ func (r *Runner) runHQS(p *problem.Problem, b *budget.Budget, sink trace.Sink) a
 		check: opt.Certify, cert: res.Certificate, certErr: res.CertErr}
 }
 
-// runIDQ runs the iDQ baseline. Its table certificates are always checked:
-// the solver alone is not trusted with a SAT answer.
+// runIDQ runs the iDQ baseline. Its certificates are always checked: the
+// solver alone is not trusted with a SAT answer.
 func runIDQ(f *dqbf.Formula, b *budget.Budget) answer {
 	res := idq.New(idq.Options{Budget: b}).Solve(f)
-	a := answer{reason: res.Status.String(), sat: res.Sat, check: true}
-	if res.Sat {
-		a.cert, a.certErr = cert.FromTables(f, res.Certificate)
-	}
-	return a
+	return answer{reason: res.Status.String(), sat: res.Sat, check: true, cert: res.Certificate}
 }
 
 // runDefex runs the definition-extraction engine. Like HQS it extracts AIG
@@ -454,7 +450,7 @@ func (r *Runner) runDefex(f *dqbf.Formula, b *budget.Budget, sink trace.Sink) an
 		check: opt.Certify, cert: res.Certificate, certErr: res.CertErr}
 }
 
-// runExpand runs the eager full-expansion reference engine. Its table
+// runExpand runs the eager full-expansion reference engine. Its
 // certificates are always checked (the iDQ trust policy): the engine exists
 // for cross-checking, so an unverified SAT from it has no value.
 func runExpand(f *dqbf.Formula, b *budget.Budget) answer {
@@ -473,11 +469,7 @@ func runExpand(f *dqbf.Formula, b *budget.Budget) answer {
 	default:
 		return answer{reason: "error", err: err}
 	}
-	a := answer{reason: "solved", sat: res.Sat, check: true}
-	if res.Sat {
-		a.cert, a.certErr = cert.FromTables(f, res.Certificate)
-	}
-	return a
+	return answer{reason: "solved", sat: res.Sat, check: true, cert: res.Certificate}
 }
 
 // PQEOutcome is the answer to one PQE query.

@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
-	"repro/internal/aig"
 	"repro/internal/cert"
 	"repro/internal/cnf"
 )
@@ -164,37 +162,23 @@ func (e *Entry) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// marshalCert appends the certificate section: function variables in
-// ascending order, then the cones as one deterministic ASCII-AIGER blob with
-// one output per function.
+// marshalCert appends the certificate section: the function count, the
+// variables, and the cone section's length and bytes (cert.Cones).
 func marshalCert(w *bytes.Buffer, c *cert.Certificate) error {
-	if c.G == nil {
-		return fmt.Errorf("store: certificate without a graph")
+	vars, cones, err := c.Cones()
+	if err != nil {
+		return fmt.Errorf("store: serializing certificate: %w", err)
 	}
-	vars := make([]cnf.Var, 0, len(c.Funcs))
-	for v := range c.Funcs {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-
 	var u32 [4]byte
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(vars)))
 	w.Write(u32[:])
-	outs := make([]aig.Ref, len(vars))
-	var i32 [4]byte
-	for i, v := range vars {
-		binary.LittleEndian.PutUint32(i32[:], uint32(int32(v)))
-		w.Write(i32[:])
-		outs[i] = c.Funcs[v]
+	for _, v := range vars {
+		binary.LittleEndian.PutUint32(u32[:], uint32(int32(v)))
+		w.Write(u32[:])
 	}
-
-	var aag bytes.Buffer
-	if err := c.G.WriteAAG(&aag, outs...); err != nil {
-		return fmt.Errorf("store: serializing certificate: %w", err)
-	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(aag.Len()))
+	binary.LittleEndian.PutUint32(u32[:], uint32(len(cones)))
 	w.Write(u32[:])
-	w.Write(aag.Bytes())
+	w.Write(cones)
 	return nil
 }
 
@@ -285,11 +269,7 @@ func unmarshalCert(r *bytes.Reader) (*cert.Certificate, error) {
 		if _, err := io.ReadFull(r, u32[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated certificate variable list", ErrCorrupt)
 		}
-		v := cnf.Var(int32(binary.LittleEndian.Uint32(u32[:])))
-		if v <= 0 {
-			return nil, fmt.Errorf("%w: certificate variable %d", ErrCorrupt, v)
-		}
-		vars[i] = v
+		vars[i] = cnf.Var(int32(binary.LittleEndian.Uint32(u32[:])))
 	}
 	if _, err := io.ReadFull(r, u32[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated certificate blob length", ErrCorrupt)
@@ -302,19 +282,9 @@ func unmarshalCert(r *bytes.Reader) (*cert.Certificate, error) {
 	if _, err := io.ReadFull(r, blob); err != nil {
 		return nil, fmt.Errorf("%w: truncated certificate blob", ErrCorrupt)
 	}
-	g, outs, err := aig.ReadAAG(bytes.NewReader(blob))
+	c, err := cert.FromCones(vars, blob)
 	if err != nil {
-		return nil, fmt.Errorf("%w: certificate AIG: %v", ErrCorrupt, err)
-	}
-	if len(outs) != len(vars) {
-		return nil, fmt.Errorf("%w: certificate has %d cones for %d variables", ErrCorrupt, len(outs), len(vars))
-	}
-	c := &cert.Certificate{G: g, Funcs: make(map[cnf.Var]aig.Ref, len(vars))}
-	for i, v := range vars {
-		if _, dup := c.Funcs[v]; dup {
-			return nil, fmt.Errorf("%w: duplicate certificate variable %d", ErrCorrupt, v)
-		}
-		c.Funcs[v] = outs[i]
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return c, nil
 }

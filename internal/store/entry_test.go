@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"strings"
 	"testing"
 
@@ -187,5 +188,78 @@ func TestEntryMarshalRejects(t *testing.T) {
 	e.Verdict = 0
 	if _, err := e.MarshalBinary(); err == nil {
 		t.Fatal("non-definitive verdict marshalled")
+	}
+}
+
+// TestEntryDecodesCommittedV1 decodes a version-1 entry with a certificate
+// committed as bytes, written by an earlier build's encoder, and expects
+// every field back and a byte-identical re-marshal: the format must not
+// move while entryVersion stays 1.
+func TestEntryDecodesCommittedV1(t *testing.T) {
+	b, err := os.ReadFile("testdata/entry_v1_cert.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Entry
+	if err := d.UnmarshalBinary(b); err != nil {
+		t.Fatalf("committed entry rejected: %v", err)
+	}
+	want := testEntry(true)
+	if d.Key != want.Key || d.Verdict != want.Verdict || d.Engine != want.Engine ||
+		d.Conflicts != want.Conflicts || d.SolveMS != want.SolveMS || d.Cert == nil ||
+		len(d.Cert.Funcs) != len(want.Cert.Funcs) {
+		t.Fatalf("committed entry decoded to %+v", d)
+	}
+	b2, err := d.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, b2) {
+		t.Fatalf("re-marshal of the committed entry moved: %d vs %d bytes", len(b), len(b2))
+	}
+	if b3, _ := want.MarshalBinary(); !bytes.Equal(b, b3) {
+		t.Fatal("MarshalBinary of testEntry(true) no longer matches the committed bytes")
+	}
+}
+
+// withRawCert returns a checksum-valid encoding of testEntry whose
+// certificate section carries vars and the raw cone bytes, as a buggy or
+// hostile writer could leave on disk.
+func withRawCert(t *testing.T, vars []int32, cones string) []byte {
+	t.Helper()
+	b, err := testEntry(false).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append([]byte(nil), b[headerLen:len(b)-4]...)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(vars)))
+	for _, v := range vars {
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(v))
+	}
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(cones)))
+	payload = append(payload, cones...)
+	out := append([]byte(nil), b[:headerLen]...)
+	binary.LittleEndian.PutUint16(out[6:8], flagHasCert)
+	binary.LittleEndian.PutUint32(out[8:12], uint32(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// hostileCones are cone sections whose AIGER body exceeds its own declared
+// bounds; an unvalidated reader indexes out of range or sizes a table by M.
+var hostileCones = []string{
+	"aag 1 1 0 1 0\n100\n2\n",     // input literal above 2·M
+	"aag 1 0 0 1 1\n2\n100 0 1\n", // AND lhs above 2·M
+	"aag 100000000000 1 0 1 0\n2\n2\n",
+}
+
+// TestEntryRejectsHostileCertificate expects each hostile cone section, in
+// an otherwise valid entry, to decode as ErrCorrupt rather than panic.
+func TestEntryRejectsHostileCertificate(t *testing.T) {
+	for _, cones := range hostileCones {
+		var d Entry
+		if err := d.UnmarshalBinary(withRawCert(t, []int32{2}, cones)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cones %q: got %v, want ErrCorrupt", cones, err)
+		}
 	}
 }

@@ -149,6 +149,27 @@ func TestStoreQuarantineOnCorruption(t *testing.T) {
 	}
 }
 
+// TestStoreQuarantinesHostileCertificate plants a checksum-valid entry
+// whose certificate cones exceed their declared bounds: Get must quarantine
+// it as corrupt and report a miss, not panic.
+func TestStoreQuarantinesHostileCertificate(t *testing.T) {
+	s := openTest(t)
+	e := testEntry(false)
+	if err := s.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.entryPath(e.Key), withRawCert(t, []int32{2}, hostileCones[0]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(e.Key)
+	if err != nil || got != nil {
+		t.Fatalf("hostile entry: got (%v, %v), want quarantined miss", got, err)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Quarantined != 1 {
+		t.Fatalf("stats %+v, want 1 corrupt / 1 quarantined", st)
+	}
+}
+
 // TestStoreKeyMismatchQuarantined plants a valid entry file under the wrong
 // content-addressed name; the store must refuse to serve it.
 func TestStoreKeyMismatchQuarantined(t *testing.T) {
