@@ -90,10 +90,12 @@ bench-sweep:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Regenerate the committed benchmark baseline on the PEC families plus the
-# BENCH-ingested adder-miter circuit family.
+# Write a new benchmark baseline on the PEC families plus the BENCH-ingested
+# adder-miter circuit family to BENCH_pr$(PR).json, never over an older one:
+#   make baseline PR=N
 baseline:
-	$(GO) run ./cmd/dqbfbench -family adder,bitcell,pec_xor,circuit -count 6 -baseline BENCH_pr10.json
+	@test -n "$(PR)" || { echo "usage: make baseline PR=<number>" >&2; exit 2; }
+	$(GO) run ./cmd/dqbfbench -family adder,bitcell,pec_xor,circuit -count 6 -baseline BENCH_pr$(PR).json
 
 # Newest committed baseline by PR number. `sort -V` (version sort), not make's
 # lexical $(lastword): pr10 must beat pr6.

@@ -19,7 +19,7 @@ package aig
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/cnf"
 )
@@ -233,36 +233,47 @@ func (g *Graph) Eval(r Ref, assign func(cnf.Var) bool) bool {
 }
 
 // coneNodes returns the node indices reachable from the roots (excluding the
-// constant node) in ascending (topological) order.
+// constant node) in ascending (topological) order. The walk marks nodes in a
+// dense bitset over [0, largest root], and since node indices are a
+// topological order by construction, one scan of the set emits the cone
+// sorted: no hashing and no sort.
 func (g *Graph) coneNodes(roots ...Ref) []int32 {
-	seen := make(map[int32]bool)
-	var stack []int32
+	var hi int32
 	for _, r := range roots {
-		if n := r.node(); n != 0 && !seen[n] {
-			seen[n] = true
-			stack = append(stack, n)
+		hi = max(hi, r.node())
+	}
+	if hi == 0 {
+		return nil
+	}
+	mark := make([]uint64, hi>>6+1)
+	lo, count := hi, 0
+	var stack []int32
+	visit := func(n int32) {
+		if n == 0 || mark[n>>6]&(1<<(n&63)) != 0 {
+			return
 		}
+		mark[n>>6] |= 1 << (n & 63)
+		lo = min(lo, n)
+		count++
+		stack = append(stack, n)
+	}
+	for _, r := range roots {
+		visit(r.node())
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nd := &g.nodes[n]
-		if nd.v != 0 {
-			continue
-		}
-		for _, f := range []Ref{nd.f0, nd.f1} {
-			if c := f.node(); c != 0 && !seen[c] {
-				seen[c] = true
-				stack = append(stack, c)
-			}
+		if nd := &g.nodes[n]; nd.v == 0 {
+			visit(nd.f0.node())
+			visit(nd.f1.node())
 		}
 	}
-	out := make([]int32, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
+	out := make([]int32, 0, count)
+	for w := lo >> 6; int(w) < len(mark); w++ {
+		for word := mark[w]; word != 0; word &= word - 1 {
+			out = append(out, w<<6|int32(bits.TrailingZeros64(word)))
+		}
 	}
-	// Node indices are a topological order by construction.
-	slices.Sort(out)
 	return out
 }
 

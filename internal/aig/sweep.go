@@ -1,7 +1,9 @@
 package aig
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,8 +69,11 @@ type SweepOracle interface {
 	// equivalent, spending at most conflictBudget conflicts per SAT query
 	// (<=0 unlimited) and honoring bud. Budget exhaustion or errors yield
 	// proven=false (sound: unproven pairs are simply not merged). satCalls
-	// is the number of SAT queries issued (0..2).
-	ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.Budget) (proven bool, satCalls int)
+	// is the number of SAT queries issued (0..2). When a query refutes the
+	// pair, cex is the counterexample: it returns each input variable's
+	// value under an assignment where lhs and rhs differ, and is valid until
+	// the oracle's next query. Otherwise cex is nil.
+	ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.Budget) (proven bool, satCalls int, cex func(cnf.Var) bool)
 	// Footprint returns the oracle solver's current packed-arena size and
 	// cumulative arena compaction count.
 	Footprint() (arenaBytes int, compactions int64)
@@ -87,6 +92,7 @@ type SweepStats struct {
 	Candidates int // simulation-equivalent pairs tried
 	Merged     int // pairs proven equivalent and merged
 	SatCalls   int // individual SAT oracle invocations (up to two per pair)
+	SimRefuted int // candidates refuted by earlier counterexamples, with no SAT call
 	Workers    int // size of the worker pool actually used
 	Skipped    int // sweeps skipped outright (injected fault at aig.sweep)
 	Panics     int // worker panics contained (candidates left unproven)
@@ -103,6 +109,7 @@ func (s SweepStats) Counters() map[string]int64 {
 		"candidates": int64(s.Candidates),
 		"merged":     int64(s.Merged),
 		"satcalls":   int64(s.SatCalls),
+		"simrefuted": int64(s.SimRefuted),
 	}
 	if s.Skipped > 0 {
 		c["skipped"] = int64(s.Skipped)
@@ -118,6 +125,7 @@ func (s *SweepStats) Add(o SweepStats) {
 	s.Candidates += o.Candidates
 	s.Merged += o.Merged
 	s.SatCalls += o.SatCalls
+	s.SimRefuted += o.SimRefuted
 	s.Skipped += o.Skipped
 	s.Panics += o.Panics
 	s.Compactions += o.Compactions
@@ -183,16 +191,77 @@ func (o SweepOptions) poolSize(candidates int) int {
 	return w
 }
 
-// sweepCand is one equivalence candidate: prove lhs ≡ rhs (both are edges
-// into the swept cone) and, if proven, redirect node to target. lhs/rhs are
-// literals in the shared cone encoding (fresh-solver mode); lhsRef/rhsRef
-// are the same edges as graph refs (oracle mode).
+// coneIndex is a dense view of the cone of one root, built once per sweep
+// and shared read-only by its workers. Cone node i (in ascending node order)
+// sits at position i+1, position 0 is the constant false, and an edge is the
+// position shifted left by one with the complement in the low bit, like a
+// Ref. Simulation and encoding then run over slices indexed by position.
+type coneIndex struct {
+	nodes  []int32    // position p ≥ 1 holds node nodes[p-1]
+	vars   []cnf.Var  // per position: the input variable; 0 for an AND or the constant
+	fanin  [][2]int32 // per position: an AND's two fanin edges
+	inputs []int32    // input positions, by ascending variable
+	pos    []int32    // node -> position, for every node up to the root
+}
+
+// indexCone builds the coneIndex of the non-constant root r. The root is
+// the cone's largest node, so pos is sized to it.
+func (g *Graph) indexCone(r Ref) *coneIndex {
+	nodes := g.coneNodes(r)
+	c := &coneIndex{
+		nodes: nodes,
+		vars:  make([]cnf.Var, len(nodes)+1),
+		fanin: make([][2]int32, len(nodes)+1),
+		pos:   make([]int32, r.node()+1),
+	}
+	for i, n := range nodes {
+		p := int32(i + 1)
+		c.pos[n] = p
+		nd := &g.nodes[n]
+		if nd.v != 0 {
+			c.vars[p] = nd.v
+			c.inputs = append(c.inputs, p)
+			continue
+		}
+		c.fanin[p] = [2]int32{c.edge(nd.f0), c.edge(nd.f1)}
+	}
+	slices.SortFunc(c.inputs, func(a, b int32) int { return cmp.Compare(c.vars[a], c.vars[b]) })
+	return c
+}
+
+// edge translates a graph edge into the cone into a position edge.
+func (c *coneIndex) edge(e Ref) int32 { return c.pos[e.node()]<<1 | int32(e&1) }
+
+// edgeWord reads the simulation word of a position edge.
+func edgeWord(words []uint64, e int32) uint64 { return words[e>>1] ^ -uint64(e&1) }
+
+// simulate computes every AND position of words from its fanins, given the
+// input positions: bit k of words[p] becomes position p's value under the
+// input assignment that bit k of the input words spells out.
+func (c *coneIndex) simulate(words []uint64) {
+	for p, f := range c.fanin {
+		if p > 0 && c.vars[p] == 0 {
+			words[p] = edgeWord(words, f[0]) & edgeWord(words, f[1])
+		}
+	}
+}
+
+// sweepCand is one equivalence candidate: prove lhs ≡ rhs and, if proven,
+// merge rhs's node into lhs, the representative of its class. lhs/rhs are
+// position edges, lhsRef/rhsRef the same edges as graph refs.
 type sweepCand struct {
-	node           int32 // the node to be merged away
-	target         Ref   // replacement edge installed on success
-	lhs, rhs       cnf.Lit
+	lhs, rhs       int32
 	lhsRef, rhsRef Ref
 }
+
+// candVerdict is what a sweep worker concluded about one candidate.
+type candVerdict uint8
+
+const (
+	unproven   candVerdict = iota // refuted by SAT, or undecided within budget
+	provenEq                      // proven equivalent: merge
+	simRefuted                    // told apart by an earlier counterexample, no SAT call
+)
 
 // Sweep performs FRAIG-style reduction on the cone of r: nodes with equal
 // (or complementary) simulation signatures are checked for functional
@@ -216,21 +285,9 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 	if r.IsConst() {
 		return r, stats
 	}
-	cone := g.coneNodes(r)
-	if len(cone) < 2 {
+	c := g.indexCone(r)
+	if len(c.nodes) < 2 {
 		return r, stats
-	}
-	support := g.Support(r)
-	vars := make([]cnf.Var, 0, len(support))
-	for v := range support {
-		vars = append(vars, v)
-	}
-	// Sorted, so every input gets the same pseudo-random pattern stream on
-	// every run and sweeping is deterministic end to end.
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-
-	if opt.SimWords <= 0 {
-		opt.SimWords = 8
 	}
 	var stop atomic.Bool
 	expired := func() bool {
@@ -246,138 +303,182 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 		}
 		return false
 	}
+	cands, ok := c.candidates(opt.SimWords, expired)
+	if !ok || len(cands) == 0 {
+		// Nothing to prove, or cancelled mid-simulation: the unswept cone
+		// is equivalent.
+		return r, stats
+	}
+	verdicts, stats := g.checkCandidates(c, cands, opt, expired)
 
-	// Multi-word patterns, generated word-major over the sorted inputs so the
-	// stream matches the historical one-word-per-round simulation bit for bit
-	// (signatures, buckets, and candidate order are unchanged).
-	seed := rng(0x2545f4914f6cdd1d)
-	patterns := make(map[cnf.Var][]uint64, len(vars))
-	for _, v := range vars {
-		patterns[v] = make([]uint64, opt.SimWords)
-	}
-	for w := 0; w < opt.SimWords; w++ {
-		for _, v := range vars {
-			patterns[v][w] = seed.next()
+	// Merge phase: apply proven equivalences in candidate order. Because the
+	// verdicts are independent, this reproduces the serial merge set exactly.
+	// A merged node's replacement is its representative in the node's own
+	// phase. Representatives are cone nodes, never constants, so False
+	// marks "no merge".
+	repl := make([]Ref, len(c.fanin))
+	for i, cd := range cands {
+		if verdicts[i] == provenEq {
+			repl[cd.rhs>>1] = cd.lhsRef.XorSign(cd.rhsRef.Compl())
+			stats.Merged++
 		}
 	}
-	// One pass over the cone computes all opt.SimWords signature words per
-	// node at once, instead of opt.SimWords full cone traversals. Deadline
-	// and Budget are polled here too, so a huge cone cancels promptly
-	// mid-simulation rather than only once the candidate loop starts.
-	sigs := make(map[int32][]uint64, len(cone))
-	zeroSig := make([]uint64, opt.SimWords)
-	edgeSig := func(e Ref) ([]uint64, bool) {
-		if e.node() == 0 {
-			return zeroSig, e.Compl()
-		}
-		return sigs[e.node()], e.Compl()
+	if stats.Merged == 0 {
+		return r, stats
 	}
-	for i, n := range cone {
-		if i&255 == 0 && expired() {
-			// Cancelled mid-simulation: leave the cone unswept (equivalent).
-			return r, stats
+
+	// Rebuild the cone applying replacements bottom-up.
+	const unbuilt Ref = -1
+	rebuilt := make([]Ref, len(c.fanin))
+	for i := range rebuilt {
+		rebuilt[i] = unbuilt
+	}
+	var rebuild func(e Ref) Ref
+	rebuild = func(e Ref) Ref {
+		n := e.node()
+		if n == 0 {
+			return e
 		}
-		nd := &g.nodes[n]
-		sig := make([]uint64, opt.SimWords)
+		p := c.pos[n]
+		if t := repl[p]; t != False {
+			// The replacement target itself may contain replaced nodes.
+			return rebuild(t).XorSign(e.Compl())
+		}
+		if out := rebuilt[p]; out != unbuilt {
+			return out.XorSign(e.Compl())
+		}
+		nd := g.nodes[n]
+		var out Ref
 		if nd.v != 0 {
-			copy(sig, patterns[nd.v])
+			out = Ref(n << 1)
 		} else {
-			a, ac := edgeSig(nd.f0)
-			b, bc := edgeSig(nd.f1)
-			for w := range sig {
-				aw, bw := a[w], b[w]
-				if ac {
-					aw = ^aw
-				}
-				if bc {
-					bw = ^bw
-				}
-				sig[w] = aw & bw
-			}
+			out = g.And(rebuild(nd.f0), rebuild(nd.f1))
 		}
-		sigs[n] = sig
+		rebuilt[p] = out
+		return out.XorSign(e.Compl())
+	}
+	return rebuild(r), stats
+}
+
+// candidates simulates the cone on simWords random 64-bit words per input
+// (<=0 means 8) and returns, in deterministic order, one candidate per class
+// member that is not its class's representative: members share a signature
+// up to complement. It returns false if expired stops the simulation.
+func (c *coneIndex) candidates(simWords int, expired func() bool) ([]sweepCand, bool) {
+	if simWords <= 0 {
+		simWords = 8
+	}
+	// Signatures: W words per position, sig(p) = sigs[p*W:(p+1)*W]. Input
+	// patterns are generated word-major over the inputs in ascending
+	// variable order, so every input gets the same pseudo-random stream on
+	// every run and sweeping is deterministic end to end.
+	W := simWords
+	sigs := make([]uint64, len(c.fanin)*W)
+	sig := func(p int32) []uint64 { return sigs[int(p)*W : int(p+1)*W] }
+	seed := rng(0x2545f4914f6cdd1d)
+	for w := range W {
+		for _, p := range c.inputs {
+			sig(p)[w] = seed.next()
+		}
+	}
+	// One pass over the cone computes all W signature words per node at
+	// once. Expiry is polled here too, so a huge cone cancels promptly
+	// mid-simulation rather than only once the candidate checks start.
+	for p := int32(1); int(p) < len(c.fanin); p++ {
+		if p&255 == 0 && expired() {
+			return nil, false
+		}
+		if c.vars[p] != 0 {
+			continue
+		}
+		f := c.fanin[p]
+		a, b, out := sig(f[0]>>1), sig(f[1]>>1), sig(p)
+		ma, mb := -uint64(f[0]&1), -uint64(f[1]&1)
+		for w := range out {
+			out[w] = (a[w] ^ ma) & (b[w] ^ mb)
+		}
 	}
 
 	// Group nodes by normalized signature: if word 0 has bit 0 set, use the
 	// complemented signature (tracking the phase) so that complementary
 	// functions land in the same bucket.
 	type bucketKey string
-	normSig := func(n int32) (bucketKey, bool) {
-		s := sigs[n]
-		inv := s[0]&1 == 1
+	normSig := func(p int32) (bucketKey, int32) {
+		s := sig(p)
+		inv := s[0] & 1
 		buf := make([]byte, 0, len(s)*8)
 		for _, w := range s {
-			if inv {
-				w = ^w
-			}
+			w ^= -inv
 			for i := 0; i < 8; i++ {
 				buf = append(buf, byte(w>>(8*i)))
 			}
 		}
-		return bucketKey(buf), inv
+		return bucketKey(buf), int32(inv)
 	}
 	buckets := make(map[bucketKey][]int32)
 	var keys []bucketKey
-	for _, n := range cone { // cone is topologically sorted, so members are too
-		key, _ := normSig(n)
+	for p := int32(1); int(p) < len(c.fanin); p++ { // topological, so members are too
+		key, _ := normSig(p)
 		if _, seen := buckets[key]; !seen {
 			keys = append(keys, key)
 		}
-		buckets[key] = append(buckets[key], n)
+		buckets[key] = append(buckets[key], p)
 	}
 	// Deterministic class order: by topologically smallest representative.
 	sort.Slice(keys, func(i, j int) bool {
 		return buckets[keys[i]][0] < buckets[keys[j]][0]
 	})
 
-	// One immutable Tseitin encoding of the cone, shared by every worker.
-	// In oracle mode the persistent oracles already hold (or lazily extend)
-	// their own encodings, so the shared one is skipped entirely.
-	var formula *cnf.Formula
-	var nodeLit map[int32]cnf.Lit
-	if opt.Oracles == nil {
-		formula, nodeLit = g.coneCNF(r, 0)
-	}
-	litOf := func(e Ref) cnf.Lit {
-		if nodeLit == nil {
-			return 0
-		}
-		return nodeLit[e.node()].XorSign(e.Compl())
-	}
-
-	// Candidate list, in deterministic order: merge each class member into
-	// its representative. A representative is never itself merged away (each
-	// node sits in exactly one class), so candidates are mutually
-	// independent and can be checked in any order — or concurrently.
+	// Merge each class member into its representative. A representative is
+	// never itself merged away (each node sits in exactly one class), so
+	// candidates are mutually independent and can be checked in any order —
+	// or concurrently.
 	var cands []sweepCand
 	for _, key := range keys {
 		members := buckets[key]
 		if len(members) < 2 {
 			continue
 		}
-		repNode := members[0]
-		_, invRep := normSig(repNode)
-		repRef := Ref(repNode << 1).XorSign(invRep)
-		for _, n := range members[1:] {
-			_, invN := normSig(n)
-			nRef := Ref(n << 1).XorSign(invN)
+		rep := members[0]
+		_, invRep := normSig(rep)
+		repRef := Ref(c.nodes[rep-1]<<1 | invRep)
+		for _, p := range members[1:] {
+			_, inv := normSig(p)
 			cands = append(cands, sweepCand{
-				node:   n,
-				target: repRef.XorSign(invN),
-				lhs:    litOf(repRef),
-				rhs:    litOf(nRef),
+				lhs:    rep<<1 | invRep,
+				rhs:    p<<1 | inv,
 				lhsRef: repRef,
-				rhsRef: nRef,
+				rhsRef: Ref(c.nodes[p-1]<<1 | inv),
 			})
 		}
 	}
-	if len(cands) == 0 {
-		return r, stats
+	return cands, true
+}
+
+// checkCandidates decides every candidate on a pool of opt.Workers SAT
+// solvers and returns the verdicts, indexed like cands, with the pool's
+// stats (Merged left for the caller).
+//
+// Every refuted candidate yields a counterexample, and each worker simulates
+// its counterexamples over the cone, one per bit of a 64-bit word per
+// position. A later candidate those words already tell apart is refuted
+// without a SAT call. That skip only drops pairs SAT would refute too, so it
+// changes the time of a sweep, never its merges.
+func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, opt SweepOptions, expired func() bool) ([]candVerdict, SweepStats) {
+	var stats SweepStats
+	// One immutable Tseitin encoding of the cone, shared by every worker.
+	// In oracle mode the persistent oracles already hold (or lazily extend)
+	// their own encodings, so the shared one is skipped entirely.
+	var formula *cnf.Formula
+	var lits []cnf.Lit
+	if opt.Oracles == nil {
+		formula, lits = g.coneCNF(c, 0)
 	}
+	litOf := func(e int32) cnf.Lit { return lits[e>>1].XorSign(e&1 == 1) }
 
 	workers := opt.poolSize(len(cands))
 	stats.Workers = workers
-	proven := make([]bool, len(cands))
+	verdicts := make([]candVerdict, len(cands))
 
 	// runWorker checks cands[w], cands[w+workers], ... on a private solver.
 	// Static striding keeps each worker's query sequence — and therefore any
@@ -406,33 +507,66 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 			solver.ConflictBudget = opt.ConflictBudget
 			solver.Budget = opt.Budget
 		}
+		// Counterexample simulation: bit k of cex[p] is position p's value
+		// under counterexample k mod 64 (the newest overwrites the oldest).
+		// Once the first one is simulated, every column is the simulation of
+		// a full input assignment (columns not yet filled: all inputs
+		// false), so any column where lhs and rhs differ refutes the pair.
+		cex := make([]uint64, len(c.fanin))
+		ncex := 0
+		learn := func(val func(cnf.Var) bool) {
+			bit := uint64(1) << (ncex & 63)
+			for _, p := range c.inputs {
+				if val(c.vars[p]) {
+					cex[p] |= bit
+				} else {
+					cex[p] &^= bit
+				}
+			}
+			ncex++
+			c.simulate(cex)
+		}
 		for i := w; i < len(cands); i += workers {
 			if st.Candidates%8 == 0 && expired() {
 				break
 			}
 			st.Candidates++
-			c := cands[i]
+			cd := cands[i]
+			if ncex > 0 && edgeWord(cex, cd.lhs) != edgeWord(cex, cd.rhs) {
+				st.SimRefuted++
+				verdicts[i] = simRefuted
+				continue
+			}
 			if orc != nil {
-				ok, calls := orc.ProveEquiv(c.lhsRef, c.rhsRef, opt.ConflictBudget, opt.Budget)
+				ok, calls, val := orc.ProveEquiv(cd.lhsRef, cd.rhsRef, opt.ConflictBudget, opt.Budget)
 				st.SatCalls += calls
+				if val != nil {
+					learn(val)
+				}
 				if ok {
-					proven[i] = true
+					verdicts[i] = provenEq
 				}
 				continue
 			}
 			// lhs≠rhs ⇔ (lhs ∧ ¬rhs) ∨ (¬lhs ∧ rhs): query both branches
-			// via assumptions.
-			st.SatCalls++
-			s1, err := solver.SolveErr([]cnf.Lit{c.lhs, c.rhs.Not()})
-			if err != nil || s1 == sat.Sat {
-				continue
+			// via assumptions. Input variables keep their AIG numbers in the
+			// shared encoding, so a model reads off the counterexample as is.
+			lhs, rhs := litOf(cd.lhs), litOf(cd.rhs)
+			ok := true
+			for _, assumps := range [2][]cnf.Lit{{lhs, rhs.Not()}, {lhs.Not(), rhs}} {
+				st.SatCalls++
+				s, err := solver.SolveErr(assumps)
+				if err != nil || s != sat.Unsat {
+					ok = false
+					if s == sat.Sat {
+						learn(solver.Model().Get)
+					}
+					break
+				}
 			}
-			st.SatCalls++
-			s2, err := solver.SolveErr([]cnf.Lit{c.lhs.Not(), c.rhs})
-			if err != nil || s2 == sat.Sat {
-				continue
+			if ok {
+				verdicts[i] = provenEq
 			}
-			proven[i] = true
 		}
 		if orc != nil {
 			ab, compact1 := orc.Footprint()
@@ -447,59 +581,20 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 
 	if workers == 1 {
 		stats.Add(runWorker(0))
-	} else {
-		workerStats := make([]SweepStats, workers)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				workerStats[w] = runWorker(w)
-			}(w)
-		}
-		wg.Wait()
-		for _, st := range workerStats {
-			stats.Add(st)
-		}
+		return verdicts, stats
 	}
-
-	// Merge phase: apply proven equivalences in candidate order. Because the
-	// verdicts are independent, this reproduces the serial merge set exactly.
-	repl := make(map[int32]Ref, len(cands))
-	for i, c := range cands {
-		if proven[i] {
-			repl[c.node] = c.target
-			stats.Merged++
-		}
+	workerStats := make([]SweepStats, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			workerStats[w] = runWorker(w)
+		}(w)
 	}
-	if len(repl) == 0 {
-		return r, stats
+	wg.Wait()
+	for _, st := range workerStats {
+		stats.Add(st)
 	}
-
-	// Rebuild the cone applying replacements bottom-up.
-	rebuilt := make(map[int32]Ref, len(cone))
-	var rebuild func(e Ref) Ref
-	rebuild = func(e Ref) Ref {
-		n := e.node()
-		if n == 0 {
-			return e
-		}
-		if t, ok := repl[n]; ok {
-			// The replacement target itself may contain replaced nodes.
-			return rebuild(t).XorSign(e.Compl())
-		}
-		if out, ok := rebuilt[n]; ok {
-			return out.XorSign(e.Compl())
-		}
-		nd := g.nodes[n]
-		var out Ref
-		if nd.v != 0 {
-			out = Ref(n << 1)
-		} else {
-			out = g.And(rebuild(nd.f0), rebuild(nd.f1))
-		}
-		rebuilt[n] = out
-		return out.XorSign(e.Compl())
-	}
-	return rebuild(r), stats
+	return verdicts, stats
 }

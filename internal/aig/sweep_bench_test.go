@@ -24,3 +24,25 @@ func BenchmarkSweepSerial(b *testing.B)      { benchSweep(b, 1) }
 func BenchmarkSweepWorkers2(b *testing.B)    { benchSweep(b, 2) }
 func BenchmarkSweepWorkers4(b *testing.B)    { benchSweep(b, 4) }
 func BenchmarkSweepWorkersAuto(b *testing.B) { benchSweep(b, -1) }
+
+// BenchmarkSweepFalseCandidates sweeps a cone whose candidates are mostly
+// simulation-equal but inequivalent (see buildFalseCandidateCone), the case
+// counterexample simulation exists for: the reported satcalls/op and
+// simrefuted/op show how many refutations it took off the SAT solver.
+func BenchmarkSweepFalseCandidates(b *testing.B) {
+	b.ReportAllocs()
+	var st SweepStats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g := New()
+		r := buildFalseCandidateCone(g, 48)
+		b.StartTimer()
+		_, st = g.Sweep(r, SweepOptions{SimWords: 8, Workers: 1})
+		if st.SimRefuted == 0 {
+			b.Fatal("benchmark cone produced no simulation refutations")
+		}
+	}
+	b.ReportMetric(float64(st.Candidates), "candidates/op")
+	b.ReportMetric(float64(st.SatCalls), "satcalls/op")
+	b.ReportMetric(float64(st.SimRefuted), "simrefuted/op")
+}

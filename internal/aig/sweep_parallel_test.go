@@ -32,6 +32,35 @@ func buildRedundantCone(g *Graph, groups int) Ref {
 	return g.OrN(parts...)
 }
 
+// buildFalseCandidateCone constructs a cone full of simulation-equal but
+// inequivalent pairs: pairs f and f⊕m, where m is one minterm over all 16
+// inputs, which random simulation words almost never hit. Every pair shares
+// one of four minterms, so the counterexample SAT finds for the first pair
+// with a minterm refutes the later ones by simulation. The construction is
+// deterministic.
+func buildFalseCandidateCone(g *Graph, pairs int) Ref {
+	const inputs = 16
+	x := make([]Ref, inputs)
+	for i := range x {
+		x[i] = g.Input(cnf.Var(i + 1))
+	}
+	minterms := make([]Ref, 4)
+	for j := range minterms {
+		lits := make([]Ref, inputs)
+		for i := range lits {
+			lits[i] = x[i].XorSign((0x9e3779b9*uint32(j+1))>>i&1 == 1)
+		}
+		minterms[j] = g.AndN(lits...)
+	}
+	var parts []Ref
+	for i := 0; i < pairs; i++ {
+		a, b, c := x[i%inputs], x[(3*i+1)%inputs], x[(5*i+7)%inputs]
+		f := g.Xor(g.And(a, b.XorSign(i&1 == 1)), c)
+		parts = append(parts, f, g.Xor(f, minterms[i%len(minterms)]))
+	}
+	return g.OrN(parts...)
+}
+
 // TestSweepParallelMatchesSerial checks the determinism guarantee: with an
 // unlimited conflict budget, sweeping with a worker pool must prove exactly
 // the same equivalences — and rebuild exactly the same graph — as the serial
@@ -107,11 +136,28 @@ func TestSweepStatsCounters(t *testing.T) {
 	if st.Candidates < st.Merged {
 		t.Fatalf("candidates %d < merged %d", st.Candidates, st.Merged)
 	}
+
+	// A cone of simulation-equal but inequivalent pairs: counterexamples
+	// refute most of them without a SAT call.
+	gf := New()
+	_, fst := gf.Sweep(buildFalseCandidateCone(gf, 12), SweepOptions{SimWords: 8, Workers: 1})
+	if fst.SimRefuted == 0 {
+		t.Fatalf("false-candidate cone: no candidate refuted by simulation (%+v)", fst)
+	}
+	if fst.Merged+fst.SimRefuted > fst.Candidates {
+		t.Fatalf("merged %d + sim-refuted %d exceed candidates %d", fst.Merged, fst.SimRefuted, fst.Candidates)
+	}
+	if c := fst.Counters(); c["simrefuted"] != int64(fst.SimRefuted) || c["satcalls"] != int64(fst.SatCalls) {
+		t.Fatalf("Counters() = %v; want simrefuted %d, satcalls %d", c, fst.SimRefuted, fst.SatCalls)
+	}
+
 	// Aggregation across sweeps keeps peaks and sums.
 	var agg SweepStats
 	agg.Add(st)
-	agg.Add(SweepStats{SatCalls: 1, ArenaBytes: st.ArenaBytes / 2, Workers: 1})
-	if agg.SatCalls != st.SatCalls+1 || agg.ArenaBytes != st.ArenaBytes || agg.Workers != st.Workers {
+	agg.Add(fst)
+	agg.Add(SweepStats{SatCalls: 1, SimRefuted: 2, ArenaBytes: st.ArenaBytes / 2, Workers: 1})
+	if agg.SatCalls != st.SatCalls+fst.SatCalls+1 || agg.SimRefuted != st.SimRefuted+fst.SimRefuted+2 ||
+		agg.ArenaBytes != max(st.ArenaBytes, fst.ArenaBytes) || agg.Workers != st.Workers {
 		t.Fatalf("bad aggregation: %+v", agg)
 	}
 }

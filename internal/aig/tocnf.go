@@ -1,6 +1,8 @@
 package aig
 
 import (
+	"slices"
+
 	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/sat"
@@ -9,51 +11,82 @@ import (
 // CNFBuilder incrementally Tseitin-encodes AIG cones into a SAT solver,
 // reusing encodings across calls. It is the bridge between the AIG world and
 // the CDCL oracle (SAT sweeping, final SAT checks, iDQ verification).
+//
+// The encoding is closed under fanins: an encoded node's whole cone is
+// encoded. The AIG is append-only, so a Tseitin definition once pushed stays
+// valid forever, and each Lit call pushes only the delta of newly reachable
+// cone nodes.
 type CNFBuilder struct {
 	g       *Graph
 	s       *sat.Solver
-	nodeVar map[int32]cnf.Var // AIG node -> SAT variable
+	nodeVar []cnf.Var // AIG node -> SAT variable; 0 = not encoded
+	encoded int       // nodes with a SAT variable
+
+	stack, delta []int32 // Lit's scratch space
 }
+
+// pendingVar marks a node collected into Lit's delta but not yet encoded.
+const pendingVar cnf.Var = -1
 
 // NewCNFBuilder returns a builder encoding cones of g into s.
 func NewCNFBuilder(g *Graph, s *sat.Solver) *CNFBuilder {
-	return &CNFBuilder{g: g, s: s, nodeVar: make(map[int32]cnf.Var)}
+	return &CNFBuilder{g: g, s: s}
 }
 
 // EncodedNodes returns how many AIG nodes currently have SAT encodings in
-// this builder. The map only grows: the AIG is append-only, so a Tseitin
-// definition once pushed stays valid forever, and successive Lit calls add
-// only the delta of newly reachable cone nodes.
-func (b *CNFBuilder) EncodedNodes() int { return len(b.nodeVar) }
+// this builder. The count only grows.
+func (b *CNFBuilder) EncodedNodes() int { return b.encoded }
 
-// InputSATVar returns the SAT variable used for AIG input variable v,
-// allocating the encoding lazily. It allows callers to constrain inputs.
-func (b *CNFBuilder) InputSATVar(v cnf.Var) cnf.Var {
-	r := b.g.Input(v)
-	return b.nodeSATVar(r.node())
+// varOf returns the SAT variable of node n, or 0 if n is not encoded.
+func (b *CNFBuilder) varOf(n int32) cnf.Var {
+	if int(n) < len(b.nodeVar) {
+		return b.nodeVar[n]
+	}
+	return 0
 }
 
-func (b *CNFBuilder) nodeSATVar(n int32) cnf.Var {
-	if sv, ok := b.nodeVar[n]; ok {
-		return sv
+// InputValue returns the value of input variable v under the solver model m.
+// An input without an encoding occurs in no encoded cone, so any value is
+// consistent with m; it reads as false, and nothing is allocated for it.
+func (b *CNFBuilder) InputValue(m cnf.Assignment, v cnf.Var) bool {
+	r, ok := b.g.inputs[v]
+	if !ok {
+		return false
 	}
-	sv := b.s.NewVar()
-	b.nodeVar[n] = sv
-	return sv
+	sv := b.varOf(r.node())
+	return sv > 0 && m.Get(sv)
 }
 
 // Lit encodes the cone of r (if not yet encoded) and returns the SAT literal
-// equivalent to r.
+// equivalent to r. An encoded root returns at once. Otherwise a DFS that
+// stops at encoded nodes collects the unencoded part of the cone, which is
+// encoded in ascending node order, so SAT variables are numbered exactly as
+// if the whole cone were walked in topological order.
 func (b *CNFBuilder) Lit(r Ref) cnf.Lit {
-	if r.node() == 0 {
+	n := r.node()
+	if n == 0 || b.varOf(n) != 0 {
 		return b.edgeLit(r)
 	}
-	for _, n := range b.g.coneNodes(r) {
-		if _, done := b.nodeVar[n]; done {
-			continue
+	b.grow()
+	stack, delta := append(b.stack[:0], n), b.delta[:0]
+	b.nodeVar[n] = pendingVar
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		delta = append(delta, n)
+		if nd := &b.g.nodes[n]; nd.v == 0 {
+			for _, c := range [2]int32{nd.f0.node(), nd.f1.node()} {
+				if c != 0 && b.nodeVar[c] == 0 {
+					b.nodeVar[c] = pendingVar
+					stack = append(stack, c)
+				}
+			}
 		}
+	}
+	slices.Sort(delta)
+	for _, n := range delta {
+		sv := b.newVar(n)
 		nd := &b.g.nodes[n]
-		sv := b.nodeSATVar(n)
 		if nd.v != 0 {
 			continue // inputs are free variables
 		}
@@ -65,13 +98,33 @@ func (b *CNFBuilder) Lit(r Ref) cnf.Lit {
 		b.s.AddClause(gl.Not(), c)
 		b.s.AddClause(gl, a.Not(), c.Not())
 	}
+	b.stack, b.delta = stack, delta
 	return b.edgeLit(r)
+}
+
+// grow extends nodeVar to cover every node of the graph.
+func (b *CNFBuilder) grow() {
+	if n := len(b.g.nodes); len(b.nodeVar) < n {
+		b.nodeVar = append(b.nodeVar, make([]cnf.Var, n-len(b.nodeVar))...)
+	}
+}
+
+// newVar allocates the SAT variable of node n.
+func (b *CNFBuilder) newVar(n int32) cnf.Var {
+	sv := b.s.NewVar()
+	b.nodeVar[n] = sv
+	b.encoded++
+	return sv
 }
 
 func (b *CNFBuilder) edgeLit(e Ref) cnf.Lit {
 	n := e.node()
 	if n == 0 {
-		tv := b.nodeSATVar(0)
+		b.grow()
+		tv := b.nodeVar[0]
+		if tv == 0 {
+			tv = b.newVar(0)
+		}
 		b.s.AddClause(cnf.PosLit(tv))
 		// Ref 0 = false, Ref 1 = true.
 		return cnf.NewLit(tv, !e.Compl())
@@ -92,41 +145,39 @@ func (g *Graph) ToFormula(r Ref, maxInputVar cnf.Var) (*cnf.Formula, cnf.Lit) {
 		f.AddClause(cnf.PosLit(t))
 		return f, cnf.NewLit(t, !r.Compl())
 	}
-	f, nodeLit := g.coneCNF(r, maxInputVar)
-	return f, nodeLit[r.node()].XorSign(r.Compl())
+	f, lits := g.coneCNF(g.indexCone(r), maxInputVar)
+	// The root is the cone's largest node, so it holds the last position.
+	return f, lits[len(lits)-1].XorSign(r.Compl())
 }
 
-// coneCNF Tseitin-encodes the whole cone of r into a standalone CNF formula
-// and returns, along with it, the positive literal of every cone node. Input
-// variables keep their AIG variable numbers; gate variables are allocated
-// above maxInputVar (raised to the largest support variable if needed).
+// coneCNF Tseitin-encodes a whole indexed cone into a standalone CNF formula
+// and returns, along with it, the positive literal of every cone position.
+// Input variables keep their AIG variable numbers; gate variables are
+// allocated above maxInputVar (raised to the largest support variable if
+// needed), in ascending node order.
 //
 // The formula is immutable once built, which lets SAT-sweeping workers load
 // identical private solvers from one shared encoding (see sweep.go).
-func (g *Graph) coneCNF(r Ref, maxInputVar cnf.Var) (*cnf.Formula, map[int32]cnf.Lit) {
-	for v := range g.Support(r) {
-		if v > maxInputVar {
-			maxInputVar = v
-		}
+func (g *Graph) coneCNF(c *coneIndex, maxInputVar cnf.Var) (*cnf.Formula, []cnf.Lit) {
+	if n := len(c.inputs); n > 0 {
+		maxInputVar = max(maxInputVar, c.vars[c.inputs[n-1]])
 	}
 	f := cnf.NewFormula(int(maxInputVar))
-	nodeLit := make(map[int32]cnf.Lit)
-	for _, n := range g.coneNodes(r) {
-		nd := &g.nodes[n]
-		if nd.v != 0 {
-			nodeLit[n] = cnf.PosLit(nd.v)
+	lits := make([]cnf.Lit, len(c.fanin))
+	edgeLit := func(e int32) cnf.Lit { return lits[e>>1].XorSign(e&1 == 1) }
+	for p := 1; p < len(lits); p++ {
+		if v := c.vars[p]; v != 0 {
+			lits[p] = cnf.PosLit(v)
 			continue
 		}
-		gv := f.NewVar()
-		gl := cnf.PosLit(gv)
-		a := nodeLit[nd.f0.node()].XorSign(nd.f0.Compl())
-		c := nodeLit[nd.f1.node()].XorSign(nd.f1.Compl())
+		gl := cnf.PosLit(f.NewVar())
+		a, b := edgeLit(c.fanin[p][0]), edgeLit(c.fanin[p][1])
 		f.AddClause(gl.Not(), a)
-		f.AddClause(gl.Not(), c)
-		f.AddClause(gl, a.Not(), c.Not())
-		nodeLit[n] = gl
+		f.AddClause(gl.Not(), b)
+		f.AddClause(gl, a.Not(), b.Not())
+		lits[p] = gl
 	}
-	return f, nodeLit
+	return f, lits
 }
 
 // IsSatisfiable checks satisfiability of the function rooted at r with the
@@ -164,8 +215,7 @@ func (g *Graph) IsSatisfiableBudget(r Ref, bud *budget.Budget) (bool, map[cnf.Va
 	m := s.Model()
 	out := make(map[cnf.Var]bool)
 	for v := range g.Support(r) {
-		sv := b.nodeVar[g.Input(v).node()]
-		out[v] = m.Get(sv)
+		out[v] = b.InputValue(m, v)
 	}
 	return true, out, nil
 }

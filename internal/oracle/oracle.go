@@ -184,7 +184,7 @@ func (o *Oracle) IsSatisfiable(r aig.Ref, bud *budget.Budget) (bool, map[cnf.Var
 	m := o.s.Model()
 	out := make(map[cnf.Var]bool)
 	for v := range o.g.Support(r) {
-		out[v] = m.Get(o.b.InputSATVar(v))
+		out[v] = o.b.InputValue(m, v)
 	}
 	return true, out, nil
 }
@@ -192,21 +192,24 @@ func (o *Oracle) IsSatisfiable(r aig.Ref, bud *budget.Budget) (bool, map[cnf.Var
 // ProveEquiv implements aig.SweepOracle: it reports whether the functions
 // rooted at lhs and rhs are equivalent, by refuting both directions of
 // lhs≠rhs with assumption queries. Budget exhaustion and injected faults
-// yield false (unproven), which sweeping treats soundly by not merging.
-func (o *Oracle) ProveEquiv(lhs, rhs aig.Ref, conflictBudget int64, bud *budget.Budget) (bool, int) {
+// yield false (unproven), which sweeping treats soundly by not merging. A
+// satisfiable query is a counterexample, returned as cex: the model's value
+// of each input variable, valid until the oracle's next query.
+func (o *Oracle) ProveEquiv(lhs, rhs aig.Ref, conflictBudget int64, bud *budget.Budget) (proven bool, calls int, cex func(cnf.Var) bool) {
 	ll := o.b.Lit(lhs)
 	rl := o.b.Lit(rhs)
-	calls := 1
-	s1, err := o.query([]cnf.Lit{ll, rl.Not()}, conflictBudget, bud)
-	if err != nil || s1 != sat.Unsat {
-		return false, calls
+	for _, assumps := range [2][]cnf.Lit{{ll, rl.Not()}, {ll.Not(), rl}} {
+		calls++
+		st, err := o.query(assumps, conflictBudget, bud)
+		if err != nil || st == sat.Unknown {
+			return false, calls, nil
+		}
+		if st == sat.Sat {
+			m := o.s.Model()
+			return false, calls, func(v cnf.Var) bool { return o.b.InputValue(m, v) }
+		}
 	}
-	calls++
-	s2, err := o.query([]cnf.Lit{ll.Not(), rl}, conflictBudget, bud)
-	if err != nil || s2 != sat.Unsat {
-		return false, calls
-	}
-	return true, calls
+	return true, calls, nil
 }
 
 // Footprint implements aig.SweepOracle.

@@ -159,7 +159,8 @@ func TestScopeRetraction(t *testing.T) {
 }
 
 // TestProveEquiv checks both verdicts of the sweep-oracle interface on
-// structurally distinct roots.
+// structurally distinct roots, and that a refutation exposes a true
+// counterexample.
 func TestProveEquiv(t *testing.T) {
 	g := aig.New()
 	a, b := g.Input(1), g.Input(2)
@@ -170,21 +171,63 @@ func TestProveEquiv(t *testing.T) {
 	if redundant == ab {
 		t.Fatal("test needs structurally distinct, semantically equal roots")
 	}
-	proven, calls := o.ProveEquiv(ab, redundant, 0, nil)
-	if !proven || calls != 2 {
-		t.Fatalf("ProveEquiv(a∧b, (a∧b)∧a) = %v in %d calls; want proven in 2", proven, calls)
+	proven, calls, cex := o.ProveEquiv(ab, redundant, 0, nil)
+	if !proven || calls != 2 || cex != nil {
+		t.Fatalf("ProveEquiv(a∧b, (a∧b)∧a) = %v in %d calls (cex %v); want proven in 2, no cex",
+			proven, calls, cex != nil)
 	}
 
-	proven, calls = o.ProveEquiv(ab, a, 0, nil)
-	if proven {
-		t.Fatal("ProveEquiv(a∧b, a) must fail")
-	}
-	if calls < 1 || calls > 2 {
-		t.Fatalf("calls = %d; want 1 or 2", calls)
+	for _, pair := range [][2]aig.Ref{{ab, a}, {a, ab}, {ab, b.Not()}} {
+		lhs, rhs := pair[0], pair[1]
+		proven, calls, cex = o.ProveEquiv(lhs, rhs, 0, nil)
+		if proven {
+			t.Fatalf("ProveEquiv(%v, %v) must fail", lhs, rhs)
+		}
+		if calls < 1 || calls > 2 {
+			t.Fatalf("calls = %d; want 1 or 2", calls)
+		}
+		if cex == nil {
+			t.Fatalf("ProveEquiv(%v, %v): refuted without a counterexample", lhs, rhs)
+		}
+		if g.Eval(lhs, cex) == g.Eval(rhs, cex) {
+			t.Fatalf("ProveEquiv(%v, %v): counterexample a=%v b=%v does not separate them",
+				lhs, rhs, cex(1), cex(2))
+		}
 	}
 
 	if arena, _ := o.Footprint(); arena <= 0 {
 		t.Fatalf("Footprint arena = %d; want > 0", arena)
+	}
+}
+
+// TestLitDeltaOnly checks the persistent oracle's encoding through its
+// solver: re-asking for an encoded root adds no variables and no clauses,
+// and a super-cone adds exactly its new nodes.
+func TestLitDeltaOnly(t *testing.T) {
+	g := aig.New()
+	a, b, c := g.Input(1), g.Input(2), g.Input(3)
+	ab := g.And(a, b)
+	o := oracle.New(g)
+
+	l := o.Lit(ab)
+	vars, clauses, encoded := o.Solver().NumVars(), o.Solver().NumClauses(), o.Stats().EncodedNodes
+	if encoded != 3 {
+		t.Fatalf("EncodedNodes = %d after a∧b; want 3", encoded)
+	}
+	if o.Lit(ab) != l || o.Lit(ab.Not()) != l.Not() {
+		t.Fatal("a second Lit on an encoded root must return the same literal")
+	}
+	if o.Solver().NumVars() != vars || o.Solver().NumClauses() != clauses {
+		t.Fatalf("second Lit grew the solver: vars %d→%d, clauses %d→%d",
+			vars, o.Solver().NumVars(), clauses, o.Solver().NumClauses())
+	}
+
+	o.Lit(g.And(ab, c)) // new: c and the top AND
+	if got := o.Stats().EncodedNodes; got != encoded+2 {
+		t.Fatalf("EncodedNodes = %d after the super-cone; want %d", got, encoded+2)
+	}
+	if got := o.Solver().NumVars(); got != vars+2 {
+		t.Fatalf("NumVars = %d after the super-cone; want %d", got, vars+2)
 	}
 }
 
@@ -206,7 +249,7 @@ func TestPoolWorkerIdentity(t *testing.T) {
 		t.Fatal("distinct worker indices must get distinct oracles")
 	}
 
-	if proven, _ := w0.ProveEquiv(ab, redundant, 0, nil); !proven {
+	if proven, _, _ := w0.ProveEquiv(ab, redundant, 0, nil); !proven {
 		t.Fatal("worker oracle failed a provable equivalence")
 	}
 	if ok, _, err := p.Main().IsSatisfiable(ab, nil); !ok || err != nil {

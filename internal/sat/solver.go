@@ -173,6 +173,11 @@ func New() *Solver {
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return s.numVars }
 
+// NumClauses returns the number of problem clauses attached to the solver.
+// Unit clauses are assigned at the top level, not stored, so they do not
+// count.
+func (s *Solver) NumClauses() int { return s.numProblem }
+
 // NumLearnts returns the number of learned clauses currently in the database.
 func (s *Solver) NumLearnts() int { return s.numLearnts }
 
