@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep baseline bench-gate bench-gate-quick bench-compare
+.PHONY: build test race vet check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep baseline bench-gate bench-gate-quick bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -116,3 +116,9 @@ bench-gate-quick:
 # Diff two committed baselines: make bench-compare OLD=BENCH_pr1.json NEW=BENCH_pr6.json
 bench-compare:
 	$(GO) run ./cmd/dqbfbench -compare $(OLD),$(NEW)
+
+# Size of the design: non-test Go lines (perfbench/ excluded) and the
+# exported func/method counts of the service and core packages.
+loc:
+	@echo "non-test Go lines: $$(cat $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/') | wc -l)"
+	@for p in service core; do echo "exported $$p funcs/methods: $$($(GO) doc -all ./internal/$$p | grep -c '^func')"; done

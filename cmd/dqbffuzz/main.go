@@ -1,13 +1,13 @@
 // Command dqbffuzz cross-checks every solver in this repository on random
 // DQBF instances: HQS under several option sets, the iDQ-style
 // instantiation solver (including its Skolem certificates), the
-// definition-extraction engine (both interpolation and semantic extraction
-// modes), full expansion, the incomplete refuter, and — within reach — the
-// brute-force Skolem-table enumeration. Any disagreement is printed as a
-// DQDIMACS reproduction and the process exits nonzero.
+// definition-extraction engine, full expansion, the incomplete refuter,
+// and — within reach — the brute-force Skolem-table enumeration. Any
+// disagreement is printed as a DQDIMACS reproduction and the process exits
+// nonzero.
 //
 // iDQ certificates are always re-checked through the independent checker
-// (internal/cert); with -cert every HQS variant and both defex modes
+// (internal/cert); with -cert every HQS variant and the defex engine
 // additionally extract a Skolem certificate on SAT and have it checked the
 // same way, so a single run validates certificates from every
 // certificate-producing engine. A rejected certificate prints its Skolem
@@ -83,24 +83,17 @@ func main() {
 				}
 			}
 		}
-		defexModes := map[string]defex.Mode{
-			"defex-interp":   defex.ModeInterp,
-			"defex-semantic": defex.ModeSemantic,
-		}
-		for name, mode := range defexModes {
-			dres := defex.New(defex.Options{Mode: mode, Certify: *certify}).Solve(f)
-			if dres.Status != defex.Solved {
-				fail(f, fmt.Sprintf("%s did not finish: %v", name, dres.Status))
-				bad++
-				continue
-			}
-			verdicts[name] = dres.Sat
+		if dres := defex.New(defex.Options{Certify: *certify}).Solve(f); dres.Status != defex.Solved {
+			fail(f, fmt.Sprintf("defex did not finish: %v", dres.Status))
+			bad++
+		} else {
+			verdicts["defex"] = dres.Sat
 			if *certify && dres.Sat {
 				if dres.CertErr != nil {
-					fail(f, fmt.Sprintf("%s certificate extraction failed: %v", name, dres.CertErr))
+					fail(f, fmt.Sprintf("defex certificate extraction failed: %v", dres.CertErr))
 					bad++
 				} else if err := cert.Check(f, dres.Certificate); err != nil {
-					failCert(f, fmt.Sprintf("%s certificate rejected: %v", name, err), dres.Certificate)
+					failCert(f, fmt.Sprintf("defex certificate rejected: %v", err), dres.Certificate)
 					bad++
 				}
 			}

@@ -131,7 +131,6 @@ func main() {
 	opt.Budget = bud
 	opt.Trace = sink
 	opt.Certify = *certFlag
-	opt.NodeLimit = *nodeLimit
 	opt.Preprocess = !*noPre
 	opt.DetectGates = !*noGates && !*noPre
 	opt.UnitPure = !*noUnitPure

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/budget"
 	"repro/internal/cnf"
@@ -144,13 +143,10 @@ type SweepOptions struct {
 	// ConflictBudget per SAT equivalence query; on budget exhaustion the
 	// pair is conservatively treated as inequivalent. <=0 means unlimited.
 	ConflictBudget int64
-	// Deadline, when nonzero, aborts the candidate loop once passed; merges
-	// proven so far are still applied (the result stays equivalent).
-	Deadline time.Time
-	// Budget, when non-nil, likewise aborts the candidate loop when stopped
+	// Budget, when non-nil, aborts the candidate loop when stopped
 	// (cancellation, deadline, caps) and is polled inside each worker's SAT
-	// queries for prompt cancellation mid-query. As with Deadline, merges
-	// proven before the stop are still applied.
+	// queries for prompt cancellation mid-query. Merges proven before the
+	// stop are still applied (the result stays equivalent).
 	Budget *budget.Budget
 	// Workers is the size of the SAT worker pool checking candidate pairs.
 	// 0 or 1 runs serially; negative values use runtime.GOMAXPROCS(0). Every
@@ -158,7 +154,7 @@ type SweepOptions struct {
 	// encoding of the cone, and candidate pairs are assigned by static
 	// striding, so the proven-equivalence set is deterministic for a fixed
 	// worker count — and identical across worker counts whenever no query
-	// exhausts ConflictBudget or the Deadline (pair verdicts are independent
+	// exhausts ConflictBudget or the Budget (pair verdicts are independent
 	// of each other; only budget exhaustion is history-sensitive).
 	Workers int
 	// Oracles, when non-nil, replaces the per-sweep private solvers: worker
@@ -291,13 +287,10 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 	}
 	var stop atomic.Bool
 	expired := func() bool {
-		if opt.Deadline.IsZero() && opt.Budget == nil {
-			return false
-		}
 		if stop.Load() {
 			return true
 		}
-		if (!opt.Deadline.IsZero() && time.Now().After(opt.Deadline)) || opt.Budget.Stopped() {
+		if opt.Budget.Stopped() {
 			stop.Store(true)
 			return true
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/problem"
 	"repro/internal/trace"
@@ -59,18 +60,18 @@ type AblationRow struct {
 }
 
 // RunAblation runs every variant over the instances sequentially (one
-// variant at a time, so timings are comparable). Every solve runs with a
-// trace recorder so each row also carries its per-pass time breakdown.
+// variant at a time, so timings are comparable), each solve under a fresh
+// budget of the given timeout and node cap. Every solve runs with a trace
+// recorder so each row also carries its per-pass time breakdown.
 func RunAblation(instances []Instance, variants []AblationVariant, timeout time.Duration, nodeLimit int) []AblationRow {
 	var rows []AblationRow
 	for _, v := range variants {
 		row := AblationRow{Name: v.Name, PassSeconds: make(map[string]float64)}
 		opt := v.Opt
-		opt.Timeout = timeout
-		opt.NodeLimit = nodeLimit
 		for _, inst := range instances {
 			rec := trace.NewRecorder(0)
 			opt.Trace = rec
+			opt.Budget = budget.New(budget.Limits{Timeout: timeout, Nodes: nodeLimit})
 			start := time.Now()
 			res := core.New(opt).Solve(problem.FromDQBF(inst.Formula))
 			sec := time.Since(start).Seconds()

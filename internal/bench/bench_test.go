@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/dqbf"
 )
 
@@ -212,6 +213,81 @@ func TestExtensionFamilies(t *testing.T) {
 		row := TableI(c)[0]
 		if row.HQS.Solved == 0 {
 			t.Fatalf("%s: HQS solved nothing", f)
+		}
+	}
+}
+
+// pigeonholeDQBF encodes PHP(n+1, n) as an existential-only DQBF: n+1
+// pigeons into n holes, unsatisfiable, and hard for CDCL from n ≈ 10 on.
+func pigeonholeDQBF(n int) *dqbf.Formula {
+	f := dqbf.New()
+	v := cnf.Var(0)
+	p := make([][]cnf.Var, n+1)
+	for i := range p {
+		p[i] = make([]cnf.Var, n)
+		for j := range p[i] {
+			v++
+			f.AddExistential(v)
+			p[i][j] = v
+		}
+	}
+	for i := 0; i <= n; i++ {
+		c := make([]cnf.Lit, 0, n)
+		for j := 0; j < n; j++ {
+			c = append(c, cnf.PosLit(p[i][j]))
+		}
+		f.Matrix.AddClause(c...)
+	}
+	for j := 0; j < n; j++ {
+		for i := 0; i <= n; i++ {
+			for k := i + 1; k <= n; k++ {
+				f.Matrix.AddClause(cnf.NegLit(p[i][j]), cnf.NegLit(p[k][j]))
+			}
+		}
+	}
+	return f
+}
+
+// withFinalSATGadget adds a universal x and two existentials depending on
+// it, tied into the first pigeon's clause: (z1 ∨ p00)(¬z1 ∨ x ∨ p01)
+// (z2 ∨ p03)(¬z2 ∨ ¬x ∨ p02). Theorem 2 eliminates z1 and z2 but leaves x
+// in the support, so the pigeon variables (empty dependency sets) are not
+// eliminated one by one; the QBF back end gets ∃p ∀x, drops x, and decides
+// the pigeonhole part with one final SAT call.
+func withFinalSATGadget(f *dqbf.Formula, n int) *dqbf.Formula {
+	p := func(i, j int) cnf.Var { return cnf.Var(i*n + j + 1) }
+	top := cnf.Var(f.Matrix.NumVars)
+	x, z1, z2 := top+1, top+2, top+3
+	f.AddUniversal(x)
+	f.AddExistential(z1, x)
+	f.AddExistential(z2, x)
+	f.Matrix.AddClause(cnf.PosLit(z1), cnf.PosLit(p(0, 0)))
+	f.Matrix.AddClause(cnf.NegLit(z1), cnf.PosLit(x), cnf.PosLit(p(0, 1)))
+	f.Matrix.AddClause(cnf.PosLit(z2), cnf.PosLit(p(0, 3)))
+	f.Matrix.AddClause(cnf.NegLit(z2), cnf.NegLit(x), cnf.PosLit(p(0, 2)))
+	return f
+}
+
+// TestRunHQSTimeout: a 100 ms per-instance timeout on PHP(12,11) must end
+// the run as TO well within 2 s. The existential-only formula is decided
+// by Theorem-2 eliminations, which poll the budget between steps; the
+// gadget variant spends its time in one final CDCL call, which the timeout
+// must interrupt.
+func TestRunHQSTimeout(t *testing.T) {
+	for name, f := range map[string]*dqbf.Formula{
+		"existential-only": pigeonholeDQBF(11),
+		"final-sat":        withFinalSATGadget(pigeonholeDQBF(11), 11),
+	} {
+		opt := DefaultRunOptions()
+		opt.Timeout = 100 * time.Millisecond
+		start := time.Now()
+		r := RunHQS(Instance{Name: name, Formula: f}, opt)
+		wall := time.Since(start)
+		if r.Outcome != OutcomeTimeout {
+			t.Errorf("%s: outcome %v (sat=%v) after %v, want TO", name, r.Outcome, r.Sat, wall)
+		}
+		if wall > 2*time.Second {
+			t.Errorf("%s: 100ms timeout took %v to stop the solve", name, wall)
 		}
 	}
 }

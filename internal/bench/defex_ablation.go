@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/defex"
 )
 
@@ -15,13 +16,12 @@ type DefexVariant struct {
 }
 
 // DefexAblationVariants returns the definition-extraction ablations: the
-// interpolation extractor vs the semantic (enumeration) extractor, a single
-// definability round vs the fixpoint, and the certified configuration (which
-// pays for recording the definition trail and the residual Skolem tables).
+// default engine, a single definability round vs the fixpoint, and the
+// certified configuration (which pays for recording the definition trail and
+// the residual Skolem tables).
 func DefexAblationVariants() []DefexVariant {
 	return []DefexVariant{
-		{Name: "defex(interp)", Opt: defex.Options{Mode: defex.ModeInterp}},
-		{Name: "extract=semantic", Opt: defex.Options{Mode: defex.ModeSemantic}},
+		{Name: "defex(interp)", Opt: defex.Options{}},
 		{Name: "rounds=1", Opt: defex.Options{MaxRounds: 1}},
 		{Name: "certify=on", Opt: defex.Options{Certify: true}},
 	}
@@ -38,8 +38,8 @@ type DefexRow struct {
 	// existentials eliminated by substitution (constants included).
 	Checks  int
 	Defined int
-	// InterpFallbacks counts interpolation extractions that failed
-	// verification and fell back to the semantic extractor.
+	// InterpFallbacks counts interpolants that failed verification, leaving
+	// their variable to the residual expansion.
 	InterpFallbacks int
 	// ExpandUsed counts instances whose residual needed universal expansion —
 	// how often definability alone did not finish the job.
@@ -47,15 +47,15 @@ type DefexRow struct {
 }
 
 // RunDefexAblation runs every defex variant over the instances sequentially
-// (one variant at a time, so timings are comparable).
+// (one variant at a time, so timings are comparable), each solve under a
+// fresh budget of the given timeout and node cap.
 func RunDefexAblation(instances []Instance, variants []DefexVariant, timeout time.Duration, nodeLimit int) []DefexRow {
 	var rows []DefexRow
 	for _, v := range variants {
 		row := DefexRow{Name: v.Name}
 		opt := v.Opt
-		opt.Timeout = timeout
-		opt.NodeLimit = nodeLimit
 		for _, inst := range instances {
+			opt.Budget = budget.New(budget.Limits{Timeout: timeout, Nodes: nodeLimit})
 			start := time.Now()
 			res := defex.New(opt).Solve(inst.Formula)
 			sec := time.Since(start).Seconds()

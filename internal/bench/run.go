@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/core"
 	"repro/internal/idq"
 	"repro/internal/problem"
@@ -76,8 +77,8 @@ type RunOptions struct {
 	HQSNodeLimit int
 	// IDQMaxInstantiations bounds the iDQ abstraction (its memout analogue).
 	IDQMaxInstantiations int
-	// HQSOptions configure the HQS solver (strategy ablations); Timeout and
-	// NodeLimit fields are overridden by the budgets above.
+	// HQSOptions configure the HQS solver (strategy ablations); its Budget
+	// is replaced per solve by one built from the limits above.
 	HQSOptions core.Options
 	// Parallelism is the number of concurrent instance runs (0 = NumCPU).
 	Parallelism int
@@ -96,8 +97,7 @@ func DefaultRunOptions() RunOptions {
 // RunHQS runs HQS on one instance.
 func RunHQS(inst Instance, opt RunOptions) RunResult {
 	o := opt.HQSOptions
-	o.Timeout = opt.Timeout
-	o.NodeLimit = opt.HQSNodeLimit
+	o.Budget = budget.New(budget.Limits{Timeout: opt.Timeout, Nodes: opt.HQSNodeLimit})
 	start := time.Now()
 	res := core.New(o).Solve(problem.FromDQBF(inst.Formula))
 	sw := res.Stats.Sweep
@@ -134,8 +134,8 @@ func RunHQS(inst Instance, opt RunOptions) RunResult {
 func RunIDQ(inst Instance, opt RunOptions) RunResult {
 	start := time.Now()
 	res := idq.New(idq.Options{
-		Timeout:           opt.Timeout,
 		MaxInstantiations: opt.IDQMaxInstantiations,
+		Budget:            budget.New(budget.Limits{Timeout: opt.Timeout}),
 	}).Solve(inst.Formula)
 	rr := RunResult{
 		Instance: inst.Name,

@@ -91,14 +91,6 @@ func WithTimeout(d time.Duration) *Budget {
 	return New(Limits{Timeout: d})
 }
 
-// Deadline returns the wall-clock deadline (zero if none). Nil-safe.
-func (b *Budget) Deadline() time.Time {
-	if b == nil {
-		return time.Time{}
-	}
-	return b.deadline
-}
-
 // NodeCap returns the AIG node cap (0 if none). Nil-safe.
 func (b *Budget) NodeCap() int {
 	if b == nil {

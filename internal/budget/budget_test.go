@@ -17,7 +17,7 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 	if b.ConflictsUsed() != 0 || b.DecisionsUsed() != 0 {
 		t.Fatal("nil budget counts nothing")
 	}
-	if !b.Deadline().IsZero() || b.NodeCap() != 0 {
+	if b.NodeCap() != 0 {
 		t.Fatal("nil budget has no limits")
 	}
 	if b.Done() != nil {
@@ -51,10 +51,10 @@ func TestDeadline(t *testing.T) {
 	if b2.Stopped() {
 		t.Fatal("1h budget stopped immediately")
 	}
-	if b2.Deadline().IsZero() {
+	if b2.deadline.IsZero() {
 		t.Fatal("WithTimeout must set a deadline")
 	}
-	if WithTimeout(0).Deadline() != (time.Time{}) {
+	if !WithTimeout(0).deadline.IsZero() {
 		t.Fatal("WithTimeout(0) must be deadline-free")
 	}
 }
@@ -88,7 +88,7 @@ func TestErrPrecedence(t *testing.T) {
 func TestChild(t *testing.T) {
 	b := New(Limits{Conflicts: 7, Nodes: 42, Deadline: time.Now().Add(time.Hour)})
 	c := b.Child()
-	if c.NodeCap() != 42 || c.Deadline() != b.Deadline() {
+	if c.NodeCap() != 42 || c.deadline != b.deadline {
 		t.Fatal("child must inherit limits")
 	}
 	c.Cancel()

@@ -102,11 +102,6 @@ type Options struct {
 	Workers int
 	// QBF configures the back-end QBF solver.
 	QBF qbf.Options
-	// NodeLimit bounds the AIG size (the analogue of the paper's 8 GB
-	// memory limit); 0 means unlimited.
-	NodeLimit int
-	// Timeout bounds wall-clock solving time; 0 means unlimited.
-	Timeout time.Duration
 	// Certify records Skolem reconstruction steps during the solve and, on a
 	// SAT verdict, extracts a per-existential Skolem certificate into
 	// Result.Certificate (see internal/cert). Recording does not perturb the
@@ -118,11 +113,12 @@ type Options struct {
 	// differential testing and A/B benchmarking; verdicts are identical
 	// either way.
 	FreshOracle bool
-	// Budget, when non-nil, makes the solve cancellable and budgeted: the
-	// pipeline runner, the MaxSAT elimination-set selection, SAT sweeps, and
-	// the QBF back end (including its final SAT call) poll it and unwind
-	// with status Timeout (deadline) or Cancelled (cancel, conflict/decision
-	// caps); its node cap tightens NodeLimit (status Memout).
+	// Budget, when non-nil, is the solve's only bound: the pipeline runner,
+	// the MaxSAT elimination-set selection, SAT sweeps, and the QBF back end
+	// (including its final SAT call) poll it and unwind with status Timeout
+	// (deadline) or Cancelled (cancel, conflict/decision caps); its node cap
+	// is the AIG's node limit (the analogue of the paper's 8 GB memory
+	// limit; status Memout). Nil means unlimited.
 	Budget *budget.Budget
 	// Trace, when non-nil, receives one structured event per executed
 	// pipeline pass (this pipeline and the QBF back end's).
@@ -191,11 +187,8 @@ type Solver struct {
 // New returns a solver with the given options.
 func New(opt Options) *Solver { return &Solver{Opt: opt} }
 
-// errTimeout is used internally to unwind on deadline.
-var errTimeout = errors.New("core: timeout")
-
-// budgetStop unwinds the solve when the shared budget is exhausted; err is
-// the budget's reason.
+// budgetStop unwinds the solve when the budget stops it; err is the
+// pipeline's stop error (pipeline.ErrTimeout or pipeline.ErrCancelled).
 type budgetStop struct{ err error }
 
 // Solve decides the ingested problem by assembling and running the standard
@@ -205,33 +198,21 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 	start := time.Now()
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
-	deadline := s.Opt.Budget.Deadline()
-	if s.Opt.Timeout > 0 {
-		if d := start.Add(s.Opt.Timeout); deadline.IsZero() || d.Before(deadline) {
-			deadline = d
-		}
-	}
 	// Passes unwind via panic on resource exhaustion (aig.ErrNodeLimit) and
-	// via stop errors otherwise; run below converts stop errors into the
-	// sentinels this recover maps onto statuses. Panicking keeps the
-	// assembly free of error plumbing.
+	// via stop errors otherwise; run below wraps stop errors in budgetStop,
+	// which this recover maps onto statuses. Panicking keeps the assembly
+	// free of error plumbing.
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
 		case aig.ErrNodeLimit:
 			res.Status = Memout
 		case budgetStop:
-			if errors.Is(r.err, budget.ErrDeadline) {
+			if errors.Is(r.err, pipeline.ErrTimeout) {
 				res.Status = Timeout
 			} else {
 				res.Status = Cancelled
 			}
-		case error:
-			if r == errTimeout {
-				res.Status = Timeout
-				return
-			}
-			panic(r)
 		default:
 			panic(r)
 		}
@@ -242,23 +223,21 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 	}
 	work := p.Formula.Clone()
 	st := &pipeline.State{
-		Prefix:   pipeline.FormulaPrefix{F: work},
-		Budget:   s.Opt.Budget,
-		Deadline: deadline,
-		Workers:  s.Opt.Workers,
-		Problem:  p,
+		Prefix:  pipeline.FormulaPrefix{F: work},
+		Budget:  s.Opt.Budget,
+		Workers: s.Opt.Workers,
+		Problem: p,
 	}
 	if s.Opt.Certify {
 		st.Cert = cert.NewBuilder()
 	}
 	r := pipeline.NewRunner(st, s.Opt.Trace, "hqs")
 	px := &hqsPipeline{
-		s:        s,
-		st:       st,
-		work:     work,
-		res:      &res,
-		deadline: deadline,
-		sweep:    pipeline.NewSweepPass(s.Opt.SweepThreshold, s.Opt.SweepOptions),
+		s:     s,
+		st:    st,
+		work:  work,
+		res:   &res,
+		sweep: pipeline.NewSweepPass(s.Opt.SweepThreshold, s.Opt.SweepOptions),
 	}
 	// Fold the pipeline's per-pass totals into the stats the paper reports;
 	// deferred so budget-stopped solves report partial counters too.
@@ -276,19 +255,15 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 		}
 	}()
 
-	// run executes one pass, converting pipeline stop errors into the
-	// unwind sentinels; unexpected pass failures are solver bugs (or
-	// injected faults) and escalate to a panic the service layer contains.
+	// run executes one pass, unwinding on a pipeline stop error;
+	// unexpected pass failures are solver bugs (or injected faults) and
+	// escalate to a panic the service layer contains.
 	run := func(p pipeline.Pass) {
 		if _, err := r.Run(p); err != nil {
-			switch {
-			case errors.Is(err, pipeline.ErrTimeout):
-				panic(errTimeout)
-			case errors.Is(err, pipeline.ErrCancelled):
-				panic(budgetStop{err: s.Opt.Budget.Err()})
-			default:
-				panic(fmt.Sprintf("core: %v", err))
+			if errors.Is(err, pipeline.ErrTimeout) || errors.Is(err, pipeline.ErrCancelled) {
+				panic(budgetStop{err: err})
 			}
+			panic(fmt.Sprintf("core: %v", err))
 		}
 	}
 	decided := func() bool {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/aig"
+	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/problem"
@@ -220,7 +221,7 @@ func TestTimeout(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Preprocess = false
 	opt.DetectGates = false
-	opt.Timeout = time.Nanosecond
+	opt.Budget = budget.New(budget.Limits{Timeout: time.Nanosecond})
 	res := New(opt).Solve(problem.FromDQBF(hardInstance(1, 6, 3)))
 	if res.Status != Timeout {
 		t.Fatalf("status = %v, want timeout", res.Status)
@@ -231,7 +232,7 @@ func TestMemout(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Preprocess = false
 	opt.DetectGates = false
-	opt.NodeLimit = 16
+	opt.Budget = budget.New(budget.Limits{Nodes: 16})
 	res := New(opt).Solve(problem.FromDQBF(hardInstance(2, 6, 3)))
 	if res.Status != Memout {
 		t.Fatalf("status = %v, want memout", res.Status)

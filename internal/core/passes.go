@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/aig"
+	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/maxsat"
@@ -29,12 +29,11 @@ func init() {
 // state's prefix, the elimination-set queue, and the fresh-variable counter
 // for Theorem-1 copies.
 type hqsPipeline struct {
-	s        *Solver
-	st       *pipeline.State
-	work     *dqbf.Formula
-	res      *Result
-	deadline time.Time
-	sweep    *pipeline.SweepPass
+	s     *Solver
+	st    *pipeline.State
+	work  *dqbf.Formula
+	res   *Result
+	sweep *pipeline.SweepPass
 
 	elim    []cnf.Var
 	nextVar cnf.Var
@@ -56,7 +55,8 @@ func (px *hqsPipeline) track() {
 }
 
 // selectElim runs the elimination-set selection, mapping a budget stop onto
-// the pipeline's cancellation error (the driver refines it via the budget).
+// the pipeline's stop error (ErrTimeout on the deadline, ErrCancelled
+// otherwise).
 // With a persistent oracle pool, successive selections share one guarded
 // MaxSAT backend (the dependency-cycle structure persists as the formula
 // shrinks, so learned clauses carry over between strengthening steps).
@@ -68,6 +68,9 @@ func (px *hqsPipeline) selectElim() ([]cnf.Var, error) {
 	elim, err := selectEliminationSet(px.work, px.s.Opt.Strategy, px.s.Opt.Budget, be)
 	if err != nil {
 		if errors.Is(err, maxsat.ErrBudget) {
+			if errors.Is(err, budget.ErrDeadline) {
+				return nil, pipeline.ErrTimeout
+			}
 			return nil, pipeline.ErrCancelled
 		}
 		return nil, fmt.Errorf("elimination-set selection: %w", err)
@@ -103,10 +106,7 @@ func (px *hqsPipeline) preprocess() pipeline.Pass {
 func (px *hqsPipeline) build() pipeline.Pass {
 	return pipeline.NewPass("build", func(st *pipeline.State) (pipeline.Result, error) {
 		g := aig.New()
-		g.NodeLimit = px.s.Opt.NodeLimit
-		if nc := px.s.Opt.Budget.NodeCap(); nc > 0 && (g.NodeLimit == 0 || nc < g.NodeLimit) {
-			g.NodeLimit = nc
-		}
+		g.NodeLimit = px.s.Opt.Budget.NodeCap()
 		st.G = g
 		// The persistent oracle pool is born with the graph: it owns every
 		// long-lived SAT instance of this run (sweep workers, MaxSAT
@@ -222,7 +222,6 @@ func (px *hqsPipeline) qbf() pipeline.Pass {
 	return pipeline.NewPass("qbf", func(st *pipeline.State) (pipeline.Result, error) {
 		blocks := dqbf.Linearize(px.work)
 		qopt := px.s.Opt.QBF
-		qopt.Deadline = px.deadline
 		qopt.Budget = px.s.Opt.Budget
 		qopt.Trace = px.s.Opt.Trace
 		qopt.Cert = st.Cert
@@ -238,11 +237,8 @@ func (px *hqsPipeline) qbf() pipeline.Pass {
 			if nl, ok := err.(aig.ErrNodeLimit); ok {
 				panic(nl) // unwinds to the driver's recover → Memout
 			}
-			if errors.Is(err, qbf.ErrTimeout) {
-				return pipeline.Result{}, pipeline.ErrTimeout
-			}
-			if errors.Is(err, qbf.ErrCancelled) {
-				return pipeline.Result{}, pipeline.ErrCancelled
+			if errors.Is(err, pipeline.ErrTimeout) || errors.Is(err, pipeline.ErrCancelled) {
+				return pipeline.Result{}, err
 			}
 			return pipeline.Result{}, fmt.Errorf("qbf back end: %w", err)
 		}

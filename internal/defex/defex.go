@@ -14,15 +14,14 @@
 // each check is one assumption query, so learned clauses flow between checks.
 //
 // For every defined y the defining function ψ over D_y is extracted as an
-// AIG: primarily as a Craig interpolant of the Padoa refutation (the sat
-// package's proof mode, McMillan's system — the shared vocabulary is exactly
-// D_y), with a semantic fallback (2^|D_y| oracle queries) for small dependency
-// sets when interpolation is unavailable or fails verification. ψ is
-// substituted into the matrix (M := M[ψ/y]), the definition is recorded as a
-// cert.Builder reconstruction step, and the rounds repeat — substitutions can
-// make further variables defined. Existentials that remain undefined are
-// handed, with the universals shrunk to the residual support, to the full
-// universal expansion engine (internal/expand); its table certificate is
+// AIG: a Craig interpolant of the Padoa refutation (the sat package's proof
+// mode, McMillan's system — the shared vocabulary is exactly D_y), verified
+// against the matrix before it is trusted; a candidate that fails leaves y
+// undefined. ψ is substituted into the matrix (M := M[ψ/y]), the definition
+// is recorded as a cert.Builder reconstruction step, and the rounds repeat —
+// substitutions can make further variables defined. Existentials that remain
+// undefined are handed, with the universals shrunk to the residual support,
+// to the full universal expansion engine (internal/expand); its table certificate is
 // folded back into the same reconstruction trail, so SAT verdicts carry one
 // uniform Skolem certificate checkable by internal/cert regardless of which
 // stage decided.
@@ -90,36 +89,16 @@ func (s Status) String() string {
 	}
 }
 
-// Mode selects the definition-extraction strategy.
-type Mode int
-
-const (
-	// ModeInterp extracts definitions as interpolants from the Padoa
-	// refutation, falling back to semantic enumeration when the proof-mode
-	// instance fails or the interpolant does not verify.
-	ModeInterp Mode = iota
-	// ModeSemantic skips proof logging entirely and enumerates the defining
-	// function over D_y (bounded by SemanticMaxDeps).
-	ModeSemantic
-)
-
 // Options configure the solver.
 type Options struct {
-	// Mode selects interpolation (default) or pure semantic extraction.
-	Mode Mode
-	// SemanticMaxDeps bounds |D_y| for semantic-enumeration extraction
-	// (2^|D_y| oracle queries); 0 means the default of 8.
-	SemanticMaxDeps int
 	// MaxRounds bounds the definability rounds; 0 means until fixpoint.
 	MaxRounds int
 	// ExpandMaxUniversals bounds the residual expansion (see
 	// expand.Options.MaxUniversals); 0 keeps that package's default.
 	ExpandMaxUniversals int
-	// NodeLimit bounds the AIG size; 0 means unlimited.
-	NodeLimit int
-	// Timeout bounds wall-clock solving time; 0 means unlimited.
-	Timeout time.Duration
-	// Budget, when non-nil, makes the solve cancellable and budgeted.
+	// Budget, when non-nil, is the solve's only bound: status Timeout on its
+	// deadline, Cancelled on cancellation or a conflict/decision cap, Memout
+	// when the AIG reaches its node cap. Nil means unlimited.
 	Budget *budget.Budget
 	// Certify records Skolem reconstruction steps and, on SAT, extracts a
 	// certificate into Result.Certificate.
@@ -136,12 +115,10 @@ func DefaultOptions() Options { return Options{} }
 type Stats struct {
 	Rounds          int // definability rounds executed
 	Checks          int // Padoa checks run
-	Defined         int // existentials substituted away by a definition
-	DefinedInterp   int // ... via interpolation
-	DefinedSemantic int // ... via semantic enumeration
-	DefinedConst    int // ... trivially (outside the matrix support)
-	InterpFallbacks int // interpolation failures recovered semantically
-	Skipped         int // checks skipped (faults, budget-stopped queries)
+	Defined         int // existentials substituted away by an interpolated definition
+	DefinedConst    int // existentials fixed to false (outside the matrix support)
+	InterpFallbacks int // defined variables whose interpolant was rejected (left to expansion)
+	Skipped         int // checks skipped (faults, budget-stopped queries, rejected interpolants)
 	ResidualExist   int // existentials handed to expansion
 	ResidualUniv    int // universals left for expansion
 
@@ -175,10 +152,9 @@ type Solver struct {
 // New returns a solver with the given options.
 func New(opt Options) *Solver { return &Solver{Opt: opt} }
 
-// Unwind sentinels, matching the core driver pattern: passes panic on
-// resource exhaustion and the Solve recover maps panics onto statuses.
-var errTimeout = errors.New("defex: timeout")
-
+// budgetStop unwinds the solve when the budget stops it, matching the core
+// driver pattern: passes panic on resource exhaustion and the Solve recover
+// maps panics onto statuses. err is the pipeline's stop error.
 type budgetStop struct{ err error }
 
 // engine carries the working state of one solve.
@@ -204,29 +180,17 @@ func (s *Solver) Solve(f *dqbf.Formula) (res Result) {
 	start := time.Now()
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
-	deadline := s.Opt.Budget.Deadline()
-	if s.Opt.Timeout > 0 {
-		if d := start.Add(s.Opt.Timeout); deadline.IsZero() || d.Before(deadline) {
-			deadline = d
-		}
-	}
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
 		case aig.ErrNodeLimit:
 			res.Status = Memout
 		case budgetStop:
-			if errors.Is(r.err, budget.ErrDeadline) {
+			if errors.Is(r.err, pipeline.ErrTimeout) {
 				res.Status = Timeout
 			} else {
 				res.Status = Cancelled
 			}
-		case error:
-			if r == errTimeout {
-				res.Status = Timeout
-				return
-			}
-			panic(r)
 		default:
 			panic(r)
 		}
@@ -234,9 +198,8 @@ func (s *Solver) Solve(f *dqbf.Formula) (res Result) {
 
 	work := f.Clone()
 	st := &pipeline.State{
-		Prefix:   pipeline.FormulaPrefix{F: work},
-		Budget:   s.Opt.Budget,
-		Deadline: deadline,
+		Prefix: pipeline.FormulaPrefix{F: work},
+		Budget: s.Opt.Budget,
 	}
 	if s.Opt.Certify {
 		st.Cert = cert.NewBuilder()
@@ -254,14 +217,10 @@ func (s *Solver) Solve(f *dqbf.Formula) (res Result) {
 
 	run := func(p pipeline.Pass) {
 		if _, err := r.Run(p); err != nil {
-			switch {
-			case errors.Is(err, pipeline.ErrTimeout):
-				panic(errTimeout)
-			case errors.Is(err, pipeline.ErrCancelled):
-				panic(budgetStop{err: s.Opt.Budget.Err()})
-			default:
-				panic(fmt.Sprintf("defex: %v", err))
+			if errors.Is(err, pipeline.ErrTimeout) || errors.Is(err, pipeline.ErrCancelled) {
+				panic(budgetStop{err: err})
 			}
+			panic(fmt.Sprintf("defex: %v", err))
 		}
 	}
 	finish := func() Result {
@@ -313,11 +272,7 @@ func (s *Solver) Solve(f *dqbf.Formula) (res Result) {
 // oracle, and settles trivially unsatisfiable matrices.
 func (e *engine) build(st *pipeline.State) (pipeline.Result, error) {
 	g := aig.New()
-	nl := e.opt.NodeLimit
-	if c := e.opt.Budget.NodeCap(); c > 0 && (nl == 0 || c < nl) {
-		nl = c
-	}
-	g.NodeLimit = nl
+	g.NodeLimit = e.opt.Budget.NodeCap()
 
 	lits := make([]aig.Ref, 0, 8)
 	m := aig.True
@@ -438,19 +393,12 @@ func (e *engine) round(st *pipeline.State) (pipeline.Result, error) {
 			continue
 		}
 
-		psi, how := e.extract(y)
-		if how == extractFailed {
+		psi, ok := e.extract(y)
+		if !ok {
+			stats.InterpFallbacks++
 			stats.Skipped++
 			cnt["skipped"]++
 			continue
-		}
-		switch how {
-		case extractInterp:
-			stats.DefinedInterp++
-			cnt["defined_interp"]++
-		case extractSemantic:
-			stats.DefinedSemantic++
-			cnt["defined_semantic"]++
 		}
 		e.m = e.g.Compose(e.m, map[cnf.Var]aig.Ref{y: psi})
 		st.Matrix = e.m
@@ -557,20 +505,15 @@ func (e *engine) expandResidual(st *pipeline.State) (pipeline.Result, error) {
 	stats.Expand = eres.Stats
 	stats.ExpandUsed = true
 	if err != nil {
-		switch {
-		case errors.Is(err, budget.ErrDeadline):
-			panic(errTimeout)
-		case errors.Is(err, budget.ErrCancelled),
-			errors.Is(err, budget.ErrConflicts),
-			errors.Is(err, budget.ErrDecisions):
-			panic(budgetStop{err: e.opt.Budget.Err()})
-		case errors.Is(err, expand.ErrTooManyUniversals):
+		if serr := st.Stop(); serr != nil {
+			return pipeline.Result{}, serr
+		}
+		if errors.Is(err, expand.ErrTooManyUniversals) {
 			// The expansion refusal is the engine's memory limit: the
 			// residual problem is too large for this back end.
 			panic(aig.ErrNodeLimit{Limit: e.opt.ExpandMaxUniversals})
-		default:
-			return pipeline.Result{}, fmt.Errorf("defex: residual expansion: %w", err)
 		}
+		return pipeline.Result{}, fmt.Errorf("defex: residual expansion: %w", err)
 	}
 	if !eres.Sat {
 		st.Decide(false, "expand")

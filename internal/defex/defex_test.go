@@ -3,9 +3,11 @@ package defex_test
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/aig"
 	"repro/internal/bench"
+	"repro/internal/budget"
 	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/defex"
@@ -25,11 +27,9 @@ func solve(t *testing.T, f *dqbf.Formula, opt defex.Options) defex.Result {
 // configs are the engine configurations every differential test sweeps.
 func configs() map[string]defex.Options {
 	return map[string]defex.Options{
-		"interp":        {Mode: defex.ModeInterp},
-		"semantic":      {Mode: defex.ModeSemantic},
-		"interp-cert":   {Mode: defex.ModeInterp, Certify: true},
-		"semantic-cert": {Mode: defex.ModeSemantic, Certify: true},
-		"one-round":     {Mode: defex.ModeInterp, MaxRounds: 1, Certify: true},
+		"default":   {},
+		"cert":      {Certify: true},
+		"one-round": {MaxRounds: 1, Certify: true},
 	}
 }
 
@@ -208,5 +208,35 @@ func TestDefexDefinedEndgame(t *testing.T) {
 	res = solve(t, g, defex.Options{})
 	if res.Sat {
 		t.Fatal("restricted-dependency variant must be UNSAT")
+	}
+}
+
+// TestDefexBudgetStops drives every stop status through the budget alone: a
+// node cap is the AIG's node limit (Memout, the path hqsd's nodes= limit
+// takes), an expired deadline is Timeout, and a cancelled budget is
+// Cancelled.
+func TestDefexBudgetStops(t *testing.T) {
+	opt := bench.DefaultGenOptions()
+	opt.Count = 1
+	insts, err := bench.Generate(bench.FamilyAdder, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := insts[0].Formula
+	cancelled := budget.New(budget.Limits{})
+	cancelled.Cancel()
+	for _, tc := range []struct {
+		name string
+		bud  *budget.Budget
+		want defex.Status
+	}{
+		{"nodes", budget.New(budget.Limits{Nodes: 16}), defex.Memout},
+		{"deadline", budget.New(budget.Limits{Deadline: time.Now().Add(-time.Second)}), defex.Timeout},
+		{"cancelled", cancelled, defex.Cancelled},
+	} {
+		res := defex.New(defex.Options{Budget: tc.bud}).Solve(f)
+		if res.Status != tc.want {
+			t.Errorf("%s: status %v, want %v", tc.name, res.Status, tc.want)
+		}
 	}
 }

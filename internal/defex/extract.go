@@ -6,15 +6,6 @@ import (
 	"repro/internal/sat"
 )
 
-// extractHow tags which strategy produced a definition.
-type extractHow int
-
-const (
-	extractFailed extractHow = iota
-	extractInterp
-	extractSemantic
-)
-
 // aigItp implements sat.ItpBuilder directly over the solve's AIG: interpolant
 // nodes are ordinary AND/OR cones, so the extracted definition needs no
 // translation step and structural hashing dedups shared subterms for free.
@@ -33,23 +24,16 @@ func (b aigItp) Or(x, y sat.ItpRef) sat.ItpRef {
 }
 
 // extract obtains the defining function ψ of a variable the Padoa check
-// proved defined: interpolation over a fresh proof-mode refutation first
-// (unless ModeSemantic), semantic enumeration as the fallback. Every
+// proved defined, as the interpolant of a fresh proof-mode refutation. The
 // candidate is verified against the persistent oracle (M ∧ (y ⊕ ψ) must be
-// unsatisfiable) before it is trusted.
-func (e *engine) extract(y cnf.Var) (aig.Ref, extractHow) {
-	if e.opt.Mode == ModeInterp {
-		if psi, ok := e.interpolate(y); ok {
-			if e.verifyDef(y, psi) {
-				return psi, extractInterp
-			}
-		}
-		e.res.Stats.InterpFallbacks++
+// unsatisfiable) before it is trusted; false leaves y undefined, which is
+// sound: it goes to the residual expansion.
+func (e *engine) extract(y cnf.Var) (aig.Ref, bool) {
+	psi, ok := e.interpolate(y)
+	if !ok || !e.verifyDef(y, psi) {
+		return aig.False, false
 	}
-	if psi, ok := e.semanticDef(y); ok && e.verifyDef(y, psi) {
-		return psi, extractSemantic
-	}
-	return aig.False, extractFailed
+	return psi, true
 }
 
 // verifyDef checks M ⊨ (y ↔ ψ) with one incremental oracle query: M ∧ (y⊕ψ)
@@ -118,7 +102,7 @@ func (e *engine) interpolate(y cnf.Var) (aig.Ref, bool) {
 		if s.Solve() != sat.Unsat {
 			// Unknown (budget) — or Sat, which would contradict the Padoa
 			// check and means a bug or an injected fault upstream; either way
-			// fall back.
+			// leave y undefined.
 			return aig.False, false
 		}
 	}
@@ -133,45 +117,6 @@ func (e *engine) interpolate(y cnf.Var) (aig.Ref, bool) {
 	for v := range g.Support(psi) {
 		if !deps.Has(v) {
 			return aig.False, false
-		}
-	}
-	return psi, true
-}
-
-// semanticDef enumerates the defining function pointwise: for each
-// assignment d of D_y, ψ(d) is true iff M ∧ d ∧ y is satisfiable (given
-// definedness, the matrix forces a unique value wherever it is satisfiable,
-// and unconstrained points may take either — false — value). Bounded to
-// small dependency sets by SemanticMaxDeps.
-func (e *engine) semanticDef(y cnf.Var) (aig.Ref, bool) {
-	deps := e.work.Deps[y].Vars()
-	limit := e.opt.SemanticMaxDeps
-	if limit <= 0 {
-		limit = 8
-	}
-	if len(deps) > limit {
-		return aig.False, false
-	}
-	g := e.g
-	mLit := e.orc.Lit(e.m)
-	yLit := e.orc.Lit(g.Input(y))
-	psi := aig.False
-	assumps := make([]cnf.Lit, 0, len(deps)+2)
-	for bits := 0; bits < 1<<len(deps); bits++ {
-		assumps = assumps[:0]
-		assumps = append(assumps, mLit, yLit)
-		minterm := aig.True
-		for i, d := range deps {
-			pos := bits&(1<<i) != 0
-			assumps = append(assumps, e.orc.Lit(g.Input(d)).XorSign(!pos))
-			minterm = g.And(minterm, g.Input(d).XorSign(!pos))
-		}
-		val, err := e.query(assumps...)
-		if err != nil {
-			return aig.False, false
-		}
-		if val {
-			psi = g.Or(psi, minterm)
 		}
 	}
 	return psi, true

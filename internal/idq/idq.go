@@ -70,15 +70,13 @@ func (s Status) String() string {
 
 // Options configure the solver.
 type Options struct {
-	// Timeout bounds wall-clock time; 0 means unlimited.
-	Timeout time.Duration
 	// MaxInstantiations bounds the number of instantiated clauses in the
 	// abstraction (the analogue of iDQ's memory-outs); 0 means unlimited.
 	MaxInstantiations int
-	// Budget, when non-nil, makes the solve cancellable: the instantiation
-	// loop and both SAT oracles (abstraction and verification) poll it, so a
-	// cancellation interrupts a running CDCL search, not just the next
-	// refinement. Status is Timeout on its deadline, Cancelled otherwise.
+	// Budget, when non-nil, bounds the solve: the instantiation loop and
+	// both SAT oracles (abstraction and verification) poll it, so a stop
+	// interrupts a running CDCL search, not just the next refinement. Status
+	// is Timeout on its deadline, Cancelled otherwise. Nil means unlimited.
 	Budget *budget.Budget
 }
 
@@ -125,12 +123,6 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 	res := Result{}
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
-	deadline := s.Opt.Budget.Deadline()
-	if s.Opt.Timeout > 0 {
-		if d := start.Add(s.Opt.Timeout); deadline.IsZero() || d.Before(deadline) {
-			deadline = d
-		}
-	}
 	// stopStatus returns the status to report when a loop or oracle must
 	// stop, and false when there is no stop condition.
 	stopStatus := func() (Status, bool) {
@@ -139,9 +131,6 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 				return Timeout, true
 			}
 			return Cancelled, true
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return Timeout, true
 		}
 		return 0, false
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/core"
@@ -163,7 +164,7 @@ func TestNoUniversals(t *testing.T) {
 
 func TestTimeout(t *testing.T) {
 	f := randomDQBF(rand.New(rand.NewSource(3)), 8, 8, 40)
-	res := New(Options{Timeout: time.Nanosecond}).Solve(f)
+	res := New(Options{Budget: budget.New(budget.Limits{Timeout: time.Nanosecond})}).Solve(f)
 	if res.Status != Timeout {
 		t.Fatalf("status = %v, want timeout", res.Status)
 	}

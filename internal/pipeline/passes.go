@@ -162,7 +162,6 @@ func (p *SweepPass) Run(st *State) (Result, error) {
 		return Result{}, nil
 	}
 	so := p.Opt
-	so.Deadline = st.Deadline
 	so.Budget = st.Budget
 	if st.Workers != 0 {
 		so.Workers = st.Workers

@@ -21,22 +21,21 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/aig"
 	"repro/internal/budget"
 	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
-	"repro/internal/problem"
 	"repro/internal/faults"
 	"repro/internal/oracle"
+	"repro/internal/problem"
 )
 
 // Stop errors returned by Runner.Run and State.Stop when the budget ends a
 // solve between or inside passes.
 var (
-	// ErrTimeout means the deadline (the state's or the budget's) passed.
+	// ErrTimeout means the budget's deadline passed.
 	ErrTimeout = errors.New("pipeline: deadline exceeded")
 	// ErrCancelled means the budget was cancelled or a cap was exhausted —
 	// including an injected spurious Unknown from a pipeline fault point.
@@ -69,12 +68,10 @@ type State struct {
 	Matrix aig.Ref
 	// Prefix is the quantifier prefix being eliminated.
 	Prefix Prefix
-	// Budget, when non-nil, makes the pipeline cancellable; the Runner polls
-	// it before each pass and long passes poll Stop between rounds.
+	// Budget, when non-nil, bounds the pipeline (deadline, caps,
+	// cancellation); the Runner polls it before each pass and long passes
+	// poll Stop between rounds.
 	Budget *budget.Budget
-	// Deadline, when nonzero, bounds wall-clock time independently of the
-	// budget.
-	Deadline time.Time
 	// Workers overrides SAT worker-pool sizes of sweeping passes (0 keeps
 	// the pass default).
 	Workers int
@@ -109,18 +106,14 @@ func (st *State) Decide(sat bool, by string) {
 }
 
 // Stop reports whether the pipeline must unwind: ErrTimeout past the
-// deadline (the state's or the budget's), ErrCancelled on budget
-// cancellation or cap exhaustion, nil to keep going. Long-running passes
-// poll it between fixpoint rounds.
+// budget's deadline, ErrCancelled on budget cancellation or cap exhaustion,
+// nil to keep going. Long-running passes poll it between fixpoint rounds.
 func (st *State) Stop() error {
 	if err := st.Budget.Err(); err != nil {
 		if errors.Is(err, budget.ErrDeadline) {
 			return ErrTimeout
 		}
 		return ErrCancelled
-	}
-	if !st.Deadline.IsZero() && time.Now().After(st.Deadline) {
-		return ErrTimeout
 	}
 	return nil
 }

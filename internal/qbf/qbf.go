@@ -16,7 +16,6 @@ package qbf
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/aig"
 	"repro/internal/budget"
@@ -36,13 +35,6 @@ func init() {
 	pipeline.RegisterPass("finalsat")
 }
 
-// ErrTimeout is returned by Solve when the deadline passes before a verdict.
-var ErrTimeout = errors.New("qbf: deadline exceeded")
-
-// ErrCancelled is returned by Solve when the budget stops the elimination
-// loop for a reason other than its deadline (cancellation or cap).
-var ErrCancelled = errors.New("qbf: cancelled")
-
 // Options configure the solver.
 type Options struct {
 	// UnitPure enables the syntactic unit/pure elimination between variable
@@ -56,12 +48,11 @@ type Options struct {
 	// FinalSAT finishes an outermost purely-existential block with one SAT
 	// call instead of eliminating variable by variable.
 	FinalSAT bool
-	// Deadline, when nonzero, aborts the solve with ErrTimeout once passed.
-	Deadline time.Time
-	// Budget, when non-nil, aborts the solve when stopped: ErrTimeout on its
-	// deadline, ErrCancelled on cancellation or cap exhaustion. It is also
-	// threaded into sweeps and the final SAT call so a cancellation lands
-	// mid-oracle, not only between eliminations.
+	// Budget, when non-nil, aborts the solve when stopped: Solve returns
+	// pipeline.ErrTimeout on its deadline, pipeline.ErrCancelled on
+	// cancellation or cap exhaustion. It is also threaded into sweeps and
+	// the final SAT call so a cancellation lands mid-oracle, not only
+	// between eliminations.
 	Budget *budget.Budget
 	// Trace, when non-nil, receives one structured event per executed
 	// pipeline pass.
@@ -185,7 +176,9 @@ func (p *blockPrefix) Size() (univ, exist int) {
 
 // Solve decides the QBF given by the linear prefix (outermost block first,
 // as produced by dqbf.Linearize) and the matrix. It returns the truth value.
-// An aig.ErrNodeLimit panic from the graph propagates as an error.
+// A budget stop returns the pipeline's stop error (pipeline.ErrTimeout or
+// pipeline.ErrCancelled); an aig.ErrNodeLimit panic from the graph
+// propagates as an error.
 func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -215,13 +208,12 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 	}
 
 	st := &pipeline.State{
-		G:        s.G,
-		Matrix:   matrix,
-		Prefix:   bp,
-		Budget:   s.Opt.Budget,
-		Deadline: s.Opt.Deadline,
-		Cert:     s.Opt.Cert,
-		Oracle:   s.Opt.Oracle,
+		G:      s.G,
+		Matrix: matrix,
+		Prefix: bp,
+		Budget: s.Opt.Budget,
+		Cert:   s.Opt.Cert,
+		Oracle: s.Opt.Oracle,
 	}
 	r := pipeline.NewRunner(st, s.Opt.Trace, "qbf")
 	sweep := pipeline.NewSweepPass(s.Opt.SweepThreshold, s.Opt.SweepOptions)
@@ -234,18 +226,6 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 		s.Stat.Sweeps += n
 		s.Stat.Sweep.Add(sst)
 	}()
-
-	// mapErr converts pipeline stop errors into this package's API errors.
-	mapErr := func(err error) error {
-		switch {
-		case errors.Is(err, pipeline.ErrTimeout):
-			return ErrTimeout
-		case errors.Is(err, pipeline.ErrCancelled):
-			return ErrCancelled
-		default:
-			return fmt.Errorf("qbf: %w", err)
-		}
-	}
 
 	finalSAT := s.Opt.FinalSAT
 	fellBack := false
@@ -305,14 +285,14 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 
 	for len(bp.blocks) > 0 {
 		if err := st.Stop(); err != nil {
-			return false, mapErr(err)
+			return false, err
 		}
 		// Fault-injection seam: one block-elimination step. A spurious
 		// Unknown unwinds like a cancellation; an injected error surfaces
 		// as a back-end failure.
 		if ferr := faults.Fire(faults.QBFEliminate); ferr != nil {
 			if errors.Is(ferr, faults.ErrUnknown) {
-				return false, ErrCancelled
+				return false, pipeline.ErrCancelled
 			}
 			return false, fmt.Errorf("qbf: %w", ferr)
 		}
@@ -321,7 +301,7 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 		}
 		if s.Opt.UnitPure {
 			if _, err := r.Run(pipeline.UnitPurePass{}); err != nil {
-				return false, mapErr(err)
+				return false, err
 			}
 			if st.Matrix.IsConst() {
 				return st.Matrix == aig.True, nil
@@ -329,7 +309,7 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 		}
 		// Drop variables that left the support.
 		if _, err := r.Run(pipeline.DropSupportPass{}); err != nil {
-			return false, mapErr(err)
+			return false, err
 		}
 		if len(bp.blocks) == 0 {
 			break
@@ -341,7 +321,7 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 		}
 		if inner.exist && len(bp.blocks) == 1 && finalSAT {
 			if _, err := r.Run(finalSATPass); err != nil {
-				return false, mapErr(err)
+				return false, err
 			}
 			if fellBack {
 				finalSAT = false
@@ -351,10 +331,10 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 			return st.Sat, nil
 		}
 		if _, err := r.Run(blockElim); err != nil {
-			return false, mapErr(err)
+			return false, err
 		}
 		if _, err := r.Run(sweep); err != nil {
-			return false, mapErr(err)
+			return false, err
 		}
 	}
 	if !st.Matrix.IsConst() {

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"repro/internal/aig"
+	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/pipeline"
 )
 
 // buildMatrix converts a CNF into an AIG over graph g.
@@ -239,7 +241,8 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestDeadline(t *testing.T) {
-	// An already-expired deadline must abort with ErrTimeout.
+	// A budget whose deadline has already passed must abort with the
+	// pipeline's ErrTimeout.
 	f := cnf.NewFormula(0)
 	n := 12
 	for i := 1; i+2 <= n; i += 2 {
@@ -254,12 +257,10 @@ func TestDeadline(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		univ = append(univ, cnf.Var(i))
 	}
-	opt := Options{}
-	opt.Deadline = time.Now().Add(-time.Second)
-	s := New(g, opt)
+	s := New(g, Options{Budget: budget.New(budget.Limits{Deadline: time.Now().Add(-time.Second)})})
 	_, err := s.Solve([]dqbf.Block{{Univ: univ}}, m)
-	if err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if err != pipeline.ErrTimeout {
+		t.Fatalf("err = %v, want pipeline.ErrTimeout", err)
 	}
 }
 

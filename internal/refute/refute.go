@@ -50,8 +50,6 @@ func (v Verdict) String() string {
 type Options struct {
 	// MaxAssignments bounds the pool size; 0 means 256.
 	MaxAssignments int
-	// Timeout bounds wall-clock time; 0 means unlimited.
-	Timeout time.Duration
 }
 
 // Stats collects counters.
@@ -78,11 +76,6 @@ func Refute(f *dqbf.Formula, opt Options) Result {
 	if maxA <= 0 {
 		maxA = 256
 	}
-	var deadline time.Time
-	if opt.Timeout > 0 {
-		deadline = start.Add(opt.Timeout)
-	}
-
 	n := len(f.Univ)
 	full := 0
 	if n < 30 {
@@ -140,9 +133,6 @@ func Refute(f *dqbf.Formula, opt Options) Result {
 	// Structured patterns first, then a pseudo-random sequence.
 	gen := newGen(f.Univ)
 	for res.Stats.Assignments < maxA && len(seen) != full {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return res
-		}
 		a, ok := gen.next()
 		if !ok {
 			break
