@@ -119,7 +119,7 @@ func main() {
 		}
 
 		// Refuter is incomplete but must never contradict.
-		r := refute.Refute(f, refute.Options{})
+		r := refute.Refute(f)
 		if r.Verdict == refute.Refuted && verdicts["expand"] {
 			fail(f, "refuter refuted a satisfiable instance")
 			bad++

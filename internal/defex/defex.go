@@ -93,9 +93,6 @@ func (s Status) String() string {
 type Options struct {
 	// MaxRounds bounds the definability rounds; 0 means until fixpoint.
 	MaxRounds int
-	// ExpandMaxUniversals bounds the residual expansion (see
-	// expand.Options.MaxUniversals); 0 keeps that package's default.
-	ExpandMaxUniversals int
 	// Budget, when non-nil, is the solve's only bound: status Timeout on its
 	// deadline, Cancelled on cancellation or a conflict/decision cap, Memout
 	// when the AIG reaches its node cap. Nil means unlimited.
@@ -497,9 +494,8 @@ func (e *engine) expandResidual(st *pipeline.State) (pipeline.Result, error) {
 	}
 
 	ex := expand.New(expand.Options{
-		MaxUniversals: e.opt.ExpandMaxUniversals,
-		Budget:        e.opt.Budget,
-		Certify:       st.Cert != nil,
+		Budget:  e.opt.Budget,
+		Certify: st.Cert != nil,
 	})
 	eres, err := ex.Solve(fres)
 	stats.Expand = eres.Stats
@@ -511,7 +507,7 @@ func (e *engine) expandResidual(st *pipeline.State) (pipeline.Result, error) {
 		if errors.Is(err, expand.ErrTooManyUniversals) {
 			// The expansion refusal is the engine's memory limit: the
 			// residual problem is too large for this back end.
-			panic(aig.ErrNodeLimit{Limit: e.opt.ExpandMaxUniversals})
+			panic(aig.ErrNodeLimit{Limit: expand.MaxUniversals})
 		}
 		return pipeline.Result{}, fmt.Errorf("defex: residual expansion: %w", err)
 	}

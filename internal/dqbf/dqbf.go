@@ -141,10 +141,7 @@ func (f *Formula) String() string {
 func ProjectionKey(deps []cnf.Var, value func(cnf.Var) bool) string {
 	b := make([]byte, len(deps))
 	for i, d := range deps {
-		b[i] = '0'
-		if value(d) {
-			b[i] = '1'
-		}
+		b[i] = bit(value(d))
 	}
 	return string(b)
 }

@@ -48,3 +48,33 @@ func FuzzDQDIMACSReader(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGround checks the universal expansion against the Skolem-table
+// enumeration: for every fuzzed DQDIMACS input that parses into a valid DQBF
+// (the reader accepts prefixes Validate rejects, such as a dependency on an
+// existential) small enough for BruteForce, grounding the matrix under all universal
+// assignments is satisfiable exactly when the DQBF is.
+func FuzzGround(f *testing.F) {
+	seeds := []string{
+		// Example 1 of the paper: satisfiable.
+		"p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n",
+		// Its dependencies crossed: unsatisfiable.
+		"p cnf 4 4\na 1 2 0\nd 3 2 0\nd 4 1 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		formula, err := ParseDQDIMACS(bytes.NewReader(data))
+		if err != nil || formula.Matrix.NumVars > 1<<12 || !smallForBruteForce(formula) || formula.Validate() != nil {
+			return
+		}
+		want, err := BruteForce(formula)
+		if err != nil {
+			return
+		}
+		if got := groundAll(t, formula); got != want {
+			t.Fatalf("full grounding %v, brute force %v\n%v\n%v", got, want, formula, formula.Matrix.Clauses)
+		}
+	})
+}

@@ -26,15 +26,15 @@ import (
 	"repro/internal/sat"
 )
 
-// ErrTooManyUniversals is the refusal of a formula whose universal count
-// exceeds Options.MaxUniversals: its expansion would be too large.
+// MaxUniversals is the largest universal count Solve expands.
+const MaxUniversals = 20
+
+// ErrTooManyUniversals is the refusal of a formula with more than
+// MaxUniversals universals: its expansion would be too large.
 var ErrTooManyUniversals = errors.New("expand: too many universal variables")
 
 // Options configure the solver.
 type Options struct {
-	// MaxUniversals refuses formulas whose expansion would be too large;
-	// 0 means the default of 20.
-	MaxUniversals int
 	// Budget, when non-nil, bounds the expansion loop and the SAT call and
 	// makes them cancellable; exhaustion surfaces as an error wrapping the
 	// budget's sentinel.
@@ -72,45 +72,30 @@ type Solver struct {
 // New returns a solver with the given options.
 func New(opt Options) *Solver { return &Solver{Opt: opt} }
 
-// copyKey names the copy of existential y for the projection proj of the
-// universal assignment onto D_y (a dqbf.ProjectionKey).
-type copyKey struct {
-	y    cnf.Var
-	proj string
-}
-
 // Solve decides the DQBF. It returns an error wrapping ErrTooManyUniversals
-// when the expansion limit is exceeded, one wrapping the budget's sentinel
-// when the budget stops the solve, and one for unquantified variables.
+// beyond MaxUniversals, one wrapping the budget's sentinel when the budget
+// stops the solve, and one for unquantified variables.
 func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 	start := time.Now()
 	res := Result{}
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
-	limit := s.Opt.MaxUniversals
-	if limit <= 0 {
-		limit = 20
-	}
-	if len(f.Univ) > limit {
-		return res, fmt.Errorf("%w: %d exceed limit %d", ErrTooManyUniversals, len(f.Univ), limit)
+	if len(f.Univ) > MaxUniversals {
+		return res, fmt.Errorf("%w: %d exceed limit %d", ErrTooManyUniversals, len(f.Univ), MaxUniversals)
 	}
 
 	solver := sat.New()
 	solver.Budget = s.Opt.Budget
-	uidx := make(map[cnf.Var]int, len(f.Univ))
-	for i, x := range f.Univ {
-		uidx[x] = i
+	g, err := dqbf.NewGrounder(f, func() cnf.Var {
+		res.Stats.Copies++
+		return solver.NewVar()
+	})
+	if err != nil {
+		return res, fmt.Errorf("expand: %w", err)
 	}
-	copies := make(map[copyKey]cnf.Var)
-	copyOf := func(y cnf.Var, a []bool) cnf.Var {
-		k := copyKey{y, dqbf.ProjectionKey(f.Deps[y].Vars(), func(d cnf.Var) bool { return a[uidx[d]] })}
-		v, ok := copies[k]
-		if !ok {
-			v = solver.NewVar()
-			copies[k] = v
-			res.Stats.Copies++
-		}
-		return v
+	add := func(c []cnf.Lit) bool {
+		res.Stats.GroundClauses++
+		return solver.AddClause(c...)
 	}
 
 	n := len(f.Univ)
@@ -123,32 +108,10 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 			a[i] = bits&(1<<i) != 0
 		}
 		res.Stats.Instances++
-		for _, c := range f.Matrix.Clauses {
-			ground := make([]cnf.Lit, 0, len(c))
-			satisfied := false
-			for _, l := range c {
-				v := l.Var()
-				if idx, isU := uidx[v]; isU {
-					if a[idx] != l.Neg() {
-						satisfied = true
-						break
-					}
-					continue
-				}
-				if !f.IsExistential(v) {
-					return res, fmt.Errorf("expand: unquantified variable %d", v)
-				}
-				ground = append(ground, cnf.NewLit(copyOf(v, a), l.Neg()))
-			}
-			if satisfied {
-				res.Stats.SkippedClauses++
-				continue
-			}
-			res.Stats.GroundClauses++
-			if len(ground) == 0 || !solver.AddClause(ground...) {
-				res.Sat = false
-				return res, nil
-			}
+		skipped, ok := g.Ground(a, add)
+		res.Stats.SkippedClauses += skipped
+		if !ok {
+			return res, nil
 		}
 	}
 	st := solver.Solve()
@@ -164,9 +127,9 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 	if res.Sat && s.Opt.Certify {
 		m := solver.Model()
 		points := make(map[cnf.Var][]string)
-		for k, v := range copies {
+		for k, v := range g.Copies() {
 			if m.Get(v) {
-				points[k.y] = append(points[k.y], k.proj)
+				points[k.Y] = append(points[k.Y], k.Proj)
 			}
 		}
 		res.Certificate = cert.FromTruePoints(f, points)

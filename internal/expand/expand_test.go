@@ -117,18 +117,17 @@ func TestUniversalLimit(t *testing.T) {
 		for i := 1; i <= n; i++ {
 			f.AddUniversal(cnf.Var(i))
 		}
-		f.AddExistential(cnf.Var(n+1), f.Univ...)
+		// One copy of y serves every instance, so the largest accepted
+		// expansion stays cheap.
+		f.AddExistential(cnf.Var(n + 1))
 		f.Matrix.AddDimacsClause(n + 1)
 		return f
 	}
-	if _, err := New(Options{}).Solve(mk(25)); !errors.Is(err, ErrTooManyUniversals) {
-		t.Fatalf("25 universals (default limit 20): err = %v, want ErrTooManyUniversals", err)
+	if _, err := New(Options{}).Solve(mk(MaxUniversals + 1)); !errors.Is(err, ErrTooManyUniversals) {
+		t.Fatalf("%d universals: err = %v, want ErrTooManyUniversals", MaxUniversals+1, err)
 	}
-	if _, err := New(Options{MaxUniversals: 5}).Solve(mk(6)); !errors.Is(err, ErrTooManyUniversals) {
-		t.Fatalf("6 universals at limit 5: err = %v, want ErrTooManyUniversals", err)
-	}
-	if res, err := New(Options{MaxUniversals: 5}).Solve(mk(5)); err != nil || !res.Sat {
-		t.Fatalf("5 universals at limit 5 should solve: %v %v", res.Sat, err)
+	if res, err := New(Options{}).Solve(mk(MaxUniversals)); err != nil || !res.Sat {
+		t.Fatalf("%d universals should solve: %v %v", MaxUniversals, res.Sat, err)
 	}
 }
 

@@ -110,14 +110,8 @@ type Solver struct {
 // New returns a solver with the given options.
 func New(opt Options) *Solver { return &Solver{Opt: opt} }
 
-// projKey identifies a projection of a universal assignment onto a
-// dependency set.
-type projKey struct {
-	y   cnf.Var
-	key string
-}
-
-// Solve decides the DQBF. The input is not modified.
+// Solve decides the DQBF. The input is not modified. It panics on a matrix
+// variable that is not quantified.
 func (s *Solver) Solve(f *dqbf.Formula) Result {
 	start := time.Now()
 	res := Result{}
@@ -135,59 +129,19 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 		return 0, false
 	}
 
-	univ := f.Univ
 	abs := sat.New()
 	abs.Budget = s.Opt.Budget
-	instVar := make(map[projKey]cnf.Var)
-
-	instOf := func(y cnf.Var, a map[cnf.Var]bool) cnf.Var {
-		k := projKey{y, dqbf.ProjectionKey(f.Deps[y].Vars(), func(d cnf.Var) bool { return a[d] })}
-		v, ok := instVar[k]
-		if !ok {
-			v = abs.NewVar()
-			instVar[k] = v
-		}
-		return v
+	g, err := dqbf.NewGrounder(f, abs.NewVar)
+	if err != nil {
+		panic(err)
 	}
-
-	// addInstance grounds every matrix clause under assignment a and adds it
-	// to the abstraction. Returns false if an empty clause arises (UNSAT).
-	addInstance := func(a map[cnf.Var]bool) bool {
-		for _, c := range f.Matrix.Clauses {
-			ground := make([]cnf.Lit, 0, len(c))
-			satisfied := false
-			for _, l := range c {
-				v := l.Var()
-				if val, isU := a[v]; isU {
-					if val != l.Neg() {
-						satisfied = true
-						break
-					}
-					continue // false universal literal drops out
-				}
-				if !f.IsExistential(v) {
-					panic(fmt.Sprintf("idq: unquantified variable %d in matrix", v))
-				}
-				ground = append(ground, cnf.NewLit(instOf(v, a), l.Neg()))
-			}
-			if satisfied {
-				continue
-			}
-			res.Stats.Instantiations++
-			if len(ground) == 0 {
-				return false
-			}
-			if !abs.AddClause(ground...) {
-				return false
-			}
-		}
-		return true
+	// add puts one grounded clause into the abstraction; false means the
+	// abstraction became unsatisfiable.
+	add := func(c []cnf.Lit) bool {
+		res.Stats.Instantiations++
+		return abs.AddClause(c...)
 	}
-
 	seen := make(map[string]bool) // guard against repeated counterexamples
-	keyOf := func(a map[cnf.Var]bool) string {
-		return dqbf.ProjectionKey(univ, func(x cnf.Var) bool { return a[x] })
-	}
 
 	for {
 		res.Stats.Iterations++
@@ -221,19 +175,15 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 
 		// Step 2: build candidate Skolem tables from the model.
 		tables := make(map[cnf.Var]map[string]bool)
-		for k, v := range instVar {
-			t := tables[k.y]
+		for k, v := range g.Copies() {
+			t := tables[k.Y]
 			if t == nil {
 				t = make(map[string]bool)
-				tables[k.y] = t
+				tables[k.Y] = t
 			}
-			if model == nil {
-				t[k.key] = false
-			} else {
-				t[k.key] = model.Get(v)
-			}
+			t[k.Proj] = model != nil && model.Get(v)
 		}
-		res.Stats.TableEntries = len(instVar)
+		res.Stats.TableEntries = len(g.Copies())
 
 		// Step 3: verification — search a universal assignment falsifying
 		// the matrix under the tables.
@@ -261,13 +211,13 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 			res.Certificate = cert.FromTruePoints(f, points)
 			return res
 		}
-		k := keyOf(cex)
+		k := dqbf.AssignmentKey(cex)
 		if seen[k] {
 			// Cannot happen for a correct abstraction; guards nontermination.
 			panic("idq: repeated counterexample " + k)
 		}
 		seen[k] = true
-		if !addInstance(cex) {
+		if _, ok := g.Ground(cex, add); !ok {
 			res.Status = Solved
 			res.Sat = false
 			return res
@@ -282,9 +232,10 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 // per-projection completion is a legal Skolem function, so a verification
 // failure on a free entry is a genuine refinement direction, and an
 // unsatisfiable query proves every completion of the tables correct. The
-// third return value is true when the budget stopped the query before a
-// verdict (the first two are then meaningless).
-func (s *Solver) verify(f *dqbf.Formula, tables map[cnf.Var]map[string]bool) (map[cnf.Var]bool, bool, bool) {
+// counterexample is given over f.Univ order. The third return value is true
+// when the budget stopped the query before a verdict (the first two are then
+// meaningless).
+func (s *Solver) verify(f *dqbf.Formula, tables map[cnf.Var]map[string]bool) ([]bool, bool, bool) {
 	vs := sat.New()
 	vs.Budget = s.Opt.Budget
 	vmap := make(map[cnf.Var]cnf.Var) // original var -> verification SAT var
@@ -348,9 +299,9 @@ func (s *Solver) verify(f *dqbf.Formula, tables map[cnf.Var]map[string]bool) (ma
 		return nil, false, false
 	}
 	model := vs.Model()
-	a := make(map[cnf.Var]bool, len(f.Univ))
-	for _, x := range f.Univ {
-		a[x] = model.Get(varOf(x))
+	a := make([]bool, len(f.Univ))
+	for i, x := range f.Univ {
+		a[i] = model.Get(varOf(x))
 	}
 	return a, true, false
 }

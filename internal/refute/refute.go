@@ -7,16 +7,14 @@
 // inconclusive (unless the pool happened to cover all assignments, in which
 // case satisfiability follows from the full-expansion theorem).
 //
-// Pools grow geometrically; assignments are drawn from a deterministic
-// pseudo-random sequence plus structured patterns (all-zero, all-one,
-// one-hot), which refute typical PEC inequivalences with a handful of
-// instances. The paper notes that iDQ often refutes instances with a single
+// The pool holds at most MaxAssignments distinct assignments: structured
+// patterns (all-zero, all-one, one-hot, one-cold) first, then a
+// deterministic pseudo-random sequence. The patterns refute typical PEC
+// inequivalences with a handful of instances. The paper notes that iDQ often refutes instances with a single
 // SAT call; this package isolates exactly that effect.
 package refute
 
 import (
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/cnf"
@@ -46,11 +44,9 @@ func (v Verdict) String() string {
 	}
 }
 
-// Options configure the refuter.
-type Options struct {
-	// MaxAssignments bounds the pool size; 0 means 256.
-	MaxAssignments int
-}
+// MaxAssignments bounds the pool of universal assignments a refutation
+// grounds.
+const MaxAssignments = 256
 
 // Stats collects counters.
 type Stats struct {
@@ -66,16 +62,13 @@ type Result struct {
 	Stats   Stats
 }
 
-// Refute attempts to disprove the DQBF with a bounded expansion.
-func Refute(f *dqbf.Formula, opt Options) Result {
+// Refute attempts to disprove the DQBF with a bounded expansion. It panics
+// on a matrix variable that is not quantified.
+func Refute(f *dqbf.Formula) Result {
 	start := time.Now()
 	res := Result{}
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
-	maxA := opt.MaxAssignments
-	if maxA <= 0 {
-		maxA = 256
-	}
 	n := len(f.Univ)
 	full := 0
 	if n < 30 {
@@ -83,56 +76,30 @@ func Refute(f *dqbf.Formula, opt Options) Result {
 	}
 
 	solver := sat.New()
-	copies := make(map[string]cnf.Var)
-	copyOf := func(y cnf.Var, val func(cnf.Var) bool) cnf.Var {
-		deps := f.Deps[y].Vars()
-		var b strings.Builder
-		b.WriteString(dqbf.ProjectionKey(deps, val))
-		k := b.String() + "@" + strconv.Itoa(int(y))
-		v, ok := copies[k]
-		if !ok {
-			v = solver.NewVar()
-			copies[k] = v
-		}
-		return v
+	g, err := dqbf.NewGrounder(f, solver.NewVar)
+	if err != nil {
+		panic(err)
+	}
+	add := func(c []cnf.Lit) bool {
+		res.Stats.Ground++
+		return solver.AddClause(c...)
 	}
 
 	seen := make(map[string]bool)
-	addAssignment := func(a map[cnf.Var]bool) bool {
-		key := dqbf.ProjectionKey(f.Univ, func(v cnf.Var) bool { return a[v] })
+	addAssignment := func(a []bool) bool {
+		key := dqbf.AssignmentKey(a)
 		if seen[key] {
 			return true
 		}
 		seen[key] = true
 		res.Stats.Assignments++
-		for _, c := range f.Matrix.Clauses {
-			ground := make([]cnf.Lit, 0, len(c))
-			satisfied := false
-			for _, l := range c {
-				v := l.Var()
-				if f.IsUniversal(v) {
-					if a[v] != l.Neg() {
-						satisfied = true
-						break
-					}
-					continue
-				}
-				ground = append(ground, cnf.NewLit(copyOf(v, func(d cnf.Var) bool { return a[d] }), l.Neg()))
-			}
-			if satisfied {
-				continue
-			}
-			res.Stats.Ground++
-			if len(ground) == 0 || !solver.AddClause(ground...) {
-				return false
-			}
-		}
-		return true
+		_, ok := g.Ground(a, add)
+		return ok
 	}
 
 	// Structured patterns first, then a pseudo-random sequence.
-	gen := newGen(f.Univ)
-	for res.Stats.Assignments < maxA && len(seen) != full {
+	gen := newGen(n)
+	for res.Stats.Assignments < MaxAssignments && len(seen) != full {
 		a, ok := gen.next()
 		if !ok {
 			break
@@ -160,33 +127,35 @@ func Refute(f *dqbf.Formula, opt Options) Result {
 // gen enumerates universal assignments: all-zero, all-one, one-hot,
 // one-cold, then xorshift pseudo-random vectors.
 type gen struct {
-	univ  []cnf.Var
+	n     int // number of universals
 	stage int
 	idx   int
 	state uint64
 	emit  int
 }
 
-func newGen(univ []cnf.Var) *gen {
-	return &gen{univ: univ, state: 0x9e3779b97f4a7c15}
+func newGen(n int) *gen {
+	return &gen{n: n, state: 0x9e3779b97f4a7c15}
 }
 
-func (g *gen) next() (map[cnf.Var]bool, bool) {
-	n := len(g.univ)
-	a := make(map[cnf.Var]bool, n)
+// next returns the next assignment over the universals in prefix order, and
+// false once the random phase has almost surely covered all of them.
+func (g *gen) next() ([]bool, bool) {
+	n := g.n
+	a := make([]bool, n)
 	switch g.stage {
 	case 0:
 		g.stage++
 		return a, true // all-zero
 	case 1:
-		for _, x := range g.univ {
-			a[x] = true
+		for i := range a {
+			a[i] = true
 		}
 		g.stage++
 		return a, true
 	case 2: // one-hot
 		if g.idx < n {
-			a[g.univ[g.idx]] = true
+			a[g.idx] = true
 			g.idx++
 			return a, true
 		}
@@ -195,10 +164,9 @@ func (g *gen) next() (map[cnf.Var]bool, bool) {
 		fallthrough
 	case 3: // one-cold
 		if g.idx < n {
-			for _, x := range g.univ {
-				a[x] = true
+			for i := range a {
+				a[i] = i != g.idx
 			}
-			a[g.univ[g.idx]] = false
 			g.idx++
 			return a, true
 		}
@@ -209,13 +177,15 @@ func (g *gen) next() (map[cnf.Var]bool, bool) {
 			return nil, false // random phase has almost surely covered everything
 		}
 		g.emit++
-		g.state ^= g.state << 13
-		g.state ^= g.state >> 7
-		g.state ^= g.state << 17
-		for i, x := range g.univ {
-			a[x] = g.state&(1<<(uint(i)%64)) != 0
+		// One fresh xorshift word per 64 universals.
+		for i := range a {
+			if i%64 == 0 {
+				g.state ^= g.state << 13
+				g.state ^= g.state >> 7
+				g.state ^= g.state << 17
+			}
+			a[i] = g.state&(1<<uint(i%64)) != 0
 		}
-		// Vary high universals beyond 64 by rotating per call.
 		return a, true
 	}
 }

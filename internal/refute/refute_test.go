@@ -30,7 +30,7 @@ func paperExample1() *dqbf.Formula {
 }
 
 func TestRefutesCrossDependency(t *testing.T) {
-	res := Refute(crossExample(), Options{})
+	res := Refute(crossExample())
 	if res.Verdict != Refuted {
 		t.Fatalf("verdict = %v, want REFUTED", res.Verdict)
 	}
@@ -40,17 +40,56 @@ func TestRefutesCrossDependency(t *testing.T) {
 }
 
 func TestSatisfiedOnFullCoverage(t *testing.T) {
-	res := Refute(paperExample1(), Options{})
+	res := Refute(paperExample1())
 	if res.Verdict != Satisfied {
 		t.Fatalf("verdict = %v, want SATISFIED (pool covers all 4 assignments)", res.Verdict)
 	}
 }
 
 func TestInconclusiveOnTinyBudget(t *testing.T) {
-	// With a single assignment the satisfiable example cannot be settled.
-	res := Refute(paperExample1(), Options{MaxAssignments: 1})
+	// ∀x1..x9 ∃y(x1): y ↔ x1 is satisfiable, so it is never refuted, and its
+	// 2^9 assignments exceed the pool, so it is never settled either.
+	f := dqbf.New()
+	for i := 1; i <= 9; i++ {
+		f.AddUniversal(cnf.Var(i))
+	}
+	f.AddExistential(10, 1)
+	f.Matrix.AddDimacsClause(-10, 1)
+	f.Matrix.AddDimacsClause(10, -1)
+	if 1<<len(f.Univ) <= MaxAssignments {
+		t.Fatalf("%d universals fit the pool of %d", len(f.Univ), MaxAssignments)
+	}
+	res := Refute(f)
 	if res.Verdict != Inconclusive {
 		t.Fatalf("verdict = %v, want INCONCLUSIVE", res.Verdict)
+	}
+	if res.Stats.Assignments != MaxAssignments {
+		t.Fatalf("assignments = %d, want the full pool of %d", res.Stats.Assignments, MaxAssignments)
+	}
+}
+
+func TestRandomPhaseCoversHighUniversals(t *testing.T) {
+	// In the random phase, universals i and i+64 must not be tied to one
+	// bit of the generator.
+	const n = 130
+	g := newGen(n)
+	for k := 0; k < 2+2*n; k++ { // all-zero, all-one, one-hot, one-cold
+		g.next()
+	}
+	differs := make([]bool, n-64)
+	for k := 0; k < 64; k++ {
+		a, ok := g.next()
+		if !ok {
+			t.Fatal("generator ended early")
+		}
+		for i := range differs {
+			differs[i] = differs[i] || a[i] != a[i+64]
+		}
+	}
+	for i, d := range differs {
+		if !d {
+			t.Fatalf("universals %d and %d are equal in every random assignment", i, i+64)
+		}
 	}
 }
 
@@ -58,36 +97,12 @@ func TestNeverRefutesSatisfiable(t *testing.T) {
 	// Soundness: on satisfiable formulas the refuter must never say REFUTED.
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 150; iter++ {
-		f := dqbf.New()
-		nUniv := 1 + rng.Intn(3)
-		for i := 1; i <= nUniv; i++ {
-			f.AddUniversal(cnf.Var(i))
-		}
-		nExist := 1 + rng.Intn(3)
-		for i := 0; i < nExist; i++ {
-			y := cnf.Var(nUniv + i + 1)
-			var deps []cnf.Var
-			for _, x := range f.Univ {
-				if rng.Intn(2) == 0 {
-					deps = append(deps, x)
-				}
-			}
-			f.AddExistential(y, deps...)
-		}
-		n := nUniv + nExist
-		for i := 0; i < 2+rng.Intn(10); i++ {
-			k := 1 + rng.Intn(3)
-			c := make(cnf.Clause, 0, k)
-			for j := 0; j < k; j++ {
-				c = append(c, cnf.NewLit(cnf.Var(1+rng.Intn(n)), rng.Intn(2) == 0))
-			}
-			f.Matrix.Clauses = append(f.Matrix.Clauses, c)
-		}
+		f := dqbf.RandomFormula(rng, 1+rng.Intn(3), 1+rng.Intn(3), 2+rng.Intn(10))
 		want, err := dqbf.BruteForce(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Refute(f, Options{})
+		res := Refute(f)
 		switch res.Verdict {
 		case Refuted:
 			if want {
@@ -107,24 +122,12 @@ func TestCompleteOnSmallFormulas(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	conclusive := 0
 	for iter := 0; iter < 60; iter++ {
-		f := dqbf.New()
-		f.AddUniversal(1)
-		f.AddUniversal(2)
-		f.AddExistential(3, 1)
-		f.AddExistential(4, 2)
-		for i := 0; i < 3+rng.Intn(6); i++ {
-			k := 1 + rng.Intn(3)
-			c := make(cnf.Clause, 0, k)
-			for j := 0; j < k; j++ {
-				c = append(c, cnf.NewLit(cnf.Var(1+rng.Intn(4)), rng.Intn(2) == 0))
-			}
-			f.Matrix.Clauses = append(f.Matrix.Clauses, c)
-		}
+		f := dqbf.RandomFormula(rng, 2, 2, 3+rng.Intn(6))
 		want, err := dqbf.BruteForce(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Refute(f, Options{})
+		res := Refute(f)
 		if res.Verdict == Inconclusive {
 			continue
 		}
@@ -143,14 +146,14 @@ func TestNoUniversals(t *testing.T) {
 	f := dqbf.New()
 	f.AddExistential(1)
 	f.Matrix.AddDimacsClause(1)
-	if res := Refute(f, Options{}); res.Verdict != Satisfied {
+	if res := Refute(f); res.Verdict != Satisfied {
 		t.Fatalf("SAT instance: %v", res.Verdict)
 	}
 	f2 := dqbf.New()
 	f2.AddExistential(1)
 	f2.Matrix.AddDimacsClause(1)
 	f2.Matrix.AddDimacsClause(-1)
-	if res := Refute(f2, Options{}); res.Verdict != Refuted {
+	if res := Refute(f2); res.Verdict != Refuted {
 		t.Fatalf("UNSAT instance: %v", res.Verdict)
 	}
 }
