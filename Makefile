@@ -32,15 +32,18 @@ fuzz-smoke:
 # DQDIMACS reader (no panics; accepted input round-trips), the one AIGER
 # parser (no panics; accepted input normalizes to a read/write fixpoint)
 # and the problem encoding over it, the certificate wire decoder (no panics;
-# Encode→Decode→Encode fixpoint; Check returns), the AIG compose/cofactor
-# identities the certificate extractor relies on, and the universal
-# expansion (the full grounding's SAT verdict equals brute force).
+# Encode→Decode→Encode fixpoint; Check returns), the certificate checker's
+# two deciders (same verdict on every decoded certificate for Example 1),
+# the AIG compose/cofactor identities the certificate extractor relies on,
+# and the universal expansion (every accepted input is valid; the full
+# grounding's SAT verdict equals brute force).
 fuzz-native:
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz '^FuzzGround$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGERReader$$' -fuzztime 10s
 	$(GO) test ./internal/problem -run '^$$' -fuzz FuzzAIGERReader -fuzztime 10s
 	$(GO) test ./internal/cert -run '^$$' -fuzz FuzzCertDecode -fuzztime 10s
+	$(GO) test ./internal/cert -run '^$$' -fuzz '^FuzzCertCheck$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGCompose$$' -fuzztime 10s
 
 # Chaos drill under the race detector: fault-injected panics, errors, and

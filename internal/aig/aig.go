@@ -13,8 +13,8 @@
 // The package provides the full operation set HQS requires: Boolean
 // connectives, composition (substitution of functions for input variables),
 // cofactors, single-variable existential/universal quantification, support
-// computation, Tseitin CNF export, 64-way parallel simulation, and the
-// syntactic unit/pure-variable detection of the paper's Theorem 6.
+// computation, Tseitin CNF export, exhaustive bit-parallel simulation, and
+// the syntactic unit/pure-variable detection of the paper's Theorem 6.
 package aig
 
 import (
@@ -59,7 +59,6 @@ func (r Ref) IsConst() bool { return r.node() == 0 }
 type node struct {
 	f0, f1 Ref     // fanins of an AND gate
 	v      cnf.Var // nonzero for input nodes
-	sim    uint64  // scratch word for parallel simulation
 }
 
 // ErrNodeLimit is the panic value raised when the graph exceeds its node

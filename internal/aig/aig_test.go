@@ -2,6 +2,7 @@ package aig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -418,41 +419,155 @@ func TestSupportAndConeSize(t *testing.T) {
 	}
 }
 
-func TestSimulate(t *testing.T) {
+// falsePoints enumerates, with Exhaustive, the first limit assignments of
+// counting order over vs that falsify r: each answer's minterm is OR-ed into
+// the root before the next call, so the next Falsified verdict must be the
+// next false point. The enumeration ends early at a Valid verdict.
+func falsePoints(t *testing.T, g *Graph, r Ref, vs []cnf.Var, limit int) []int {
+	t.Helper()
+	var out []int
+	for len(out) < limit {
+		verdict, cex := g.Exhaustive(r, vs, 1<<30)
+		if verdict == Valid {
+			break
+		}
+		if verdict != Falsified || len(cex) != len(vs) {
+			t.Fatalf("verdict %v with assignment %v over %d variables", verdict, cex, len(vs))
+		}
+		idx := 0
+		minterm := True
+		for j, b := range cex {
+			if b {
+				idx |= 1 << j
+			}
+			minterm = g.And(minterm, g.Input(vs[j]).XorSign(!b))
+		}
+		out = append(out, idx)
+		r = g.Or(r, minterm)
+	}
+	return out
+}
+
+// tableFalsePoints returns the first limit indices where table is false.
+func tableFalsePoints(table []bool, limit int) []int {
+	var out []int
+	for i, v := range table {
+		if !v && len(out) < limit {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func TestExhaustive(t *testing.T) {
 	g := New()
 	x, y := g.Input(1), g.Input(2)
-	r := g.Xor(x, y)
-	pat := map[cnf.Var]uint64{1: 0b1100, 2: 0b1010}
-	got := g.Simulate(r, pat) & 0xF
-	if got != 0b0110 {
-		t.Fatalf("simulate xor = %04b, want 0110", got)
+	vs := []cnf.Var{1, 2}
+	// x⊕y has the truth table 0110 over (x, y): false at 00 and 11.
+	if got := falsePoints(t, g, g.Xor(x, y), vs, 4); !slices.Equal(got, []int{0, 3}) {
+		t.Fatalf("xor false points = %v, want [0 3]", got)
 	}
-	if g.Simulate(True, pat) != ^uint64(0) {
-		t.Fatal("simulate True should be all ones")
+	if v, _ := g.Exhaustive(True, vs, 0); v != Valid {
+		t.Fatalf("True: verdict %v", v)
 	}
-	if g.Simulate(False, pat) != 0 {
-		t.Fatal("simulate False should be zero")
+	if v, cex := g.Exhaustive(False, vs, 0); v != Falsified || !slices.Equal(cex, []bool{false, false}) {
+		t.Fatalf("False: verdict %v at %v", v, cex)
+	}
+	// Variables the cone does not read are not enumerated and stay false:
+	// over (3, 2, 1) the second false point of x⊕y is 3=0, 2=1, 1=1, and
+	// a work bound of |cone|·2^0 suffices although three variables are
+	// listed.
+	xor := g.Xor(x, y)
+	if v, cex := g.Exhaustive(g.Or(xor, g.And(x.Not(), y.Not())), []cnf.Var{3, 2, 1}, int64(len(g.coneNodes(xor))+2)); v != Falsified || !slices.Equal(cex, []bool{false, true, true}) {
+		t.Fatalf("xor over a superset of its support: verdict %v at %v", v, cex)
+	}
+	// k = 0: the constants are the only functions without support.
+	if v, _ := g.Exhaustive(True, nil, 0); v != Valid {
+		t.Fatalf("True over no variables: verdict %v", v)
+	}
+	if v, cex := g.Exhaustive(False, nil, 0); v != Falsified || len(cex) != 0 {
+		t.Fatalf("False over no variables: verdict %v at %v", v, cex)
+	}
+	// A valid function that structural hashing cannot fold to True.
+	valid := g.Or(g.Or(g.And(x, y), x.Not()), g.And(x, y.Not()))
+	if valid == True {
+		t.Fatal("test function folded to a constant")
+	}
+	if v, _ := g.Exhaustive(valid, vs, 1<<30); v != Valid {
+		t.Fatalf("valid function: verdict %v", v)
+	}
+	// Its complement is false everywhere, so it fails at assignment 0.
+	if v, cex := g.Exhaustive(valid.Not(), vs, 1<<30); v != Falsified || !slices.Equal(cex, []bool{false, false}) {
+		t.Fatalf("complemented valid function: verdict %v at %v", v, cex)
 	}
 }
 
-func TestSimulateMatchesEval(t *testing.T) {
+// TestExhaustiveMatchesEval compares the kernel's false points with the
+// truth table Graph.Eval computes, for random functions and their
+// complements over 1 to 12 variables: one word holding repeated patterns
+// (k < 6), partial chunks (6 ≤ k < 9) and several chunks (k ≥ 9). The
+// variable order is shuffled, so vars[j] must read bit j whatever its number.
+func TestExhaustiveMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	vs := []cnf.Var{1, 2, 3, 4, 5}
-	for iter := 0; iter < 50; iter++ {
-		g := New()
-		r := randomAIG(g, rng, vs, 12)
-		pat := map[cnf.Var]uint64{}
-		for _, v := range vs {
-			pat[v] = rng.Uint64()
+	for iter := 0; iter < 60; iter++ {
+		k := 1 + iter%12
+		vs := make([]cnf.Var, k)
+		for i := range vs {
+			vs[i] = cnf.Var(i + 1)
 		}
-		word := g.Simulate(r, pat)
-		for bit := 0; bit < 64; bit += 7 {
-			want := g.Eval(r, func(v cnf.Var) bool { return pat[v]&(1<<bit) != 0 })
-			if (word&(1<<bit) != 0) != want {
-				t.Fatalf("iter %d bit %d: sim disagrees with eval", iter, bit)
+		g := New()
+		r := randomAIG(g, rng, vs, 3*k)
+		rng.Shuffle(k, func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
+		for _, root := range []Ref{r, r.Not()} {
+			table := truthTable(g, root, vs)
+			want := tableFalsePoints(table, 8)
+			if got := falsePoints(t, g, root, vs, 8); !slices.Equal(got, want) {
+				t.Fatalf("iter %d (k=%d): false points %v, table %v", iter, k, got, want)
+			}
+			// Once every false point is OR-ed in, the function is valid.
+			if all := tableFalsePoints(table, len(table)); len(all) <= 8 {
+				if got := falsePoints(t, g, root, vs, 9); len(got) != len(all) {
+					t.Fatalf("iter %d (k=%d): %d false points, table has %d", iter, k, len(got), len(all))
+				}
 			}
 		}
 	}
+}
+
+// TestExhaustiveWorkBound pins the bound: 2^max(0,k−6)·|cone| at most
+// maxWork is decided, one more is not, and an undecided call simulates
+// nothing.
+func TestExhaustiveWorkBound(t *testing.T) {
+	for _, k := range []int{3, 6, 8, 11} {
+		g := New()
+		vs := make([]cnf.Var, k)
+		lits := make([]Ref, k)
+		for i := range vs {
+			vs[i] = cnf.Var(i + 1)
+			lits[i] = g.Input(vs[i])
+		}
+		r := g.OrN(lits...) // false only at assignment 0
+		work := int64(len(g.coneNodes(r))) << max(0, k-6)
+		if v, cex := g.Exhaustive(r, vs, work); v != Falsified || !slices.Equal(cex, make([]bool, k)) {
+			t.Fatalf("k=%d at the bound: verdict %v at %v", k, v, cex)
+		}
+		if v, cex := g.Exhaustive(r, vs, work-1); v != Undecided || cex != nil {
+			t.Fatalf("k=%d over the bound: verdict %v at %v", k, v, cex)
+		}
+	}
+}
+
+// TestExhaustiveUncoveredInputPanics: vars must cover the support; an input
+// missing from it is a caller bug.
+func TestExhaustiveUncoveredInputPanics(t *testing.T) {
+	g := New()
+	r := g.And(g.Input(1), g.Input(2))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("uncovered input did not panic")
+		}
+	}()
+	g.Exhaustive(r, []cnf.Var{1}, 1<<30)
 }
 
 func TestToFormulaEquisatisfiable(t *testing.T) {

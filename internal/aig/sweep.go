@@ -27,36 +27,6 @@ func (r *rng) next() uint64 {
 	return x
 }
 
-// Simulate runs 64-way parallel simulation of the cone of r: each input
-// variable is driven by the given 64-bit pattern (missing inputs get zero).
-// It returns the 64 output values as a word.
-func (g *Graph) Simulate(r Ref, patterns map[cnf.Var]uint64) uint64 {
-	cone := g.coneNodes(r)
-	for _, n := range cone {
-		nd := &g.nodes[n]
-		if nd.v != 0 {
-			nd.sim = patterns[nd.v]
-			continue
-		}
-		a := g.edgeSim(nd.f0)
-		b := g.edgeSim(nd.f1)
-		nd.sim = a & b
-	}
-	return g.edgeSim(r)
-}
-
-func (g *Graph) edgeSim(e Ref) uint64 {
-	n := e.node()
-	var w uint64
-	if n != 0 {
-		w = g.nodes[n].sim
-	}
-	if e.Compl() {
-		return ^w
-	}
-	return w
-}
-
 // SweepOracle is a persistent equivalence oracle queried by one sweep
 // worker. Implementations (internal/oracle) keep a long-lived incremental
 // SAT solver plus Tseitin memo alive across sweep rounds, so candidate

@@ -28,13 +28,18 @@ import (
 // The reader is strict: the problem line must precede the prefix and matrix
 // and occur exactly once, quantifier lines must be 0-terminated with nothing
 // after the terminator, and every variable and literal must lie within the
-// declared variable range. Violations are reported with their line number.
+// declared variable range. The prefix must pass Validate: no variable is
+// quantified twice, and every dependency is a universal other than the
+// existential itself. Violations are reported with their line number,
+// except a dependency on a variable the prefix never makes universal, which
+// shows only once the whole input is read.
 func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 	f := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var cur cnf.Clause
 	var universalsSoFar []cnf.Var
+	prefix := make(map[cnf.Var]bool) // quantified variable -> universal
 	lineNo := 0
 	prefixDone := false
 	sawProblem := false
@@ -73,6 +78,29 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 			if err != nil {
 				return nil, err
 			}
+			var deps []cnf.Var
+			if fields[0] == "d" {
+				if len(vars) == 0 {
+					return nil, fmt.Errorf("dqdimacs line %d: empty d line", lineNo)
+				}
+				// A dependency on a variable quantified only later is left
+				// to the Validate call at the end.
+				vars, deps = vars[:1], vars[1:]
+				for _, d := range deps {
+					if d == vars[0] {
+						return nil, fmt.Errorf("dqdimacs line %d: existential %d depends on itself", lineNo, d)
+					}
+					if univ, ok := prefix[d]; ok && !univ {
+						return nil, fmt.Errorf("dqdimacs line %d: existential %d depends on existential %d", lineNo, vars[0], d)
+					}
+				}
+			}
+			for _, v := range vars {
+				if _, ok := prefix[v]; ok {
+					return nil, fmt.Errorf("dqdimacs line %d: variable %d quantified twice", lineNo, v)
+				}
+				prefix[v] = fields[0] == "a"
+			}
 			switch fields[0] {
 			case "a":
 				for _, v := range vars {
@@ -84,10 +112,7 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 					f.AddExistential(v, universalsSoFar...)
 				}
 			case "d":
-				if len(vars) == 0 {
-					return nil, fmt.Errorf("dqdimacs line %d: empty d line", lineNo)
-				}
-				f.AddExistential(vars[0], vars[1:]...)
+				f.AddExistential(vars[0], deps...)
 			}
 		default:
 			prefixDone = true
@@ -133,6 +158,9 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 	sort.Slice(free, func(i, j int) bool { return free[i] < free[j] })
 	for _, v := range free {
 		f.AddExistential(v)
+	}
+	if err := f.Validate(); err != nil {
+		return nil, fmt.Errorf("dqdimacs: %w", err)
 	}
 	return f, nil
 }

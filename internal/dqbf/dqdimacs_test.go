@@ -37,6 +37,12 @@ func TestParseMalformedInputs(t *testing.T) {
 		{"negative literal out of range", "p cnf 2 1\n-4 1 0\n", "line 2: literal -4 out of range"},
 		{"literal beyond int32", "p cnf 0 0\n10000000000", "line 2: literal 10000000000 out of range"},
 		{"quantifier after clauses", "p cnf 2 1\n1 2 0\na 1 0\n", "quantifier line after clauses"},
+		{"self-dependency", "p cnf 7 0\nd 1 1 0\n", "line 2: existential 1 depends on itself"},
+		{"dependency on an existential", "p cnf 3 0\na 1 0\ne 2 0\nd 3 1 2 0\n", "line 4: existential 3 depends on existential 2"},
+		{"dependency never universal", "p cnf 3 1\na 1 0\nd 3 2 0\n2 3 0\n", "dependency set of 3 contains non-universals"},
+		{"universal quantified twice", "p cnf 2 0\na 1 2 0\na 2 0\n", "line 3: variable 2 quantified twice"},
+		{"existential also universal", "p cnf 2 0\na 1 0\ne 2 1 0\n", "line 3: variable 1 quantified twice"},
+		{"existential quantified twice", "p cnf 3 0\na 1 0\nd 2 1 0\ne 3 2 0\n", "line 4: variable 2 quantified twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,6 +21,7 @@ func FuzzDQDIMACSReader(f *testing.F) {
 		"p cnf 1 1\n\n1 0\n",
 		"garbage\n",
 		"p cnf 1 1\na 99 0\n1 0\n",
+		"p cnf 7 0\nd 1 1 0\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -50,23 +51,30 @@ func FuzzDQDIMACSReader(f *testing.F) {
 }
 
 // FuzzGround checks the universal expansion against the Skolem-table
-// enumeration: for every fuzzed DQDIMACS input that parses into a valid DQBF
-// (the reader accepts prefixes Validate rejects, such as a dependency on an
-// existential) small enough for BruteForce, grounding the matrix under all universal
-// assignments is satisfiable exactly when the DQBF is.
+// enumeration: every fuzzed DQDIMACS input the reader accepts is a valid
+// DQBF, and for one small enough for BruteForce, grounding the matrix under
+// all universal assignments is satisfiable exactly when the DQBF is.
 func FuzzGround(f *testing.F) {
 	seeds := []string{
 		// Example 1 of the paper: satisfiable.
 		"p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n",
 		// Its dependencies crossed: unsatisfiable.
 		"p cnf 4 4\na 1 2 0\nd 3 2 0\nd 4 1 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n",
+		// A self-dependency, which the reader must reject.
+		"p cnf 7 0\nd 1 1 0\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		formula, err := ParseDQDIMACS(bytes.NewReader(data))
-		if err != nil || formula.Matrix.NumVars > 1<<12 || !smallForBruteForce(formula) || formula.Validate() != nil {
+		if err != nil {
+			return
+		}
+		if err := formula.Validate(); err != nil {
+			t.Fatalf("reader accepted an invalid formula: %v\n%q", err, data)
+		}
+		if formula.Matrix.NumVars > 1<<12 || !smallForBruteForce(formula) {
 			return
 		}
 		want, err := BruteForce(formula)
