@@ -1,7 +1,8 @@
 // Package cert implements Skolem-function certificates for DQBF: extraction
 // of per-existential Skolem functions from a run of the HQS elimination
 // pipeline, and an independent checker that validates any certificate against
-// the original formula with one SAT call.
+// the original formula, by exhaustive simulation over small universal sets
+// and by one SAT call otherwise.
 //
 // Extraction follows the reconstruction idea of certified quantifier
 // elimination (Certified DQBF Solving by Definition Extraction; Verification

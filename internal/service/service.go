@@ -383,7 +383,7 @@ func (a answer) outcome(eng Engine, f *dqbf.Formula, b *budget.Budget) Outcome {
 }
 
 // certify is the trust step behind every checked SAT verdict: the
-// service.certify fault point, then the independent checker (one SAT call)
+// service.certify fault point, then the independent checker (cert.Check)
 // on the engine's Skolem certificate. A certificate the engine failed to
 // produce fails like one the checker rejects. It returns the checked
 // certificate so the outcome can carry it to the persistent store.
