@@ -35,8 +35,9 @@ fuzz-smoke:
 # Encode→Decode→Encode fixpoint; Check returns), the certificate checker's
 # two deciders (same verdict on every decoded certificate for Example 1),
 # the AIG compose/cofactor identities the certificate extractor relies on,
-# and the universal expansion (every accepted input is valid; the full
-# grounding's SAT verdict equals brute force).
+# the universal expansion (every accepted input is valid; the full
+# grounding's SAT verdict equals brute force), and the AIG sweep (the
+# function is unchanged; a cone of at most 9 inputs makes no SAT call).
 fuzz-native:
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz '^FuzzGround$$' -fuzztime 10s
@@ -45,6 +46,7 @@ fuzz-native:
 	$(GO) test ./internal/cert -run '^$$' -fuzz FuzzCertDecode -fuzztime 10s
 	$(GO) test ./internal/cert -run '^$$' -fuzz '^FuzzCertCheck$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGCompose$$' -fuzztime 10s
+	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime 10s
 
 # Chaos drill under the race detector: fault-injected panics, errors, and
 # spurious Unknowns against the scheduler with concurrent submits, cancels,

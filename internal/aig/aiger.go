@@ -94,8 +94,12 @@ type File struct {
 }
 
 // ParseAIGER parses either AIGER flavor, dispatching on the header magic,
-// and validates the result. Header counts beyond cnf.MaxVar are rejected, and nothing is sized by the header's M: memory grows with
-// the bytes actually read (except the binary flavor's implicit inputs).
+// and validates the result. Header counts beyond cnf.MaxVar are rejected.
+// So is a header whose lines cannot fit in the bytes that follow it (each
+// takes at least one: every input, output and and gate in the ascii flavor,
+// every output and and gate in the binary one, whose inputs are implicit),
+// or whose M exceeds cnf.VarLimit of those lines. Memory thus grows with
+// the bytes actually read, the binary flavor's implicit inputs included.
 func ParseAIGER(data []byte) (*File, error) {
 	nl := bytes.IndexByte(data, '\n')
 	header := data
@@ -121,6 +125,16 @@ func ParseAIGER(data []byte) (*File, error) {
 	}
 	if nIn+nAnd > m {
 		return nil, fmt.Errorf("aiger: header declares %d variables for %d inputs + %d ands", m, nIn, nAnd)
+	}
+	lines := nOut + nAnd
+	if fields[0] == "aag" {
+		lines += nIn
+	}
+	if lines > len(rest) {
+		return nil, fmt.Errorf("aiger line 1: header declares %d lines, but only %d bytes follow", lines, len(rest))
+	}
+	if limit := cnf.VarLimit(lines); m > limit {
+		return nil, fmt.Errorf("aiger line 1: header declares %d variables for %d lines (at most %d)", m, lines, limit)
 	}
 	af := &File{MaxVar: m, InSyms: map[int]string{}, OutSyms: map[int]string{}}
 	var err error

@@ -127,6 +127,8 @@ func TestReadAAGErrors(t *testing.T) {
 		"aag 100000000000 1 0 1 0\n2\n2\n",    // M beyond the cnf.Var range
 		"aag 3 1 0 1 2\n2\n4\n4 6 2\n6 2 2\n", // AND input used before its definition
 		"aig 1 1 0 1 0\n2\n",                  // binary flavor
+		"aag 1073741823 0 0 1 0\n0\n",         // M beyond VarLimit of the lines
+		"aag 1 1 0 1 0\n",                     // header lines past the input
 	}
 	for _, src := range cases {
 		if _, _, err := ReadAAG([]byte(src)); err == nil {
@@ -180,6 +182,7 @@ func FuzzAIGERReader(f *testing.F) {
 		[]byte("agg 1 1 0 0 0\n2\n"),
 		[]byte("aig 2 1 0 0 1\n\xff\xff\xff\xff\xff\xff\x01\x00"),
 		[]byte("aag 4 2 0 1 1\n2\n4\n6\n6 2 4\ni0 v3\ni1 v1\nc\n"),
+		[]byte("aig 1073741823 1073741823 0 0 0"),
 	}
 	for _, s := range seeds {
 		f.Add(s)

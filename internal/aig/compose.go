@@ -9,34 +9,41 @@ import (
 // Compose substitutes functions for input variables: every input node whose
 // variable appears in subst is replaced by the given reference. The result is
 // rebuilt bottom-up with full structural hashing, so simplifications cascade.
+// A node neither of whose fanins changed is kept as it is: it came from And,
+// so And would return it again.
 func (g *Graph) Compose(r Ref, subst map[cnf.Var]Ref) Ref {
 	if len(subst) == 0 {
 		return r
 	}
-	memo := make(map[int32]Ref)
+	// memo[n] is node n's image, or -1 before it is computed. Every node of
+	// the cone is at most r's, like indexCone's pos.
+	memo := make([]Ref, r.node()+1)
+	for i := range memo {
+		memo[i] = -1
+	}
 	return g.compose(r, subst, memo)
 }
 
-func (g *Graph) compose(r Ref, subst map[cnf.Var]Ref, memo map[int32]Ref) Ref {
+func (g *Graph) compose(r Ref, subst map[cnf.Var]Ref, memo []Ref) Ref {
 	n := r.node()
 	if n == 0 {
 		return r
 	}
-	if out, ok := memo[n]; ok {
+	if out := memo[n]; out >= 0 {
 		return out.XorSign(r.Compl())
 	}
 	nd := g.nodes[n] // copy: g.nodes may be appended to during recursion
-	var out Ref
+	out := Ref(n << 1)
 	if nd.v != 0 {
 		if s, ok := subst[nd.v]; ok {
 			out = s
-		} else {
-			out = Ref(n << 1)
 		}
 	} else {
 		f0 := g.compose(nd.f0, subst, memo)
 		f1 := g.compose(nd.f1, subst, memo)
-		out = g.And(f0, f1)
+		if f0 != nd.f0 || f1 != nd.f1 {
+			out = g.And(f0, f1)
+		}
 	}
 	memo[n] = out
 	return out.XorSign(r.Compl())

@@ -24,6 +24,16 @@ var basePatterns = [6]uint64{
 	0xFFFFFFFF00000000,
 }
 
+// patternWord is word w of the pattern of index bit j: bit b of it is bit j
+// of assignment 64·w + b. The first six index bits read the bit position
+// within a word, the next ones the word index.
+func patternWord(j, w int) uint64 {
+	if j < 6 {
+		return basePatterns[j]
+	}
+	return -uint64(w >> (j - 6) & 1)
+}
+
 // Verdict is the answer of Exhaustive.
 type Verdict uint8
 
@@ -86,12 +96,9 @@ func (g *Graph) Exhaustive(r Ref, vars []cnf.Var, maxWork int64) (Verdict, []boo
 	// their index bits, so the first falsifying bit still lies below 2^k.
 	words := make([][chunkWords]uint64, len(c.fanin))
 	for i, p := range c.inputs {
-		for w := range words[p] {
-			switch j := inputCol[i]; {
-			case j < 6:
-				words[p][w] = basePatterns[j]
-			case j < 9:
-				words[p][w] = -uint64(w >> (j - 6) & 1)
+		if j := inputCol[i]; j < 9 {
+			for w := range words[p] {
+				words[p][w] = patternWord(j, w)
 			}
 		}
 	}

@@ -136,3 +136,27 @@ func varIndex(v cnf.Var) int {
 	}
 	return -1
 }
+
+// FuzzSweep sweeps fuzz-built AIGs: the function must be unchanged, and a
+// cone of at most exactInputs inputs must be decided by its truth tables,
+// with no SAT call.
+func FuzzSweep(f *testing.F) {
+	f.Add([]byte{0, 8, 4, 0, 8, 5, 6})
+	f.Add([]byte{0, 8, 16, 24, 7, 0, 3, 8, 3, 4, 16, 24, 6, 5})
+	f.Add([]byte{1, 9, 6, 1, 9, 3, 4, 9, 1, 3, 4, 5, 17, 25, 6, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return
+		}
+		g := New()
+		r := buildFuzzAIG(g, data)
+		want := evalAll(g, r)
+		swept, st := g.Sweep(r, DefaultSweepOptions())
+		if got := evalAll(g, swept); !eqVec(got, want) {
+			t.Fatalf("sweep changed the function of %v", r)
+		}
+		if k := len(g.Support(r)); k <= exactInputs && st.SatCalls != 0 {
+			t.Fatalf("%d-input cone: %d SAT calls", k, st.SatCalls)
+		}
+	})
+}

@@ -62,6 +62,7 @@ type SweepStats struct {
 	Merged     int // pairs proven equivalent and merged
 	SatCalls   int // individual SAT oracle invocations (up to two per pair)
 	SimRefuted int // candidates refuted by earlier counterexamples, with no SAT call
+	Exact      int // sweeps decided by truth table, with no SAT call (cones of at most exactInputs inputs)
 	Workers    int // size of the worker pool actually used
 	Skipped    int // sweeps skipped outright (injected fault at aig.sweep)
 	Panics     int // worker panics contained (candidates left unproven)
@@ -79,6 +80,7 @@ func (s SweepStats) Counters() map[string]int64 {
 		"merged":     int64(s.Merged),
 		"satcalls":   int64(s.SatCalls),
 		"simrefuted": int64(s.SimRefuted),
+		"exact":      int64(s.Exact),
 	}
 	if s.Skipped > 0 {
 		c["skipped"] = int64(s.Skipped)
@@ -95,6 +97,7 @@ func (s *SweepStats) Add(o SweepStats) {
 	s.Merged += o.Merged
 	s.SatCalls += o.SatCalls
 	s.SimRefuted += o.SimRefuted
+	s.Exact += o.Exact
 	s.Skipped += o.Skipped
 	s.Panics += o.Panics
 	s.Compactions += o.Compactions
@@ -106,10 +109,17 @@ func (s *SweepStats) Add(o SweepStats) {
 	}
 }
 
+// simWords is the number of 64-bit words in a node's simulation signature:
+// 512 input patterns, like one chunk of Exhaustive.
+const simWords = chunkWords
+
+// exactInputs is the largest cone input count whose 2^k assignments all fit
+// in a signature of simWords words. Such a cone is simulated exhaustively,
+// so its signatures are truth tables.
+const exactInputs = 9
+
 // SweepOptions configures SAT sweeping.
 type SweepOptions struct {
-	// Rounds of 64-bit random simulation words used for signatures.
-	SimWords int
 	// ConflictBudget per SAT equivalence query; on budget exhaustion the
 	// pair is conservatively treated as inequivalent. <=0 means unlimited.
 	ConflictBudget int64
@@ -139,7 +149,7 @@ type SweepOptions struct {
 
 // DefaultSweepOptions are a reasonable tradeoff for the solver loops.
 func DefaultSweepOptions() SweepOptions {
-	return SweepOptions{SimWords: 8, ConflictBudget: 2000}
+	return SweepOptions{ConflictBudget: 2000}
 }
 
 // poolSize resolves the Workers knob against the candidate count.
@@ -231,16 +241,26 @@ const (
 
 // Sweep performs FRAIG-style reduction on the cone of r: nodes with equal
 // (or complementary) simulation signatures are checked for functional
-// equivalence with SAT and merged, then the cone is rebuilt. The result is
+// equivalence and merged, then the cone is rebuilt. The result is
 // functionally equivalent to r.
 //
-// The candidate checks run on a pool of opt.Workers SAT solvers, each private
-// to its goroutine and loaded from one shared Tseitin encoding of the cone.
-// Candidates are independent of one another (each compares a node against the
-// fixed representative of its signature class), so proven merges are applied
-// in deterministic candidate order afterwards and the swept graph is
-// bit-identical to the serial result whenever no query hits its budget.
+// A cone of at most exactInputs inputs is simulated under every assignment,
+// so equal signatures are equal functions: every candidate is merged at once
+// and the sweep issues no SAT call (SweepStats.Exact). A larger cone gets
+// pseudo-random signatures, and its candidates are checked on a pool of
+// opt.Workers SAT solvers, each private to its goroutine and loaded from one
+// shared Tseitin encoding of the cone. Candidates are independent of one
+// another (each compares a node against the fixed representative of its
+// signature class), so proven merges are applied in deterministic candidate
+// order afterwards and the swept graph is bit-identical to the serial result
+// whenever no query hits its budget.
 func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
+	return g.sweep(r, opt, false)
+}
+
+// sweep is Sweep; forceSAT checks the candidates of a truth-table cone with
+// SAT too, so tests can compare the two paths.
+func (g *Graph) sweep(r Ref, opt SweepOptions, forceSAT bool) (Ref, SweepStats) {
 	var stats SweepStats
 	// Fault-injection seam: sweeping is an optimization, so a fault here is
 	// contained by skipping the sweep — the unswept cone is equivalent.
@@ -266,13 +286,23 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 		}
 		return false
 	}
-	cands, ok := c.candidates(opt.SimWords, expired)
-	if !ok || len(cands) == 0 {
-		// Nothing to prove, or cancelled mid-simulation: the unswept cone
-		// is equivalent.
+	cands, exact, ok := c.candidates(simWords, expired)
+	if !ok {
+		// Cancelled mid-simulation: the unswept cone is equivalent.
 		return r, stats
 	}
-	verdicts, stats := g.checkCandidates(c, cands, opt, expired)
+	exact = exact && !forceSAT
+	if exact {
+		stats.Exact = 1
+		stats.Candidates = len(cands)
+	}
+	if len(cands) == 0 {
+		return r, stats
+	}
+	var verdicts []candVerdict
+	if !exact {
+		verdicts, stats = g.checkCandidates(c, cands, opt, expired)
+	}
 
 	// Merge phase: apply proven equivalences in candidate order. Because the
 	// verdicts are independent, this reproduces the serial merge set exactly.
@@ -281,7 +311,7 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 	// marks "no merge".
 	repl := make([]Ref, len(c.fanin))
 	for i, cd := range cands {
-		if verdicts[i] == provenEq {
+		if exact || verdicts[i] == provenEq {
 			repl[cd.rhs>>1] = cd.lhsRef.XorSign(cd.rhsRef.Compl())
 			stats.Merged++
 		}
@@ -323,25 +353,31 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 	return rebuild(r), stats
 }
 
-// candidates simulates the cone on simWords random 64-bit words per input
-// (<=0 means 8) and returns, in deterministic order, one candidate per class
-// member that is not its class's representative: members share a signature
-// up to complement. It returns false if expired stops the simulation.
-func (c *coneIndex) candidates(simWords int, expired func() bool) ([]sweepCand, bool) {
-	if simWords <= 0 {
-		simWords = 8
-	}
+// candidates simulates the cone on words 64-bit words per input and
+// returns, in deterministic order, one candidate per class member that is
+// not its class's representative: members share a signature up to
+// complement. When the cone's k inputs have at most 64·words assignments,
+// the patterns enumerate them all, in Exhaustive's order, and exact is true:
+// every signature is a truth table (repeated when k < 6), so every candidate
+// is an equivalence. Otherwise the patterns are pseudo-random. It returns
+// false if expired stops the simulation.
+func (c *coneIndex) candidates(words int, expired func() bool) (cands []sweepCand, exact bool, ok bool) {
 	// Signatures: W words per position, sig(p) = sigs[p*W:(p+1)*W]. Input
-	// patterns are generated word-major over the inputs in ascending
-	// variable order, so every input gets the same pseudo-random stream on
-	// every run and sweeping is deterministic end to end.
-	W := simWords
+	// patterns are assigned over the inputs in ascending variable order, so
+	// every input gets the same patterns on every run and sweeping is
+	// deterministic end to end.
+	W := words
 	sigs := make([]uint64, len(c.fanin)*W)
 	sig := func(p int32) []uint64 { return sigs[int(p)*W : int(p+1)*W] }
+	exact = len(c.inputs) < 64 && 1<<len(c.inputs) <= 64*W
 	seed := rng(0x2545f4914f6cdd1d)
 	for w := range W {
-		for _, p := range c.inputs {
-			sig(p)[w] = seed.next()
+		for j, p := range c.inputs {
+			if exact {
+				sig(p)[w] = patternWord(j, w)
+			} else {
+				sig(p)[w] = seed.next()
+			}
 		}
 	}
 	// One pass over the cone computes all W signature words per node at
@@ -349,7 +385,7 @@ func (c *coneIndex) candidates(simWords int, expired func() bool) ([]sweepCand, 
 	// mid-simulation rather than only once the candidate checks start.
 	for p := int32(1); int(p) < len(c.fanin); p++ {
 		if p&255 == 0 && expired() {
-			return nil, false
+			return nil, false, false
 		}
 		if c.vars[p] != 0 {
 			continue
@@ -396,7 +432,6 @@ func (c *coneIndex) candidates(simWords int, expired func() bool) ([]sweepCand, 
 	// never itself merged away (each node sits in exactly one class), so
 	// candidates are mutually independent and can be checked in any order —
 	// or concurrently.
-	var cands []sweepCand
 	for _, key := range keys {
 		members := buckets[key]
 		if len(members) < 2 {
@@ -415,7 +450,7 @@ func (c *coneIndex) candidates(simWords int, expired func() bool) ([]sweepCand, 
 			})
 		}
 	}
-	return cands, true
+	return cands, exact, true
 }
 
 // checkCandidates decides every candidate on a pool of opt.Workers SAT

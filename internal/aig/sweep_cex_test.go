@@ -72,47 +72,44 @@ func randomCone(g *Graph, rng *rand.Rand, vs []cnf.Var, ops int) Ref {
 }
 
 // TestSweepCounterexampleRefinementProperty checks counterexample-guided
-// candidate filtering against exhaustive truth tables on random cones of at
-// most 10 inputs, in persistent-oracle and fresh-solver mode with 1 and 4
-// workers and an unlimited conflict budget. One simulation word leaves many
+// candidate filtering against exhaustive simulation on random cones of 10 to
+// 16 inputs, in persistent-oracle and fresh-solver mode with 1 and 4 workers
+// and an unlimited conflict budget. One simulation word leaves many
 // inequivalent candidates for SAT and simulation to refute. For every
-// candidate: it is merged exactly when its truth tables are equal, and a
-// simulation refutation is a true difference. The swept root is identical
-// across modes and worker counts.
+// candidate: it is merged exactly when its functions are equal, and a
+// simulation refutation is a true difference. The swept root, past the
+// truth-table bound, is identical across modes and worker counts.
 func TestSweepCounterexampleRefinementProperty(t *testing.T) {
 	never := func() bool { return false }
 	var simRefutes, satRefutes int
 	for iter := 0; iter < 40; iter++ {
 		seed := int64(7000 + iter)
-		nv := 4 + iter%7 // 4..10 inputs
-		vs := make([]cnf.Var, nv)
-		for i := range vs {
-			vs[i] = cnf.Var(i + 1)
-		}
+		nv := exactInputs + 1 + iter%7 // 10..16 inputs
+		vs := vars(nv)
 		build := func() (*Graph, Ref) {
 			g := New()
-			return g, randomCone(g, rand.New(rand.NewSource(seed)), vs, 30+2*nv)
+			return g, readingAll(g, randomCone(g, rand.New(rand.NewSource(seed)), vs, 30+2*nv), vs)
 		}
 
 		var want Ref = -1
 		for _, oracle := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				g, r := build()
-				opt := SweepOptions{SimWords: 1, Workers: workers}
+				opt := SweepOptions{Workers: workers}
 				if oracle {
 					opt.Oracles = newTestOraclePool(g)
 				}
 				c := g.indexCone(r)
-				cands, _ := c.candidates(opt.SimWords, never)
+				cands, _, _ := c.candidates(1, never)
 				verdicts, st := g.checkCandidates(c, cands, opt, never)
 				for i, cd := range cands {
-					eq := eqTables(truthTable(g, cd.lhsRef, vs), truthTable(g, cd.rhsRef, vs))
+					eq := sameFunction(g, cd.lhsRef, cd.rhsRef, vs)
 					switch v := verdicts[i]; {
 					case v == simRefuted && eq:
 						t.Fatalf("iter %d oracle=%v workers=%d: candidate %d refuted by simulation but equivalent",
 							iter, oracle, workers, i)
 					case (v == provenEq) != eq:
-						t.Fatalf("iter %d oracle=%v workers=%d: candidate %d verdict %d, truth tables equal=%v",
+						t.Fatalf("iter %d oracle=%v workers=%d: candidate %d verdict %d, functions equal=%v",
 							iter, oracle, workers, i, v, eq)
 					case v == unproven:
 						satRefutes++
@@ -123,14 +120,17 @@ func TestSweepCounterexampleRefinementProperty(t *testing.T) {
 				if oracle {
 					opt.Oracles = newTestOraclePool(g)
 				}
-				swept, _ := g.Sweep(r, opt)
+				swept, sst := g.Sweep(r, opt)
+				if sst.Exact != 0 {
+					t.Fatalf("iter %d: a %d-input cone was swept by truth table", iter, nv)
+				}
 				if want == -1 {
 					want = swept
 				} else if swept != want {
 					t.Fatalf("iter %d oracle=%v workers=%d: swept ref %v, fresh serial sweep gave %v",
 						iter, oracle, workers, swept, want)
 				}
-				if !eqTables(truthTable(g, r, vs), truthTable(g, swept, vs)) {
+				if !sameFunction(g, r, swept, vs) {
 					t.Fatalf("iter %d oracle=%v workers=%d: sweep changed semantics", iter, oracle, workers)
 				}
 			}

@@ -71,7 +71,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		return g, buildRedundantCone(g, 6)
 	}
 	gSerial, r := build()
-	serialRef, serialStats := gSerial.Sweep(r, SweepOptions{SimWords: 8, Workers: 1})
+	serialRef, serialStats := gSerial.Sweep(r, SweepOptions{Workers: 1})
 	if serialStats.Merged == 0 {
 		t.Fatal("redundant cone should produce merges")
 	}
@@ -80,7 +80,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		if rp != r {
 			t.Fatal("deterministic construction produced different refs")
 		}
-		parRef, parStats := gPar.Sweep(rp, SweepOptions{SimWords: 8, Workers: workers})
+		parRef, parStats := gPar.Sweep(rp, SweepOptions{Workers: workers})
 		if parRef != serialRef {
 			t.Fatalf("workers=%d: swept ref %v differs from serial %v", workers, parRef, serialRef)
 		}
@@ -102,20 +102,29 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 }
 
 // TestSweepParallelPreservesSemanticsRandom cross-checks the concurrent path
-// against exhaustive truth tables on random AIGs (and is the main target of
-// `go test -race ./internal/aig`).
+// against exhaustive simulation on random AIGs (and is the main target of
+// `go test -race ./internal/aig`). Every cone reads more than exactInputs
+// inputs, so its candidates go to the SAT worker pool.
 func TestSweepParallelPreservesSemanticsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1789))
-	vs := []cnf.Var{1, 2, 3, 4}
+	vs := vars(exactInputs + 3)
+	satCalls := 0
 	for iter := 0; iter < 40; iter++ {
 		g := New()
-		r := randomAIG(g, rng, vs, 20)
+		r := readingAll(g, randomCone(g, rng, vs, 30), vs)
 		opt := DefaultSweepOptions()
 		opt.Workers = 1 + rng.Intn(4)
-		swept, _ := g.Sweep(r, opt)
-		if !eqTables(truthTable(g, r, vs), truthTable(g, swept, vs)) {
+		swept, st := g.Sweep(r, opt)
+		if st.Exact != 0 {
+			t.Fatalf("iter %d: a %d-input cone was swept by truth table", iter, len(g.Support(r)))
+		}
+		satCalls += st.SatCalls
+		if !sameFunction(g, r, swept, vs) {
 			t.Fatalf("iter %d (workers=%d): sweep changed semantics", iter, opt.Workers)
 		}
+	}
+	if satCalls == 0 {
+		t.Fatal("no SAT call over 40 sweeps")
 	}
 }
 
@@ -123,7 +132,7 @@ func TestSweepParallelPreservesSemanticsRandom(t *testing.T) {
 func TestSweepStatsCounters(t *testing.T) {
 	g := New()
 	r := buildRedundantCone(g, 4)
-	_, st := g.Sweep(r, SweepOptions{SimWords: 8, Workers: 3})
+	_, st := g.Sweep(r, SweepOptions{Workers: 3})
 	if st.Workers < 1 || st.Workers > 3 {
 		t.Fatalf("workers = %d, want 1..3", st.Workers)
 	}
@@ -140,7 +149,7 @@ func TestSweepStatsCounters(t *testing.T) {
 	// A cone of simulation-equal but inequivalent pairs: counterexamples
 	// refute most of them without a SAT call.
 	gf := New()
-	_, fst := gf.Sweep(buildFalseCandidateCone(gf, 12), SweepOptions{SimWords: 8, Workers: 1})
+	_, fst := gf.Sweep(buildFalseCandidateCone(gf, 12), SweepOptions{Workers: 1})
 	if fst.SimRefuted == 0 {
 		t.Fatalf("false-candidate cone: no candidate refuted by simulation (%+v)", fst)
 	}

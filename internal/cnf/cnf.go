@@ -21,6 +21,12 @@ type Var int32
 // encoding of Lit. Readers reject inputs naming larger variables.
 const MaxVar = math.MaxInt32 >> 1
 
+// VarLimit is the largest variable count a reader accepts from an input
+// that spells out items variables, literals or lines: 64 per item, and at
+// least 2^16. Tables indexed by variable, such as dependency bitsets, then
+// grow with what the input holds rather than with what its header declares.
+func VarLimit(items int) int { return max(1<<16, 64*items) }
+
 // Lit is a literal: a variable or its negation, in packed encoding.
 // For a variable v, the positive literal is 2v and the negative literal 2v+1.
 // The zero value is not a valid literal.

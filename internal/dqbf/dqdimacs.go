@@ -32,14 +32,24 @@ import (
 // quantified twice, and every dependency is a universal other than the
 // existential itself. Violations are reported with their line number,
 // except a dependency on a variable the prefix never makes universal, which
-// shows only once the whole input is read.
+// shows only once the whole input is read. The declared variable count may
+// not exceed cnf.VarLimit of the quantified variables and literals the input
+// holds; the existentials' dependency sets, which are sized by variable, are
+// built only once that is checked.
 func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 	f := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var cur cnf.Clause
 	var universalsSoFar []cnf.Var
+	type existential struct {
+		v    cnf.Var
+		deps []cnf.Var
+	}
+	var exists []existential
 	prefix := make(map[cnf.Var]bool) // quantified variable -> universal
+	lits := 0
+	problemLine := 0
 	lineNo := 0
 	prefixDone := false
 	sawProblem := false
@@ -70,6 +80,7 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 			}
 			f.Matrix.NumVars = n
 			sawProblem = true
+			problemLine = lineNo
 		case "a", "e", "d":
 			if prefixDone {
 				return nil, fmt.Errorf("dqdimacs line %d: quantifier line after clauses", lineNo)
@@ -109,10 +120,10 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 				}
 			case "e":
 				for _, v := range vars {
-					f.AddExistential(v, universalsSoFar...)
+					exists = append(exists, existential{v, universalsSoFar})
 				}
 			case "d":
-				f.AddExistential(vars[0], deps...)
+				exists = append(exists, existential{vars[0], deps})
 			}
 		default:
 			prefixDone = true
@@ -133,6 +144,7 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 						lineNo, d, f.Matrix.NumVars)
 				}
 				cur = append(cur, cnf.LitFromDimacs(d))
+				lits++
 			}
 		}
 	}
@@ -141,6 +153,14 @@ func ParseDQDIMACS(r io.Reader) (*Formula, error) {
 	}
 	if len(cur) > 0 {
 		f.Matrix.Clauses = append(f.Matrix.Clauses, cur)
+	}
+	items := len(f.Univ) + len(exists) + lits
+	if n, limit := f.Matrix.NumVars, cnf.VarLimit(items); n > limit {
+		return nil, fmt.Errorf("dqdimacs line %d: %d variables declared for %d quantified variables and literals (at most %d)",
+			problemLine, n, items, limit)
+	}
+	for _, e := range exists {
+		f.AddExistential(e.v, e.deps...)
 	}
 	// Free matrix variables become outermost existentials.
 	quantified := NewVarSet(f.Univ...).Union(NewVarSet(f.Exist...))

@@ -23,6 +23,8 @@ func TestParseMalformedInputs(t *testing.T) {
 		{"negative variable count", "p cnf -2 1\n", "bad variable count"},
 		{"variable count beyond int32", "p cnf 10000000000 1\n", "bad variable count"},
 		{"variable count beyond literal range", "p cnf 2000000000 1\n", "bad variable count"},
+		{"variable count beyond the input", "p cnf 1073741823 1\na 1073741823 0\ne 1 0\n1 1073741823 0\n",
+			"line 1: 1073741823 variables declared for 4 quantified variables and literals"},
 		{"bad clause count", "p cnf 2 many\n", "bad clause count"},
 		{"negative clause count", "p cnf 2 -1\n", "bad clause count"},
 		{"prefix var not a number", "p cnf 2 1\na one 0\n", "line 2: bad variable"},

@@ -22,6 +22,7 @@ func FuzzDQDIMACSReader(f *testing.F) {
 		"garbage\n",
 		"p cnf 1 1\na 99 0\n1 0\n",
 		"p cnf 7 0\nd 1 1 0\n",
+		"p cnf 1073741823 1\na 1073741823 0\ne 1 0\n1 1073741823 0\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -16,6 +16,7 @@ func FuzzAIGERReader(f *testing.F) {
 		[]byte("aag 5 2 0 1 3\n2\n4\n10\n6 2 4\n8 3 5\n10 7 9\nc\nfree-form comment\n"),
 		[]byte("agg 1 1 0 0 0\n2\n"),
 		[]byte("aig 2 1 0 0 1\n\xff\xff\xff\xff\xff\xff\x01\x00"),
+		[]byte("aig 1073741823 1073741823 0 0 0"),
 	}
 	for _, s := range seeds {
 		f.Add(s)

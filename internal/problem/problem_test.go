@@ -3,8 +3,10 @@ package problem
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/cnf"
@@ -367,6 +369,8 @@ func TestParseAIGERMalformed(t *testing.T) {
 		{"maxvar beyond int32", "aag 3000000000 0 0 1 0\n1\n"},
 		{"maxvar beyond literal range", "aag 2000000000 0 0 1 0\n1\n"},
 		{"no variable left for constant", "aag 1073741823 0 0 1 0\n1\n"},
+		{"binary inputs beyond the input", "aig 1073741823 1073741823 0 0 0"},
+		{"binary outputs beyond the input", "aig 1073741823 1073741823 0 1073741823 0\n"},
 		{"input literal above 2M", "aag 1 1 0 1 0\n100\n2\n"},
 		{"and lhs above 2M", "aag 1 0 0 1 1\n2\n100 0 1\n"},
 	}
@@ -556,5 +560,40 @@ func TestAIGERHashesPinned(t *testing.T) {
 		if got := p.CanonicalHash(); got != tc.hash {
 			t.Errorf("hash of %q moved: %s, want %s", tc.input, got, tc.hash)
 		}
+	}
+}
+
+// TestHostileHeadersBounded feeds ParseBytes tiny inputs whose headers
+// declare a variable near cnf.MaxVar: each must return within a second and
+// allocate less than 64 MiB, whether it is accepted or not.
+func TestHostileHeadersBounded(t *testing.T) {
+	cases := []struct {
+		name   string
+		format Format
+		input  string
+	}{
+		{"dqdimacs variable near MaxVar", FormatDQDIMACS, "p cnf 1073741823 1\na 1073741823 0\ne 1 0\n1 1073741823 0\n"},
+		{"aiger implicit inputs", FormatAIGER, "aig 1073741823 1073741823 0 0 0\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			done := make(chan error, 1)
+			go func() {
+				_, err := ParseBytes([]byte(tc.input), tc.format)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				t.Logf("%d-byte input: %v", len(tc.input), err)
+			case <-time.After(time.Second):
+				t.Fatalf("%d-byte input still parsing after 1 s", len(tc.input))
+			}
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+				t.Fatalf("%d-byte input allocated %d MiB", len(tc.input), alloc>>20)
+			}
+		})
 	}
 }
