@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep baseline bench-gate bench-gate-quick bench-compare loc
+.PHONY: build test race vet fmt check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep baseline bench-gate bench-gate-quick bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every tracked Go file, perfbench/ included, must be
+# gofmt-clean. The offending files are listed on failure.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); test -z "$$out" || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
 
 # Race-check the packages with concurrent code paths (the parallel SAT
 # sweep, the SAT substrate it drives, the job scheduler/portfolio and the
@@ -62,12 +67,12 @@ chaos:
 chaos-store:
 	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' -v ./internal/store ./internal/service
 
-# The PR gate: vet, the full test suite, the race pass, the certified fuzz
+# The PR gate: vet, the gofmt check, the full test suite, the race pass, the certified fuzz
 # smoke, the native fuzz harnesses, both chaos drills, the cluster smoke,
 # the nested benchmark module (so an internal API change that breaks
 # perfbench/ fails here), and the quick bench gate. Each step is defined
 # once, by its own target.
-check: vet test race fuzz-smoke fuzz-native chaos chaos-store cluster-smoke
+check: vet fmt test race fuzz-smoke fuzz-native chaos chaos-store cluster-smoke
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) bench-gate-quick
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/cnf"
+	"repro/internal/oracle"
 )
 
 func main() {
@@ -60,7 +61,9 @@ func main() {
 	// Quantify and sweep, showing the elimination primitives HQS uses.
 	elim := g.Exists(phi, 2) // ∃y2.φ
 	fmt.Println("\n∃y2.φ cone size:", g.ConeSize(elim))
-	swept, stats := g.Sweep(elim, aig.DefaultSweepOptions())
+	opt := aig.DefaultSweepOptions()
+	opt.Oracles = oracle.NewPool(g)
+	swept, stats := g.Sweep(elim, opt)
 	fmt.Printf("after SAT sweeping: %d AND gates (%d merges, %d SAT calls)\n",
 		g.ConeSize(swept), stats.Merged, stats.SatCalls)
 	fmt.Println("functionally unchanged:", g.Equivalent(elim, swept))

@@ -151,7 +151,7 @@ func FuzzSweep(f *testing.F) {
 		g := New()
 		r := buildFuzzAIG(g, data)
 		want := evalAll(g, r)
-		swept, st := g.Sweep(r, DefaultSweepOptions())
+		swept, st := g.Sweep(r, testSweepOptions(g, DefaultSweepOptions()))
 		if got := evalAll(g, swept); !eqVec(got, want) {
 			t.Fatalf("sweep changed the function of %v", r)
 		}

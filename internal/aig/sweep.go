@@ -11,7 +11,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/faults"
-	"repro/internal/sat"
 )
 
 // rng is a small xorshift generator for simulation patterns; deterministic
@@ -30,9 +29,9 @@ func (r *rng) next() uint64 {
 // SweepOracle is a persistent equivalence oracle queried by one sweep
 // worker. Implementations (internal/oracle) keep a long-lived incremental
 // SAT solver plus Tseitin memo alive across sweep rounds, so candidate
-// checks are assumption queries against an already-loaded solver instead of
-// fresh per-sweep solver builds. An oracle is NOT safe for concurrent use;
-// the pool hands each index to exactly one worker.
+// checks are assumption queries against an already-loaded solver. An oracle
+// is NOT safe for concurrent use; the pool hands each index to exactly one
+// worker.
 type SweepOracle interface {
 	// ProveEquiv reports whether the functions rooted at lhs and rhs are
 	// equivalent, spending at most conflictBudget conflicts per SAT query
@@ -51,8 +50,8 @@ type SweepOracle interface {
 // SweepOraclePool supplies one persistent SweepOracle per worker index.
 type SweepOraclePool interface {
 	// WorkerOracle returns the oracle owned by worker i, creating it on
-	// first use. It must be safe to call from concurrent workers (with
-	// distinct i); the returned oracle itself is single-goroutine.
+	// first use. A sweep fetches every worker's oracle before starting its
+	// workers; the returned oracle itself is single-goroutine.
 	WorkerOracle(i int) SweepOracle
 }
 
@@ -67,7 +66,7 @@ type SweepStats struct {
 	Skipped    int // sweeps skipped outright (injected fault at aig.sweep)
 	Panics     int // worker panics contained (candidates left unproven)
 
-	// SAT substrate footprint, aggregated over the pool's private solvers.
+	// SAT substrate footprint, aggregated over the workers' oracles.
 	ArenaBytes  int   // peak packed-clause-arena size of any one solver
 	Compactions int64 // arena garbage collections summed over the pool
 }
@@ -129,21 +128,18 @@ type SweepOptions struct {
 	// stop are still applied (the result stays equivalent).
 	Budget *budget.Budget
 	// Workers is the size of the SAT worker pool checking candidate pairs.
-	// 0 or 1 runs serially; negative values use runtime.GOMAXPROCS(0). Every
-	// worker owns a private solver loaded from one shared immutable Tseitin
-	// encoding of the cone, and candidate pairs are assigned by static
-	// striding, so the proven-equivalence set is deterministic for a fixed
-	// worker count — and identical across worker counts whenever no query
-	// exhausts ConflictBudget or the Budget (pair verdicts are independent
-	// of each other; only budget exhaustion is history-sensitive).
+	// 0 or 1 runs serially; negative values use runtime.GOMAXPROCS(0).
+	// Candidate pairs are assigned to workers by static striding, so the
+	// proven-equivalence set is deterministic for a fixed worker count —
+	// and identical across worker counts whenever no query exhausts
+	// ConflictBudget or the Budget (pair verdicts are independent of each
+	// other; only budget exhaustion is history-sensitive).
 	Workers int
-	// Oracles, when non-nil, replaces the per-sweep private solvers: worker
-	// i checks its candidates with assumption queries against the pool's
-	// persistent oracle i (see internal/oracle), so Tseitin encodings and
-	// learned clauses survive across sweep rounds instead of being rebuilt
-	// per call. The shared cone encoding is skipped entirely in this mode.
-	// Striding is unchanged, so the candidate order per worker stays
-	// deterministic.
+	// Oracles supplies the SAT side of the sweep: worker i checks its
+	// candidates with assumption queries against the pool's persistent
+	// oracle i (see internal/oracle), so Tseitin encodings and learned
+	// clauses survive across sweep rounds. It is required whenever a cone
+	// has more than exactInputs inputs; a smaller cone never reaches SAT.
 	Oracles SweepOraclePool
 }
 
@@ -247,13 +243,12 @@ const (
 // A cone of at most exactInputs inputs is simulated under every assignment,
 // so equal signatures are equal functions: every candidate is merged at once
 // and the sweep issues no SAT call (SweepStats.Exact). A larger cone gets
-// pseudo-random signatures, and its candidates are checked on a pool of
-// opt.Workers SAT solvers, each private to its goroutine and loaded from one
-// shared Tseitin encoding of the cone. Candidates are independent of one
-// another (each compares a node against the fixed representative of its
-// signature class), so proven merges are applied in deterministic candidate
-// order afterwards and the swept graph is bit-identical to the serial result
-// whenever no query hits its budget.
+// pseudo-random signatures, and its candidates are checked on opt.Workers
+// persistent oracles of opt.Oracles, one per goroutine. Candidates are
+// independent of one another (each compares a node against the fixed
+// representative of its signature class), so proven merges are applied in
+// deterministic candidate order afterwards and the swept graph is
+// bit-identical to the serial result whenever no query hits its budget.
 func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 	return g.sweep(r, opt, false)
 }
@@ -453,9 +448,9 @@ func (c *coneIndex) candidates(words int, expired func() bool) (cands []sweepCan
 	return cands, exact, true
 }
 
-// checkCandidates decides every candidate on a pool of opt.Workers SAT
-// solvers and returns the verdicts, indexed like cands, with the pool's
-// stats (Merged left for the caller).
+// checkCandidates decides every candidate on opt.Workers persistent
+// oracles of opt.Oracles and returns the verdicts, indexed like cands, with
+// the pool's stats (Merged left for the caller).
 //
 // Every refuted candidate yields a counterexample, and each worker simulates
 // its counterexamples over the cone, one per bit of a 64-bit word per
@@ -464,22 +459,19 @@ func (c *coneIndex) candidates(words int, expired func() bool) (cands []sweepCan
 // changes the time of a sweep, never its merges.
 func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, opt SweepOptions, expired func() bool) ([]candVerdict, SweepStats) {
 	var stats SweepStats
-	// One immutable Tseitin encoding of the cone, shared by every worker.
-	// In oracle mode the persistent oracles already hold (or lazily extend)
-	// their own encodings, so the shared one is skipped entirely.
-	var formula *cnf.Formula
-	var lits []cnf.Lit
-	if opt.Oracles == nil {
-		formula, lits = g.coneCNF(c, 0)
-	}
-	litOf := func(e int32) cnf.Lit { return lits[e>>1].XorSign(e&1 == 1) }
-
 	workers := opt.poolSize(len(cands))
 	stats.Workers = workers
 	verdicts := make([]candVerdict, len(cands))
+	// Each worker's oracle is fetched here, outside the workers' panic
+	// containment, so a broken pool fails the sweep loudly instead of
+	// leaving every candidate silently unproven.
+	oracles := make([]SweepOracle, workers)
+	for w := range oracles {
+		oracles[w] = opt.Oracles.WorkerOracle(w)
+	}
 
-	// runWorker checks cands[w], cands[w+workers], ... on a private solver.
-	// Static striding keeps each worker's query sequence — and therefore any
+	// runWorker checks cands[w], cands[w+workers], ... on oracle w. Static
+	// striding keeps each worker's query sequence — and therefore any
 	// budget-exhaustion outcome — deterministic for a fixed pool size.
 	//
 	// A panic escaping a SAT query (notably an injected one) is contained
@@ -488,23 +480,13 @@ func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, opt SweepOption
 	// merged. Containment must live in the worker goroutine itself — a
 	// recover further up the call stack cannot catch it.
 	runWorker := func(w int) (st SweepStats) {
+		orc := oracles[w]
 		defer func() {
 			if rec := recover(); rec != nil {
 				st.Panics++
 			}
 		}()
-		var solver *sat.Solver
-		var orc SweepOracle
-		var compact0 int64
-		if opt.Oracles != nil {
-			orc = opt.Oracles.WorkerOracle(w)
-			_, compact0 = orc.Footprint()
-		} else {
-			solver = sat.New()
-			solver.AddFormula(formula)
-			solver.ConflictBudget = opt.ConflictBudget
-			solver.Budget = opt.Budget
-		}
+		_, compact0 := orc.Footprint()
 		// Counterexample simulation: bit k of cex[p] is position p's value
 		// under counterexample k mod 64 (the newest overwrites the oldest).
 		// Once the first one is simulated, every column is the simulation of
@@ -535,45 +517,18 @@ func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, opt SweepOption
 				verdicts[i] = simRefuted
 				continue
 			}
-			if orc != nil {
-				ok, calls, val := orc.ProveEquiv(cd.lhsRef, cd.rhsRef, opt.ConflictBudget, opt.Budget)
-				st.SatCalls += calls
-				if val != nil {
-					learn(val)
-				}
-				if ok {
-					verdicts[i] = provenEq
-				}
-				continue
-			}
-			// lhs≠rhs ⇔ (lhs ∧ ¬rhs) ∨ (¬lhs ∧ rhs): query both branches
-			// via assumptions. Input variables keep their AIG numbers in the
-			// shared encoding, so a model reads off the counterexample as is.
-			lhs, rhs := litOf(cd.lhs), litOf(cd.rhs)
-			ok := true
-			for _, assumps := range [2][]cnf.Lit{{lhs, rhs.Not()}, {lhs.Not(), rhs}} {
-				st.SatCalls++
-				s, err := solver.SolveErr(assumps)
-				if err != nil || s != sat.Unsat {
-					ok = false
-					if s == sat.Sat {
-						learn(solver.Model().Get)
-					}
-					break
-				}
+			ok, calls, val := orc.ProveEquiv(cd.lhsRef, cd.rhsRef, opt.ConflictBudget, opt.Budget)
+			st.SatCalls += calls
+			if val != nil {
+				learn(val)
 			}
 			if ok {
 				verdicts[i] = provenEq
 			}
 		}
-		if orc != nil {
-			ab, compact1 := orc.Footprint()
-			st.ArenaBytes = ab
-			st.Compactions = compact1 - compact0
-		} else {
-			st.ArenaBytes = solver.ArenaBytes()
-			st.Compactions = solver.Stats.Compactions
-		}
+		ab, compact1 := orc.Footprint()
+		st.ArenaBytes = ab
+		st.Compactions = compact1 - compact0
 		return st
 	}
 

@@ -13,7 +13,7 @@ func benchSweep(b *testing.B, workers int) {
 		g := New()
 		r := buildRedundantCone(g, 24)
 		b.StartTimer()
-		_, st := g.Sweep(r, SweepOptions{Workers: workers})
+		_, st := g.Sweep(r, testSweepOptions(g, SweepOptions{Workers: workers}))
 		if st.Merged == 0 {
 			b.Fatal("benchmark cone produced no merges")
 		}
@@ -37,7 +37,7 @@ func BenchmarkSweepFalseCandidates(b *testing.B) {
 		g := New()
 		r := buildFalseCandidateCone(g, 48)
 		b.StartTimer()
-		_, st = g.Sweep(r, SweepOptions{Workers: 1})
+		_, st = g.Sweep(r, testSweepOptions(g, SweepOptions{Workers: 1}))
 		if st.SimRefuted == 0 {
 			b.Fatal("benchmark cone produced no simulation refutations")
 		}

@@ -102,7 +102,7 @@ func TestSweepExactPath(t *testing.T) {
 
 			g2 := New()
 			r2 := exactCone(g2, seed, k)
-			satSwept, sst := g2.sweep(r2, SweepOptions{Workers: 2}, true)
+			satSwept, sst := g2.sweep(r2, testSweepOptions(g2, SweepOptions{Workers: 2}), true)
 			if sst.SatCalls == 0 || sst.Exact != 0 {
 				t.Fatalf("k=%d iter %d: forced SAT path made %d SAT calls, %d exact sweeps", k, iter, sst.SatCalls, sst.Exact)
 			}
@@ -123,7 +123,7 @@ func TestSweepExactBound(t *testing.T) {
 	k := exactInputs + 1
 	g := New()
 	r := exactCone(g, 7, k)
-	swept, st := g.Sweep(r, DefaultSweepOptions())
+	swept, st := g.Sweep(r, testSweepOptions(g, DefaultSweepOptions()))
 	if st.Exact != 0 || st.SatCalls == 0 {
 		t.Fatalf("%d-input cone: %d exact sweeps, %d SAT calls; want 0 and > 0", k, st.Exact, st.SatCalls)
 	}

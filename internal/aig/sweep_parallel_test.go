@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/budget"
 	"repro/internal/cnf"
 )
 
@@ -71,7 +72,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		return g, buildRedundantCone(g, 6)
 	}
 	gSerial, r := build()
-	serialRef, serialStats := gSerial.Sweep(r, SweepOptions{Workers: 1})
+	serialRef, serialStats := gSerial.Sweep(r, testSweepOptions(gSerial, SweepOptions{Workers: 1}))
 	if serialStats.Merged == 0 {
 		t.Fatal("redundant cone should produce merges")
 	}
@@ -80,7 +81,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		if rp != r {
 			t.Fatal("deterministic construction produced different refs")
 		}
-		parRef, parStats := gPar.Sweep(rp, SweepOptions{Workers: workers})
+		parRef, parStats := gPar.Sweep(rp, testSweepOptions(gPar, SweepOptions{Workers: workers}))
 		if parRef != serialRef {
 			t.Fatalf("workers=%d: swept ref %v differs from serial %v", workers, parRef, serialRef)
 		}
@@ -112,7 +113,7 @@ func TestSweepParallelPreservesSemanticsRandom(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		g := New()
 		r := readingAll(g, randomCone(g, rng, vs, 30), vs)
-		opt := DefaultSweepOptions()
+		opt := testSweepOptions(g, DefaultSweepOptions())
 		opt.Workers = 1 + rng.Intn(4)
 		swept, st := g.Sweep(r, opt)
 		if st.Exact != 0 {
@@ -132,7 +133,7 @@ func TestSweepParallelPreservesSemanticsRandom(t *testing.T) {
 func TestSweepStatsCounters(t *testing.T) {
 	g := New()
 	r := buildRedundantCone(g, 4)
-	_, st := g.Sweep(r, SweepOptions{Workers: 3})
+	_, st := g.Sweep(r, testSweepOptions(g, SweepOptions{Workers: 3}))
 	if st.Workers < 1 || st.Workers > 3 {
 		t.Fatalf("workers = %d, want 1..3", st.Workers)
 	}
@@ -149,7 +150,7 @@ func TestSweepStatsCounters(t *testing.T) {
 	// A cone of simulation-equal but inequivalent pairs: counterexamples
 	// refute most of them without a SAT call.
 	gf := New()
-	_, fst := gf.Sweep(buildFalseCandidateCone(gf, 12), SweepOptions{Workers: 1})
+	_, fst := gf.Sweep(buildFalseCandidateCone(gf, 12), testSweepOptions(gf, SweepOptions{Workers: 1}))
 	if fst.SimRefuted == 0 {
 		t.Fatalf("false-candidate cone: no candidate refuted by simulation (%+v)", fst)
 	}
@@ -168,5 +169,56 @@ func TestSweepStatsCounters(t *testing.T) {
 	if agg.SatCalls != st.SatCalls+fst.SatCalls+1 || agg.SimRefuted != st.SimRefuted+fst.SimRefuted+2 ||
 		agg.ArenaBytes != max(st.ArenaBytes, fst.ArenaBytes) || agg.Workers != st.Workers {
 		t.Fatalf("bad aggregation: %+v", agg)
+	}
+}
+
+// TestSweepWithoutOraclesFailsLoudly checks that a cone past the truth-table
+// bound with no oracle pool panics in the caller instead of being contained
+// by a worker, which would leave every candidate silently unmerged.
+func TestSweepWithoutOraclesFailsLoudly(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		g := New()
+		r := buildRedundantCone(g, 4)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("workers=%d: sweep without oracles did not panic", workers)
+				}
+			}()
+			g.Sweep(r, SweepOptions{Workers: workers})
+		}()
+	}
+}
+
+// panicOraclePool hands out oracles whose every query panics.
+type panicOraclePool struct{}
+
+func (panicOraclePool) WorkerOracle(int) SweepOracle { return panicOracle{} }
+
+type panicOracle struct{}
+
+func (panicOracle) ProveEquiv(Ref, Ref, int64, *budget.Budget) (bool, int, func(cnf.Var) bool) {
+	panic("query failed")
+}
+
+func (panicOracle) Footprint() (int, int64) { return 0, 0 }
+
+// TestSweepContainsOracleFailures checks the two ways a sweep gives up on its
+// candidates without failing: a query that panics is contained in its worker,
+// and a stopped budget ends the candidate loop. Either way nothing is merged
+// and the cone is returned as it was.
+func TestSweepContainsOracleFailures(t *testing.T) {
+	g := New()
+	r := buildRedundantCone(g, 4)
+	swept, st := g.Sweep(r, SweepOptions{Workers: 2, Oracles: panicOraclePool{}})
+	if st.Panics != 2 || st.Merged != 0 || swept != r {
+		t.Fatalf("panicking oracles: %d panics, %d merges, root %v -> %v; want 2, 0, unchanged", st.Panics, st.Merged, r, swept)
+	}
+	stopped := budget.New(budget.Limits{})
+	stopped.Cancel()
+	opt := testSweepOptions(g, SweepOptions{Workers: 1, Budget: stopped})
+	swept, st = g.Sweep(r, opt)
+	if st.SatCalls != 0 || st.Merged != 0 || swept != r {
+		t.Fatalf("stopped budget: %d SAT calls, %d merges, root %v -> %v; want 0, 0, unchanged", st.SatCalls, st.Merged, r, swept)
 	}
 }

@@ -3,7 +3,6 @@ package aig
 import (
 	"slices"
 
-	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/sat"
 )
@@ -155,9 +154,6 @@ func (g *Graph) ToFormula(r Ref, maxInputVar cnf.Var) (*cnf.Formula, cnf.Lit) {
 // Input variables keep their AIG variable numbers; gate variables are
 // allocated above maxInputVar (raised to the largest support variable if
 // needed), in ascending node order.
-//
-// The formula is immutable once built, which lets SAT-sweeping workers load
-// identical private solvers from one shared encoding (see sweep.go).
 func (g *Graph) coneCNF(c *coneIndex, maxInputVar cnf.Var) (*cnf.Formula, []cnf.Lit) {
 	if n := len(c.inputs); n > 0 {
 		maxInputVar = max(maxInputVar, c.vars[c.inputs[n-1]])
@@ -180,44 +176,27 @@ func (g *Graph) coneCNF(c *coneIndex, maxInputVar cnf.Var) (*cnf.Formula, []cnf.
 	return f, lits
 }
 
-// IsSatisfiable checks satisfiability of the function rooted at r with the
-// CDCL solver. If sat, it also returns a satisfying input assignment.
+// IsSatisfiable checks satisfiability of the function rooted at r with a
+// fresh CDCL solver. If sat, it also returns a satisfying input assignment.
 func (g *Graph) IsSatisfiable(r Ref) (bool, map[cnf.Var]bool) {
-	sat, model, _ := g.IsSatisfiableBudget(r, nil)
-	return sat, model
-}
-
-// IsSatisfiableBudget is IsSatisfiable under a cancellable budget: the CDCL
-// search polls bud and, when stopped, the call returns a non-nil error (the
-// budget's reason) with an indeterminate first result.
-func (g *Graph) IsSatisfiableBudget(r Ref, bud *budget.Budget) (bool, map[cnf.Var]bool, error) {
 	if r == True {
-		return true, map[cnf.Var]bool{}, nil
+		return true, map[cnf.Var]bool{}
 	}
 	if r == False {
-		return false, nil, nil
+		return false, nil
 	}
 	s := sat.New()
-	s.Budget = bud
 	b := NewCNFBuilder(g, s)
-	l := b.Lit(r)
-	s.AddClause(l)
-	st, err := s.SolveErr(nil)
-	if st == sat.Unknown {
-		if err == nil {
-			err = sat.ErrBudget
-		}
-		return false, nil, err
-	}
-	if st != sat.Sat {
-		return false, nil, nil
+	s.AddClause(b.Lit(r))
+	if s.Solve() != sat.Sat {
+		return false, nil
 	}
 	m := s.Model()
 	out := make(map[cnf.Var]bool)
 	for v := range g.Support(r) {
 		out[v] = b.InputValue(m, v)
 	}
-	return true, out, nil
+	return true, out
 }
 
 // Equivalent checks whether the functions rooted at a and b are equivalent,

@@ -36,7 +36,6 @@ func AblationVariants() []AblationVariant {
 		mk("unitpure=off", func(o *core.Options) { o.UnitPure = false; o.QBF.UnitPure = false }),
 		mk("sweep=off", func(o *core.Options) { o.SweepThreshold = 0; o.QBF.SweepThreshold = 0 }),
 		mk("preprocess=off", func(o *core.Options) { o.Preprocess = false; o.DetectGates = false }),
-		mk("oracle=fresh", func(o *core.Options) { o.FreshOracle = true }),
 	}
 }
 

@@ -63,7 +63,7 @@ type RunResult struct {
 	ArenaPeakBytes int
 	Compactions    int64
 
-	// Persistent-oracle reuse counters (zero for iDQ and with FreshOracle).
+	// Persistent-oracle reuse counters (zero for iDQ).
 	OracleQueries     int64
 	OracleIncremental int64
 	OracleRebuilds    int64

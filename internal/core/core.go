@@ -107,12 +107,6 @@ type Options struct {
 	// Result.Certificate (see internal/cert). Recording does not perturb the
 	// pass schedule; extraction runs after the verdict.
 	Certify bool
-	// FreshOracle disables the persistent incremental SAT oracle pool: every
-	// consumer (sweeps, elimination-set MaxSAT, the final check) builds a
-	// fresh solver per query, as before the pool existed. Kept for
-	// differential testing and A/B benchmarking; verdicts are identical
-	// either way.
-	FreshOracle bool
 	// Budget, when non-nil, is the solve's only bound: the pipeline runner,
 	// the MaxSAT elimination-set selection, SAT sweeps, and the QBF back end
 	// (including its final SAT call) poll it and unwind with status Timeout
@@ -162,7 +156,7 @@ type Stats struct {
 	DecidedBy    string // "preprocess", "constant", "qbf", "finalsat"
 
 	// Oracle aggregates the reuse counters of the run's persistent
-	// incremental SAT pool (zero when Options.FreshOracle disabled it).
+	// incremental SAT pool.
 	Oracle oracle.Stats
 }
 
@@ -197,6 +191,14 @@ type budgetStop struct{ err error }
 func (s *Solver) Solve(p *problem.Problem) (res Result) {
 	start := time.Now()
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
+	// Workers is resolved once, here, into the sweep options of both this
+	// pipeline and the QBF back end; no pass consults it again.
+	if w := s.Opt.Workers; w != 0 {
+		opt := s.Opt
+		opt.SweepOptions.Workers = w
+		opt.QBF.SweepOptions.Workers = w
+		s = New(opt)
+	}
 
 	// Passes unwind via panic on resource exhaustion (aig.ErrNodeLimit) and
 	// via stop errors otherwise; run below wraps stop errors in budgetStop,
@@ -225,7 +227,6 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 	st := &pipeline.State{
 		Prefix:  pipeline.FormulaPrefix{F: work},
 		Budget:  s.Opt.Budget,
-		Workers: s.Opt.Workers,
 		Problem: p,
 	}
 	if s.Opt.Certify {

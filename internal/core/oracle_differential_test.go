@@ -8,60 +8,46 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dqbf"
-	"repro/internal/oracle"
+	"repro/internal/expand"
 	"repro/internal/problem"
 )
 
-// oracleConfigs are the pipeline configurations the differential suite pits
-// against each other: the default persistent-oracle pipeline (serial and with
-// a 2-worker sweep pool, so the per-worker oracles run concurrently under
-// -race) versus the historical fresh-solver-per-query pipeline.
+// oracleConfigs are the pipeline configurations the differential suite holds
+// to the reference: the default persistent-oracle pipeline, serial and with a
+// 2-worker sweep pool (so the per-worker oracles run concurrently under
+// -race).
 func oracleConfigs() map[string]core.Options {
-	def := core.DefaultOptions()
-
 	workers := core.DefaultOptions()
 	workers.Workers = 2
-
-	fresh := core.DefaultOptions()
-	fresh.FreshOracle = true
 	return map[string]core.Options{
-		"oracle":         def,
+		"oracle":         core.DefaultOptions(),
 		"oracle-workers": workers,
-		"fresh":          fresh,
 	}
 }
 
 // diffSolve decides f under every configuration and fails on any verdict
-// disagreement; the fresh pipeline is the reference.
+// that disagrees with full universal expansion, which grounds the formula
+// into one fresh SAT call and shares no code with the oracle path.
 func diffSolve(t *testing.T, name string, f *dqbf.Formula) {
 	t.Helper()
-	type verdict struct {
-		status core.Status
-		sat    bool
-		oracle oracle.Stats
+	ref, err := expand.New(expand.Options{}).Solve(f)
+	if err != nil {
+		t.Fatalf("%s: expansion reference: %v", name, err)
 	}
-	got := make(map[string]verdict)
 	for cfg, opt := range oracleConfigs() {
 		res := core.New(opt).Solve(problem.FromDQBF(f))
 		if res.Status != core.Solved {
 			t.Fatalf("%s [%s]: status %v, want solved", name, cfg, res.Status)
 		}
-		got[cfg] = verdict{res.Status, res.Sat, res.Stats.Oracle}
-	}
-	ref := got["fresh"]
-	for cfg, v := range got {
-		if v.sat != ref.sat {
-			t.Fatalf("%s: %s says sat=%v, fresh says sat=%v", name, cfg, v.sat, ref.sat)
+		if res.Sat != ref.Sat {
+			t.Fatalf("%s: %s says sat=%v, expansion says sat=%v", name, cfg, res.Sat, ref.Sat)
 		}
-	}
-	if got["fresh"].oracle.Queries != 0 {
-		t.Fatalf("%s: FreshOracle pipeline reported %d oracle queries", name, got["fresh"].oracle.Queries)
 	}
 }
 
-// TestOracleDifferentialRandom runs the incremental-oracle pipelines against
-// the fresh-solver pipeline over the pinned random corpus: identical verdicts
-// on every instance, or the persistent solver state leaked between queries.
+// TestOracleDifferentialRandom holds the incremental-oracle pipelines to full
+// expansion over the pinned random corpus: identical verdicts on every
+// instance, or the persistent solver state leaked between queries.
 func TestOracleDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	for i := 0; i < 120; i++ {
@@ -72,7 +58,7 @@ func TestOracleDifferentialRandom(t *testing.T) {
 
 // TestOracleDifferentialFamilies repeats the check on the structured PEC
 // families (adder, bitcell): deep AIGs with real sweeping and elimination
-// activity, where the oracle path actually diverges from the fresh path.
+// activity, where the persistent oracles answer many related queries.
 func TestOracleDifferentialFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("family differential is seconds-long; skipped in -short")

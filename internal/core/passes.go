@@ -56,16 +56,11 @@ func (px *hqsPipeline) track() {
 
 // selectElim runs the elimination-set selection, mapping a budget stop onto
 // the pipeline's stop error (ErrTimeout on the deadline, ErrCancelled
-// otherwise).
-// With a persistent oracle pool, successive selections share one guarded
-// MaxSAT backend (the dependency-cycle structure persists as the formula
-// shrinks, so learned clauses carry over between strengthening steps).
+// otherwise). Successive selections share the oracle pool's guarded MaxSAT
+// backend (the dependency-cycle structure persists as the formula shrinks,
+// so learned clauses carry over between strengthening steps).
 func (px *hqsPipeline) selectElim() ([]cnf.Var, error) {
-	var be *maxsat.Backend
-	if px.st.Oracle != nil {
-		be = px.st.Oracle.MaxSATBackend()
-	}
-	elim, err := selectEliminationSet(px.work, px.s.Opt.Strategy, px.s.Opt.Budget, be)
+	elim, err := selectEliminationSet(px.work, px.s.Opt.Strategy, px.s.Opt.Budget, px.st.Oracle.MaxSATBackend())
 	if err != nil {
 		if errors.Is(err, maxsat.ErrBudget) {
 			if errors.Is(err, budget.ErrDeadline) {
@@ -111,9 +106,7 @@ func (px *hqsPipeline) build() pipeline.Pass {
 		// The persistent oracle pool is born with the graph: it owns every
 		// long-lived SAT instance of this run (sweep workers, MaxSAT
 		// backend, final check) and dies with the solve.
-		if !px.s.Opt.FreshOracle {
-			st.Oracle = oracle.NewPool(g)
-		}
+		st.Oracle = oracle.NewPool(g)
 		st.Matrix = BuildMatrix(g, px.work.Matrix, px.res.Stats.Preprocess.Gates)
 		px.sweep.Reset(g.ConeSize(st.Matrix))
 		px.track()
@@ -226,9 +219,6 @@ func (px *hqsPipeline) qbf() pipeline.Pass {
 		qopt.Trace = px.s.Opt.Trace
 		qopt.Cert = st.Cert
 		qopt.Oracle = st.Oracle
-		if px.s.Opt.Workers != 0 {
-			qopt.SweepOptions.Workers = px.s.Opt.Workers
-		}
 		qs := qbf.New(st.G, qopt)
 		sat, err := qs.Solve(blocks, st.Matrix)
 		px.res.Stats.QBF = qs.Stat

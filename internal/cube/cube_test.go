@@ -245,4 +245,3 @@ func nodeCount(c *cert.Certificate) string {
 	b, _ := json.Marshal(c.G.NumNodes())
 	return string(b)
 }
-

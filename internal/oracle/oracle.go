@@ -1,14 +1,13 @@
 // Package oracle provides the pipeline's persistent incremental SAT
 // substrate: one long-lived CDCL solver plus Tseitin builder per consumer,
 // kept alive across passes so that encodings and learned clauses are reused
-// instead of rebuilt for every query.
+// instead of rebuilt for every query. Every SAT question of a solve — each
+// sweep round, each MaxSAT elimination-set step, the final SAT check — goes
+// through the run's Pool.
 //
-// Historically every oracle consumer — each sweep round, each MaxSAT
-// elimination-set step, the final SAT check, the certificate checker —
-// called sat.New() and re-exported its cone from scratch. The AIG is
-// append-only (nodes are never deleted or rewritten), so a Tseitin
-// definition once pushed is a permanently valid fact: an Oracle therefore
-// pushes only the delta of newly reachable cone nodes per query
+// The AIG is append-only (nodes are never deleted or rewritten), so a
+// Tseitin definition once pushed is a permanently valid fact: an Oracle
+// therefore pushes only the delta of newly reachable cone nodes per query
 // (CNFBuilder's node→var memo persists) and poses every question as an
 // assumption query, never as a retractable unit clause. Learned clauses
 // survive between queries, bounded by the solver's retention policy
@@ -162,7 +161,7 @@ func (o *Oracle) Model() cnf.Assignment { return o.s.Model() }
 // the persistent solver. The root is an assumption, not a unit clause, so
 // the same oracle answers for any root later. On sat it returns a
 // satisfying assignment of r's support variables, like
-// aig.IsSatisfiableBudget.
+// aig.Graph.IsSatisfiable.
 func (o *Oracle) IsSatisfiable(r aig.Ref, bud *budget.Budget) (bool, map[cnf.Var]bool, error) {
 	if r == aig.True {
 		return true, map[cnf.Var]bool{}, nil

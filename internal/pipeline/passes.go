@@ -127,8 +127,8 @@ type SweepPass struct {
 	// Threshold is the cone growth (in AND nodes) that triggers a sweep;
 	// <= 0 disables sweeping.
 	Threshold int
-	// Opt configures individual sweeps; the state's deadline, budget, and
-	// worker override are threaded in per run.
+	// Opt configures individual sweeps; the state's budget and oracle pool
+	// are threaded in per run.
 	Opt aig.SweepOptions
 
 	lastSize int
@@ -163,14 +163,7 @@ func (p *SweepPass) Run(st *State) (Result, error) {
 	}
 	so := p.Opt
 	so.Budget = st.Budget
-	if st.Workers != 0 {
-		so.Workers = st.Workers
-	}
-	// Explicit nil check: assigning a nil *oracle.Pool to the interface
-	// field would make it non-nil (typed nil) and panic inside Sweep.
-	if st.Oracle != nil {
-		so.Oracles = st.Oracle
-	}
+	so.Oracles = st.Oracle
 	m, sst := st.G.Sweep(st.Matrix, so)
 	st.Matrix = m
 	p.sweeps++

@@ -72,19 +72,15 @@ type State struct {
 	// cancellation); the Runner polls it before each pass and long passes
 	// poll Stop between rounds.
 	Budget *budget.Budget
-	// Workers overrides SAT worker-pool sizes of sweeping passes (0 keeps
-	// the pass default).
-	Workers int
 	// Cert, when non-nil, collects Skolem reconstruction steps from every
 	// formula-changing pass. All Builder recorders are nil-safe, so passes
 	// record unconditionally.
 	Cert *cert.Builder
-	// Oracle, when non-nil, is the run's persistent incremental SAT
-	// substrate (one pool of long-lived solvers over G, created alongside
-	// the graph by the build pass). Sweeping, the MaxSAT elimination-set
-	// selection, and the final SAT check route their queries through it so
-	// encodings and learned clauses survive across passes; nil keeps every
-	// consumer on its historical fresh-solver-per-query path.
+	// Oracle is the run's persistent incremental SAT substrate: one pool of
+	// long-lived solvers over G, created alongside the graph by the build
+	// pass. Sweeping, the MaxSAT elimination-set selection and the final
+	// SAT check route every query through it, so encodings and learned
+	// clauses survive across passes. A pipeline that sweeps must set it.
 	Oracle *oracle.Pool
 	// Problem, when non-nil, is the ingested problem the run came from —
 	// passes can consult its Kind (DQBF vs plain QBF) and provenance

@@ -61,9 +61,9 @@ type Options struct {
 	// block eliminations and the final SAT model (universal eliminations and
 	// constant collapses need no step; see internal/cert).
 	Cert *cert.Builder
-	// Oracle, when non-nil, is the persistent incremental SAT pool shared
-	// with the HQS pipeline (both operate on the same graph): sweeping and
-	// the final SAT check query it instead of building fresh solvers.
+	// Oracle is the persistent incremental SAT pool shared with the HQS
+	// pipeline (both operate on the same graph): sweeping and the final SAT
+	// check query it. New creates one over the graph when it is nil.
 	Oracle *oracle.Pool
 }
 
@@ -97,6 +97,9 @@ type Solver struct {
 
 // New returns a solver over graph g with the given options.
 func New(g *aig.Graph, opt Options) *Solver {
+	if opt.Oracle == nil {
+		opt.Oracle = oracle.NewPool(g)
+	}
 	return &Solver{G: g, Opt: opt}
 }
 
@@ -238,18 +241,11 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 			return pipeline.Result{}, nil
 		}
 		// Outermost existential block: one SAT call, under the budget so a
-		// cancellation interrupts the CDCL search itself. With a persistent
-		// oracle the check reuses the run's incremental solver — the matrix
-		// cone is usually already largely encoded from earlier sweeps.
+		// cancellation interrupts the CDCL search itself. The check reuses
+		// the run's incremental solver — the matrix cone is usually already
+		// largely encoded from earlier sweeps.
 		s.Stat.FinalSATRun = true
-		var sat bool
-		var model map[cnf.Var]bool
-		var err error
-		if s.Opt.Oracle != nil {
-			sat, model, err = s.Opt.Oracle.Main().IsSatisfiable(st.Matrix, s.Opt.Budget)
-		} else {
-			sat, model, err = s.G.IsSatisfiableBudget(st.Matrix, s.Opt.Budget)
-		}
+		sat, model, err := s.Opt.Oracle.Main().IsSatisfiable(st.Matrix, s.Opt.Budget)
 		if err != nil {
 			if stop := st.Stop(); stop != nil {
 				return pipeline.Result{}, stop

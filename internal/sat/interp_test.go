@@ -24,11 +24,11 @@ func (t *treeItp) add(n treeNode) ItpRef {
 	return ItpRef(len(t.nodes) - 1)
 }
 
-func (t *treeItp) True() ItpRef            { return t.add(treeNode{op: 'T'}) }
-func (t *treeItp) False() ItpRef           { return t.add(treeNode{op: 'F'}) }
-func (t *treeItp) Lit(l cnf.Lit) ItpRef    { return t.add(treeNode{op: 'L', lit: l}) }
-func (t *treeItp) And(a, b ItpRef) ItpRef  { return t.add(treeNode{op: '&', a: a, b: b}) }
-func (t *treeItp) Or(a, b ItpRef) ItpRef   { return t.add(treeNode{op: '|', a: a, b: b}) }
+func (t *treeItp) True() ItpRef           { return t.add(treeNode{op: 'T'}) }
+func (t *treeItp) False() ItpRef          { return t.add(treeNode{op: 'F'}) }
+func (t *treeItp) Lit(l cnf.Lit) ItpRef   { return t.add(treeNode{op: 'L', lit: l}) }
+func (t *treeItp) And(a, b ItpRef) ItpRef { return t.add(treeNode{op: '&', a: a, b: b}) }
+func (t *treeItp) Or(a, b ItpRef) ItpRef  { return t.add(treeNode{op: '|', a: a, b: b}) }
 
 func (t *treeItp) eval(r ItpRef, assign func(cnf.Var) bool) bool {
 	n := t.nodes[r]

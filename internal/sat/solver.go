@@ -104,9 +104,8 @@ type Solver struct {
 
 	model cnf.Assignment
 
-	// Budgets; <= 0 means unlimited.
-	ConflictBudget    int64
-	PropagationBudget int64
+	// ConflictBudget caps the conflicts of one solve; <= 0 means unlimited.
+	ConflictBudget int64
 
 	// Budget, when non-nil, is a shared cancellable budget polled inside the
 	// search loop: the solve returns Unknown (with the budget's error from
@@ -745,9 +744,7 @@ func (s *Solver) solve(assumps []cnf.Lit) (Status, error) {
 	defer s.cancelUntil(0)
 
 	confBudget := s.ConflictBudget
-	propBudget := s.PropagationBudget
 	startConf := s.Stats.Conflicts
-	startProp := s.Stats.Propagations
 
 	var restarts int64
 	floor := 100.0
@@ -767,9 +764,6 @@ func (s *Solver) solve(assumps []cnf.Lit) (Status, error) {
 			return Unknown, err
 		}
 		if confBudget > 0 && s.Stats.Conflicts-startConf >= confBudget {
-			return Unknown, ErrBudget
-		}
-		if propBudget > 0 && s.Stats.Propagations-startProp >= propBudget {
 			return Unknown, ErrBudget
 		}
 		s.Stats.Restarts++

@@ -150,6 +150,10 @@ type Job struct {
 	// the owning worker and its finisher touch it (happens-before via the
 	// queue hand-off and the finish path).
 	journaled bool
+	// dispatched is set once a worker counts the job as running, so its
+	// first finisher uncounts it before the done channel closes. Only the
+	// owning worker touches it, like journaled.
+	dispatched bool
 	// trc records the per-pass pipeline trace of every engine attempt; nil
 	// when the scheduler's TraceEvents config disables tracing.
 	trc *trace.Recorder
@@ -628,6 +632,10 @@ func (s *Scheduler) finishJob(job *Job, out Outcome) {
 	if !job.beginFinish(out) {
 		return
 	}
+	// A waiter woken by Done must not still see the job as running.
+	if job.dispatched {
+		s.running.Add(-1)
+	}
 	func() {
 		// The done channel below must close no matter what the persistence
 		// path does — a panicking store may cost durability, never a hang.
@@ -668,7 +676,7 @@ func (s *Scheduler) finishJob(job *Job, out Outcome) {
 
 func (s *Scheduler) runJob(job *Job) {
 	s.running.Add(1)
-	defer s.running.Add(-1)
+	job.dispatched = true
 	// Last line of defense: no panic may kill a worker. Engine panics are
 	// already converted to Error outcomes further down; this recover
 	// contains everything else (injected dispatch panics, bugs in the

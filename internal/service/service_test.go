@@ -359,6 +359,24 @@ func TestSchedulerConcurrentSubmit(t *testing.T) {
 	}
 }
 
+// TestSchedulerStatsNotRunningAfterDone checks that a finished job no longer
+// counts as running by the time its Done channel closes: a caller woken by
+// Done, with nothing else submitted, must read Running == 0.
+func TestSchedulerStatsNotRunningAfterDone(t *testing.T) {
+	s := NewScheduler(Config{Workers: 1, CacheSize: -1})
+	defer s.Drain(context.Background())
+	for i := 0; i < 10000; i++ {
+		j, err := s.Submit(request(unsatExample(), EngineIDQ, Limits{}))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		waitDone(t, j)
+		if st := s.Stats(); st.Running != 0 {
+			t.Fatalf("submit %d: Running = %d right after Done, want 0", i, st.Running)
+		}
+	}
+}
+
 func TestSchedulerCancelRunningJob(t *testing.T) {
 	s := NewScheduler(Config{Workers: 1, CacheSize: -1})
 	defer s.Drain(context.Background())
