@@ -563,6 +563,29 @@ func TestAIGERHashesPinned(t *testing.T) {
 	}
 }
 
+// TestDQDIMACSHashesPinned pins the canonical hashes of DQDIMACS and PQE
+// inputs the same way: unsorted prefixes, duplicate literals and shuffled
+// clauses must keep hashing to the keys the cache and store already hold.
+func TestDQDIMACSHashesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		input  string
+		format Format
+		hash   string
+	}{
+		{"p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n", FormatDQDIMACS, "56631567995acced739953b3546050f92b3040b9a209bc235e62a08de29c84bd"},
+		{"p cnf 7 5\na 2 1 0\ne 5 0\nd 4 2 1 0\nd 3 0\na 6 0\ne 7 0\n7 -3 4 4 0\n-1 5 2 0\n3 0\n6 -7 -5 -2 0\n-4 1 0\n", FormatDQDIMACS, "504f48526d035e009d817da1b258891b0a77be3c70d01208d386c2e2fc07f942"},
+		{pqeExample, FormatPQE, "e4e07afce4a137a811ff1db4b4cf9486de1c976905fe4abf2059cd5cbfc6868c"},
+	} {
+		p, err := ParseBytes([]byte(tc.input), tc.format)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.input, err)
+		}
+		if got := p.CanonicalHash(); got != tc.hash {
+			t.Errorf("hash of %q moved: %s, want %s", tc.input, got, tc.hash)
+		}
+	}
+}
+
 // TestHostileHeadersBounded feeds ParseBytes tiny inputs whose headers
 // declare a variable near cnf.MaxVar: each must return within a second and
 // allocate less than 64 MiB, whether it is accepted or not.
