@@ -41,8 +41,10 @@ fuzz-smoke:
 # two deciders (same verdict on every decoded certificate for Example 1),
 # the AIG compose/cofactor identities the certificate extractor relies on,
 # the universal expansion (every accepted input is valid; the full
-# grounding's SAT verdict equals brute force), and the AIG sweep (the
-# function is unchanged; a cone of at most 9 inputs makes no SAT call).
+# grounding's SAT verdict equals brute force), the AIG sweep (the
+# function is unchanged; a cone of at most 9 inputs makes no SAT call), and
+# CNF preprocessing (no failure; every clause left is sorted, duplicate-free
+# and non-tautological; the verdict equals brute force).
 fuzz-native:
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz '^FuzzGround$$' -fuzztime 10s
@@ -52,6 +54,7 @@ fuzz-native:
 	$(GO) test ./internal/cert -run '^$$' -fuzz '^FuzzCertCheck$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGCompose$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime 10s
 
 # Chaos drill under the race detector: fault-injected panics, errors, and
 # spurious Unknowns against the scheduler with concurrent submits, cancels,
@@ -130,7 +133,12 @@ bench-compare:
 	$(GO) run ./cmd/dqbfbench -compare $(OLD),$(NEW)
 
 # Size of the design: non-test Go lines (perfbench/ excluded) and the
-# exported func/method counts of the service and core packages.
+# exported func/method count of every package under internal/, with the
+# total first.
 loc:
 	@echo "non-test Go lines: $$(cat $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/') | wc -l)"
-	@for p in service core; do echo "exported $$p funcs/methods: $$($(GO) doc -all ./internal/$$p | grep -c '^func')"; done
+	@total=0; lines=""; for d in $$($(GO) list -f '{{.Dir}}' ./internal/...); do \
+		p=$${d#$$PWD/}; n=$$($(GO) doc -all ./$$p | grep -c '^func'); \
+		total=$$((total + n)); lines="$$lines$$p $$n\n"; done; \
+		echo "exported funcs/methods under internal/: $$total"; printf "$$lines" | sed 's/^/  /'
+

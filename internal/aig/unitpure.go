@@ -25,19 +25,13 @@ func (g *Graph) UnitPure(r Ref) map[cnf.Var]Polarity {
 		return out
 	}
 	cone := g.coneNodes(r)
-	type flags struct {
-		even, odd, clean bool
-	}
-	fl := make(map[int32]*flags, len(cone))
-	for _, n := range cone {
-		fl[n] = &flags{}
-	}
-	root := fl[r.node()]
+	// One flag byte per node of the cone's index range, indexed by node.
+	lo := cone[0]
+	fl := make([]byte, int(cone[len(cone)-1]-lo)+1)
 	if r.Compl() {
-		root.odd = true
+		fl[r.node()-lo] = flagOdd
 	} else {
-		root.even = true
-		root.clean = true
+		fl[r.node()-lo] = flagEven | flagClean
 	}
 	// Node indices are a topological order: parents have larger indices than
 	// children, so a single descending pass propagates all flags.
@@ -47,17 +41,37 @@ func (g *Graph) UnitPure(r Ref) map[cnf.Var]Polarity {
 		if nd.v != 0 {
 			continue
 		}
-		f := fl[n]
-		for _, e := range []Ref{nd.f0, nd.f1} {
-			cf := fl[e.node()]
+		f := fl[n-lo]
+		for _, e := range [2]Ref{nd.f0, nd.f1} {
 			if e.Compl() {
-				cf.even = cf.even || f.odd
-				cf.odd = cf.odd || f.even
+				// A complemented edge swaps parity and breaks cleanliness.
+				fl[e.node()-lo] |= f&flagOdd>>1 | f&flagEven<<1
 			} else {
-				cf.even = cf.even || f.even
-				cf.odd = cf.odd || f.odd
-				cf.clean = cf.clean || f.clean
+				fl[e.node()-lo] |= f
 			}
+		}
+	}
+	// Unit flags: an input is a unit when some AND with a clean path reaches
+	// it over an edge of the matching polarity. The root itself being the
+	// input is the degenerate case.
+	for _, n := range cone {
+		nd := &g.nodes[n]
+		if nd.v != 0 || fl[n-lo]&flagClean == 0 {
+			continue
+		}
+		for _, e := range [2]Ref{nd.f0, nd.f1} {
+			if e.Compl() {
+				fl[e.node()-lo] |= flagNegUnit
+			} else {
+				fl[e.node()-lo] |= flagPosUnit
+			}
+		}
+	}
+	if g.nodes[r.node()].v != 0 {
+		if r.Compl() {
+			fl[r.node()-lo] |= flagNegUnit
+		} else {
+			fl[r.node()-lo] |= flagPosUnit
 		}
 	}
 	for _, n := range cone {
@@ -65,47 +79,25 @@ func (g *Graph) UnitPure(r Ref) map[cnf.Var]Polarity {
 		if nd.v == 0 {
 			continue
 		}
-		f := fl[n]
-		p := Polarity{
-			PosPure: !f.odd,
-			NegPure: !f.even,
-		}
-		// Unit flags: find a parent AND with a clean path whose edge to this
-		// input decides the polarity. The root itself being the input is the
-		// degenerate case.
-		if r.node() == n {
-			if !r.Compl() {
-				p.PosUnit = true
-			} else {
-				p.NegUnit = true
-			}
-		}
-		out[nd.v] = p
-	}
-	// Second pass for unit flags via parent edges.
-	for _, n := range cone {
-		nd := &g.nodes[n]
-		if nd.v != 0 {
-			continue
-		}
-		f := fl[n]
-		if !f.clean {
-			continue
-		}
-		for _, e := range []Ref{nd.f0, nd.f1} {
-			cn := e.node()
-			cv := g.nodes[cn].v
-			if cv == 0 {
-				continue
-			}
-			p := out[cv]
-			if e.Compl() {
-				p.NegUnit = true
-			} else {
-				p.PosUnit = true
-			}
-			out[cv] = p
+		f := fl[n-lo]
+		out[nd.v] = Polarity{
+			PosUnit: f&flagPosUnit != 0,
+			NegUnit: f&flagNegUnit != 0,
+			PosPure: f&flagOdd == 0,
+			NegPure: f&flagEven == 0,
 		}
 	}
 	return out
 }
+
+// Per-node traversal flags of UnitPure: reachable from the output along a
+// path with an even (odd) number of complemented edges, reachable along a
+// path with no complemented edge at all, and (inputs only) reached from a
+// clean AND over an uncomplemented (complemented) edge.
+const (
+	flagEven byte = 1 << iota
+	flagOdd
+	flagClean
+	flagPosUnit
+	flagNegUnit
+)

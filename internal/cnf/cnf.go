@@ -11,7 +11,7 @@ package cnf
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Var is a propositional variable. Valid variables are >= 1.
@@ -123,7 +123,7 @@ func (c Clause) Normalize() (Clause, bool) {
 	if len(c) == 0 {
 		return c, false
 	}
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	slices.Sort(c)
 	out := c[:1]
 	for _, l := range c[1:] {
 		last := out[len(out)-1]

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
@@ -19,51 +20,57 @@ import (
 // DAG; a gate that would close a definition cycle is skipped.
 func (p *preprocessor) detectGates() {
 	m := p.f.Matrix
-
-	// Index clauses: key = sorted literal tuple.
+	// Defining clauses are marked removed: binaries by their position in
+	// the pair index, the others by clause index. The fixpoint ends on a
+	// round in which subsumption found nothing, so no binary clause occurs
+	// twice.
 	removed := make([]bool, len(m.Clauses))
-	binIdx := make(map[[2]cnf.Lit]int)
-	for i, c := range m.Clauses {
-		if len(c) == 2 {
-			a, b := c[0], c[1]
-			if a > b {
-				a, b = b, a
-			}
-			binIdx[[2]cnf.Lit{a, b}] = i
-		}
-	}
+	bins := indexBinaries(p.bins, m.Clauses)
+	binRemoved := make([]bool, len(bins))
 	findBin := func(a, b cnf.Lit) (int, bool) {
-		if a > b {
-			a, b = b, a
-		}
-		i, ok := binIdx[[2]cnf.Lit{a, b}]
-		if ok && removed[i] {
+		i, ok := bins.find(a, b)
+		if ok && binRemoved[i] {
 			return 0, false
 		}
 		return i, ok
 	}
 
-	defined := make(map[cnf.Var]bool)        // gate outputs already defined
-	usesOf := make(map[cnf.Var][]cnf.Var)    // gate output -> inputs that are gate outputs
+	maxVar := cnf.Var(0)
+	for _, c := range m.Clauses {
+		for _, l := range c {
+			maxVar = max(maxVar, l.Var())
+		}
+	}
+	defined := make([]bool, maxVar+1)     // gate outputs already defined
+	usesOf := make([][]cnf.Var, maxVar+1) // gate output -> inputs that are gate outputs
+	seen := make([]bool, maxVar+1)
+	var stack []cnf.Var
 	reaches := func(from, to cnf.Var) bool { // DFS over definition edges
-		var rec func(cnf.Var) bool
-		seen := map[cnf.Var]bool{}
-		rec = func(v cnf.Var) bool {
+		clear(seen)
+		stack = append(stack[:0], from)
+		seen[from] = true
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 			if v == to {
 				return true
 			}
-			if seen[v] {
-				return false
-			}
-			seen[v] = true
 			for _, w := range usesOf[v] {
-				if rec(w) {
-					return true
+				if !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
 				}
 			}
-			return false
 		}
-		return rec(from)
+		return false
+	}
+	cyclic := func(out cnf.Var, ins []cnf.Lit) bool {
+		for _, l := range ins {
+			if defined[l.Var()] && reaches(l.Var(), out) {
+				return true
+			}
+		}
+		return false
 	}
 
 	validSkolemInputs := func(out cnf.Var, ins []cnf.Lit) bool {
@@ -73,7 +80,7 @@ func (p *preprocessor) detectGates() {
 			if v == out {
 				return false
 			}
-			if p.f.IsUniversal(v) {
+			if p.univ.Has(v) {
 				if !dg.Has(v) {
 					return false
 				}
@@ -87,9 +94,12 @@ func (p *preprocessor) detectGates() {
 		return true
 	}
 
-	acceptGate := func(g Gate, clauseIdx []int) {
-		for _, i := range clauseIdx {
+	acceptGate := func(g Gate, clauses, binaries []int) {
+		for _, i := range clauses {
 			removed[i] = true
+		}
+		for _, i := range binaries {
+			binRemoved[i] = true
 		}
 		p.cert.RecordGate(g.Out, g.OutNeg, g.Kind == GateXor, g.Ins)
 		defined[g.Out] = true
@@ -104,6 +114,8 @@ func (p *preprocessor) detectGates() {
 	// AND/OR detection: a clause (go ∨ ¬l1 ∨ ... ∨ ¬ln) with binaries
 	// (¬go ∨ li) for all i encodes go ↔ l1∧...∧ln. If go appears negatively
 	// in the long clause the same pattern encodes an OR.
+	var ins []cnf.Lit
+	var binIdxs []int
 	for i, c := range m.Clauses {
 		if removed[i] || len(c) < 3 {
 			continue
@@ -113,8 +125,7 @@ func (p *preprocessor) detectGates() {
 			if !p.f.IsExistential(out) || defined[out] {
 				continue
 			}
-			ins := make([]cnf.Lit, 0, len(c)-1)
-			idxs := []int{i}
+			ins, binIdxs = ins[:0], binIdxs[:0]
 			ok := true
 			for _, l := range c {
 				if l == outLit {
@@ -131,102 +142,80 @@ func (p *preprocessor) detectGates() {
 					break
 				}
 				ins = append(ins, in)
-				idxs = append(idxs, bi)
+				binIdxs = append(binIdxs, bi)
 			}
-			if !ok || !validSkolemInputs(out, ins) {
-				continue
-			}
-			// Cycle check: some input's definition must not reach out.
-			cyclic := false
-			for _, l := range ins {
-				if defined[l.Var()] && reaches(l.Var(), out) {
-					cyclic = true
-					break
-				}
-			}
-			if cyclic {
+			if !ok || !validSkolemInputs(out, ins) || cyclic(out, ins) {
 				continue
 			}
 			// outLit positive: out ↔ AND(ins). Negative: ¬out ↔ AND(ins).
-			acceptGate(Gate{Kind: GateAnd, Out: out, OutNeg: outLit.Neg(), Ins: ins}, idxs)
+			acceptGate(Gate{Kind: GateAnd, Out: out, OutNeg: outLit.Neg(), Ins: slices.Clone(ins)}, []int{i}, binIdxs)
 			break
 		}
 	}
 
 	// XOR detection: four ternary clauses over the same variable triple with
-	// the parity pattern of g ↔ a ⊕ b.
-	type triple [3]cnf.Var
-	ternary := make(map[triple][]int)
+	// the parity pattern of g ↔ a ⊕ b. Triples are visited in ascending
+	// order, not by any hash: detection consumes clauses and marks outputs
+	// defined, so which overlapping candidate wins — and the order gates are
+	// composed into the AIG — must be reproducible.
+	type ternary struct {
+		vs     [3]cnf.Var
+		clause int
+	}
+	var terns []ternary
 	for i, c := range m.Clauses {
 		if removed[i] || len(c) != 3 {
 			continue
 		}
-		vs := []cnf.Var{c[0].Var(), c[1].Var(), c[2].Var()}
-		sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
+		vs := [3]cnf.Var{c[0].Var(), c[1].Var(), c[2].Var()}
+		slices.Sort(vs[:])
 		if vs[0] == vs[1] || vs[1] == vs[2] {
 			continue
 		}
-		ternary[triple{vs[0], vs[1], vs[2]}] = append(ternary[triple{vs[0], vs[1], vs[2]}], i)
+		terns = append(terns, ternary{vs, i})
 	}
-	// Iterate triples in sorted order, not map order: detection consumes
-	// clauses and marks outputs defined, so which overlapping candidate wins
-	// — and the order gates are composed into the AIG — must be reproducible.
-	triples := make([]triple, 0, len(ternary))
-	for vs := range ternary {
-		triples = append(triples, vs)
-	}
-	sort.Slice(triples, func(i, j int) bool {
-		a, b := triples[i], triples[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
+	slices.SortFunc(terns, func(x, y ternary) int {
+		return cmp.Or(cmp.Compare(x.vs[0], y.vs[0]), cmp.Compare(x.vs[1], y.vs[1]),
+			cmp.Compare(x.vs[2], y.vs[2]), cmp.Compare(x.clause, y.clause))
 	})
-	for _, vs := range triples {
-		idxs := ternary[vs]
-		if len(idxs) < 4 {
+	for lo := 0; lo < len(terns); {
+		vs := terns[lo].vs
+		hi := lo + 1
+		for hi < len(terns) && terns[hi].vs == vs {
+			hi++
+		}
+		group := terns[lo:hi]
+		lo = hi
+		if len(group) < 4 {
 			continue
 		}
-		// Collect the sign patterns present (bit i = literal of vs[i] negative).
-		pat := make(map[int]int) // sign pattern -> clause index
-		for _, i := range idxs {
-			if removed[i] {
+		// Collect the sign patterns present (bit i = literal of vs[i]
+		// negative), mapping each to its clause; -1 marks an absent pattern.
+		var pat [8]int
+		for k := range pat {
+			pat[k] = -1
+		}
+		for _, t := range group {
+			if removed[t.clause] {
 				continue
 			}
 			mask := 0
-			for _, l := range m.Clauses[i] {
+			for _, l := range m.Clauses[t.clause] {
 				for k, v := range vs {
 					if l.Var() == v && l.Neg() {
 						mask |= 1 << k
 					}
 				}
 			}
-			pat[mask] = i
+			pat[mask] = t.clause
 		}
-		// g ↔ a⊕b over (g,a,b) = (vs[k], others): clauses are the four sign
-		// patterns with an odd/even structure. For output position k, the
-		// encoding's clauses as sign masks are those where the parity of all
-		// three negation bits is odd... derive directly: clauses of
-		// (¬g∨a∨b)(¬g∨¬a∨¬b)(g∨a∨¬b)(g∨¬a∨b) — masks with even total parity
-		// encode g↔a⊕b; masks with odd parity encode g↔¬(a⊕b)=g↔a↔b.
+		// g ↔ a⊕b over (g,a,b) = (vs[k], others): masks with even total
+		// parity encode g↔a⊕b; masks with odd parity encode g↔¬(a⊕b).
 		for k := 0; k < 3; k++ {
 			out := vs[k]
 			if !p.f.IsExistential(out) || defined[out] {
 				continue
 			}
-			var others []cnf.Var
-			for j, v := range vs {
-				if j != k {
-					others = append(others, v)
-				}
-			}
-			// Check XOR pattern (even-parity masks): {k-bit set with others
-			// equal} ∪ {k-bit clear with others differing}… enumerate the
-			// 4 masks of g↔a⊕b directly.
-			kb := 1 << k
 			var a, b int
 			switch k {
 			case 0:
@@ -236,22 +225,21 @@ func (p *preprocessor) detectGates() {
 			default:
 				a, b = 0, 1
 			}
-			ab, bb := 1<<a, 1<<b
+			kb, ab, bb := 1<<k, 1<<a, 1<<b
 			// g ↔ a⊕b ≡ CNF {(¬g a b) (¬g ¬a ¬b) (g a ¬b) (g ¬a b)}
-			xorMasks := []int{kb, kb | ab | bb, bb, ab}
+			xorMasks := [4]int{kb, kb | ab | bb, bb, ab}
 			// g ↔ ¬(a⊕b): complement g's sign in each clause.
-			xnorMasks := []int{0, ab | bb, kb | bb, kb | ab}
-			match := func(masks []int) bool {
+			xnorMasks := [4]int{0, ab | bb, kb | bb, kb | ab}
+			match := func(masks [4]int) bool {
 				for _, mk := range masks {
-					i, ok := pat[mk]
-					if !ok || removed[i] {
+					if i := pat[mk]; i < 0 || removed[i] {
 						return false
 					}
 				}
 				return true
 			}
 			var outNeg bool
-			var masks []int
+			var masks [4]int
 			if match(xorMasks) {
 				outNeg = false
 				masks = xorMasks
@@ -261,25 +249,15 @@ func (p *preprocessor) detectGates() {
 			} else {
 				continue
 			}
-			ins := []cnf.Lit{cnf.PosLit(others[0]), cnf.PosLit(others[1])}
-			if !validSkolemInputs(out, ins) {
-				continue
-			}
-			cyclic := false
-			for _, l := range ins {
-				if defined[l.Var()] && reaches(l.Var(), out) {
-					cyclic = true
-					break
-				}
-			}
-			if cyclic {
+			gateIns := []cnf.Lit{cnf.PosLit(vs[a]), cnf.PosLit(vs[b])}
+			if !validSkolemInputs(out, gateIns) || cyclic(out, gateIns) {
 				continue
 			}
 			var ci []int
 			for _, mk := range masks {
 				ci = append(ci, pat[mk])
 			}
-			acceptGate(Gate{Kind: GateXor, Out: out, OutNeg: outNeg, Ins: ins}, ci)
+			acceptGate(Gate{Kind: GateXor, Out: out, OutNeg: outNeg, Ins: gateIns}, ci, nil)
 			break
 		}
 	}
@@ -288,6 +266,10 @@ func (p *preprocessor) detectGates() {
 	if len(p.res.Gates) > 0 {
 		out := m.Clauses[:0]
 		for i, c := range m.Clauses {
+			if len(c) == 2 {
+				j, _ := bins.find(c[0], c[1])
+				removed[i] = binRemoved[j]
+			}
 			if !removed[i] {
 				out = append(out, c)
 			}
@@ -295,21 +277,9 @@ func (p *preprocessor) detectGates() {
 		m.Clauses = out
 		// Gate outputs leave the prefix: they are defined, not free.
 		for _, g := range p.res.Gates {
-			p.removeExistentialKeepDeps(g.Out)
+			p.removeExistential(g.Out)
 		}
 	}
-}
-
-// removeExistentialKeepDeps removes y from the existential prefix without
-// touching other dependency sets (the variable is now structurally defined).
-func (p *preprocessor) removeExistentialKeepDeps(y cnf.Var) {
-	for i, v := range p.f.Exist {
-		if v == y {
-			p.f.Exist = append(p.f.Exist[:i], p.f.Exist[i+1:]...)
-			break
-		}
-	}
-	delete(p.f.Deps, y)
 }
 
 // gateFanins returns, for testing, the set of variables feeding gate g.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cert"
 	"repro/internal/cnf"
@@ -69,13 +69,44 @@ func (g Gate) String() string {
 type preprocessor struct {
 	f   *dqbf.Formula
 	res PreprocessResult
-	// assigned holds unit-forced values; substituted maps replaced variables
-	// to their replacement literal.
-	assigned    map[cnf.Var]bool
-	substituted map[cnf.Var]cnf.Lit
+	// univ is the universal prefix as a set, for per-literal membership
+	// tests. Preprocessing removes existentials only, so it stays fixed.
+	univ *dqbf.VarSet
+	// deps is f.Deps indexed by variable. Every existential preprocessing
+	// removes from the prefix also leaves the matrix, so for the matrix's
+	// variables it agrees with f.Deps throughout.
+	deps []*dqbf.VarSet
+	// occ and sigs are the matrix's occurrence lists and clause signatures,
+	// rebuilt by subsumeOnce each round for it and strengthenOnce. Their
+	// storage, like that of bins and flags, is reused from round to round.
+	occ   occurrences
+	sigs  []uint64
+	bins  binaryIndex
+	flags []bool
 	// cert collects Skolem reconstruction steps (nil-safe; nil outside
 	// certified solves).
 	cert *cert.Builder
+}
+
+func newPreprocessor(f *dqbf.Formula, cb *cert.Builder) *preprocessor {
+	n := f.Matrix.NumVars
+	for y := range f.Deps {
+		n = max(n, int(y))
+	}
+	deps := make([]*dqbf.VarSet, n+1)
+	for y, d := range f.Deps {
+		deps[y] = d
+	}
+	return &preprocessor{f: f, univ: f.UniversalSet(), deps: deps, cert: cb}
+}
+
+// depsOf returns the dependency set of existential v, nil for any other
+// variable.
+func (p *preprocessor) depsOf(v cnf.Var) *dqbf.VarSet {
+	if int(v) < len(p.deps) {
+		return p.deps[v]
+	}
+	return nil
 }
 
 // Preprocess applies the paper's CNF-level preprocessing pipeline in
@@ -90,12 +121,7 @@ func Preprocess(f *dqbf.Formula, detectGates bool) (PreprocessResult, error) {
 // assignments, equivalence substitutions and detected gates each record one
 // reconstruction step into cb (nil-safe, so uncertified callers pass nil).
 func PreprocessCert(f *dqbf.Formula, detectGates bool, cb *cert.Builder) (PreprocessResult, error) {
-	p := &preprocessor{
-		f:           f,
-		assigned:    make(map[cnf.Var]bool),
-		substituted: make(map[cnf.Var]cnf.Lit),
-		cert:        cb,
-	}
+	p := newPreprocessor(f, cb)
 	// Normalize: drop tautological clauses and duplicate literals up front —
 	// universal reduction and unit propagation assume normalized clauses.
 	norm := f.Matrix.Clauses[:0]
@@ -183,7 +209,7 @@ func (p *preprocessor) propagateUnits() (bool, error) {
 		}
 		l := c[0]
 		v := l.Var()
-		if p.f.IsUniversal(v) {
+		if p.univ.Has(v) {
 			p.res.Decided = true
 			p.res.Value = false
 			return true, nil
@@ -212,8 +238,7 @@ func (p *preprocessor) propagateUnits() (bool, error) {
 // assignment is a constant Skolem step.
 func (p *preprocessor) assignAndSimplify(v cnf.Var, val bool) {
 	p.cert.RecordConst(v, val)
-	p.assigned[v] = val
-	p.removeFromPrefix(v)
+	p.removeExistential(v)
 	m := p.f.Matrix
 	out := m.Clauses[:0]
 	falseLit := cnf.NewLit(v, val)
@@ -249,24 +274,14 @@ func (p *preprocessor) assignAndSimplify(v cnf.Var, val bool) {
 	}
 }
 
-func (p *preprocessor) removeFromPrefix(v cnf.Var) {
-	for i, u := range p.f.Univ {
-		if u == v {
-			p.f.Univ = append(p.f.Univ[:i], p.f.Univ[i+1:]...)
-			break
-		}
+// removeExistential removes existential y from the prefix with its
+// dependency set. Dependency sets hold universals only, so no other set
+// changes.
+func (p *preprocessor) removeExistential(y cnf.Var) {
+	if i := slices.Index(p.f.Exist, y); i >= 0 {
+		p.f.Exist = append(p.f.Exist[:i], p.f.Exist[i+1:]...)
 	}
-	for i, y := range p.f.Exist {
-		if y == v {
-			p.f.Exist = append(p.f.Exist[:i], p.f.Exist[i+1:]...)
-			delete(p.f.Deps, v)
-			break
-		}
-	}
-	// Drop v from all dependency sets.
-	for _, d := range p.f.Deps {
-		d.Remove(v)
-	}
+	delete(p.f.Deps, y)
 }
 
 // universalReduction deletes universal literals from clauses in which no
@@ -276,27 +291,25 @@ func (p *preprocessor) universalReduction() bool {
 	changed := false
 	m := p.f.Matrix
 	out := m.Clauses[:0]
+	var deps []*dqbf.VarSet // dependency set per literal of the clause
 	for _, c := range m.Clauses {
+		if !slices.ContainsFunc(c, func(l cnf.Lit) bool { return p.univ.Has(l.Var()) }) {
+			out = append(out, c)
+			continue
+		}
+		deps = deps[:0]
+		for _, l := range c {
+			deps = append(deps, p.depsOf(l.Var()))
+		}
 		nc := c[:0]
 		for _, l := range c {
 			v := l.Var()
-			if !p.f.IsUniversal(v) {
+			if !p.univ.Has(v) || slices.ContainsFunc(deps, func(d *dqbf.VarSet) bool { return d != nil && d.Has(v) }) {
 				nc = append(nc, l)
 				continue
 			}
-			needed := false
-			for _, l2 := range c {
-				if d, ok := p.f.Deps[l2.Var()]; ok && d.Has(v) {
-					needed = true
-					break
-				}
-			}
-			if needed {
-				nc = append(nc, l)
-			} else {
-				p.res.UnivReductions++
-				changed = true
-			}
+			p.res.UnivReductions++
+			changed = true
 		}
 		if len(nc) == 0 {
 			p.res.Decided = true
@@ -313,43 +326,15 @@ func (p *preprocessor) universalReduction() bool {
 // by pairs of binary clauses and substitutes where the dependency structure
 // permits (see package doc for the soundness conditions).
 func (p *preprocessor) substituteEquivalences() (bool, error) {
-	// Index binary clauses as canonical literal pairs.
-	type pair [2]cnf.Lit
-	seen := make(map[pair]bool)
-	for _, c := range p.f.Matrix.Clauses {
-		if len(c) != 2 {
-			continue
-		}
-		a, b := c[0], c[1]
-		if a > b {
-			a, b = b, a
-		}
-		seen[pair{a, b}] = true
-	}
-	canon := func(a, b cnf.Lit) pair {
-		if a > b {
-			a, b = b, a
-		}
-		return pair{a, b}
-	}
-	// Iterate pairs in sorted order, not map order: only the first match is
+	// Pairs are visited in ascending order: only the first match is
 	// substituted per round, so the cascade of substitutions — and with it
-	// the resulting CNF and every downstream pass — must not depend on map
-	// iteration.
-	pairs := make([]pair, 0, len(seen))
-	for pr := range seen {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	for _, pr := range pairs {
-		a, b := pr[0], pr[1]
+	// the resulting CNF and every downstream pass — is fixed by the matrix.
+	bins := indexBinaries(p.bins, p.f.Matrix.Clauses)
+	p.bins = bins
+	for _, key := range bins {
+		a, b := pairLits(key)
 		// (a ∨ b) together with (¬a ∨ ¬b) gives a ≡ ¬b.
-		if !seen[canon(a.Not(), b.Not())] {
+		if _, ok := bins.find(a.Not(), b.Not()); !ok {
 			continue
 		}
 		// So variable A ≡ literal (¬b with A's phase folded in).
@@ -370,11 +355,49 @@ func (p *preprocessor) substituteEquivalences() (bool, error) {
 	return false, nil
 }
 
+// binaryIndex holds the matrix's distinct binary clauses as literal pairs,
+// each packed smaller literal first, sorted for binary search.
+type binaryIndex []uint64
+
+func pairKey(a, b cnf.Lit) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
+}
+
+func pairLits(key uint64) (cnf.Lit, cnf.Lit) {
+	return cnf.Lit(key >> 32), cnf.Lit(uint32(key))
+}
+
+// indexBinaries indexes the binary clauses of cs, reusing buf's storage.
+func indexBinaries(buf binaryIndex, cs []cnf.Clause) binaryIndex {
+	n := 0
+	for _, c := range cs {
+		if len(c) == 2 {
+			n++
+		}
+	}
+	idx := slices.Grow(buf[:0], n)
+	for _, c := range cs {
+		if len(c) == 2 {
+			idx = append(idx, pairKey(c[0], c[1]))
+		}
+	}
+	slices.Sort(idx)
+	return slices.Compact(idx)
+}
+
+// find returns the position of the binary clause (a ∨ b) in the index.
+func (idx binaryIndex) find(a, b cnf.Lit) (int, bool) {
+	return slices.BinarySearch(idx, pairKey(a, b))
+}
+
 // applyEquivalence tries to substitute variable v by literal t (v ≡ t),
 // choosing the sound direction. It reports whether a substitution happened.
 func (p *preprocessor) applyEquivalence(v cnf.Var, t cnf.Lit) bool {
 	w := t.Var()
-	vUniv, wUniv := p.f.IsUniversal(v), p.f.IsUniversal(w)
+	vUniv, wUniv := p.univ.Has(v), p.univ.Has(w)
 	switch {
 	case vUniv && wUniv:
 		// Two universals forced equal (or opposite): pick a violating
@@ -421,21 +444,24 @@ func (p *preprocessor) substExistUniv(y cnf.Var, x cnf.Lit) bool {
 // substitute replaces every occurrence of v by literal t and removes v from
 // the prefix. Only existentials are ever substituted (applyEquivalence
 // decides the two-universal case instead), so this is a Skolem step: f_v is
-// whatever t's function resolves to at replay time.
+// whatever t's function resolves to at replay time. Only the clauses that
+// mention v are rewritten.
 func (p *preprocessor) substitute(v cnf.Var, t cnf.Lit) {
 	p.cert.RecordSubst(v, t)
-	p.substituted[v] = t
-	p.removeFromPrefix(v)
+	p.removeExistential(v)
 	m := p.f.Matrix
 	out := m.Clauses[:0]
 	for _, c := range m.Clauses {
-		nc := make(cnf.Clause, 0, len(c))
-		for _, l := range c {
+		if !c.HasVar(v) {
+			out = append(out, c)
+			continue
+		}
+		nc := make(cnf.Clause, len(c))
+		for i, l := range c {
 			if l.Var() == v {
-				nc = append(nc, t.XorSign(l.Neg()))
-			} else {
-				nc = append(nc, l)
+				l = t.XorSign(l.Neg())
 			}
+			nc[i] = l
 		}
 		norm, taut := nc.Normalize()
 		if taut {

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/cnf"
+import (
+	"slices"
+
+	"repro/internal/cnf"
+)
 
 // Subsumption and self-subsuming resolution (clause strengthening) — the
 // "more sophisticated preprocessing techniques" the paper's conclusion
@@ -34,33 +38,84 @@ func subsumes(c, d cnf.Clause) bool {
 	return true
 }
 
-// subsumeOnce removes subsumed clauses; returns the number removed.
+// occurrences are flat, literal-indexed occurrence lists: the clauses
+// containing literal l are idx[start[l]:start[l+1]], in ascending order.
+// The backing slices are reused from one build to the next.
+type occurrences struct {
+	start []int32
+	idx   []int32
+}
+
+// build indexes cs with a count pass and a fill pass.
+func (o *occurrences) build(cs []cnf.Clause) {
+	maxLit, total := cnf.Lit(0), 0
+	for _, c := range cs {
+		for _, l := range c {
+			maxLit = max(maxLit, l)
+		}
+		total += len(c)
+	}
+	o.start = scratch(o.start, int(maxLit)+2)
+	for _, c := range cs {
+		for _, l := range c {
+			o.start[l]++
+		}
+	}
+	// Turn counts into end offsets, then fill backwards so that each start
+	// ends at its list's first entry and the lists come out ascending.
+	end := int32(0)
+	for l := range o.start {
+		end += o.start[l]
+		o.start[l] = end
+	}
+	o.idx = scratch(o.idx, total)
+	for i := len(cs) - 1; i >= 0; i-- {
+		for _, l := range cs[i] {
+			o.start[l]--
+			o.idx[o.start[l]] = int32(i)
+		}
+	}
+}
+
+// of returns the indices of the clauses containing l.
+func (o *occurrences) of(l cnf.Lit) []int32 {
+	if int(l)+1 >= len(o.start) {
+		return nil
+	}
+	return o.idx[o.start[l]:o.start[l+1]]
+}
+
+// subsumeOnce removes subsumed clauses; returns the number removed. A
+// clause dies when a shorter clause, or an identical earlier one, is a
+// subset of it. Each clause looks for its supersets along its literal with
+// the shortest occurrence list, since every superset must occur there. The
+// occurrence lists and signatures are left current for strengthenOnce.
 func (p *preprocessor) subsumeOnce() int {
 	m := p.f.Matrix
-	n := len(m.Clauses)
-	sigs := make([]uint64, n)
-	for i, c := range m.Clauses {
-		sigs[i] = clauseSig(c)
-	}
-	dead := make([]bool, n)
+	p.index()
+	sigs := p.sigs
+	dead := scratch(p.flags, len(m.Clauses))
+	p.flags = dead
 	removed := 0
-	for i := 0; i < n; i++ {
-		if dead[i] {
+	for i, c := range m.Clauses {
+		if dead[i] || len(c) == 0 {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			if i == j || dead[j] || dead[i] {
+		list := p.occ.of(c[0])
+		for _, l := range c[1:] {
+			if o := p.occ.of(l); len(o) < len(list) {
+				list = o
+			}
+		}
+		for _, j32 := range list {
+			j := int(j32)
+			if j == i || dead[j] || sigs[i]&^sigs[j] != 0 {
 				continue
 			}
-			if sigs[i]&^sigs[j] != 0 {
-				continue
-			}
-			if len(m.Clauses[i]) < len(m.Clauses[j]) ||
-				(len(m.Clauses[i]) == len(m.Clauses[j]) && i < j) {
-				if subsumes(m.Clauses[i], m.Clauses[j]) {
-					dead[j] = true
-					removed++
-				}
+			d := m.Clauses[j]
+			if (len(c) < len(d) || (len(c) == len(d) && i < j)) && subsumes(c, d) {
+				dead[j] = true
+				removed++
 			}
 		}
 	}
@@ -72,65 +127,89 @@ func (p *preprocessor) subsumeOnce() int {
 			}
 		}
 		m.Clauses = out
+		p.index()
 	}
 	return removed
 }
 
+// index rebuilds the occurrence lists and clause signatures of the matrix.
+func (p *preprocessor) index() {
+	cs := p.f.Matrix.Clauses
+	p.occ.build(cs)
+	p.sigs = scratch(p.sigs, len(cs))
+	for i, c := range cs {
+		p.sigs[i] = clauseSig(c)
+	}
+}
+
+// scratch returns buf resized to n zero elements, reusing its storage.
+func scratch[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
 // strengthenOnce applies self-subsuming resolution: for clauses C∨l and
 // D∨¬l with D ⊆ C, the literal l is deleted from C∨l. Returns the number of
-// literals removed.
+// literals removed. Candidates D come from ¬l's occurrence list as
+// subsumeOnce left it, which must run first; each is re-checked against
+// its current contents.
 func (p *preprocessor) strengthenOnce() int {
 	m := p.f.Matrix
 	removed := 0
-	// Occurrence lists per literal.
-	occ := make(map[cnf.Lit][]int)
-	for i, c := range m.Clauses {
-		for _, l := range c {
-			occ[l] = append(occ[l], i)
-		}
-	}
-	for i := 0; i < len(m.Clauses); i++ {
+	sigs := p.sigs
+	// in marks the literals of the clause being strengthened.
+	in := scratch(p.flags, len(p.occ.start))
+	p.flags = in
+	for i := range m.Clauses {
 		c := m.Clauses[i]
+		for _, l := range c {
+			in[l] = true
+		}
 		for li := 0; li < len(c); li++ {
 			l := c[li]
-			strengthened := false
-			for _, j := range occ[l.Not()] {
+			nl := l.Not()
+			for _, j32 := range p.occ.of(nl) {
+				j := int(j32)
 				if j == i {
 					continue
 				}
 				d := m.Clauses[j]
-				if len(d) > len(c) {
+				if len(d) > len(c) || sigs[j]&^sigs[i] != 0 {
 					continue
 				}
-				// D \ {¬l} ⊆ C \ {l}?
-				ok := true
+				// D \ {¬l} ⊆ C \ {l}, with ¬l still in D?
+				ok, hasNeg := true, false
 				for _, dl := range d {
-					if dl == l.Not() {
+					if dl == nl {
+						hasNeg = true
 						continue
 					}
-					if dl == l || !c.Has(dl) {
+					if dl == l || !in[dl] {
 						ok = false
 						break
 					}
 				}
-				if !ok || !d.Has(l.Not()) {
+				if !ok || !hasNeg {
 					continue
 				}
-				// Remove l from c.
+				// Remove l from c and re-examine the literal now at li.
 				c = append(c[:li], c[li+1:]...)
 				m.Clauses[i] = c
+				sigs[i] = clauseSig(c)
+				in[l] = false
 				removed++
-				strengthened = true
+				li--
 				break
-			}
-			if strengthened {
-				li-- // re-examine the literal now at position li
 			}
 		}
 		if len(c) == 0 {
 			p.res.Decided = true
 			p.res.Value = false
 			return removed
+		}
+		for _, l := range c {
+			in[l] = false
 		}
 	}
 	return removed

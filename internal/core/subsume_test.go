@@ -54,9 +54,7 @@ func TestSubsumptionPreservesSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		work := f.Clone()
-		p := &preprocessor{f: work,
-			assigned:    map[cnf.Var]bool{},
-			substituted: map[cnf.Var]cnf.Lit{}}
+		p := newPreprocessor(work, nil)
 		// Normalize first (subsumption assumes normalized clauses).
 		norm := work.Matrix.Clauses[:0]
 		for _, c := range work.Matrix.Clauses {

@@ -1,7 +1,7 @@
 package pipeline
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/aig"
 	"repro/internal/cnf"
@@ -50,7 +50,7 @@ func (UnitPurePass) Run(st *State) (Result, error) {
 		for v := range up {
 			vars = append(vars, v)
 		}
-		sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+		slices.Sort(vars)
 		changed := false
 		for _, v := range vars {
 			p := up[v]

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"sort"
+	"slices"
 
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
@@ -23,26 +23,22 @@ import (
 // have always keyed on; the bytes hashed are unchanged, so store entries
 // written by earlier releases stay addressable.)
 func CanonicalFormulaHash(f *dqbf.Formula) string {
-	h := sha256.New()
-	writeInt := func(v int64) { hashInt(h, v) }
-	writeVars := func(vs []cnf.Var) { hashVars(h, vs) }
+	h := newHashWriter()
+	h.tag("univ")
+	h.vars(f.Univ)
 
-	h.Write([]byte("univ"))
-	writeVars(f.Univ)
-
-	h.Write([]byte("exist"))
-	exist := append([]cnf.Var(nil), f.Exist...)
-	sort.Slice(exist, func(i, j int) bool { return exist[i] < exist[j] })
-	writeInt(int64(len(exist)))
+	h.tag("exist")
+	exist := slices.Clone(f.Exist)
+	slices.Sort(exist)
+	h.int(int64(len(exist)))
 	for _, y := range exist {
-		writeInt(int64(y))
-		writeVars(f.Deps[y].Vars())
+		h.int(int64(y))
+		h.vars(f.Deps[y].Vars())
 	}
 
-	h.Write([]byte("matrix"))
-	hashClauses(h, f.Matrix.Clauses)
-
-	return hex.EncodeToString(h.Sum(nil))
+	h.tag("matrix")
+	h.clauses(f.Matrix.Clauses)
+	return h.sum()
 }
 
 // CanonicalHash returns the canonical cache key of the problem. Formula
@@ -62,62 +58,75 @@ func (p *Problem) CanonicalHash() string {
 // from formula hashes, covering X (sorted) and the two clause sets
 // (normalized independently — F and G are not interchangeable).
 func (q *PQESplit) CanonicalHash() string {
-	h := sha256.New()
-	h.Write([]byte("pqe"))
-	hashVars(h, q.X)
-	h.Write([]byte("f"))
-	hashClauses(h, q.F)
-	h.Write([]byte("g"))
-	hashClauses(h, q.G)
-	return hex.EncodeToString(h.Sum(nil))
+	h := newHashWriter()
+	h.tag("pqe")
+	h.vars(q.X)
+	h.tag("f")
+	h.clauses(q.F)
+	h.tag("g")
+	h.clauses(q.G)
+	return h.sum()
 }
 
-func hashInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
+// hashWriter feeds the canonical form to SHA-256 through a small buffer:
+// integers as 8 little-endian bytes, tags as their raw bytes.
+type hashWriter struct {
+	h   hash.Hash
+	buf []byte
 }
 
-func hashVars(h hash.Hash, vs []cnf.Var) {
-	sorted := append([]cnf.Var(nil), vs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	hashInt(h, int64(len(sorted)))
-	for _, v := range sorted {
-		hashInt(h, int64(v))
+func newHashWriter() *hashWriter {
+	return &hashWriter{h: sha256.New(), buf: make([]byte, 0, 4096)}
+}
+
+func (h *hashWriter) tag(s string) {
+	h.buf = append(h.buf, s...)
+	h.spill()
+}
+
+func (h *hashWriter) int(v int64) {
+	h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v))
+	h.spill()
+}
+
+// spill hands a full buffer to the hash.
+func (h *hashWriter) spill() {
+	if len(h.buf) >= cap(h.buf)-8 {
+		h.h.Write(h.buf)
+		h.buf = h.buf[:0]
 	}
 }
 
-// hashClauses digests a clause set order-insensitively: literals sorted and
+func (h *hashWriter) sum() string {
+	h.h.Write(h.buf)
+	return hex.EncodeToString(h.h.Sum(nil))
+}
+
+// vars writes a variable set: its size, then its members ascending.
+func (h *hashWriter) vars(vs []cnf.Var) {
+	sorted := slices.Clone(vs)
+	slices.Sort(sorted)
+	h.int(int64(len(sorted)))
+	for _, v := range sorted {
+		h.int(int64(v))
+	}
+}
+
+// clauses digests a clause set order-insensitively: literals sorted and
 // deduplicated within each clause, clauses sorted lexicographically.
-func hashClauses(h hash.Hash, cs []cnf.Clause) {
+func (h *hashWriter) clauses(cs []cnf.Clause) {
 	clauses := make([][]cnf.Lit, 0, len(cs))
 	for _, c := range cs {
-		lits := append([]cnf.Lit(nil), c...)
-		sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
-		dedup := lits[:0]
-		for i, l := range lits {
-			if i == 0 || l != lits[i-1] {
-				dedup = append(dedup, l)
-			}
-		}
-		clauses = append(clauses, dedup)
+		lits := slices.Clone(c)
+		slices.Sort(lits)
+		clauses = append(clauses, slices.Compact(lits))
 	}
-	sort.Slice(clauses, func(i, j int) bool { return lessLits(clauses[i], clauses[j]) })
-	hashInt(h, int64(len(clauses)))
+	slices.SortFunc(clauses, slices.Compare)
+	h.int(int64(len(clauses)))
 	for _, c := range clauses {
-		hashInt(h, int64(len(c)))
+		h.int(int64(len(c)))
 		for _, l := range c {
-			hashInt(h, int64(l))
+			h.int(int64(l))
 		}
 	}
-}
-
-// lessLits orders clauses lexicographically by their literal sequence.
-func lessLits(a, b []cnf.Lit) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -93,6 +93,8 @@ type Solver struct {
 	claDec     float32
 	seen       []byte
 	toClear    []cnf.Var
+	lbdStamp   []uint32 // per decision level: the computeLBD call that last saw it
+	lbdEpoch   uint32
 	numVars    int
 	numLearnts int
 	numProblem int
@@ -591,12 +593,27 @@ func (s *Solver) litRedundant(l cnf.Lit) bool {
 	return true
 }
 
+// computeLBD returns the literal block distance of lits: the number of
+// distinct decision levels among them. Each call stamps the levels it sees
+// with a fresh epoch, so no set is allocated per learned clause.
 func (s *Solver) computeLBD(lits []cnf.Lit) int {
-	levels := map[int]struct{}{}
-	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+	s.lbdEpoch++
+	if s.lbdEpoch == 0 {
+		clear(s.lbdStamp)
+		s.lbdEpoch = 1
 	}
-	return len(levels)
+	n := 0
+	for _, l := range lits {
+		lv := s.level[l.Var()]
+		if lv >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, make([]uint32, lv+1-len(s.lbdStamp))...)
+		}
+		if s.lbdStamp[lv] != s.lbdEpoch {
+			s.lbdStamp[lv] = s.lbdEpoch
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) pickBranchLit() (cnf.Lit, bool) {

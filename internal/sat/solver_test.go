@@ -489,3 +489,29 @@ func TestArenaRecord(t *testing.T) {
 		t.Fatal("relocated clause corrupted")
 	}
 }
+
+// TestComputeLBDCountsDistinctLevels holds computeLBD to a set-based count
+// of the distinct decision levels, across the epoch counter wrapping.
+func TestComputeLBDCountsDistinctLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := New()
+	s.EnsureVars(40)
+	for iter := 0; iter < 2000; iter++ {
+		if iter == 1000 {
+			s.lbdEpoch = ^uint32(0) // the next call wraps to 0
+		}
+		for v := 1; v <= 40; v++ {
+			s.level[v] = rng.Intn(1 + iter%50)
+		}
+		var lits []cnf.Lit
+		levels := map[int]bool{}
+		for k := 1 + rng.Intn(12); k > 0; k-- {
+			v := cnf.Var(1 + rng.Intn(40))
+			lits = append(lits, cnf.NewLit(v, rng.Intn(2) == 0))
+			levels[s.level[v]] = true
+		}
+		if got := s.computeLBD(lits); got != len(levels) {
+			t.Fatalf("iter %d: computeLBD = %d, want %d distinct levels", iter, got, len(levels))
+		}
+	}
+}
