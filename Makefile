@@ -34,7 +34,8 @@ fuzz-smoke:
 	$(GO) run ./cmd/dqbffuzz -n 200 -seed 1 -cert
 
 # Native go-fuzz harnesses, run briefly from the committed corpora: the
-# DQDIMACS reader (no panics; accepted input round-trips), the one AIGER
+# DQDIMACS reader (no panics; the same formula or error text as the
+# reference line reader; accepted input round-trips), the one AIGER
 # parser (no panics; accepted input normalizes to a read/write fixpoint)
 # and the problem encoding over it, the certificate wire decoder (no panics;
 # Encode→Decode→Encode fixpoint; Check returns), the certificate checker's

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -18,7 +19,8 @@ import (
 // Gate lines may reference signals defined later; a topological order is
 // established after parsing. Unknown driven signals become FREE gates
 // (black-box outputs), which is how incomplete BENCH netlists are written.
-func ParseBench(r io.Reader) (*Circuit, error) {
+// Lines may be up to 16 MiB long.
+func ParseBench(data []byte) (*Circuit, error) {
 	type rawGate struct {
 		name string
 		typ  GateType
@@ -26,8 +28,8 @@ func ParseBench(r io.Reader) (*Circuit, error) {
 	}
 	var raws []rawGate
 	var inputs, outputs []string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(make([]byte, 0, min(len(data)+1, 1<<16)), 1<<24)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -195,7 +197,7 @@ func parenArg(line string) (string, error) {
 
 // ParseBenchString parses a BENCH netlist from a string.
 func ParseBenchString(s string) (*Circuit, error) {
-	return ParseBench(strings.NewReader(s))
+	return ParseBench([]byte(s))
 }
 
 // WriteBench writes the circuit in BENCH format. FREE signals are emitted as

@@ -334,7 +334,7 @@ func TestBenchRoundTrip(t *testing.T) {
 	if err := c.WriteBench(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ParseBench(&buf)
+	d, err := ParseBench(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

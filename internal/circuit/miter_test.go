@@ -115,7 +115,7 @@ func TestMiterBenchRoundTrip(t *testing.T) {
 	if err := m.WriteBench(&buf); err != nil {
 		t.Fatalf("WriteBench: %v", err)
 	}
-	m2, err := ParseBench(&buf)
+	m2, err := ParseBench(buf.Bytes())
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}

@@ -1,7 +1,6 @@
 package cnf
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,81 +111,6 @@ func TestFormulaNewVarClone(t *testing.T) {
 	g.Clauses[0][0] = NegLit(1)
 	if f.Clauses[0][0] != PosLit(1) {
 		t.Fatal("Clone aliases clause storage")
-	}
-}
-
-func TestParseDIMACS(t *testing.T) {
-	in := `c example
-p cnf 4 3
-1 -2 0
-2 3 0
--4 0
-`
-	f, err := ParseDIMACSString(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumVars != 4 || len(f.Clauses) != 3 {
-		t.Fatalf("got %d vars, %d clauses", f.NumVars, len(f.Clauses))
-	}
-	if f.Clauses[0][1] != NegLit(2) {
-		t.Fatalf("clause 0 = %v", f.Clauses[0])
-	}
-}
-
-func TestParseDIMACSNoHeader(t *testing.T) {
-	f, err := ParseDIMACSString("1 2 0\n-2 0\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumVars != 2 || len(f.Clauses) != 2 {
-		t.Fatalf("got %d vars, %d clauses", f.NumVars, len(f.Clauses))
-	}
-}
-
-func TestParseDIMACSMultiLineClause(t *testing.T) {
-	f, err := ParseDIMACSString("p cnf 3 1\n1 2\n3 0\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Clauses) != 1 || len(f.Clauses[0]) != 3 {
-		t.Fatalf("clauses = %v", f.Clauses)
-	}
-}
-
-func TestParseDIMACSErrors(t *testing.T) {
-	if _, err := ParseDIMACSString("p cnf x 3\n"); err == nil {
-		t.Error("want error for bad var count")
-	}
-	if _, err := ParseDIMACSString("p dnf 1 1\n"); err == nil {
-		t.Error("want error for non-cnf problem line")
-	}
-	if _, err := ParseDIMACSString("1 two 0\n"); err == nil {
-		t.Error("want error for bad literal")
-	}
-}
-
-func TestWriteDIMACSRoundTrip(t *testing.T) {
-	f := NewFormula(0)
-	f.AddDimacsClause(1, -2, 3)
-	f.AddDimacsClause(-3)
-	var buf bytes.Buffer
-	if err := f.WriteDIMACS(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := ParseDIMACS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVars != f.NumVars || len(g.Clauses) != len(f.Clauses) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", f, g)
-	}
-	for i := range f.Clauses {
-		for j := range f.Clauses[i] {
-			if f.Clauses[i][j] != g.Clauses[i][j] {
-				t.Fatalf("clause %d differs", i)
-			}
-		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package dqbf
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/cnf"
@@ -57,14 +59,26 @@ func BinaryCycles(f *Formula) [][2]cnf.Var {
 	return out
 }
 
-// IsCyclic reports whether the dependency graph contains a cycle, using the
-// pairwise incomparability criterion of Theorem 4.
+// IsCyclic reports whether the dependency graph contains a cycle. By
+// Theorem 4 that is so exactly when two dependency sets are incomparable,
+// so the graph is acyclic exactly when the sets form a chain under ⊆.
+// Sorted by size, a family of sets is a chain exactly when each set is a
+// subset of the next, which takes O(E log E) set comparisons instead of
+// O(E²).
 func IsCyclic(f *Formula) bool {
+	type sized struct {
+		n int
+		s *VarSet
+	}
+	sets := make([]sized, len(f.Exist))
 	for i, y := range f.Exist {
-		for _, z := range f.Exist[i+1:] {
-			if !f.Deps[y].SubsetOf(f.Deps[z]) && !f.Deps[z].SubsetOf(f.Deps[y]) {
-				return true
-			}
+		d := f.Deps[y]
+		sets[i] = sized{d.Len(), d}
+	}
+	slices.SortFunc(sets, func(a, b sized) int { return cmp.Compare(a.n, b.n) })
+	for i := 1; i < len(sets); i++ {
+		if !sets[i-1].s.SubsetOf(sets[i].s) {
+			return true
 		}
 	}
 	return false

@@ -3,6 +3,7 @@ package dqbf
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -306,6 +307,58 @@ func TestTheorem4RandomConsistency(t *testing.T) {
 		if IsCyclic(f) != hasCycleDFS(g) {
 			t.Fatalf("iter %d: Theorem 4 criterion disagrees with DFS on %v", iter, f)
 		}
+	}
+}
+
+// TestIsCyclicMatchesPairwise holds the chain test of IsCyclic to the
+// pairwise definition: the graph is cyclic exactly when some two dependency
+// sets are incomparable. The prefixes mix chains (with repeated and empty
+// sets) and perturbed chains, whose sets are often equal in size yet
+// incomparable, over universals that span several bitset words.
+func TestIsCyclicMatchesPairwise(t *testing.T) {
+	pairwise := func(f *Formula) bool {
+		for i, y := range f.Exist {
+			for _, z := range f.Exist[i+1:] {
+				if !f.Deps[y].SubsetOf(f.Deps[z]) && !f.Deps[z].SubsetOf(f.Deps[y]) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(22))
+	cyclic := 0
+	const iters = 2000
+	for iter := 0; iter < iters; iter++ {
+		f := New()
+		nUniv := 1 + rng.Intn(140)
+		for i := 0; i < nUniv; i++ {
+			f.AddUniversal(cnf.Var(i + 1))
+		}
+		nExist := rng.Intn(8)
+		for i := 0; i < nExist; i++ {
+			// The first k universals make a chain; swapping one of them for
+			// a later universal keeps the size but breaks the chain.
+			k := rng.Intn(nUniv + 1)
+			if rng.Intn(4) == 0 {
+				k = 0
+			}
+			deps := slices.Clone(f.Univ[:k])
+			if k > 0 && k < nUniv && rng.Intn(3) == 0 {
+				deps[rng.Intn(k)] = f.Univ[k+rng.Intn(nUniv-k)]
+			}
+			f.AddExistential(cnf.Var(nUniv+i+1), deps...)
+		}
+		want := pairwise(f)
+		if want {
+			cyclic++
+		}
+		if got := IsCyclic(f); got != want {
+			t.Fatalf("iter %d: IsCyclic %v, pairwise definition %v on %v", iter, got, want, f)
+		}
+	}
+	if cyclic == 0 || cyclic == iters {
+		t.Fatalf("corpus not mixed: %d of %d prefixes cyclic", cyclic, iters)
 	}
 }
 

@@ -2,17 +2,24 @@ package dqbf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/cnf"
 )
 
-// ParseDQDIMACS reads a formula in DQDIMACS format, the DQBF extension of
-// QDIMACS used by iDQ and HQS:
+// maxLine is the longest line the reader accepts, in bytes before its
+// newline; a longer line fails with bufio.ErrTooLong.
+const maxLine = 1<<24 - 1
+
+// ParseDQDIMACSBytes reads a formula in DQDIMACS format, the DQBF extension
+// of QDIMACS used by iDQ and HQS:
 //
 //	p cnf <vars> <clauses>
 //	a x1 x2 ... 0        universal variables
@@ -36,164 +43,251 @@ import (
 // not exceed cnf.VarLimit of the quantified variables and literals the input
 // holds; the existentials' dependency sets, which are sized by variable, are
 // built only once that is checked.
-func ParseDQDIMACS(r io.Reader) (*Formula, error) {
-	f := New()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var cur cnf.Clause
-	var universalsSoFar []cnf.Var
+//
+// Lines end at '\n'. Fields are separated by any run of the runes
+// unicode.IsSpace accepts, and a line whose first field starts with 'c' is
+// a comment. Integers are read by strconv.Atoi. The reader makes
+// one pass over data and allocates by len(data), never by the header: the
+// clauses are capacity-limited sub-slices of one literal array, in which a
+// 0 closes each clause, and the dependency sets share one word array.
+func ParseDQDIMACSBytes(data []byte) (*Formula, error) {
+	// An existential's dependency set is deps[lo:hi] for a "d" line and
+	// univ[:hi] for an "e" line.
 	type existential struct {
-		v    cnf.Var
-		deps []cnf.Var
+		v      cnf.Var
+		fromD  bool
+		lo, hi int
 	}
-	var exists []existential
-	prefix := make(map[cnf.Var]bool) // quantified variable -> universal
-	lits := 0
-	problemLine := 0
-	lineNo := 0
-	prefixDone := false
-	sawProblem := false
-	for sc.Scan() {
+	var (
+		univ        []cnf.Var
+		exists      []existential
+		deps        []cnf.Var // the dependencies of every "d" line, in order
+		lineVars    []cnf.Var // the variables of the current quantifier line
+		marks       prefixMarks
+		lits        = make([]cnf.Lit, 0, len(data)/2+1) // every clause, each closed by a 0
+		numClauses  = 0
+		clauseStart = 0
+		numVars     = 0
+		problemLine = 0
+		lineNo      = 0
+		prefixDone  = false
+		sawProblem  = false
+	)
+	for rest := data; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
+		if len(line) > maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		fs := fields{line: line}
+		head := fs.next()
+		if head == nil || head[0] == 'c' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if !sawProblem && fields[0] != "p" {
-			return nil, fmt.Errorf("dqdimacs line %d: %q before problem line", lineNo, fields[0])
+		kind := byte(0)
+		if len(head) == 1 {
+			kind = head[0]
 		}
-		switch fields[0] {
-		case "p":
+		if !sawProblem && kind != 'p' {
+			return nil, fmt.Errorf("dqdimacs line %d: %q before problem line", lineNo, head)
+		}
+		switch kind {
+		case 'p':
 			if sawProblem {
 				return nil, fmt.Errorf("dqdimacs line %d: duplicate problem line", lineNo)
 			}
-			if len(fields) != 4 || fields[1] != "cnf" {
+			format, vars, count := fs.next(), fs.next(), fs.next()
+			if count == nil || fs.next() != nil || string(format) != "cnf" {
 				return nil, fmt.Errorf("dqdimacs line %d: malformed problem line (want \"p cnf <vars> <clauses>\")", lineNo)
 			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 || n > cnf.MaxVar {
-				return nil, fmt.Errorf("dqdimacs line %d: bad variable count %q", lineNo, fields[2])
+			n, ok := atoi(vars)
+			if !ok || n < 0 || n > cnf.MaxVar {
+				return nil, fmt.Errorf("dqdimacs line %d: bad variable count %q", lineNo, vars)
 			}
-			if k, err := strconv.Atoi(fields[3]); err != nil || k < 0 {
-				return nil, fmt.Errorf("dqdimacs line %d: bad clause count %q", lineNo, fields[3])
+			if k, ok := atoi(count); !ok || k < 0 {
+				return nil, fmt.Errorf("dqdimacs line %d: bad clause count %q", lineNo, count)
 			}
-			f.Matrix.NumVars = n
+			numVars = n
+			marks = newPrefixMarks(n, len(data))
 			sawProblem = true
 			problemLine = lineNo
-		case "a", "e", "d":
+		case 'a', 'e', 'd':
 			if prefixDone {
 				return nil, fmt.Errorf("dqdimacs line %d: quantifier line after clauses", lineNo)
 			}
-			vars, err := parseVarLine(fields[1:], lineNo, f.Matrix.NumVars)
+			var err error
+			lineVars, err = parseVarLine(&fs, lineVars[:0], lineNo, numVars)
 			if err != nil {
 				return nil, err
 			}
-			var deps []cnf.Var
-			if fields[0] == "d" {
+			vars := lineVars
+			if kind == 'd' {
 				if len(vars) == 0 {
 					return nil, fmt.Errorf("dqdimacs line %d: empty d line", lineNo)
 				}
 				// A dependency on a variable quantified only later is left
-				// to the Validate call at the end.
-				vars, deps = vars[:1], vars[1:]
-				for _, d := range deps {
+				// to the check at the end.
+				for _, d := range vars[1:] {
 					if d == vars[0] {
 						return nil, fmt.Errorf("dqdimacs line %d: existential %d depends on itself", lineNo, d)
 					}
-					if univ, ok := prefix[d]; ok && !univ {
+					if quantified, universal := marks.lookup(d); quantified && !universal {
 						return nil, fmt.Errorf("dqdimacs line %d: existential %d depends on existential %d", lineNo, vars[0], d)
 					}
 				}
+				vars = vars[:1]
 			}
 			for _, v := range vars {
-				if _, ok := prefix[v]; ok {
+				if quantified, _ := marks.lookup(v); quantified {
 					return nil, fmt.Errorf("dqdimacs line %d: variable %d quantified twice", lineNo, v)
 				}
-				prefix[v] = fields[0] == "a"
+				marks.mark(v, kind == 'a')
 			}
-			switch fields[0] {
-			case "a":
+			switch kind {
+			case 'a':
+				univ = append(univ, vars...)
+			case 'e':
 				for _, v := range vars {
-					f.AddUniversal(v)
-					universalsSoFar = append(universalsSoFar, v)
+					exists = append(exists, existential{v: v, hi: len(univ)})
 				}
-			case "e":
-				for _, v := range vars {
-					exists = append(exists, existential{v, universalsSoFar})
-				}
-			case "d":
-				exists = append(exists, existential{vars[0], deps})
+			case 'd':
+				lo := len(deps)
+				deps = append(deps, lineVars[1:]...)
+				exists = append(exists, existential{v: vars[0], fromD: true, lo: lo, hi: len(deps)})
 			}
 		default:
 			prefixDone = true
-			for _, tok := range fields {
-				d, err := strconv.Atoi(tok)
-				if err != nil {
+			for tok := head; tok != nil; tok = fs.next() {
+				d, ok := atoi(tok)
+				if !ok {
 					return nil, fmt.Errorf("dqdimacs line %d: bad literal %q", lineNo, tok)
 				}
 				if d == 0 {
-					f.Matrix.Clauses = append(f.Matrix.Clauses, cur)
-					cur = nil
+					lits = append(lits, 0)
+					numClauses++
+					clauseStart = len(lits)
 					continue
 				}
 				// Range-check before the conversion: a literal beyond the
 				// variable type's range would wrap into it.
-				if d > f.Matrix.NumVars || d < -f.Matrix.NumVars {
+				if d > numVars || d < -numVars {
 					return nil, fmt.Errorf("dqdimacs line %d: literal %d out of range (declared %d variables)",
-						lineNo, d, f.Matrix.NumVars)
+						lineNo, d, numVars)
 				}
-				cur = append(cur, cnf.LitFromDimacs(d))
-				lits++
+				lits = append(lits, cnf.LitFromDimacs(d))
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if len(lits) > clauseStart {
+		lits = append(lits, 0)
+		numClauses++
 	}
-	if len(cur) > 0 {
-		f.Matrix.Clauses = append(f.Matrix.Clauses, cur)
-	}
-	items := len(f.Univ) + len(exists) + lits
-	if n, limit := f.Matrix.NumVars, cnf.VarLimit(items); n > limit {
+	items := len(univ) + len(exists) + len(lits) - numClauses
+	if limit := cnf.VarLimit(items); numVars > limit {
 		return nil, fmt.Errorf("dqdimacs line %d: %d variables declared for %d quantified variables and literals (at most %d)",
-			problemLine, n, items, limit)
+			problemLine, numVars, items, limit)
 	}
-	for _, e := range exists {
-		f.AddExistential(e.v, e.deps...)
-	}
-	// Free matrix variables become outermost existentials.
-	quantified := NewVarSet(f.Univ...).Union(NewVarSet(f.Exist...))
+	// Free matrix variables become outermost existentials. Past the limit
+	// check the marks are dense, so marking a free variable quantified
+	// keeps it from being listed twice.
 	var free []cnf.Var
-	seen := NewVarSet()
-	for _, c := range f.Matrix.Clauses {
-		for _, l := range c {
-			v := l.Var()
-			if !quantified.Has(v) && !seen.Has(v) {
-				seen.Add(v)
-				free = append(free, v)
-			}
+	for _, l := range lits {
+		if v := l.Var(); l != 0 && !marks.quant.Has(v) {
+			marks.quant.Add(v)
+			free = append(free, v)
 		}
 	}
-	sort.Slice(free, func(i, j int) bool { return free[i] < free[j] })
-	for _, v := range free {
-		f.AddExistential(v)
+	slices.Sort(free)
+
+	// Each clause is capacity-limited, so it cannot grow into its successor.
+	clauses := make([]cnf.Clause, 0, numClauses)
+	start := 0
+	for i, l := range lits {
+		if l == 0 {
+			var c cnf.Clause
+			if i > start {
+				c = lits[start:i:i]
+			}
+			clauses = append(clauses, c)
+			start = i + 1
+		}
 	}
-	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("dqdimacs: %w", err)
+
+	// Build every dependency set into one word array, each as wide as
+	// NewVarSet would make it.
+	depsOf := func(e existential) []cnf.Var {
+		if e.fromD {
+			return deps[e.lo:e.hi]
+		}
+		return univ[:e.hi]
+	}
+	total := 0
+	for _, e := range exists {
+		total += setWords(depsOf(e))
+	}
+	words := make([]uint64, total)
+	sets := make([]VarSet, len(exists)+len(free))
+	f := &Formula{
+		Univ:   univ,
+		Exist:  make([]cnf.Var, 0, len(sets)),
+		Deps:   make(map[cnf.Var]*VarSet, len(sets)),
+		Matrix: &cnf.Formula{NumVars: numVars, Clauses: clauses},
+	}
+	for i, e := range exists {
+		ds := depsOf(e)
+		if w := setWords(ds); w > 0 {
+			sets[i].words, words = words[:w:w], words[w:]
+		}
+		for _, d := range ds {
+			sets[i].words[int(d)/64] |= 1 << (uint(d) % 64)
+		}
+		f.Exist = append(f.Exist, e.v)
+		f.Deps[e.v] = &sets[i]
+	}
+	for i, v := range free {
+		f.Exist = append(f.Exist, v)
+		f.Deps[v] = &sets[len(exists)+i]
+	}
+	// The line checks leave one Validate condition open: a dependency on a
+	// variable the prefix never made universal.
+	for i, e := range exists {
+		if d := &sets[i]; !d.SubsetOf(&marks.univ) {
+			return nil, fmt.Errorf("dqdimacs: dqbf: dependency set of %d contains non-universals: %v", e.v, d.Diff(&marks.univ))
+		}
 	}
 	return f, nil
 }
 
-func parseVarLine(toks []string, lineNo, numVars int) ([]cnf.Var, error) {
-	var out []cnf.Var
-	for i, tok := range toks {
-		d, err := strconv.Atoi(tok)
-		if err != nil {
+// ParseDQDIMACS reads all of r and parses it with ParseDQDIMACSBytes.
+func ParseDQDIMACS(r io.Reader) (*Formula, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseDQDIMACSBytes(data)
+}
+
+// ParseDQDIMACSString parses a DQDIMACS formula from a string.
+func ParseDQDIMACSString(s string) (*Formula, error) {
+	return ParseDQDIMACSBytes([]byte(s))
+}
+
+// parseVarLine appends the variables of a quantifier line's remaining
+// fields to out: positive, within the declared range, terminated by a 0
+// that is the line's last field.
+func parseVarLine(fs *fields, out []cnf.Var, lineNo, numVars int) ([]cnf.Var, error) {
+	for tok := fs.next(); tok != nil; tok = fs.next() {
+		d, ok := atoi(tok)
+		if !ok {
 			return nil, fmt.Errorf("dqdimacs line %d: bad variable %q", lineNo, tok)
 		}
 		if d == 0 {
-			if i != len(toks)-1 {
+			if fs.next() != nil {
 				return nil, fmt.Errorf("dqdimacs line %d: trailing tokens after terminating 0", lineNo)
 			}
 			return out, nil
@@ -210,14 +304,107 @@ func parseVarLine(toks []string, lineNo, numVars int) ([]cnf.Var, error) {
 	return nil, fmt.Errorf("dqdimacs line %d: quantifier line not terminated by 0", lineNo)
 }
 
-// ParseDQDIMACSString parses a DQDIMACS formula from a string.
-func ParseDQDIMACSString(s string) (*Formula, error) {
-	return ParseDQDIMACS(strings.NewReader(s))
+// setWords is the number of words NewVarSet(vs...) holds.
+func setWords(vs []cnf.Var) int {
+	if len(vs) == 0 {
+		return 0
+	}
+	return int(slices.Max(vs))/64 + 1
 }
 
-// WriteDQDIMACS writes the formula in DQDIMACS format. Existentials whose
-// dependency set equals the full universal set are emitted with an "e" line
-// after all universals; all others get explicit "d" lines.
+// fields splits a line where strings.Fields does: at every run of runes
+// unicode.IsSpace accepts.
+type fields struct {
+	line []byte
+	pos  int
+}
+
+// next returns the next field, or nil once the line is exhausted.
+func (fs *fields) next() []byte {
+	line, i := fs.line, fs.pos
+	for i < len(line) {
+		n := spaceWidth(line[i:])
+		if n == 0 {
+			break
+		}
+		i += n
+	}
+	start := i
+	// A byte that starts no space rune is part of the field. Stepping over
+	// it alone is exact: the bytes after a rune's first are continuation
+	// bytes, which start no rune.
+	for i < len(line) && spaceWidth(line[i:]) == 0 {
+		i++
+	}
+	fs.pos = i
+	if start == i {
+		return nil
+	}
+	return line[start:i]
+}
+
+// spaceWidth returns the length of the unicode.IsSpace rune b starts with,
+// or 0 if b does not start with one.
+func spaceWidth(b []byte) int {
+	if c := b[0]; c < utf8.RuneSelf {
+		if c == ' ' || '\t' <= c && c <= '\r' {
+			return 1
+		}
+		return 0
+	}
+	if r, n := utf8.DecodeRune(b); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
+// atoi parses tok with strconv.Atoi. The conversion does not escape, so
+// a token of up to 32 bytes is converted on the stack.
+func atoi(tok []byte) (int, bool) {
+	n, err := strconv.Atoi(string(tok))
+	return n, err == nil
+}
+
+// prefixMarks records which variables the prefix quantifies and which of
+// them are universal: two bitsets over 1..NumVars, sized once. An input
+// whose header declares more variables than cnf.VarLimit allows for its
+// length is rejected once read; until then its prefix marks live in a map,
+// so no table grows with the header.
+type prefixMarks struct {
+	quant, univ VarSet
+	sparse      map[cnf.Var]bool
+}
+
+func newPrefixMarks(numVars, inputLen int) prefixMarks {
+	if numVars > cnf.VarLimit(inputLen) {
+		return prefixMarks{sparse: make(map[cnf.Var]bool)}
+	}
+	w := numVars/64 + 1
+	words := make([]uint64, 2*w)
+	return prefixMarks{quant: VarSet{words[:w:w]}, univ: VarSet{words[w:]}}
+}
+
+// lookup reports whether v is quantified, and if so whether universally.
+func (m *prefixMarks) lookup(v cnf.Var) (quantified, universal bool) {
+	if m.sparse != nil {
+		universal, quantified = m.sparse[v]
+		return quantified, universal
+	}
+	return m.quant.Has(v), m.univ.Has(v)
+}
+
+// mark records v as quantified, universally or existentially.
+func (m *prefixMarks) mark(v cnf.Var, universal bool) {
+	if m.sparse != nil {
+		m.sparse[v] = universal
+		return
+	}
+	m.quant.Add(v)
+	if universal {
+		m.univ.Add(v)
+	}
+}
+
 // WriteQDIMACS writes the formula in plain QDIMACS, the linear-prefix
 // subset of DQDIMACS: alternating "a"/"e" blocks, no "d" lines. It fails
 // when the formula is not linear — i.e. when some existential's dependency
@@ -285,15 +472,26 @@ func (f *Formula) WriteQDIMACS(w io.Writer) error {
 	return bw.Flush()
 }
 
+// WriteDQDIMACS writes the formula in DQDIMACS format. Existentials whose
+// dependency set equals the full universal set are emitted with an "e" line
+// after all universals; all others get explicit "d" lines.
+//
+// The text is built in one buffer and handed to w in a single Write.
 func (f *Formula) WriteDQDIMACS(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p cnf %d %d\n", f.Matrix.NumVars, len(f.Matrix.Clauses))
+	n := len(f.Univ) + len(f.Exist)
+	for _, c := range f.Matrix.Clauses {
+		n += len(c) + 1
+	}
+	// Room for each number at the width of the largest variable, a sign
+	// and a space; "d" lines with many dependencies grow it once more.
+	b := make([]byte, 0, 32+n*(len(strconv.Itoa(f.Matrix.NumVars))+2))
+	b = append(b, "p cnf "...)
+	b = strconv.AppendInt(b, int64(f.Matrix.NumVars), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(f.Matrix.Clauses)), 10)
+	b = append(b, '\n')
 	if len(f.Univ) > 0 {
-		fmt.Fprint(bw, "a")
-		for _, v := range f.Univ {
-			fmt.Fprintf(bw, " %d", v)
-		}
-		fmt.Fprintln(bw, " 0")
+		b = appendVarLine(b, "a", f.Univ)
 	}
 	all := f.UniversalSet()
 	var full []cnf.Var
@@ -303,27 +501,36 @@ func (f *Formula) WriteDQDIMACS(w io.Writer) error {
 		}
 	}
 	if len(full) > 0 {
-		fmt.Fprint(bw, "e")
-		for _, v := range full {
-			fmt.Fprintf(bw, " %d", v)
-		}
-		fmt.Fprintln(bw, " 0")
+		b = appendVarLine(b, "e", full)
 	}
+	var deps []cnf.Var
 	for _, y := range f.Exist {
 		if f.Deps[y].Equal(all) {
 			continue
 		}
-		fmt.Fprintf(bw, "d %d", y)
-		for _, x := range f.Deps[y].Vars() {
-			fmt.Fprintf(bw, " %d", x)
-		}
-		fmt.Fprintln(bw, " 0")
+		b = append(b, "d "...)
+		b = strconv.AppendInt(b, int64(y), 10)
+		deps = f.Deps[y].AppendVars(deps[:0])
+		b = appendVarLine(b, "", deps)
 	}
 	for _, c := range f.Matrix.Clauses {
 		for _, l := range c {
-			fmt.Fprintf(bw, "%d ", l.Dimacs())
+			b = strconv.AppendInt(b, int64(l.Dimacs()), 10)
+			b = append(b, ' ')
 		}
-		fmt.Fprintln(bw, "0")
+		b = append(b, "0\n"...)
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
+}
+
+// appendVarLine appends head, the variables each after a space, and the
+// terminating " 0" line end.
+func appendVarLine(b []byte, head string, vs []cnf.Var) []byte {
+	b = append(b, head...)
+	for _, v := range vs {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, " 0\n"...)
 }

@@ -1,6 +1,10 @@
 package dqbf
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -92,5 +96,37 @@ d 3 1 0
 	}
 	if f.Matrix.NumVars != 4 {
 		t.Fatalf("NumVars = %d, want 4", f.Matrix.NumVars)
+	}
+}
+
+// TestDQDIMACSLineCap holds the reader to the reference line reader at the
+// 16 MiB line cap: a line of 2^24-1 bytes is read, with or without its
+// newline, and one of 2^24 bytes fails with bufio.ErrTooLong.
+func TestDQDIMACSLineCap(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		newline bool
+		tooLong bool
+	}{
+		{maxLine, true, false},
+		{maxLine, false, false},
+		{maxLine + 1, true, true},
+		{maxLine + 1, false, true},
+	} {
+		in := make([]byte, 0, tc.n+32)
+		in = append(in, "p cnf 0 0\n"...)
+		in = append(in, 'c')
+		in = append(in, bytes.Repeat([]byte{'x'}, tc.n-1)...)
+		if tc.newline {
+			in = append(in, "\n1 0\n"...)
+		}
+		_, err := ParseDQDIMACSBytes(in)
+		_, refErr := scannerParseDQDIMACS(bytes.NewReader(in))
+		if got, want := fmt.Sprint(err), fmt.Sprint(refErr); got != want {
+			t.Fatalf("line of %d bytes (newline %v): reader %q, reference %q", tc.n, tc.newline, got, want)
+		}
+		if tooLong := errors.Is(err, bufio.ErrTooLong); tooLong != tc.tooLong {
+			t.Fatalf("line of %d bytes (newline %v): error %v", tc.n, tc.newline, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package dqbf
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,9 +16,13 @@ type VarSet struct {
 	words []uint64
 }
 
-// NewVarSet returns a set containing the given variables.
+// NewVarSet returns a set containing the given variables, sized once for
+// the largest of them.
 func NewVarSet(vs ...cnf.Var) *VarSet {
 	s := &VarSet{}
+	if len(vs) > 0 {
+		s.words = make([]uint64, max(0, int(slices.Max(vs))/64+1))
+	}
 	for _, v := range vs {
 		s.Add(v)
 	}
@@ -144,16 +149,19 @@ func (s *VarSet) Clone() *VarSet {
 }
 
 // Vars returns the elements in ascending order.
-func (s *VarSet) Vars() []cnf.Var {
-	var out []cnf.Var
+func (s *VarSet) Vars() []cnf.Var { return s.AppendVars(nil) }
+
+// AppendVars appends the elements to dst in ascending order and returns the
+// extended slice.
+func (s *VarSet) AppendVars(dst []cnf.Var) []cnf.Var {
 	for i, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			out = append(out, cnf.Var(i*64+b))
+			dst = append(dst, cnf.Var(i*64+b))
 			w &^= 1 << uint(b)
 		}
 	}
-	return out
+	return dst
 }
 
 // String renders the set as {v1, v2, ...}.

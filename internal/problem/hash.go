@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"slices"
+	"sync"
 
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
@@ -33,7 +34,9 @@ func CanonicalFormulaHash(f *dqbf.Formula) string {
 	h.int(int64(len(exist)))
 	for _, y := range exist {
 		h.int(int64(y))
-		h.vars(f.Deps[y].Vars())
+		// A VarSet lists its members ascending already.
+		h.scratch = f.Deps[y].AppendVars(h.scratch[:0])
+		h.sortedVars(h.scratch)
 	}
 
 	h.tag("matrix")
@@ -69,14 +72,31 @@ func (q *PQESplit) CanonicalHash() string {
 }
 
 // hashWriter feeds the canonical form to SHA-256 through a small buffer:
-// integers as 8 little-endian bytes, tags as their raw bytes.
+// integers as 8 little-endian bytes, tags as their raw bytes. Its scratch
+// slices hold variable lists and normalized clauses while they are written.
 type hashWriter struct {
-	h   hash.Hash
-	buf []byte
+	h       hash.Hash
+	buf     []byte
+	scratch []cnf.Var
+	flat    []cnf.Lit
+	norm    [][]cnf.Lit
 }
 
-func newHashWriter() *hashWriter {
+// hashWriters recycles hash state and scratch between digests, so hashing
+// a request leaves no garbage but the digest string.
+var hashWriters = sync.Pool{New: func() any {
 	return &hashWriter{h: sha256.New(), buf: make([]byte, 0, 4096)}
+}}
+
+// maxPooledLits bounds the clause scratch a pooled writer keeps, so one
+// huge request does not pin its buffers.
+const maxPooledLits = 1 << 20
+
+func newHashWriter() *hashWriter {
+	h := hashWriters.Get().(*hashWriter)
+	h.h.Reset()
+	h.buf = h.buf[:0]
+	return h
 }
 
 func (h *hashWriter) tag(s string) {
@@ -97,30 +117,50 @@ func (h *hashWriter) spill() {
 	}
 }
 
+// sum returns the digest and hands the writer back to the pool.
 func (h *hashWriter) sum() string {
 	h.h.Write(h.buf)
-	return hex.EncodeToString(h.h.Sum(nil))
+	digest := hex.EncodeToString(h.h.Sum(h.buf[:0]))
+	if cap(h.flat) <= maxPooledLits {
+		hashWriters.Put(h)
+	}
+	return digest
 }
 
 // vars writes a variable set: its size, then its members ascending.
 func (h *hashWriter) vars(vs []cnf.Var) {
-	sorted := slices.Clone(vs)
-	slices.Sort(sorted)
-	h.int(int64(len(sorted)))
-	for _, v := range sorted {
+	h.scratch = append(h.scratch[:0], vs...)
+	slices.Sort(h.scratch)
+	h.sortedVars(h.scratch)
+}
+
+// sortedVars writes a variable set given in ascending order.
+func (h *hashWriter) sortedVars(vs []cnf.Var) {
+	h.int(int64(len(vs)))
+	for _, v := range vs {
 		h.int(int64(v))
 	}
 }
 
 // clauses digests a clause set order-insensitively: literals sorted and
-// deduplicated within each clause, clauses sorted lexicographically.
+// deduplicated within each clause, clauses sorted lexicographically. The
+// clauses are normalized inside one flat copy of their literals.
 func (h *hashWriter) clauses(cs []cnf.Clause) {
-	clauses := make([][]cnf.Lit, 0, len(cs))
+	n := 0
 	for _, c := range cs {
-		lits := slices.Clone(c)
-		slices.Sort(lits)
-		clauses = append(clauses, slices.Compact(lits))
+		n += len(c)
 	}
+	flat := slices.Grow(h.flat[:0], n)
+	clauses := h.norm[:0]
+	for _, c := range cs {
+		start := len(flat)
+		flat = append(flat, c...)
+		slices.Sort(flat[start:])
+		c := slices.Compact(flat[start:])
+		flat = flat[:start+len(c)]
+		clauses = append(clauses, c)
+	}
+	h.flat, h.norm = flat, clauses
 	slices.SortFunc(clauses, slices.Compare)
 	h.int(int64(len(clauses)))
 	for _, c := range clauses {

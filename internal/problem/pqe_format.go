@@ -25,7 +25,7 @@ func parsePQE(data []byte) (*Problem, error) {
 	q := &PQESplit{}
 	nf, ng := -1, -1
 	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc.Buffer(make([]byte, 0, min(len(data)+1, 1<<16)), 1<<24)
 	var clauses []cnf.Clause
 	var cur cnf.Clause
 	lineNo := 0

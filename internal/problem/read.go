@@ -1,7 +1,6 @@
 package problem
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -31,7 +30,7 @@ func ParseBytes(data []byte, hint Format) (*Problem, error) {
 	}
 	switch format {
 	case FormatDQDIMACS, FormatQDIMACS:
-		f, err := dqbf.ParseDQDIMACS(bytes.NewReader(data))
+		f, err := dqbf.ParseDQDIMACSBytes(data)
 		if err != nil {
 			return nil, err
 		}
@@ -45,7 +44,7 @@ func ParseBytes(data []byte, hint Format) (*Problem, error) {
 		}
 		return aigerProblem(af)
 	case FormatBENCH:
-		c, err := circuit.ParseBench(bytes.NewReader(data))
+		c, err := circuit.ParseBench(data)
 		if err != nil {
 			return nil, err
 		}
@@ -90,5 +89,9 @@ func ReadBenchCircuit(r io.Reader) (*circuit.Circuit, error) {
 	if err := faults.Fire(faults.ProblemParse); err != nil {
 		return nil, fmt.Errorf("problem: parse failed: %w", err)
 	}
-	return circuit.ParseBench(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return circuit.ParseBench(data)
 }

@@ -357,12 +357,14 @@ func NewScheduler(cfg Config) *Scheduler {
 
 // Submit validates and enqueues a job for req.Problem, any formula kind
 // from any input format (PQE queries are not jobs — SolvePQE answers them
-// synchronously). The problem is cloned, so the caller may reuse it. A cache
-// hit completes the job immediately without queueing. Returns ErrQueueFull
-// when the queue has no slot and ErrDraining once Drain has begun — the
-// draining check and the queue send happen under one lock with Drain's
-// queue close, so a job is either rejected with ErrDraining or enqueued
-// before the close and guaranteed to reach a terminal state.
+// synchronously). A job that will run solves a clone of the problem, so the
+// caller may reuse it; a cache or store hit completes the job immediately
+// without queueing or cloning, and reads only the problem's kind and
+// format. Returns ErrQueueFull when the queue has no slot and ErrDraining
+// once Drain has begun — the draining check and the queue send happen under
+// one lock with Drain's queue close, so a job is either rejected with
+// ErrDraining or enqueued before the close and guaranteed to reach a
+// terminal state.
 //
 // The cache/store key is the problem's canonical hash, which is computed on
 // the normalized formula: the same instance ingested as DQDIMACS and as a
@@ -420,7 +422,6 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		}
 	}
 	s.nextID++
-	req.Problem = p.Clone()
 	job := &Job{
 		id:        fmt.Sprintf("j%d", s.nextID),
 		req:       req,
@@ -452,6 +453,10 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		return job, nil
 	}
 
+	// A job that will run gets its own copy: the engines rewrite the
+	// formula in place. A cache or store hit never solves, so it keeps the
+	// caller's problem.
+	job.req.Problem = p.Clone()
 	select {
 	case s.queue <- job:
 	default:
@@ -668,10 +673,12 @@ func (s *Scheduler) finishJob(job *Job, out Outcome) {
 			s.store.JournalDone(job.id)
 		}
 	}()
-	close(job.done)
+	// Filed into history before the done channel closes, so a waiter's
+	// Stats or Job lookup already sees the finished job.
 	s.mu.Lock()
 	s.remember(job)
 	s.mu.Unlock()
+	close(job.done)
 }
 
 func (s *Scheduler) runJob(job *Job) {
