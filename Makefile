@@ -59,7 +59,7 @@ fuzz-native:
 
 # Chaos drill under the race detector: fault-injected panics, errors, and
 # spurious Unknowns against the scheduler with concurrent submits, cancels,
-# and drains.
+# and drains, and two schedulers with different plans side by side.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestDrainRace' -v ./internal/service
 
@@ -72,20 +72,22 @@ chaos-store:
 	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' -v ./internal/store ./internal/service
 
 # The PR gate: vet, the gofmt check, the full test suite, the race pass, the certified fuzz
-# smoke, the native fuzz harnesses, both chaos drills, the cluster smoke,
-# the nested benchmark module (so an internal API change that breaks
+# smoke, the native fuzz harnesses, both chaos drills, the daemon and cluster
+# smokes, the nested benchmark module (so an internal API change that breaks
 # perfbench/ fails here), and the quick bench gate. Each step is defined
 # once, by its own target.
-check: vet fmt test race fuzz-smoke fuzz-native chaos chaos-store cluster-smoke
+check: vet fmt test race fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) bench-gate-quick
 
 # End-to-end service smoke tests: build hqsd, start it, solve the example
 # instance over HTTP in portfolio mode, drain gracefully via SIGTERM; then
 # the persistence drill — solve with -store, kill -9, restart, and the
-# result must be served from disk with its certificate re-verified.
+# result must be served from disk with its certificate re-verified; then the
+# -faults drill — one plan from the flag fails the first dispatch and the
+# first engine attempt of the next job, which the retry answers.
 serve-smoke:
-	$(GO) test -tags smoke -run 'TestServeSmoke|TestStoreKillRecoverySmoke' -v ./cmd/hqsd
+	$(GO) test -tags smoke -run 'TestServeSmoke|TestStoreKillRecoverySmoke|TestServeFaultsSmoke' -v ./cmd/hqsd
 
 # End-to-end cluster smoke: build hqsd and hqsc, start two workers under a
 # coordinator, solve the example through the cluster with a certificate,

@@ -36,7 +36,8 @@
 // (verdict ERROR, worker survives), transient failures are retried with
 // backoff and fall back along hqs → portfolio → idq; -retry-attempts,
 // -retry-base-delay, and -retry-max-delay tune the policy. The -faults flag
-// activates a fault-injection plan (see internal/faults) for chaos drills,
+// arms one fault-injection plan (see internal/faults) for chaos drills on
+// the scheduler, the engines its jobs run and the store,
 // e.g. -faults 'sat.solve:panic:p=0.1;cache.lookup:error:every=3'.
 //
 // Persistence: -store DIR keeps definitive verdicts and their Skolem
@@ -94,19 +95,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hqsd:", err)
 		os.Exit(1)
 	}
-	if *faultSpec != "" {
-		plan, err := faults.ParseSpec(*faultSpec, *faultSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hqsd:", err)
-			os.Exit(1)
-		}
-		faults.Activate(plan)
+	// One plan drives every seam of this daemon: the scheduler and, through
+	// each job's budget, the engines; and the store.
+	plan, err := faults.ParseSpec(*faultSpec, *faultSeed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hqsd:", err)
+		os.Exit(1)
+	}
+	if plan != nil {
 		log.Printf("hqsd: fault injection ACTIVE: %s (seed %d)", *faultSpec, *faultSeed)
 	}
 	var st *store.Store
 	if *storeDir != "" {
 		var lost []store.LostJob
-		st, lost, err = store.Open(*storeDir)
+		st, lost, err = store.Open(*storeDir, store.Options{Faults: plan})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hqsd:", err)
 			os.Exit(1)
@@ -132,6 +134,7 @@ func main() {
 		},
 		Store:   st,
 		Certify: *certify,
+		Faults:  plan,
 	})
 	srv := httpapi.New(sched)
 	srv.MaxBody = *maxBody

@@ -2,11 +2,12 @@
 
 package main
 
-// The smoke test drives the real hqsd binary end to end: build, start,
+// The smoke tests drive the real hqsd binary end to end: build, start,
 // health-check, solve the repository's example instance over HTTP in
-// portfolio mode, then shut down gracefully with SIGTERM. Run it via
-// `make serve-smoke` (it is tag-gated so ordinary `go test ./...` stays
-// hermetic and fast).
+// portfolio mode, then shut down gracefully with SIGTERM; survive a SIGKILL
+// with -store; and carry a -faults plan to the scheduler and the engines.
+// Run them via `make serve-smoke` (they are tag-gated so ordinary
+// `go test ./...` stays hermetic and fast).
 
 import (
 	"encoding/json"
@@ -24,28 +25,31 @@ import (
 	"repro/internal/service"
 )
 
-func TestServeSmoke(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "hqsd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
+// buildHQSD builds the hqsd binary into a temporary directory.
+func buildHQSD(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "hqsd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
 
+// startHQSD starts bin with args on a free local port and waits until it is
+// healthy. It returns the process and the base URL; the caller stops it.
+func startHQSD(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("reserve port: %v", err)
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-
-	cmd := exec.Command(bin, "-addr", addr, "-workers", "2", "-drain-timeout", "10s")
+	cmd := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start hqsd: %v", err)
 	}
-	defer cmd.Process.Kill()
-
 	base := "http://" + addr
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -53,14 +57,53 @@ func TestServeSmoke(t *testing.T) {
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
-				break
+				return cmd, base
 			}
 		}
 		if time.Now().After(deadline) {
+			cmd.Process.Kill()
 			t.Fatalf("hqsd never became healthy: %v", err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// postSolve POSTs body to base/solve?query and decodes the job snapshot.
+func postSolve(t *testing.T, base, query string, body []byte) service.JobInfo {
+	t.Helper()
+	resp, err := http.Post(base+"/solve?"+query, "text/plain", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatalf("POST /solve: %v", err)
+	}
+	defer resp.Body.Close()
+	var info service.JobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || info.Outcome == nil {
+		t.Fatalf("solve: status %d, info %+v", resp.StatusCode, info)
+	}
+	return info
+}
+
+// getStats reads the daemon's /stats counters.
+func getStats(t *testing.T, base string) service.Stats {
+	t.Helper()
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var stats service.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	return stats
+}
+
+func TestServeSmoke(t *testing.T) {
+	cmd, base := startHQSD(t, buildHQSD(t), "-workers", "2", "-drain-timeout", "10s")
+	defer cmd.Process.Kill()
 
 	// Readiness must agree with liveness on an idle instance.
 	if resp, err := http.Get(base + "/readyz"); err != nil {
@@ -76,20 +119,12 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read example: %v", err)
 	}
-	resp, err := http.Post(base+"/solve?engine=portfolio&timeout=30s", "text/plain", strings.NewReader(string(instance)))
-	if err != nil {
-		t.Fatalf("POST /solve: %v", err)
-	}
-	var info service.JobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || info.Outcome == nil || info.Outcome.Verdict != service.VerdictSat {
-		t.Fatalf("solve over HTTP: status %d, info %+v", resp.StatusCode, info)
+	info := postSolve(t, base, "engine=portfolio&timeout=30s", instance)
+	if info.Outcome.Verdict != service.VerdictSat {
+		t.Fatalf("solve over HTTP: info %+v", info)
 	}
 	fmt.Printf("smoke: %s solved example1 -> %v (engine %s) in %dms\n",
-		addr, info.Outcome.Verdict, info.Outcome.Engine, info.SolveTimeMS)
+		base, info.Outcome.Verdict, info.Outcome.Engine, info.SolveTimeMS)
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
@@ -111,60 +146,18 @@ func TestServeSmoke(t *testing.T) {
 // close), and a fresh process over the same directory serves the result from
 // disk — certificate re-verified — instead of re-solving.
 func TestStoreKillRecoverySmoke(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "hqsd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	storeDir := filepath.Join(dir, "results")
+	bin := buildHQSD(t)
+	storeDir := filepath.Join(t.TempDir(), "results")
 	instance, err := os.ReadFile("../../examples/example1.dqdimacs")
 	if err != nil {
 		t.Fatalf("read example: %v", err)
 	}
 
 	start := func() (*exec.Cmd, string) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("reserve port: %v", err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		cmd := exec.Command(bin, "-addr", addr, "-workers", "2", "-store", storeDir, "-certify")
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start hqsd: %v", err)
-		}
-		base := "http://" + addr
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get(base + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					return cmd, base
-				}
-			}
-			if time.Now().After(deadline) {
-				cmd.Process.Kill()
-				t.Fatalf("hqsd never became healthy: %v", err)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
+		return startHQSD(t, bin, "-workers", "2", "-store", storeDir, "-certify")
 	}
 	solve := func(base string) service.JobInfo {
-		resp, err := http.Post(base+"/solve?engine=idq&timeout=30s", "text/plain", strings.NewReader(string(instance)))
-		if err != nil {
-			t.Fatalf("POST /solve: %v", err)
-		}
-		defer resp.Body.Close()
-		var info service.JobInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if resp.StatusCode != http.StatusOK || info.Outcome == nil {
-			t.Fatalf("solve: status %d, info %+v", resp.StatusCode, info)
-		}
-		return info
+		return postSolve(t, base, "engine=idq&timeout=30s", instance)
 	}
 
 	cmd1, base1 := start()
@@ -184,19 +177,41 @@ func TestStoreKillRecoverySmoke(t *testing.T) {
 	if out.Verdict != service.VerdictSat || !out.FromStore {
 		t.Fatalf("restart did not serve from the store: %+v", out)
 	}
-	var stats service.Stats
-	resp, err := http.Get(base2 + "/stats")
-	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
-	resp.Body.Close()
+	stats := getStats(t, base2)
 	if stats.StoreHits != 1 || stats.Store == nil || stats.Store.Hits != 1 {
 		t.Fatalf("post-restart stats: %+v / %+v", stats, stats.Store)
 	}
 	fmt.Printf("smoke: result survived SIGKILL and served from %s with certificate re-verified\n", storeDir)
 	cmd2.Process.Signal(syscall.SIGTERM)
 	cmd2.Wait()
+}
+
+// TestServeFaultsSmoke is the -faults drill: one plan, built from the flag,
+// reaches the scheduler and, through each job's budget, the engines. The
+// first /solve dies at dispatch (ERROR); the second dispatches, loses its
+// first HQS attempt to the injected preprocess failure, and is answered by
+// the retry, which /stats counts.
+func TestServeFaultsSmoke(t *testing.T) {
+	instance, err := os.ReadFile("../../examples/example1.dqdimacs")
+	if err != nil {
+		t.Fatalf("read example: %v", err)
+	}
+	cmd, base := startHQSD(t, buildHQSD(t), "-workers", "1", "-cache-size", "-1",
+		"-faults", "sched.dispatch:error:times=1;pipeline.preprocess:error:times=1")
+	defer cmd.Process.Kill()
+
+	if out := postSolve(t, base, "engine=hqs&timeout=30s", instance).Outcome; out.Verdict != service.VerdictError ||
+		!strings.Contains(out.Error, "dispatch failed") {
+		t.Fatalf("first solve: %+v, want the injected dispatch ERROR", out)
+	}
+	if out := postSolve(t, base, "engine=hqs&timeout=30s", instance).Outcome; out.Verdict != service.VerdictSat ||
+		out.Attempts != 2 {
+		t.Fatalf("second solve: %+v, want SAT on the second attempt", out)
+	}
+	if st := getStats(t, base); st.Errors != 1 || st.Retries != 1 {
+		t.Fatalf("stats: %d errors, %d retries; want 1 and 1", st.Errors, st.Retries)
+	}
+	fmt.Printf("smoke: -faults reached dispatch and the engine (1 error, 1 retry)\n")
+	cmd.Process.Signal(syscall.SIGTERM)
+	cmd.Wait()
 }

@@ -259,7 +259,7 @@ func (g *Graph) sweep(r Ref, opt SweepOptions, forceSAT bool) (Ref, SweepStats) 
 	var stats SweepStats
 	// Fault-injection seam: sweeping is an optimization, so a fault here is
 	// contained by skipping the sweep — the unswept cone is equivalent.
-	if err := faults.Fire(faults.AIGSweep); err != nil {
+	if err := opt.Budget.Faults().Fire(faults.AIGSweep); err != nil {
 		stats.Skipped++
 		return r, stats
 	}

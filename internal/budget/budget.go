@@ -13,6 +13,11 @@
 // read per-job totals after (or during) a solve. All methods are safe for
 // concurrent use and are nil-safe: a nil *Budget means "unlimited", so
 // callers thread budgets unconditionally.
+//
+// Because every engine seam already holds the budget of its solve, the
+// budget also carries the solve's fault-injection plan (Limits.Faults):
+// each seam fires b.Faults(), which is nil — injection off — unless the
+// owner of the solve armed one.
 package budget
 
 import (
@@ -20,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // Sentinel errors reported by Err, ordered by precedence.
@@ -47,6 +54,9 @@ type Limits struct {
 	Decisions int64
 	// Nodes caps the AIG size (the analogue of a memory limit).
 	Nodes int
+	// Faults, when non-nil, is the fault-injection plan every engine seam
+	// under this budget fires; nil means no faults.
+	Faults *faults.Plan
 }
 
 // Budget is a shared, cancellable resource budget. Use New; the zero value
@@ -56,6 +66,7 @@ type Budget struct {
 	maxConflicts int64
 	maxDecisions int64
 	maxNodes     int
+	faults       *faults.Plan
 
 	done       chan struct{}
 	cancelOnce sync.Once
@@ -71,6 +82,7 @@ func New(l Limits) *Budget {
 		maxConflicts: l.Conflicts,
 		maxDecisions: l.Decisions,
 		maxNodes:     l.Nodes,
+		faults:       l.Faults,
 		done:         make(chan struct{}),
 	}
 	if l.Timeout > 0 {
@@ -97,6 +109,15 @@ func (b *Budget) NodeCap() int {
 		return 0
 	}
 	return b.maxNodes
+}
+
+// Faults returns the fault-injection plan of the budget (nil if none).
+// Nil-safe, so a seam can fire b.Faults() on any budget.
+func (b *Budget) Faults() *faults.Plan {
+	if b == nil {
+		return nil
+	}
+	return b.faults
 }
 
 // Cancel requests cancellation. It is idempotent and safe to call from any
@@ -190,11 +211,12 @@ func (b *Budget) Err() error {
 // Stopped reports whether any constraint is exhausted. Nil-safe.
 func (b *Budget) Stopped() bool { return b.Err() != nil }
 
-// Child returns a fresh budget with the same deadline and caps but an
-// independent cancellation signal and usage counters. Portfolio racing gives
-// each engine a child so the loser can be cancelled without stopping the
-// winner; the caller folds the children's usage back with AddConflicts /
-// AddDecisions. A nil receiver yields an unlimited (but cancellable) child.
+// Child returns a fresh budget with the same deadline, caps and fault plan
+// but an independent cancellation signal and usage counters. Portfolio
+// racing gives each engine a child so the loser can be cancelled without
+// stopping the winner, and every arm keeps the plan; the caller folds the
+// children's usage back with AddConflicts / AddDecisions. A nil receiver
+// yields an unlimited (but cancellable) child.
 func (b *Budget) Child() *Budget {
 	if b == nil {
 		return New(Limits{})
@@ -204,5 +226,6 @@ func (b *Budget) Child() *Budget {
 		Conflicts: b.maxConflicts,
 		Decisions: b.maxDecisions,
 		Nodes:     b.maxNodes,
+		Faults:    b.faults,
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 func TestNilBudgetIsUnlimited(t *testing.T) {
@@ -17,8 +19,8 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 	if b.ConflictsUsed() != 0 || b.DecisionsUsed() != 0 {
 		t.Fatal("nil budget counts nothing")
 	}
-	if b.NodeCap() != 0 {
-		t.Fatal("nil budget has no limits")
+	if b.NodeCap() != 0 || b.Faults() != nil {
+		t.Fatal("nil budget has no limits and no fault plan")
 	}
 	if b.Done() != nil {
 		t.Fatal("nil budget Done must be nil")
@@ -86,10 +88,11 @@ func TestErrPrecedence(t *testing.T) {
 }
 
 func TestChild(t *testing.T) {
-	b := New(Limits{Conflicts: 7, Nodes: 42, Deadline: time.Now().Add(time.Hour)})
+	plan := faults.NewPlan(1)
+	b := New(Limits{Conflicts: 7, Nodes: 42, Deadline: time.Now().Add(time.Hour), Faults: plan})
 	c := b.Child()
-	if c.NodeCap() != 42 || c.deadline != b.deadline {
-		t.Fatal("child must inherit limits")
+	if c.NodeCap() != 42 || c.deadline != b.deadline || c.Faults() != plan {
+		t.Fatal("child must inherit limits and the fault plan")
 	}
 	c.Cancel()
 	if b.Cancelled() {

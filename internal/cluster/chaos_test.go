@@ -1,13 +1,17 @@
 package cluster
 
-// Cluster chaos drills: a worker dying mid-batch, injected forward faults on
-// the cluster.forward seam, dispatch faults inside a worker, and the UNSAT
-// cube short circuit cancelling in-flight siblings. Fault plans are
-// process-global, so these tests must not run in parallel with each other.
+// Cluster chaos drills: a worker dying mid-batch, forwards dropped by a
+// flaky transport, dispatch faults inside a worker, and the UNSAT cube short
+// circuit cancelling in-flight siblings. A drill that faults the workers
+// hands one plan to every worker's scheduler config, so the plan counts its
+// hits across the whole cluster.
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,20 +66,31 @@ func TestClusterWorkerKillMidBatch(t *testing.T) {
 	}
 }
 
-// TestClusterForwardFaultDrill arms the cluster.forward injection point so
-// every third forward dies before the request leaves the coordinator, and
-// requires the ring walk to absorb every fault without changing a verdict.
+// flakyTransport fails every nth POST before it leaves the coordinator, as
+// a dropped connection would; other requests pass through.
+type flakyTransport struct {
+	every        int64
+	posts, fails atomic.Int64
+}
+
+func (f *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && f.posts.Add(1)%f.every == 0 {
+		f.fails.Add(1)
+		if r.Body != nil {
+			r.Body.Close()
+		}
+		return nil, errors.New("flaky transport: connection dropped")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClusterForwardFaultDrill makes every third forward die before the
+// request leaves the coordinator, and requires the ring walk to absorb every
+// failure without changing a verdict.
 func TestClusterForwardFaultDrill(t *testing.T) {
 	ws := startWorkers(t, 2, defaultWorkerConfig())
-	c := newCoordinator(t, ws, nil)
-
-	plan := faults.NewPlan(1, faults.Rule{
-		Point:  faults.ClusterForward,
-		Action: faults.ActError,
-		EveryN: 3,
-	})
-	faults.Activate(plan)
-	defer faults.Deactivate()
+	flaky := &flakyTransport{every: 3}
+	c := newCoordinator(t, ws, func(cfg *Config) { cfg.Client = &http.Client{Transport: flaky} })
 
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 9; i++ {
@@ -86,8 +101,8 @@ func TestClusterForwardFaultDrill(t *testing.T) {
 			t.Fatalf("instance %d: cluster says %s, serial says %s", i, got, want)
 		}
 	}
-	if fires := plan.Fires(faults.ClusterForward); fires < 2 {
-		t.Fatalf("fault plan fired %d times, want >= 2", fires)
+	if fails := flaky.fails.Load(); fails < 2 {
+		t.Fatalf("transport failed %d forwards, want >= 2", fails)
 	}
 	if got := c.CoordStats().Failovers; got < 2 {
 		t.Fatalf("%d failovers recorded, want >= 2", got)
@@ -189,16 +204,15 @@ func TestClusterAsyncJobLifecycle(t *testing.T) {
 // inside a worker: the job must come back as a clean ERROR verdict through
 // the cluster path — contained, not lost, not hanging the coordinator.
 func TestClusterDispatchFaultContained(t *testing.T) {
-	ws := startWorkers(t, 2, defaultWorkerConfig())
-	c := newCoordinator(t, ws, nil)
-
 	plan := faults.NewPlan(1, faults.Rule{
 		Point:  faults.SchedDispatch,
 		Action: faults.ActError,
 		Times:  1,
 	})
-	faults.Activate(plan)
-	defer faults.Deactivate()
+	cfg := defaultWorkerConfig()
+	cfg.Faults = plan
+	ws := startWorkers(t, 2, cfg)
+	c := newCoordinator(t, ws, nil)
 
 	res := clusterSolve(t, c, paperExample1Wide(), service.EngineIDQ, false)
 	if got := res.Info.Outcome.Verdict; got != service.VerdictError {
@@ -235,16 +249,13 @@ func TestClusterDispatchFaultContained(t *testing.T) {
 func TestClusterUnsatCubeCancelsSiblings(t *testing.T) {
 	cfg := defaultWorkerConfig()
 	cfg.Workers = 1
-	ws := startWorkers(t, 1, cfg)
-	c := newCoordinator(t, ws, func(cfg *Config) { cfg.CubeVars = 1 })
-
-	plan := faults.NewPlan(1, faults.Rule{
+	cfg.Faults = faults.NewPlan(1, faults.Rule{
 		Point:   faults.SchedDispatch,
 		Action:  faults.ActLatency,
 		Latency: 250 * time.Millisecond,
 	})
-	faults.Activate(plan)
-	defer faults.Deactivate()
+	ws := startWorkers(t, 1, cfg)
+	c := newCoordinator(t, ws, func(cfg *Config) { cfg.CubeVars = 1 })
 
 	// ∀x ∃y(x). y ∧ ¬y — UNSAT in both cofactors, instantly.
 	f := dqbf.New()
@@ -288,19 +299,17 @@ func TestClusterUnsatCubeCancelsSiblings(t *testing.T) {
 // dispatch fault turns it into ERROR), so the coordinator escalates to the
 // cube fan and still lands the exact verdict with a checked certificate.
 func TestClusterSplitAfterEscalation(t *testing.T) {
-	ws := startWorkers(t, 2, defaultWorkerConfig())
-	c := newCoordinator(t, ws, func(cfg *Config) {
-		cfg.CubeVars = 1
-		cfg.SplitAfter = 10 * time.Second
-	})
-
-	plan := faults.NewPlan(1, faults.Rule{
+	cfg := defaultWorkerConfig()
+	cfg.Faults = faults.NewPlan(1, faults.Rule{
 		Point:  faults.SchedDispatch,
 		Action: faults.ActError,
 		Times:  1,
 	})
-	faults.Activate(plan)
-	defer faults.Deactivate()
+	ws := startWorkers(t, 2, cfg)
+	c := newCoordinator(t, ws, func(cfg *Config) {
+		cfg.CubeVars = 1
+		cfg.SplitAfter = 10 * time.Second
+	})
 
 	f := paperExample1Wide()
 	res := clusterSolve(t, c, f, service.EngineIDQ, true)

@@ -35,7 +35,6 @@ import (
 	"repro/internal/cert"
 	"repro/internal/cube"
 	"repro/internal/dqbf"
-	"repro/internal/faults"
 	"repro/internal/problem"
 	"repro/internal/service"
 	"repro/internal/trace"
@@ -191,12 +190,9 @@ func (e errPermanent) Error() string { return e.err.Error() }
 func (e errPermanent) Unwrap() error { return e.err }
 
 // forwardOnce POSTs body to one worker and decodes a job snapshot reply.
-// Retryable failures (network errors, injected cluster.forward faults, 429,
-// 5xx) return a plain error; client-side rejections return errPermanent.
+// Retryable failures (network errors, 429, 5xx) return a plain error;
+// client-side rejections return errPermanent.
 func (c *Coordinator) forwardOnce(ctx context.Context, worker int, path string, body []byte, idemKey string) (*solveReply, error) {
-	if err := faults.Fire(faults.ClusterForward); err != nil {
-		return nil, fmt.Errorf("cluster: forward to %s: %w", c.cfg.Workers[worker], err)
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.Workers[worker]+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, errPermanent{err}

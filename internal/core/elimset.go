@@ -42,19 +42,14 @@ func (s ElimStrategy) String() string {
 // SelectEliminationSet returns the universal variables to eliminate so that
 // the dependency graph becomes acyclic, according to the strategy.
 func SelectEliminationSet(f *dqbf.Formula, strategy ElimStrategy) ([]cnf.Var, error) {
-	return SelectEliminationSetBudget(f, strategy, nil)
+	return selectEliminationSet(f, strategy, nil, nil)
 }
 
-// SelectEliminationSetBudget is SelectEliminationSet under a cancellable
-// budget: the MaxSAT strategy's oracle polls b and the call fails with an
-// error wrapping maxsat.ErrBudget when stopped.
-func SelectEliminationSetBudget(f *dqbf.Formula, strategy ElimStrategy, b *budget.Budget) ([]cnf.Var, error) {
-	return selectEliminationSet(f, strategy, b, nil)
-}
-
-// selectEliminationSet additionally threads a persistent MaxSAT backend
-// into the MaxSAT strategy (nil keeps the fresh-solver path); selections of
-// one pipeline run then share learned clauses across strengthening steps.
+// selectEliminationSet is SelectEliminationSet under a cancellable budget
+// (the MaxSAT strategy's oracle polls b and the call fails with an error
+// wrapping maxsat.ErrBudget when stopped) and with a persistent MaxSAT
+// backend (nil keeps the fresh-solver path); selections of one pipeline run
+// then share learned clauses across strengthening steps.
 func selectEliminationSet(f *dqbf.Formula, strategy ElimStrategy, b *budget.Budget, be *maxsat.Backend) ([]cnf.Var, error) {
 	cycles := dqbf.BinaryCycles(f)
 	if len(cycles) == 0 {

@@ -359,7 +359,7 @@ func (e *engine) round(st *pipeline.State) (pipeline.Result, error) {
 		if err := st.Stop(); err != nil {
 			return pipeline.Result{Changed: changed, Counters: cnt}, err
 		}
-		if ferr := faults.Fire(CheckPoint); ferr != nil {
+		if ferr := st.Budget.Faults().Fire(CheckPoint); ferr != nil {
 			stats.Skipped++
 			cnt["skipped"]++
 			continue

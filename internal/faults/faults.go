@@ -5,11 +5,13 @@
 // probabilistic actions: panic, artificial latency, a spurious Unknown, or
 // an error return.
 //
-// The framework is built for a hot path that almost never has faults armed:
-// every instrumented site calls Fire, which is a single atomic load and
-// nil-check when no plan is active. Arming a plan is process-global
-// (solver cores have no request context to thread one through), so tests
-// that activate plans must not run in parallel with each other.
+// The package holds no armed state. A Plan is a value owned by the object
+// whose seams it drives: the budget of a solve carries one into every
+// engine seam (budget.Limits.Faults), the scheduler's config into dispatch,
+// cache and certify (service.Config.Faults), and the store's options into
+// its disk paths (store.Options.Faults). Two schedulers in one process can
+// therefore run different plans. Every instrumented site calls Fire on the
+// plan it owns, which is a single nil check when no plan is armed.
 //
 // Point naming follows "<package>.<operation>" so a plan spec reads like a
 // stack trace: "sat.solve:panic:p=0.1" arms a 10% panic on every CDCL
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -62,24 +63,19 @@ const (
 	// decoded; a firing rule makes the store flip a bit in the payload, so
 	// the real checksum/quarantine machinery runs against real corruption.
 	StoreCorrupt Point = "store.corrupt"
-	// ProblemParse fires at the entry of every unified problem-ingestion call
-	// (problem.ParseBytes and friends); an injected error simulates a parser
-	// failure that must degrade to a clean 400 in hqsd, never a panic.
+	// ProblemParse fires before hqsd parses a request body; an injected
+	// error simulates a parser failure that must degrade to a clean 400,
+	// never a panic.
 	ProblemParse Point = "problem.parse"
 	// PQESolve fires at the entry of a partial-quantifier-elimination query
 	// (pqe.Solve) before any SAT call runs.
 	PQESolve Point = "pqe.solve"
-	// ClusterForward fires before the coordinator forwards a request to an
-	// hqsd worker; an injected error simulates a network failure that must
-	// retry on the next ring node, never lose or double-run the job.
-	ClusterForward Point = "cluster.forward"
 )
 
 // builtinPoints are the statically defined injection points.
 var builtinPoints = []Point{SATSolve, AIGSweep, AIGFinalSAT, MaxSATSolve,
 	QBFEliminate, SchedDispatch, CacheLookup, CertVerify,
-	StoreRead, StoreWrite, StoreCorrupt, ProblemParse, PQESolve,
-	ClusterForward}
+	StoreRead, StoreWrite, StoreCorrupt, ProblemParse, PQESolve}
 
 // registry holds dynamically registered points (pipeline passes register
 // one "pipeline.<pass>" point each at init time).
@@ -188,8 +184,8 @@ type Rule struct {
 
 // PointStats counts activity at one point.
 type PointStats struct {
-	// Hits is how many times the point was reached while the plan was
-	// active; Fires is how many times a rule acted.
+	// Hits is how many times the point was reached by a seam firing this
+	// plan; Fires is how many times a rule acted.
 	Hits, Fires uint64
 }
 
@@ -201,10 +197,11 @@ type armedRule struct {
 // Plan is an armed, concurrency-safe set of rules with per-point counters
 // and a deterministically seeded generator for probabilistic rules.
 type Plan struct {
-	mu    sync.Mutex
-	rng   uint64
-	rules map[Point][]*armedRule
-	hits  map[Point]uint64
+	mu       sync.Mutex
+	rng      uint64
+	rules    map[Point][]*armedRule
+	hits     map[Point]uint64
+	disarmed bool
 }
 
 // NewPlan builds a plan from rules. The seed drives every probabilistic
@@ -240,6 +237,9 @@ func (p *Plan) fire(pt Point) *armedRule {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.hits[pt]++
+	if p.disarmed {
+		return nil
+	}
 	for _, r := range p.rules[pt] {
 		r.hits++
 		if r.Times > 0 && r.fires >= r.Times {
@@ -261,6 +261,15 @@ func (p *Plan) fire(pt Point) *armedRule {
 	return nil
 }
 
+// Disarm stops every rule of p from firing from now on; hits are still
+// counted. A drill uses it to check, on the owner it faulted, that the
+// stack recovers once the faults are gone.
+func (p *Plan) Disarm() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.disarmed = true
+}
+
 // Snapshot returns per-point hit/fire counters.
 func (p *Plan) Snapshot() map[Point]PointStats {
 	p.mu.Lock()
@@ -279,31 +288,21 @@ func (p *Plan) Snapshot() map[Point]PointStats {
 // Fires returns the total fire count at pt.
 func (p *Plan) Fires(pt Point) uint64 { return p.Snapshot()[pt].Fires }
 
-// active is the process-global armed plan; nil means fault injection is off
-// and Fire is a single atomic load.
-var active atomic.Pointer[Plan]
-
-// Activate arms p as the process-global plan (nil deactivates). Tests should
-// pair Activate with a deferred Deactivate and must not run concurrently
-// with other plan-activating tests.
-func Activate(p *Plan) { active.Store(p) }
-
-// Deactivate disarms fault injection.
-func Deactivate() { active.Store(nil) }
-
-// Active returns the currently armed plan (nil when off).
-func Active() *Plan { return active.Load() }
-
-// Fire is the hook instrumented code calls at each injection point. With no
-// plan armed it costs one atomic load. Otherwise it may sleep (latency
-// action) or panic (panic action) before returning; a non-nil return is
-// either ErrUnknown (give up with a spurious Unknown) or an injected error
-// the caller should propagate as a failure.
-func Fire(pt Point) error {
-	p := active.Load()
+// Fire is the hook instrumented code calls at each injection point of the
+// plan it owns. A nil plan is off and costs one nil check. Otherwise Fire
+// may sleep (latency action) or panic (panic action) before returning; a
+// non-nil return is either ErrUnknown (give up with a spurious Unknown) or
+// an injected error the caller should propagate as a failure.
+func (p *Plan) Fire(pt Point) error {
 	if p == nil {
 		return nil
 	}
+	return p.act(pt)
+}
+
+// act is Fire on an armed plan, kept out of Fire so the nil check inlines
+// into every seam.
+func (p *Plan) act(pt Point) error {
 	r := p.fire(pt)
 	if r == nil {
 		return nil

@@ -2,31 +2,27 @@ package faults
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestNoPlanIsNoOp(t *testing.T) {
-	Deactivate()
+	var p *Plan
 	for _, pt := range Points() {
-		if err := Fire(pt); err != nil {
-			t.Fatalf("Fire(%s) with no plan = %v", pt, err)
+		if err := p.Fire(pt); err != nil {
+			t.Fatalf("Fire(%s) on a nil plan = %v", pt, err)
 		}
-	}
-	if Active() != nil {
-		t.Fatal("Active() != nil after Deactivate")
 	}
 }
 
 func TestDeterministicTriggers(t *testing.T) {
 	p := NewPlan(1, Rule{Point: SATSolve, Action: ActUnknown, EveryN: 3, After: 2, Times: 2})
-	Activate(p)
-	defer Deactivate()
 
 	var fired []int
 	for i := 1; i <= 14; i++ {
-		if err := Fire(SATSolve); err != nil {
+		if err := p.Fire(SATSolve); err != nil {
 			if !errors.Is(err, ErrInjected) || !errors.Is(err, ErrUnknown) {
 				t.Fatalf("hit %d: error %v not ErrUnknown/ErrInjected", i, err)
 			}
@@ -45,15 +41,27 @@ func TestDeterministicTriggers(t *testing.T) {
 	}
 }
 
+func TestDisarm(t *testing.T) {
+	p := NewPlan(1, Rule{Point: StoreRead, Action: ActError})
+	if err := p.Fire(StoreRead); !errors.Is(err, ErrInjected) {
+		t.Fatalf("armed: %v, want an injected error", err)
+	}
+	p.Disarm()
+	if err := p.Fire(StoreRead); err != nil {
+		t.Fatalf("disarmed: %v, want nil", err)
+	}
+	if st := p.Snapshot()[StoreRead]; st.Hits != 2 || st.Fires != 1 {
+		t.Fatalf("stats = %+v, want 2 hits / 1 fire", st)
+	}
+}
+
 func TestProbabilisticIsSeededAndBounded(t *testing.T) {
 	counts := make([]uint64, 2)
 	for round := range counts {
 		p := NewPlan(42, Rule{Point: CacheLookup, Action: ActError, Prob: 0.3})
-		Activate(p)
 		for i := 0; i < 2000; i++ {
-			Fire(CacheLookup)
+			p.Fire(CacheLookup)
 		}
-		Deactivate()
 		counts[round] = p.Fires(CacheLookup)
 	}
 	if counts[0] != counts[1] {
@@ -66,8 +74,7 @@ func TestProbabilisticIsSeededAndBounded(t *testing.T) {
 }
 
 func TestPanicAction(t *testing.T) {
-	Activate(NewPlan(1, Rule{Point: MaxSATSolve, Action: ActPanic}))
-	defer Deactivate()
+	p := NewPlan(1, Rule{Point: MaxSATSolve, Action: ActPanic})
 	defer func() {
 		r := recover()
 		pv, ok := r.(PanicValue)
@@ -75,15 +82,14 @@ func TestPanicAction(t *testing.T) {
 			t.Fatalf("recovered %v, want PanicValue at maxsat.solve", r)
 		}
 	}()
-	Fire(MaxSATSolve)
+	p.Fire(MaxSATSolve)
 	t.Fatal("Fire did not panic")
 }
 
 func TestLatencyAction(t *testing.T) {
-	Activate(NewPlan(1, Rule{Point: AIGSweep, Action: ActLatency, Latency: 30 * time.Millisecond}))
-	defer Deactivate()
+	p := NewPlan(1, Rule{Point: AIGSweep, Action: ActLatency, Latency: 30 * time.Millisecond})
 	start := time.Now()
-	if err := Fire(AIGSweep); err != nil {
+	if err := p.Fire(AIGSweep); err != nil {
 		t.Fatalf("latency action returned error %v", err)
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
@@ -95,15 +101,13 @@ func TestConcurrentFire(t *testing.T) {
 	p := NewPlan(7,
 		Rule{Point: SATSolve, Action: ActError, Prob: 0.5},
 		Rule{Point: SATSolve, Action: ActUnknown, EveryN: 2})
-	Activate(p)
-	defer Deactivate()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				Fire(SATSolve)
+				p.Fire(SATSolve)
 			}
 		}()
 	}
@@ -142,6 +146,13 @@ func TestParseSpec(t *testing.T) {
 	} {
 		if _, err := ParseSpec(bad, 1); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
+		}
+	}
+	// NaN passes a plain range check (both comparisons are false) and would
+	// then fire on every hit; it gets the out-of-range error instead.
+	for _, nan := range []string{"sat.solve:error:p=NaN", "sat.solve:error:p=nan"} {
+		if _, err := ParseSpec(nan, 1); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+			t.Fatalf("ParseSpec(%q) = %v, want the outside (0, 1] error", nan, err)
 		}
 	}
 }

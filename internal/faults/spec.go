@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -73,7 +74,8 @@ func ParseSpec(spec string, seed int64) (*Plan, error) {
 				switch k {
 				case "p":
 					r.Prob, err = strconv.ParseFloat(v, 64)
-					if err == nil && (r.Prob <= 0 || r.Prob > 1) {
+					// NaN fails both comparisons, so it is ruled out by name.
+					if err == nil && (math.IsNaN(r.Prob) || r.Prob <= 0 || r.Prob > 1) {
 						err = fmt.Errorf("probability %v outside (0, 1]", r.Prob)
 					}
 				case "every":

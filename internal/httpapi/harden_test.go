@@ -200,13 +200,11 @@ func TestServerUnderInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.Activate(plan)
-	t.Cleanup(faults.Deactivate)
-
 	_, ts := newTestServer(t, service.Config{
 		Workers:   2,
 		CacheSize: -1,
 		Retry:     service.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+		Faults:    plan,
 	})
 	for i := 0; i < 20; i++ {
 		resp, err := http.Post(ts.URL+"/solve?engine=idq&timeout=10s", "text/plain", strings.NewReader(unsatInstance))

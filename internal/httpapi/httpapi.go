@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/cert"
+	"repro/internal/faults"
 	"repro/internal/problem"
 	"repro/internal/service"
 	"repro/internal/trace"
@@ -203,7 +204,9 @@ func (s *Server) parseLimits(w http.ResponseWriter, r *http.Request) (service.En
 // (application/x-dqdimacs, -qdimacs, -aiger, -bench, -pqe); anything else —
 // including the generic text/plain curl sends — falls back to content
 // sniffing, so clients can POST any supported format to any ingesting
-// endpoint without ceremony.
+// endpoint without ceremony. The parse fires the problem.parse seam of the
+// scheduler's fault plan first, so chaos drills can exercise the ingestion
+// error path end to end.
 func (s *Server) readProblem(w http.ResponseWriter, r *http.Request) (*problem.Problem, bool) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.MaxBody))
 	if err != nil {
@@ -214,6 +217,10 @@ func (s *Server) readProblem(w http.ResponseWriter, r *http.Request) (*problem.P
 			return nil, false
 		}
 		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	if err := s.sched.Faults().Fire(faults.ProblemParse); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("problem: parse failed: %w", err))
 		return nil, false
 	}
 	p, err := problem.ParseBytes(data, problem.FormatFromContentType(r.Header.Get("Content-Type")))

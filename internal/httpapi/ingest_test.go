@@ -207,33 +207,25 @@ func TestIngestionRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestIngestionFaultDrill arms the problem.parse fault point: injected
-// errors surface as 400s, injected panics as contained 500s — the daemon
-// keeps serving either way.
+// TestIngestionFaultDrill arms the problem.parse fault point of the
+// server's scheduler: an injected error surfaces as a 400, an injected panic
+// as a contained 500 — the daemon keeps serving either way.
 func TestIngestionFaultDrill(t *testing.T) {
-	_, ts := newTestServer(t, service.Config{Workers: 1})
-
-	plan, err := faults.ParseSpec("problem.parse:error:every=1", 1)
+	plan, err := faults.ParseSpec("problem.parse:error:times=1;problem.parse:panic:times=1", 1)
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	faults.Activate(plan)
-	t.Cleanup(faults.Deactivate)
+	_, ts := newTestServer(t, service.Config{Workers: 1, Faults: plan})
+
 	if code, raw := postBody(t, ts.URL+"/solve?engine=hqs", "text/plain", []byte(example1)); code != http.StatusBadRequest {
 		t.Fatalf("injected parse error: status %d, want 400: %s", code, raw)
 	}
-
-	plan, err = faults.ParseSpec("problem.parse:panic:every=1", 1)
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	faults.Activate(plan)
 	if code, raw := postBody(t, ts.URL+"/solve?engine=hqs", "text/plain", []byte(example1)); code != http.StatusInternalServerError {
 		t.Fatalf("injected parse panic: status %d, want 500: %s", code, raw)
 	}
-	faults.Deactivate()
 
-	// Clean request afterwards: the worker pool and listener survived.
+	// Both rules are spent, so this request is clean: the worker pool and
+	// listener survived.
 	code, raw := postBody(t, ts.URL+"/solve?engine=hqs&timeout=60s", "text/plain", []byte(example1))
 	if code != http.StatusOK {
 		t.Fatalf("post-drill solve: status %d: %s", code, raw)
@@ -245,34 +237,27 @@ func TestIngestionFaultDrill(t *testing.T) {
 // service layer, and the scheduler's PQE meters count every query and
 // failure.
 func TestPQEFaultDrill(t *testing.T) {
-	srv, ts := newTestServer(t, service.Config{Workers: 1})
-
-	arm := func(spec string) {
-		plan, err := faults.ParseSpec(spec, 1)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", spec, err)
-		}
-		faults.Activate(plan)
+	// One rule per query, in order: each fires once and is spent.
+	plan, err := faults.ParseSpec("pqe.solve:unknown:times=1;pqe.solve:error:times=1;pqe.solve:panic:times=1", 1)
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
 	}
-	t.Cleanup(faults.Deactivate)
+	srv, ts := newTestServer(t, service.Config{Workers: 1, Faults: plan})
 
-	arm("pqe.solve:unknown:every=1")
 	code, raw := postBody(t, ts.URL+"/pqe", "application/x-pqe", []byte(pqeQuery))
 	if code != http.StatusOK || !strings.Contains(string(raw), `"unknown"`) {
 		t.Fatalf("spurious unknown: status %d: %s", code, raw)
 	}
 
-	arm("pqe.solve:error:every=1")
 	if code, raw = postBody(t, ts.URL+"/pqe", "application/x-pqe", []byte(pqeQuery)); code != http.StatusInternalServerError {
 		t.Fatalf("injected error: status %d, want 500: %s", code, raw)
 	}
 
-	arm("pqe.solve:panic:every=1")
 	if code, raw = postBody(t, ts.URL+"/pqe", "application/x-pqe", []byte(pqeQuery)); code != http.StatusInternalServerError {
 		t.Fatalf("injected panic: status %d, want contained 500: %s", code, raw)
 	}
-	faults.Deactivate()
 
+	// Every rule is spent: the fourth query runs clean.
 	if code, raw = postBody(t, ts.URL+"/pqe", "application/x-pqe", []byte(pqeQuery)); code != http.StatusOK {
 		t.Fatalf("post-drill query: status %d: %s", code, raw)
 	}
@@ -286,13 +271,11 @@ func TestPQEFaultDrill(t *testing.T) {
 // timeout and is held up 100ms by an injected latency must come back
 // unknown, exactly like a /solve job under the same clamp.
 func TestPQETimeoutClamp(t *testing.T) {
-	_, ts := newTestServer(t, service.Config{Workers: 1, MaxTimeout: 20 * time.Millisecond})
 	plan, err := faults.ParseSpec("pqe.solve:latency:every=1,latency=100ms", 1)
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	faults.Activate(plan)
-	t.Cleanup(faults.Deactivate)
+	_, ts := newTestServer(t, service.Config{Workers: 1, MaxTimeout: 20 * time.Millisecond, Faults: plan})
 
 	code, raw := postBody(t, ts.URL+"/pqe", "application/x-pqe", []byte(pqeQuery))
 	if code != http.StatusOK || !strings.Contains(string(raw), `"unknown"`) {

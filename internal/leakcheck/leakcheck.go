@@ -12,7 +12,6 @@
 package leakcheck
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"time"
@@ -122,37 +121,4 @@ func Check(t TB) {
 		}
 		t.Errorf("leakcheck: %d goroutine(s) leaked:\n\n%s", len(extra), strings.Join(extra, "\n\n"))
 	})
-}
-
-// Snapshot captures the current goroutines for use with Assert, for call
-// sites that cannot use Cleanup ordering (e.g. asserting mid-test that a
-// drain released every worker).
-func Snapshot() map[string]string { return goroutines() }
-
-// Assert fails t if goroutines not present in the snapshot are still alive
-// after a grace period.
-func Assert(t TB, snapshot map[string]string, grace time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(grace)
-	var extra []string
-	for {
-		extra = leaked(snapshot)
-		if len(extra) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("leakcheck: %d goroutine(s) leaked:\n\n%s", len(extra), strings.Join(extra, "\n\n"))
-}
-
-// String renders a snapshot for debugging.
-func String(snapshot map[string]string) string {
-	var b strings.Builder
-	for id, g := range snapshot {
-		fmt.Fprintf(&b, "goroutine %s:\n%s\n", id, g)
-	}
-	return b.String()
 }

@@ -47,12 +47,11 @@ func TestTransientGoroutineTolerated(t *testing.T) {
 }
 
 func TestLeakDetected(t *testing.T) {
-	snap := Snapshot()
+	snap := goroutines()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() { <-stop }() // leaks until the deferred close
 
-	r := &recorder{}
 	deadline := time.Now().Add(200 * time.Millisecond)
 	var extra []string
 	for {
@@ -65,5 +64,4 @@ func TestLeakDetected(t *testing.T) {
 	if len(extra) == 0 {
 		t.Fatal("blocked goroutine not detected")
 	}
-	_ = r
 }

@@ -99,7 +99,7 @@ type Result struct {
 func (m *Solver) Solve() (Result, error) {
 	// Fault-injection seam: the MaxSAT oracle of the elimination-set
 	// selection. An injected error surfaces like any other oracle failure.
-	if err := faults.Fire(faults.MaxSATSolve); err != nil {
+	if err := m.Budget.Faults().Fire(faults.MaxSATSolve); err != nil {
 		return Result{}, fmt.Errorf("maxsat: %w", err)
 	}
 	if m.Backend != nil {

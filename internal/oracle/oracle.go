@@ -123,7 +123,7 @@ func (o *Oracle) Lit(r aig.Ref) cnf.Lit { return o.b.Lit(r) }
 // query runs one assumption query against the persistent solver, metering
 // the reuse counters and firing the oracle.query fault point.
 func (o *Oracle) query(assumps []cnf.Lit, conflictBudget int64, bud *budget.Budget) (sat.Status, error) {
-	if err := faults.Fire(QueryPoint); err != nil {
+	if err := bud.Faults().Fire(QueryPoint); err != nil {
 		return sat.Unknown, err
 	}
 	if o.stats.Queries > 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/budget"
 	"repro/internal/faults"
 	"repro/internal/pipeline"
 
@@ -40,7 +41,6 @@ func TestPassRegistryComplete(t *testing.T) {
 // armed plan actually fires at it — i.e. the whole pipeline is chaos-testable
 // per pass, with no silent gaps.
 func TestEveryPassInjectable(t *testing.T) {
-	defer faults.Deactivate()
 	for _, name := range pipeline.PassNames() {
 		spec := fmt.Sprintf("pipeline.%s:error", name)
 		plan, err := faults.ParseSpec(spec, 1)
@@ -48,23 +48,20 @@ func TestEveryPassInjectable(t *testing.T) {
 			t.Errorf("ParseSpec(%q): %v", spec, err)
 			continue
 		}
-		faults.Activate(plan)
-		if err := faults.Fire(pipeline.FaultPoint(name)); err == nil {
+		if err := plan.Fire(pipeline.FaultPoint(name)); err == nil {
 			t.Errorf("pass %s: armed fault point did not fire", name)
 		}
-		faults.Deactivate()
 	}
 }
 
 // TestRunnerFaultMapping asserts the Runner's error contract at the fault
 // seam: an injected hard error surfaces as a pass failure naming the pass,
 // an injected spurious Unknown unwinds as ErrCancelled, and in both cases
-// the pass body never runs.
+// the pass body never runs. The runner fires the plan of its state's budget.
 func TestRunnerFaultMapping(t *testing.T) {
-	defer faults.Deactivate()
-	newRunner := func() (*pipeline.Runner, *int) {
+	newRunner := func(plan *faults.Plan) (*pipeline.Runner, *int) {
 		g := aig.New()
-		st := &pipeline.State{G: g, Matrix: aig.True}
+		st := &pipeline.State{G: g, Matrix: aig.True, Budget: budget.New(budget.Limits{Faults: plan})}
 		ran := 0
 		return pipeline.NewRunner(st, nil, "test"), &ran
 	}
@@ -75,12 +72,11 @@ func TestRunnerFaultMapping(t *testing.T) {
 		})
 	}
 
-	r, ran := newRunner()
 	plan, err := faults.ParseSpec("pipeline.unitpure:error", 1)
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	faults.Activate(plan)
+	r, ran := newRunner(plan)
 	if _, err := r.Run(pass(ran)); err == nil || errors.Is(err, pipeline.ErrCancelled) {
 		t.Fatalf("injected error: got %v, want hard pass failure", err)
 	}
@@ -88,12 +84,11 @@ func TestRunnerFaultMapping(t *testing.T) {
 		t.Fatal("pass body ran despite injected error")
 	}
 
-	r, ran = newRunner()
 	plan, err = faults.ParseSpec("pipeline.unitpure:unknown", 1)
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	faults.Activate(plan)
+	r, ran = newRunner(plan)
 	if _, err := r.Run(pass(ran)); !errors.Is(err, pipeline.ErrCancelled) {
 		t.Fatalf("injected unknown: got %v, want ErrCancelled", err)
 	}

@@ -51,7 +51,7 @@ func (r *Runner) Run(p Pass) (Result, error) {
 	// chaos harness can target any stage of any pipeline. A spurious Unknown
 	// unwinds like a cancellation; other injected errors surface as hard
 	// pass failures (and injected panics propagate to the engine's recover).
-	if ferr := faults.Fire(FaultPoint(p.Name())); ferr != nil {
+	if ferr := r.st.Budget.Faults().Fire(FaultPoint(p.Name())); ferr != nil {
 		if errors.Is(ferr, faults.ErrUnknown) {
 			return Result{}, ErrCancelled
 		}
@@ -97,27 +97,6 @@ func (r *Runner) Run(p Pass) (Result, error) {
 		r.sink.Emit(ev)
 	}
 	return res, err
-}
-
-// Fixpoint runs the group of passes round-robin until one full round
-// reports no change, the state is decided, or a pass stops the pipeline.
-func (r *Runner) Fixpoint(passes ...Pass) error {
-	for {
-		changed := false
-		for _, p := range passes {
-			res, err := r.Run(p)
-			if err != nil {
-				return err
-			}
-			if r.st.Decided {
-				return nil
-			}
-			changed = changed || res.Changed
-		}
-		if !changed {
-			return nil
-		}
-	}
 }
 
 // Total returns the aggregate of every execution of the named pass.

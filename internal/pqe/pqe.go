@@ -72,7 +72,7 @@ type Result struct {
 // the query (the budget's reason), when the round limit trips (ErrRounds),
 // or when the "pqe.solve" fault point injects a failure.
 func Solve(q *problem.PQESplit, opt Options) (*Result, error) {
-	if err := faults.Fire(faults.PQESolve); err != nil {
+	if err := opt.Budget.Faults().Fire(faults.PQESolve); err != nil {
 		return nil, fmt.Errorf("pqe: %w", err)
 	}
 	if err := q.Validate(); err != nil {

@@ -187,10 +187,8 @@ func TestFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	faults.Activate(plan)
-	t.Cleanup(faults.Deactivate)
 	q := &problem.PQESplit{NumVars: 1, F: []cnf.Clause{clause(1)}}
-	if _, err := Solve(q, Options{}); err == nil {
+	if _, err := Solve(q, Options{Budget: budget.New(budget.Limits{Faults: plan})}); err == nil {
 		t.Fatal("injected fault not surfaced")
 	}
 }

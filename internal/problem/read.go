@@ -8,18 +8,12 @@ import (
 	"repro/internal/aig"
 	"repro/internal/circuit"
 	"repro/internal/dqbf"
-	"repro/internal/faults"
 )
 
 // ParseBytes parses one problem from data. An empty hint autodetects the
 // format (Detect); a non-empty hint selects the reader directly — the
-// ingestion path HTTP Content-Type headers and file extensions feed. Every
-// parse fires the "problem.parse" fault point first, so chaos drills can
-// exercise the ingestion error path end to end.
+// ingestion path HTTP Content-Type headers and file extensions feed.
 func ParseBytes(data []byte, hint Format) (*Problem, error) {
-	if err := faults.Fire(faults.ProblemParse); err != nil {
-		return nil, fmt.Errorf("problem: parse failed: %w", err)
-	}
 	format := hint
 	if format == "" {
 		var err error
@@ -83,12 +77,8 @@ func ParseFile(path string) (*Problem, error) {
 
 // ReadBenchCircuit parses a BENCH netlist into its circuit form — the entry
 // point for consumers that need the netlist itself rather than its DQBF
-// encoding (pec2dqbf builds PEC problems from two of them). It shares the
-// problem.parse fault point with the formula readers.
+// encoding (pec2dqbf builds PEC problems from two of them).
 func ReadBenchCircuit(r io.Reader) (*circuit.Circuit, error) {
-	if err := faults.Fire(faults.ProblemParse); err != nil {
-		return nil, fmt.Errorf("problem: parse failed: %w", err)
-	}
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err

@@ -236,7 +236,7 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 		// Fault-injection seam: the final SAT shortcut is an optimization,
 		// so a fault here is contained by falling back to plain variable
 		// elimination for the remaining block.
-		if ferr := faults.Fire(faults.AIGFinalSAT); ferr != nil {
+		if ferr := s.Opt.Budget.Faults().Fire(faults.AIGFinalSAT); ferr != nil {
 			fellBack = true
 			return pipeline.Result{}, nil
 		}
@@ -286,7 +286,7 @@ func (s *Solver) Solve(prefix []dqbf.Block, matrix aig.Ref) (result bool, err er
 		// Fault-injection seam: one block-elimination step. A spurious
 		// Unknown unwinds like a cancellation; an injected error surfaces
 		// as a back-end failure.
-		if ferr := faults.Fire(faults.QBFEliminate); ferr != nil {
+		if ferr := s.Opt.Budget.Faults().Fire(faults.QBFEliminate); ferr != nil {
 			if errors.Is(ferr, faults.ErrUnknown) {
 				return false, pipeline.ErrCancelled
 			}

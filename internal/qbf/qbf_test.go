@@ -272,7 +272,7 @@ func TestSolveSearchAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveSearch(prefix, f.Matrix)
+		got, err := solveSearch(prefix, f.Matrix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestSolveSearchAgainstEliminationSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(314))
 	for iter := 0; iter < 60; iter++ {
 		f, prefix := randomQBF(rng, 2+rng.Intn(4), 2+rng.Intn(4), 4+rng.Intn(16))
-		searchRes, err := SolveSearch(prefix, f.Matrix)
+		searchRes, err := solveSearch(prefix, f.Matrix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,10 +306,10 @@ func TestSolveSearchAgainstEliminationSolver(t *testing.T) {
 func TestSolveSearchValidation(t *testing.T) {
 	m := cnf.NewFormula(2)
 	m.AddDimacsClause(1, 2)
-	if _, err := SolveSearch([]dqbf.Block{{Univ: []cnf.Var{1}}}, m); err == nil {
+	if _, err := solveSearch([]dqbf.Block{{Univ: []cnf.Var{1}}}, m); err == nil {
 		t.Error("unquantified variable accepted")
 	}
-	if _, err := SolveSearch([]dqbf.Block{
+	if _, err := solveSearch([]dqbf.Block{
 		{Univ: []cnf.Var{1}, Exist: []cnf.Var{2}},
 		{Univ: []cnf.Var{1}},
 	}, m); err == nil {
@@ -321,7 +321,7 @@ func TestSolveSearchUniversalUnit(t *testing.T) {
 	// ∀x : (x) — universal forced by a unit clause means false.
 	m := cnf.NewFormula(1)
 	m.AddDimacsClause(1)
-	got, err := SolveSearch([]dqbf.Block{{Univ: []cnf.Var{1}}}, m)
+	got, err := solveSearch([]dqbf.Block{{Univ: []cnf.Var{1}}}, m)
 	if err != nil || got {
 		t.Fatalf("got %v %v, want false", got, err)
 	}

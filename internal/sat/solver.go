@@ -195,19 +195,6 @@ func (s *Solver) SetPhase(v cnf.Var, pol bool) {
 	s.pinned[v] = true
 }
 
-// Freeze pins the current saved phase of v (see SetPhase).
-func (s *Solver) Freeze(v cnf.Var) {
-	s.EnsureVars(int(v))
-	s.pinned[v] = true
-}
-
-// Unfreeze releases a phase pin set by SetPhase or Freeze.
-func (s *Solver) Unfreeze(v cnf.Var) {
-	if int(v) <= s.numVars {
-		s.pinned[v] = false
-	}
-}
-
 // NewVar allocates a fresh variable and returns it.
 func (s *Solver) NewVar() cnf.Var {
 	s.numVars++
@@ -241,9 +228,6 @@ func (s *Solver) value(l cnf.Lit) lbool {
 	}
 	return a
 }
-
-// Okay reports whether the clause database is still consistent at level 0.
-func (s *Solver) Okay() bool { return s.ok }
 
 // AddClause adds a clause. It returns false if the solver is already in an
 // unsatisfiable state (now or before). Adding at decision level 0 only.
@@ -739,8 +723,9 @@ func (s *Solver) SolveErr(assumps []cnf.Lit) (Status, error) {
 func (s *Solver) solve(assumps []cnf.Lit) (Status, error) {
 	s.Stats.SolveCalls++
 	// Fault-injection seam: every CDCL oracle call in the stack funnels
-	// through here, so an armed plan can panic, stall, or fail the oracle.
-	if err := faults.Fire(faults.SATSolve); err != nil {
+	// through here, so the plan of the solve's budget can panic, stall, or
+	// fail the oracle.
+	if err := s.Budget.Faults().Fire(faults.SATSolve); err != nil {
 		s.model = nil
 		s.conflictSet = nil
 		return Unknown, err

@@ -3,8 +3,6 @@ package service
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/faults"
 )
 
 // resultCache is a mutex-guarded LRU cache from canonical formula hashes to
@@ -33,12 +31,7 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // Get returns the cached outcome for key, marking it most recently used.
-// A fault injected at the lookup point degrades to a miss — the cache is an
-// accelerator, never a point of failure.
 func (c *resultCache) Get(key string) (Outcome, bool) {
-	if err := faults.Fire(faults.CacheLookup); err != nil {
-		return Outcome{}, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]

@@ -31,8 +31,8 @@ func TestCertifyHQSValidCertificate(t *testing.T) {
 // point must turn the certified HQS SAT into ERROR — the same policy the
 // iDQ table certificates already get.
 func TestCertifyHQSRejectionIsError(t *testing.T) {
-	withFaults(t, "service.certify:error", 1)
-	out := (&Runner{Certify: true}).Run(nil, request(paperExample1(), EngineHQS, Limits{}))
+	plan := withFaults(t, "service.certify:error", 1)
+	out := (&Runner{Certify: true}).Run(budget.New(budget.Limits{Faults: plan}), request(paperExample1(), EngineHQS, Limits{}))
 	if out.Verdict != VerdictError {
 		t.Fatalf("verdict = %v, want ERROR on certificate rejection", out.Verdict)
 	}
@@ -44,8 +44,8 @@ func TestCertifyHQSRejectionIsError(t *testing.T) {
 // TestCertifyOffSkipsCheck: without the flag the HQS path must not consult
 // the certificate checker at all — an armed certify fault must not fire.
 func TestCertifyOffSkipsCheck(t *testing.T) {
-	withFaults(t, "service.certify:error", 1)
-	out := (&Runner{}).Run(nil, request(paperExample1(), EngineHQS, Limits{}))
+	plan := withFaults(t, "service.certify:error", 1)
+	out := (&Runner{}).Run(budget.New(budget.Limits{Faults: plan}), request(paperExample1(), EngineHQS, Limits{}))
 	if out.Verdict != VerdictSat {
 		t.Fatalf("verdict = %v, want SAT (uncertified HQS must not hit the certify point)", out.Verdict)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,16 +15,14 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// withFaults activates a fault plan for the duration of the test. Plans are
-// process-global, so tests using this helper must not call t.Parallel.
+// withFaults builds the fault plan of spec for a test to hand to the
+// scheduler (Config.Faults) or store (store.Options.Faults) it drills.
 func withFaults(t *testing.T, spec string, seed int64) *faults.Plan {
 	t.Helper()
 	plan, err := faults.ParseSpec(spec, seed)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", spec, err)
 	}
-	faults.Activate(plan)
-	t.Cleanup(faults.Deactivate)
 	return plan
 }
 
@@ -67,6 +66,7 @@ func TestChaosSchedulerUnderFaults(t *testing.T) {
 		QueueCap:       256,
 		DefaultTimeout: 5 * time.Second,
 		Retry:          RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+		Faults:         plan,
 	})
 
 	const jobsTotal = 200
@@ -138,7 +138,7 @@ func TestChaosSchedulerUnderFaults(t *testing.T) {
 
 	// Worker survival: with the faults gone, one sentinel job per worker
 	// must still be solved. A dead worker would leave a sentinel queued.
-	faults.Deactivate()
+	plan.Disarm()
 	sentinels := make([]*Job, 0, 4)
 	for i := 0; i < 4; i++ {
 		job, err := s.Submit(request(pigeonholeDQBF(2), EngineHQS, Limits{}))
@@ -192,13 +192,12 @@ func TestChaosDrainUnderFaults(t *testing.T) {
 	}
 	leakcheck.Check(t)
 
-	withFaults(t, "sat.solve:panic:p=0.15;sched.dispatch:error:p=0.1", 7)
-
 	s := NewScheduler(Config{
 		Workers:        3,
 		QueueCap:       16,
 		DefaultTimeout: 5 * time.Second,
 		Retry:          RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+		Faults:         withFaults(t, "sat.solve:panic:p=0.15;sched.dispatch:error:p=0.1", 7),
 	})
 
 	var (
@@ -259,6 +258,67 @@ func TestChaosDrainUnderFaults(t *testing.T) {
 	if st.Completed != st.Submitted {
 		t.Errorf("stats: %d submitted but %d completed", st.Submitted, st.Completed)
 	}
+}
+
+// TestChaosTwoPlansOneProcess runs two schedulers side by side in one
+// process: one armed to fail every dispatch, one with no plan. A plan
+// belongs to the scheduler it is handed to, so every job on the armed
+// scheduler ends in ERROR, every job on the other gets the brute-force
+// verdict, and the armed plan counts its own scheduler's jobs and no more.
+func TestChaosTwoPlansOneProcess(t *testing.T) {
+	leakcheck.Check(t)
+	rng := rand.New(rand.NewSource(5))
+	formulas := make([]*dqbf.Formula, 12)
+	want := make([]Verdict, len(formulas))
+	for i := range formulas {
+		formulas[i] = dqbf.RandomFormula(rng, 2, 3, 4)
+		sat, err := dqbf.BruteForce(formulas[i])
+		if err != nil {
+			t.Fatalf("brute force %d: %v", i, err)
+		}
+		want[i] = VerdictUnsat
+		if sat {
+			want[i] = VerdictSat
+		}
+	}
+	solveAll := func(t *testing.T, plan *faults.Plan) []Outcome {
+		s := NewScheduler(Config{Workers: 2, CacheSize: -1, DefaultTimeout: 30 * time.Second, Faults: plan})
+		defer drainNow(t, s)
+		jobs := make([]*Job, len(formulas))
+		for i, f := range formulas {
+			job, err := s.Submit(request(f, EngineHQS, Limits{}))
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+			jobs[i] = job
+		}
+		outs := make([]Outcome, len(jobs))
+		for i, job := range jobs {
+			outs[i] = waitDone(t, job)
+		}
+		return outs
+	}
+
+	armed := withFaults(t, "sched.dispatch:error:every=1", 1)
+	t.Run("armed", func(t *testing.T) {
+		t.Parallel()
+		for i, out := range solveAll(t, armed) {
+			if out.Verdict != VerdictError || !strings.Contains(out.Error, "dispatch failed") {
+				t.Errorf("job %d: %v (%s), want the injected dispatch ERROR", i, out.Verdict, out.Error)
+			}
+		}
+		if st := armed.Snapshot()[faults.SchedDispatch]; st.Hits != uint64(len(formulas)) || st.Fires != st.Hits {
+			t.Errorf("armed plan at sched.dispatch: %+v, want %d hits, all fired", st, len(formulas))
+		}
+	})
+	t.Run("plain", func(t *testing.T) {
+		t.Parallel()
+		for i, out := range solveAll(t, nil) {
+			if out.Verdict != want[i] {
+				t.Errorf("job %d: %v (%s), brute force says %v", i, out.Verdict, out.Error, want[i])
+			}
+		}
+	})
 }
 
 // TestDrainRaceRejectsOrRuns is the regression test for the Submit/Drain

@@ -8,13 +8,14 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/dqbf"
+	"repro/internal/faults"
 )
 
 // TestPanicBecomesErrorVerdict: a SAT-oracle panic on every call must not
 // escape Runner.Run — it becomes a VerdictError outcome with the stack preserved.
 func TestPanicBecomesErrorVerdict(t *testing.T) {
-	withFaults(t, "sat.solve:panic", 1)
-	out := run(unsatExample(), EngineIDQ, budget.New(budget.Limits{}))
+	plan := withFaults(t, "sat.solve:panic", 1)
+	out := run(unsatExample(), EngineIDQ, budget.New(budget.Limits{Faults: plan}))
 	if out.Verdict != VerdictError {
 		t.Fatalf("verdict = %v, want ERROR", out.Verdict)
 	}
@@ -27,17 +28,16 @@ func TestPanicBecomesErrorVerdict(t *testing.T) {
 }
 
 // solve decides f with the retry/fallback loop of a fresh runner, an
-// unlimited budget, and a 1ms base backoff.
-func solve(f *dqbf.Formula, eng Engine) Outcome {
-	return (&Runner{}).solve(budget.New(budget.Limits{}), request(f, eng, Limits{}),
+// unlimited budget carrying plan, and a 1ms base backoff.
+func solve(f *dqbf.Formula, eng Engine, plan *faults.Plan) Outcome {
+	return (&Runner{}).solve(budget.New(budget.Limits{Faults: plan}), request(f, eng, Limits{}),
 		RetryPolicy{BaseDelay: time.Millisecond}, nil)
 }
 
 // TestRetryRecoversFromTransientFault: a fault that fires exactly once must
 // cost one retry, not the verdict.
 func TestRetryRecoversFromTransientFault(t *testing.T) {
-	withFaults(t, "sat.solve:panic:times=1", 1)
-	out := solve(unsatExample(), EngineIDQ)
+	out := solve(unsatExample(), EngineIDQ, withFaults(t, "sat.solve:panic:times=1", 1))
 	if out.Verdict != VerdictUnsat {
 		t.Fatalf("verdict = %v (%s: %s), want UNSAT after retry", out.Verdict, out.Reason, out.Error)
 	}
@@ -52,8 +52,7 @@ func TestRetryRecoversFromTransientFault(t *testing.T) {
 // TestSpuriousUnknownIsRetried: an injected spurious Unknown with budget to
 // spare must be retried rather than reported.
 func TestSpuriousUnknownIsRetried(t *testing.T) {
-	withFaults(t, "sat.solve:unknown:times=1", 1)
-	out := solve(unsatExample(), EngineIDQ)
+	out := solve(unsatExample(), EngineIDQ, withFaults(t, "sat.solve:unknown:times=1", 1))
 	if out.Verdict != VerdictUnsat {
 		t.Fatalf("verdict = %v (%s), want UNSAT after retry", out.Verdict, out.Reason)
 	}
@@ -95,8 +94,7 @@ func xorLinkedDQBF() *dqbf.Formula {
 // MaxSAT elimination-set oracle is only used by HQS, so poisoning it
 // permanently kills HQS on a cyclic instance while leaving iDQ untouched.
 func TestFallbackChainReachesBaseline(t *testing.T) {
-	withFaults(t, "maxsat.solve:error", 1)
-	out := solve(xorLinkedDQBF(), EngineHQS)
+	out := solve(xorLinkedDQBF(), EngineHQS, withFaults(t, "maxsat.solve:error", 1))
 	if out.Verdict != VerdictSat {
 		t.Fatalf("verdict = %v (%s: %s), want SAT via fallback", out.Verdict, out.Reason, out.Error)
 	}
@@ -137,8 +135,8 @@ func TestFallbackChainShape(t *testing.T) {
 // TestCertificateFailureIsError: a SAT verdict whose Skolem certificate
 // fails verification must surface as ERROR, never as a silent SAT.
 func TestCertificateFailureIsError(t *testing.T) {
-	withFaults(t, "service.certify:error", 1)
-	out := run(paperExample1(), EngineIDQ, budget.New(budget.Limits{}))
+	plan := withFaults(t, "service.certify:error", 1)
+	out := run(paperExample1(), EngineIDQ, budget.New(budget.Limits{Faults: plan}))
 	if out.Verdict != VerdictError {
 		t.Fatalf("verdict = %v, want ERROR on certificate rejection", out.Verdict)
 	}
@@ -151,12 +149,12 @@ func TestCertificateFailureIsError(t *testing.T) {
 // scheduler exports: injected dispatch errors must show up as Errors, and
 // transient engine faults as Retries, with every job still terminal.
 func TestSchedulerMetersRetriesAndErrors(t *testing.T) {
-	withFaults(t, "sched.dispatch:error:every=2", 3)
 	s := NewScheduler(Config{
 		Workers:        1,
 		DefaultTimeout: 5 * time.Second,
 		CacheSize:      -1, // every job must really dispatch
 		Retry:          RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond},
+		Faults:         withFaults(t, "sched.dispatch:error:every=2", 3),
 	})
 	defer drainNow(t, s)
 

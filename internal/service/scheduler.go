@@ -65,6 +65,12 @@ type Config struct {
 	// Skolem certificate, and bare SAT store entries are re-solved instead
 	// of served.
 	Certify bool
+	// Faults, when non-nil, is the fault-injection plan of this scheduler
+	// (hqsd -faults). It fires the sched.dispatch and cache.lookup seams and
+	// is copied into every job's budget, which carries it to the engine
+	// seams and service.certify; hqsd's handler fires problem.parse from it
+	// too. nil means no faults.
+	Faults *faults.Plan
 }
 
 func (c Config) withDefaults() Config {
@@ -473,6 +479,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 
 // budgetLimits applies the scheduler's timeout policy to a request's
 // limits: DefaultTimeout when the request sets none, clamped to MaxTimeout.
+// The budget carries the scheduler's fault plan.
 func (s *Scheduler) budgetLimits(lim Limits) budget.Limits {
 	if lim.Timeout <= 0 {
 		lim.Timeout = s.cfg.DefaultTimeout
@@ -480,8 +487,13 @@ func (s *Scheduler) budgetLimits(lim Limits) budget.Limits {
 	if s.cfg.MaxTimeout > 0 && (lim.Timeout <= 0 || lim.Timeout > s.cfg.MaxTimeout) {
 		lim.Timeout = s.cfg.MaxTimeout
 	}
-	return lim.budgetLimits()
+	bl := lim.budgetLimits()
+	bl.Faults = s.cfg.Faults
+	return bl
 }
+
+// Faults returns the scheduler's fault-injection plan (Config.Faults).
+func (s *Scheduler) Faults() *faults.Plan { return s.cfg.Faults }
 
 // SolvePQE answers the PQE query req.Problem on the caller's goroutine —
 // PQE queries are not jobs — under the same DefaultTimeout/MaxTimeout
@@ -502,6 +514,9 @@ func (s *Scheduler) cacheLookup(key string) (out Outcome, ok bool) {
 			out, ok = Outcome{}, false
 		}
 	}()
+	if err := s.cfg.Faults.Fire(faults.CacheLookup); err != nil {
+		return Outcome{}, false
+	}
 	return s.cache.Get(key)
 }
 
@@ -716,7 +731,7 @@ func (s *Scheduler) runJob(job *Job) {
 	}
 
 	// Fault-injection seam: worker dispatch, before any engine runs.
-	if err := faults.Fire(faults.SchedDispatch); err != nil {
+	if err := s.cfg.Faults.Fire(faults.SchedDispatch); err != nil {
 		s.finishJob(job, Outcome{
 			Verdict: VerdictError,
 			Engine:  job.req.Engine,

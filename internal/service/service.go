@@ -371,7 +371,7 @@ func (a answer) outcome(eng Engine, f *dqbf.Formula, b *budget.Budget) Outcome {
 	case !a.check:
 		out.Verdict = VerdictSat
 	default:
-		c, err := certify(f, a.cert, a.certErr)
+		c, err := certify(f, a.cert, a.certErr, b.Faults())
 		if err != nil {
 			out.Verdict, out.Reason = VerdictError, "error"
 			out.Error = fmt.Sprintf("skolem certificate rejected: %v", err)
@@ -383,12 +383,13 @@ func (a answer) outcome(eng Engine, f *dqbf.Formula, b *budget.Budget) Outcome {
 }
 
 // certify is the trust step behind every checked SAT verdict: the
-// service.certify fault point, then the independent checker (cert.Check)
-// on the engine's Skolem certificate. A certificate the engine failed to
-// produce fails like one the checker rejects. It returns the checked
-// certificate so the outcome can carry it to the persistent store.
-func certify(f *dqbf.Formula, c *cert.Certificate, extractErr error) (*cert.Certificate, error) {
-	if err := faults.Fire(faults.CertVerify); err != nil {
+// service.certify fault point of the solve's plan, then the independent
+// checker (cert.Check) on the engine's Skolem certificate. A certificate the
+// engine failed to produce fails like one the checker rejects. It returns
+// the checked certificate so the outcome can carry it to the persistent
+// store.
+func certify(f *dqbf.Formula, c *cert.Certificate, extractErr error, plan *faults.Plan) (*cert.Certificate, error) {
+	if err := plan.Fire(faults.CertVerify); err != nil {
 		return nil, err
 	}
 	if extractErr != nil {

@@ -544,7 +544,8 @@ func TestSchedulerSolvePQE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(Config{Workers: 1})
+	// The first query runs clean; every later one is held up 50ms first.
+	s := NewScheduler(Config{Workers: 1, Faults: withFaults(t, "pqe.solve:latency:after=1,latency=50ms", 1)})
 	defer drainNow(t, s)
 	out := s.SolvePQE(context.Background(), Request{Problem: q})
 	if out.Err != nil || len(out.Result.Q) != 1 {
@@ -554,7 +555,6 @@ func TestSchedulerSolvePQE(t *testing.T) {
 		t.Fatal("Submit accepted a PQE query")
 	}
 
-	withFaults(t, "pqe.solve:latency:every=1,latency=50ms", 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out = s.SolvePQE(ctx, Request{Problem: q})

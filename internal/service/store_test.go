@@ -7,7 +7,6 @@ import (
 	"repro/internal/aig"
 	"repro/internal/cert"
 	"repro/internal/cnf"
-	"repro/internal/faults"
 	"repro/internal/leakcheck"
 	"repro/internal/problem"
 	"repro/internal/store"
@@ -169,10 +168,13 @@ func TestSchedulerStoreFaultsNeverChangeVerdict(t *testing.T) {
 	drainNow(t, s0)
 	st0.Close()
 
-	withFaults(t,
+	plan := withFaults(t,
 		"store.read:error:p=0.5;store.write:error:p=0.5;store.corrupt:error:p=0.5",
 		11)
-	st := quietStore(t, dir)
+	st, _, err := store.Open(dir, store.Options{Logf: func(string, ...any) {}, Faults: plan})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
 	defer st.Close()
 	s := NewScheduler(Config{Workers: 2, CacheSize: -1, Store: st})
 	defer drainNow(t, s)
@@ -192,7 +194,6 @@ func TestSchedulerStoreFaultsNeverChangeVerdict(t *testing.T) {
 			t.Fatalf("round %d: disk faults changed UNSAT verdict: %+v", i, out)
 		}
 	}
-	faults.Deactivate()
 	if ss := st.Stats(); ss.IOErrors == 0 && ss.Corrupt == 0 {
 		t.Fatalf("chaos plan never fired: %+v", ss)
 	}

@@ -12,17 +12,24 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// withFaults activates a fault plan for the test. Plans are process-global,
-// so tests using this helper must not call t.Parallel.
-func withFaults(t *testing.T, spec string, seed int64) *faults.Plan {
+// withFaults closes s and reopens its directory as a store whose seams fire
+// the plan built from spec, so the entries written before the drill are
+// still on disk when it starts.
+func withFaults(t *testing.T, s *Store, spec string, seed int64) (*Store, *faults.Plan) {
 	t.Helper()
 	plan, err := faults.ParseSpec(spec, seed)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", spec, err)
 	}
-	faults.Activate(plan)
-	t.Cleanup(faults.Deactivate)
-	return plan
+	s.Close()
+	opt := discard
+	opt.Faults = plan
+	f, _, err := Open(s.Dir(), opt)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f, plan
 }
 
 // TestStoreRestartDurability writes entries through one store handle, drops
@@ -137,7 +144,7 @@ func TestStoreFaultInjectionRead(t *testing.T) {
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	withFaults(t, "store.read:error:every=1", 1)
+	s, plan := withFaults(t, s, "store.read:error:every=1", 1)
 	got, err := s.Get(e.Key)
 	if got != nil {
 		t.Fatal("injected read error still returned an entry")
@@ -148,7 +155,7 @@ func TestStoreFaultInjectionRead(t *testing.T) {
 	if st := s.Stats(); st.IOErrors != 1 {
 		t.Fatalf("stats %+v, want 1 io error", st)
 	}
-	faults.Deactivate()
+	plan.Disarm()
 	if got, err := s.Get(e.Key); err != nil || got == nil {
 		t.Fatalf("store did not recover after fault cleared: (%v, %v)", got, err)
 	}
@@ -163,12 +170,12 @@ func TestStoreFaultInjectionWrite(t *testing.T) {
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	withFaults(t, "store.write:error:every=1", 1)
+	s, plan := withFaults(t, s, "store.write:error:every=1", 1)
 	e2 := testEntry(true)
 	if err := s.Put(e2); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("Put under injected write fault: %v", err)
 	}
-	faults.Deactivate()
+	plan.Disarm()
 	got, err := s.Get(e.Key)
 	if err != nil || got == nil {
 		t.Fatalf("previous entry lost to failed overwrite: (%v, %v)", got, err)
@@ -187,7 +194,7 @@ func TestStoreFaultInjectionCorrupt(t *testing.T) {
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	withFaults(t, "store.corrupt:error:times=1", 1)
+	s, _ = withFaults(t, s, "store.corrupt:error:times=1", 1)
 	got, err := s.Get(e.Key)
 	if err != nil || got != nil {
 		t.Fatalf("bit-flipped read: (%v, %v), want quarantined miss", got, err)
@@ -214,8 +221,7 @@ func TestStoreChaosMixed(t *testing.T) {
 		t.Skip("chaos run skipped in -short mode")
 	}
 	leakcheck.Check(t)
-	s := openTest(t)
-	withFaults(t,
+	s, plan := withFaults(t, openTest(t),
 		"store.read:error:p=0.2;"+
 			"store.write:error:p=0.2;"+
 			"store.corrupt:error:p=0.3",
@@ -244,7 +250,7 @@ func TestStoreChaosMixed(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	faults.Deactivate()
+	plan.Disarm()
 	// Post-chaos: the store still round-trips cleanly.
 	e := testEntry(true)
 	e.Key = testKey(0xee)

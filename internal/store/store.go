@@ -24,7 +24,7 @@
 //
 // The store.read, store.write, and store.corrupt fault points (internal/
 // faults) inject disk failures and real bit flips into these paths for the
-// chaos suite.
+// chaos suite, from the plan in Options.Faults.
 package store
 
 import (
@@ -82,6 +82,7 @@ type Store struct {
 	dir     string
 	journal *journal
 	logf    func(format string, args ...any)
+	plan    *faults.Plan
 
 	hits         atomic.Int64
 	misses       atomic.Int64
@@ -98,6 +99,9 @@ type Options struct {
 	// Logf receives one line per degraded operation (corrupt entry, I/O
 	// error, quarantine); nil means the standard logger.
 	Logf func(format string, args ...any)
+	// Faults, when non-nil, is the fault-injection plan the store.read,
+	// store.write and store.corrupt seams fire; nil means no faults.
+	Faults *faults.Plan
 }
 
 // Open opens (creating if necessary) the store rooted at dir and replays the
@@ -128,7 +132,7 @@ func Open(dir string, opts ...Options) (*Store, []LostJob, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: opening journal: %w", err)
 	}
-	return &Store{dir: dir, journal: j, logf: opt.Logf}, lost, nil
+	return &Store{dir: dir, journal: j, logf: opt.Logf, plan: opt.Faults}, lost, nil
 }
 
 // Dir returns the store's root directory.
@@ -168,7 +172,7 @@ func (s *Store) Get(key string) (*Entry, error) {
 	if err := validKey(key); err != nil {
 		return nil, err
 	}
-	if err := faults.Fire(faults.StoreRead); err != nil {
+	if err := s.plan.Fire(faults.StoreRead); err != nil {
 		s.ioErrors.Add(1)
 		s.logf("store: read %s: %v (degrading to miss)", key[:12], err)
 		return nil, err
@@ -186,7 +190,7 @@ func (s *Store) Get(key string) (*Entry, error) {
 	// Chaos seam: a firing store.corrupt rule flips a real bit in the bytes
 	// just read, so the checksum/quarantine machinery below runs against
 	// genuine corruption rather than a simulated flag.
-	if err := faults.Fire(faults.StoreCorrupt); err != nil && len(data) > 0 {
+	if err := s.plan.Fire(faults.StoreCorrupt); err != nil && len(data) > 0 {
 		data[len(data)/2] ^= 0x04
 	}
 
@@ -220,7 +224,7 @@ func (s *Store) Put(e *Entry) error {
 	if err := validKey(e.Key); err != nil {
 		return err
 	}
-	if err := faults.Fire(faults.StoreWrite); err != nil {
+	if err := s.plan.Fire(faults.StoreWrite); err != nil {
 		s.ioErrors.Add(1)
 		s.logf("store: write %s: %v (result not persisted)", e.Key[:12], err)
 		return err
