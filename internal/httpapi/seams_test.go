@@ -34,8 +34,6 @@ var seamCorpus = []struct {
 	{service.EngineHQS, bench.FamilyPecXor, 4},
 	{service.EngineIDQ, bench.FamilyZ4, 2},
 	{service.EngineExpand, bench.FamilyAdder, 4},
-	{service.EngineDefex, bench.FamilyZ4, 2},
-	{service.EngineDefex, bench.FamilyBitcell, 3},
 }
 
 // TestFaultSeamPin hands one rule-less fault plan, which fires nothing and
