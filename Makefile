@@ -18,13 +18,13 @@ fmt:
 
 # Race-check the packages with concurrent code paths (the parallel SAT
 # sweep, the SAT substrate it drives, the job scheduler/portfolio and the
-# defex/expand engines racing inside it, the fault-injection plumbing they
+# expand engine racing inside it, the fault-injection plumbing they
 # share, the daemon's HTTP handlers, the certificate checker the portfolio
 # arms consult concurrently, the ingestion/PQE layers the daemon calls
 # from its handler goroutines, and the cluster coordinator fanning cube
 # subproblems across workers).
 race:
-	$(GO) test -race ./internal/sat ./internal/aig ./internal/cert ./internal/oracle ./internal/core ./internal/defex ./internal/expand ./internal/service ./internal/store ./internal/faults ./internal/leakcheck ./internal/problem ./internal/pqe ./internal/httpapi ./internal/cluster ./internal/cube ./cmd/hqsd
+	$(GO) test -race ./internal/sat ./internal/aig ./internal/cert ./internal/oracle ./internal/core ./internal/expand ./internal/service ./internal/store ./internal/faults ./internal/leakcheck ./internal/problem ./internal/pqe ./internal/httpapi ./internal/cluster ./internal/cube ./cmd/hqsd
 
 # Differential fuzzing smoke run: 200 random instances, every solver
 # configuration against the brute-force reference, with Skolem certificate
@@ -85,9 +85,12 @@ check: vet fmt test race fuzz-smoke fuzz-native chaos chaos-store serve-smoke cl
 # the persistence drill — solve with -store, kill -9, restart, and the
 # result must be served from disk with its certificate re-verified; then the
 # -faults drill — one plan from the flag fails the first dispatch and the
-# first engine attempt of the next job, which the retry answers.
+# first engine attempt of the next job, which the retry answers, and a plan
+# naming an unregistered point is refused; then hqs itself refuses a retired
+# engine name with the unknown-engine error.
 serve-smoke:
 	$(GO) test -tags smoke -run 'TestServeSmoke|TestStoreKillRecoverySmoke|TestServeFaultsSmoke' -v ./cmd/hqsd
+	$(GO) test -tags smoke -run 'TestHQSRetiredEngineSmoke' -v ./cmd/hqs
 
 # End-to-end cluster smoke: build hqsd and hqsc, start two workers under a
 # coordinator, solve the example through the cluster with a certificate,

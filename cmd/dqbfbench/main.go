@@ -10,8 +10,8 @@
 //	dqbfbench -family adder -count 40  # one family, more instances
 //	dqbfbench -scatter fig4.csv        # also write the Fig. 4 scatter data
 //	dqbfbench -stats                   # print the in-text statistics
-//	dqbfbench -ablation                # design-choice ablations (HQS + defex)
-//	dqbfbench -portfolio               # four-arm portfolio race + engine win stats
+//	dqbfbench -ablation                # HQS design-choice ablations
+//	dqbfbench -portfolio               # three-arm portfolio race + engine win stats
 //	dqbfbench -export dir/             # write instances as .dqdimacs files
 //	dqbfbench -gate BENCH_pr1.json     # run + fail on regression vs baseline
 //	dqbfbench -compare a.json,b.json   # diff two committed baselines
@@ -44,8 +44,8 @@ func main() {
 		scatter    = flag.String("scatter", "", "write Figure 4 scatter CSV to this file")
 		baseline   = flag.String("baseline", "", "write a machine-readable campaign baseline (JSON) to this file")
 		stats      = flag.Bool("stats", false, "print the paper's in-text statistics")
-		ablation   = flag.Bool("ablation", false, "run the design-choice ablations (HQS and defex) instead of the HQS-vs-iDQ comparison")
-		portfolio  = flag.Bool("portfolio", false, "race the four-arm service portfolio over the instances and print per-engine win statistics")
+		ablation   = flag.Bool("ablation", false, "run the HQS design-choice ablations instead of the HQS-vs-iDQ comparison")
+		portfolio  = flag.Bool("portfolio", false, "race the three-arm service portfolio over the instances and print per-engine win statistics")
 		scaling    = flag.Bool("scaling", false, "run a width-scaling study for the selected family (default adder)")
 		extensions = flag.Bool("extensions", false, "include the beyond-paper families (mult, mux, circuit)")
 		export     = flag.String("export", "", "write the generated instances as DQDIMACS files into this directory")
@@ -147,9 +147,6 @@ func main() {
 		fmt.Print(bench.FormatAblation(rows, len(instances)))
 		fmt.Println()
 		fmt.Print(bench.FormatPassBreakdown(rows))
-		fmt.Printf("\nDefinition-extraction ablation (timeout %v):\n\n", *timeout)
-		drows := bench.RunDefexAblation(instances, bench.DefexAblationVariants(), *timeout, *nodeLim)
-		fmt.Print(bench.FormatDefexAblation(drows, len(instances)))
 		return
 	}
 

@@ -1,7 +1,7 @@
 // Command hqsd serves the DQBF solvers over HTTP: clients POST problem
 // instances in any supported format — DQDIMACS, QDIMACS, AIGER, or BENCH —
 // the daemon schedules them on a bounded worker pool (engine hqs, idq,
-// defex, expand, or a portfolio racing all four), and results are polled or
+// expand, or a portfolio racing all three), and results are polled or
 // awaited as JSON. The input format is taken from the Content-Type header
 // when it names one (application/x-dqdimacs, -qdimacs, -aiger, -bench,
 // -pqe) and sniffed from the body otherwise, and the cache/store key is the
@@ -72,7 +72,7 @@ func main() {
 		workers      = flag.Int("workers", 2, "concurrent solver workers")
 		queueCap     = flag.Int("queue", 64, "job queue capacity")
 		cacheSize    = flag.Int("cache-size", 256, "LRU result cache entries (negative = disable)")
-		engine       = flag.String("engine", "portfolio", "default engine: hqs | idq | defex | expand | portfolio")
+		engine       = flag.String("engine", "portfolio", "default engine: hqs | idq | expand | portfolio")
 		defTimeout   = flag.Duration("default-timeout", 0, "per-job timeout when the client sets none (0 = none)")
 		maxTimeout   = flag.Duration("max-timeout", 0, "clamp on per-job timeouts (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")

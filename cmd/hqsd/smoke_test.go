@@ -10,6 +10,7 @@ package main
 // `go test ./...` stays hermetic and fast).
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -190,13 +191,23 @@ func TestStoreKillRecoverySmoke(t *testing.T) {
 // reaches the scheduler and, through each job's budget, the engines. The
 // first /solve dies at dispatch (ERROR); the second dispatches, loses its
 // first HQS attempt to the injected preprocess failure, and is answered by
-// the retry, which /stats counts.
+// the retry, which /stats counts. A plan naming a point no engine registers
+// (defex.check, the seam of the retired definition-extraction engine) is
+// refused at startup.
 func TestServeFaultsSmoke(t *testing.T) {
 	instance, err := os.ReadFile("../../examples/example1.dqdimacs")
 	if err != nil {
 		t.Fatalf("read example: %v", err)
 	}
-	cmd, base := startHQSD(t, buildHQSD(t), "-workers", "1", "-cache-size", "-1",
+	bin := buildHQSD(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second) // a daemon that starts is killed
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-faults", "defex.check:error").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `unknown point "defex.check"`) {
+		t.Fatalf("hqsd -faults defex.check:error = %v\n%s\nwant an unknown-point refusal", err, out)
+	}
+
+	cmd, base := startHQSD(t, bin, "-workers", "1", "-cache-size", "-1",
 		"-faults", "sched.dispatch:error:times=1;pipeline.preprocess:error:times=1")
 	defer cmd.Process.Kill()
 

@@ -70,9 +70,6 @@ const (
 	// depending on V was split into the 0-branch y and the 1-branch copy
 	// Ren[y]; the merged function is if V then f_{Ren[y]} else f_y.
 	stepExpand
-	// stepDef records an extracted definition: existential V is the function
-	// M (a cone over D_V, definition extraction à la Padoa/interpolation).
-	stepDef
 )
 
 // step is one recorded reconstruction step.
@@ -145,16 +142,6 @@ func (b *Builder) RecordExists(y cnf.Var, m aig.Ref) {
 		return
 	}
 	b.steps = append(b.steps, step{kind: stepExists, v: y, m: m})
-}
-
-// RecordDef records that existential y was substituted away by the extracted
-// definition def (a function over D_y; the reference must stay valid in the
-// solve's graph).
-func (b *Builder) RecordDef(y cnf.Var, def aig.Ref) {
-	if b == nil {
-		return
-	}
-	b.steps = append(b.steps, step{kind: stepDef, v: y, m: def})
 }
 
 // RecordExpand records a Theorem-1 elimination of universal x with the
@@ -330,16 +317,6 @@ func (b *Builder) Extract(f *dqbf.Formula, g *aig.Graph) (*Certificate, error) {
 				}
 			}
 			def[s.v] = g.Compose(cof, subst)
-		case stepDef:
-			// The definition is already a function of D_y; substitute any
-			// non-universal stragglers defensively, mirroring stepExists.
-			subst := make(map[cnf.Var]aig.Ref)
-			for v := range g.Support(s.m) {
-				if !origUniv.Has(v) {
-					subst[v] = resolve(v)
-				}
-			}
-			def[s.v] = g.Compose(s.m, subst)
 		case stepExpand:
 			// Merge the 0-branch and 1-branch functions of every copied
 			// existential; sorted order keeps fresh input allocation (for the

@@ -219,6 +219,14 @@ func TestHealthzStatsAndErrors(t *testing.T) {
 		}
 	}
 
+	// The retired definition-extraction engine is an unknown engine like any
+	// other, and the error names the engines that remain.
+	code, raw := postBody(t, ts.URL+"/solve?engine=defex", "text/plain", []byte(example1))
+	if want := `unknown engine \"defex\" (want hqs, idq, expand, or portfolio)`; code != http.StatusBadRequest ||
+		!strings.Contains(string(raw), want) {
+		t.Fatalf("POST /solve?engine=defex = %d %s, want 400 naming %s", code, raw, want)
+	}
+
 	resp, err := http.Post(ts.URL+"/solve?engine=idq", "text/plain", strings.NewReader(example1))
 	if err != nil {
 		t.Fatalf("POST /solve: %v", err)

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/aig"
-	"repro/internal/cnf"
 	"repro/internal/oracle"
-	"repro/internal/sat"
 )
 
 // TestIncrementalQueries drives several roots through one oracle and checks
@@ -72,92 +70,6 @@ func TestConstRoots(t *testing.T) {
 	}
 }
 
-// TestFailedAssumptionsSubset checks conflict-set extraction over assumption
-// queries: only the responsible assumptions appear, negated.
-func TestFailedAssumptionsSubset(t *testing.T) {
-	g := aig.New()
-	a, b, c := g.Input(1), g.Input(2), g.Input(3)
-	o := oracle.New(g)
-
-	root := o.Lit(g.And(a, b)) // forces a and b when assumed
-	irrelevant := o.Lit(c)     // free
-	la := o.Lit(a)
-
-	st, err := o.QueryAssuming([]cnf.Lit{root, irrelevant, la.Not()}, nil)
-	if err != nil || st != sat.Unsat {
-		t.Fatalf("query = %v, %v; want Unsat", st, err)
-	}
-	failed := o.FailedAssumptions()
-	if len(failed) == 0 {
-		t.Fatal("empty conflict set")
-	}
-	for _, l := range failed {
-		if l == irrelevant.Not() {
-			t.Fatalf("irrelevant assumption reported in conflict set %v", failed)
-		}
-		if l != root.Not() && l != la {
-			t.Fatalf("conflict set %v contains literal outside the negated assumptions", failed)
-		}
-	}
-}
-
-// TestScopeRetraction exercises the activation-literal protocol end to end:
-// scratch clauses constrain only while their scope literal is assumed,
-// CloseScope retracts them without rebuilding, and conflict-set extraction
-// still works after retraction — assuming a closed scope's literal conflicts
-// with the top-level retraction unit and the conflict set names it.
-func TestScopeRetraction(t *testing.T) {
-	g := aig.New()
-	a := g.Input(1)
-	o := oracle.New(g)
-	la := o.Lit(a)
-
-	act := o.OpenScope()
-	o.AddScoped(act, la)       // scope forces a
-	o.AddScoped(act, la.Not()) // ... and ¬a: contradictory inside the scope
-
-	st, err := o.QueryAssuming([]cnf.Lit{act}, nil)
-	if err != nil || st != sat.Unsat {
-		t.Fatalf("query under contradictory scope = %v, %v; want Unsat", st, err)
-	}
-
-	// Without the scope the solver is unconstrained again.
-	st, err = o.QueryAssuming([]cnf.Lit{la}, nil)
-	if err != nil || st != sat.Sat {
-		t.Fatalf("query outside scope = %v, %v; want Sat", st, err)
-	}
-
-	o.CloseScope(act)
-	st, err = o.QueryAssuming([]cnf.Lit{la.Not()}, nil)
-	if err != nil || st != sat.Sat {
-		t.Fatalf("query after retraction = %v, %v; want Sat", st, err)
-	}
-
-	// Conflict-set extraction after retraction: act is now falsified at the
-	// top level, so assuming it must fail with act in the extracted set.
-	st, err = o.QueryAssuming([]cnf.Lit{act, la}, nil)
-	if err != nil || st != sat.Unsat {
-		t.Fatalf("assuming a retracted scope = %v, %v; want Unsat", st, err)
-	}
-	failed := o.FailedAssumptions()
-	found := false
-	for _, l := range failed {
-		if l.Var() == act.Var() {
-			found = true
-		}
-		if l == la.Not() {
-			t.Fatalf("conflict set %v blames the satisfiable literal, not the retracted scope", failed)
-		}
-	}
-	if !found {
-		t.Fatalf("conflict set %v does not name the retracted scope literal", failed)
-	}
-
-	if st := o.Stats(); st.Scopes != 1 {
-		t.Fatalf("Scopes = %d; want 1", st.Scopes)
-	}
-}
-
 // TestProveEquiv checks both verdicts of the sweep-oracle interface on
 // structurally distinct roots, and that a refutation exposes a true
 // counterexample.
@@ -201,7 +113,7 @@ func TestProveEquiv(t *testing.T) {
 }
 
 // TestLitDeltaOnly checks the persistent oracle's encoding through its
-// solver: re-asking for an encoded root adds no variables and no clauses,
+// solver: re-asking about an encoded root adds no variables and no clauses,
 // and a super-cone adds exactly its new nodes.
 func TestLitDeltaOnly(t *testing.T) {
 	g := aig.New()
@@ -209,24 +121,28 @@ func TestLitDeltaOnly(t *testing.T) {
 	ab := g.And(a, b)
 	o := oracle.New(g)
 
-	l := o.Lit(ab)
-	vars, clauses, encoded := o.Solver().NumVars(), o.Solver().NumClauses(), o.Stats().EncodedNodes
+	query := func(r aig.Ref) {
+		t.Helper()
+		if ok, _, err := o.IsSatisfiable(r, nil); !ok || err != nil {
+			t.Fatalf("IsSatisfiable = %v, %v; want satisfiable", ok, err)
+		}
+	}
+	query(ab)
+	vars, clauses := oracle.SolverSize(o)
+	encoded := o.Stats().EncodedNodes
 	if encoded != 3 {
 		t.Fatalf("EncodedNodes = %d after a∧b; want 3", encoded)
 	}
-	if o.Lit(ab) != l || o.Lit(ab.Not()) != l.Not() {
-		t.Fatal("a second Lit on an encoded root must return the same literal")
-	}
-	if o.Solver().NumVars() != vars || o.Solver().NumClauses() != clauses {
-		t.Fatalf("second Lit grew the solver: vars %d→%d, clauses %d→%d",
-			vars, o.Solver().NumVars(), clauses, o.Solver().NumClauses())
+	query(ab)
+	if v, cl := oracle.SolverSize(o); v != vars || cl != clauses {
+		t.Fatalf("second query grew the solver: vars %d→%d, clauses %d→%d", vars, v, clauses, cl)
 	}
 
-	o.Lit(g.And(ab, c)) // new: c and the top AND
+	query(g.And(ab, c)) // new: c and the top AND
 	if got := o.Stats().EncodedNodes; got != encoded+2 {
 		t.Fatalf("EncodedNodes = %d after the super-cone; want %d", got, encoded+2)
 	}
-	if got := o.Solver().NumVars(); got != vars+2 {
+	if got, _ := oracle.SolverSize(o); got != vars+2 {
 		t.Fatalf("NumVars = %d after the super-cone; want %d", got, vars+2)
 	}
 }

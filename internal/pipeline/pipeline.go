@@ -11,7 +11,7 @@
 // execution.
 //
 // The framework exists so alternative preprocessing or elimination
-// techniques (definition extraction, partial elimination with learning, …)
+// techniques (a definability pass, partial elimination with learning, …)
 // drop into the solver as passes instead of being hand-woven into another
 // copy of the main loop, and so each solve is observable per stage rather
 // than as one opaque wall time.

@@ -40,7 +40,7 @@ func BenchmarkPropagate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := New()
-		if !s.AddFormula(f) {
+		if !addFormula(s, f) {
 			b.Fatal("formula trivially UNSAT")
 		}
 		b.StartTimer()
@@ -74,7 +74,7 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := New()
-		if !s.AddFormula(f) {
+		if !addFormula(s, f) {
 			b.Fatal("trivially UNSAT")
 		}
 		if s.Solve() == Unknown {
@@ -88,7 +88,7 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 func BenchmarkIncrementalAssumptions(b *testing.B) {
 	f := buildChainFormula(600, 1800, 3)
 	s := New()
-	if !s.AddFormula(f) {
+	if !addFormula(s, f) {
 		b.Fatal("formula trivially UNSAT")
 	}
 	b.ReportAllocs()

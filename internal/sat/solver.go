@@ -125,12 +125,6 @@ type Solver struct {
 
 	budgetPoll uint32 // search-loop iterations since the last budget check
 
-	// itp, when non-nil, is the interpolating proof mode (see interp.go):
-	// clause interpolants are threaded through conflict analysis, clause
-	// minimization and database reduction are disabled, and assumptions are
-	// rejected.
-	itp *itpState
-
 	// Statistics.
 	Stats Stats
 
@@ -232,9 +226,6 @@ func (s *Solver) value(l cnf.Lit) lbool {
 // AddClause adds a clause. It returns false if the solver is already in an
 // unsatisfiable state (now or before). Adding at decision level 0 only.
 func (s *Solver) AddClause(lits ...cnf.Lit) bool {
-	if s.itp != nil {
-		panic("sat: AddClause on an interpolating solver; use AddClauseTagged")
-	}
 	if !s.ok {
 		return false
 	}
@@ -275,17 +266,6 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	s.attachClause(out, false)
 	s.numProblem++
 	return true
-}
-
-// AddFormula adds all clauses of f, allocating variables as needed.
-func (s *Solver) AddFormula(f *cnf.Formula) bool {
-	s.EnsureVars(f.NumVars)
-	for _, c := range f.Clauses {
-		if !s.AddClause(c...) {
-			return false
-		}
-	}
-	return s.ok
 }
 
 // attachClause allocates a clause in the arena and registers its watchers.
@@ -440,13 +420,6 @@ func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
 	idx := len(s.trail) - 1
 	first := true
 
-	// Proof mode threads the partial interpolant through the same resolution
-	// chain analyze walks implicitly.
-	var itpCur ItpRef
-	if s.itp != nil {
-		itpCur = s.itp.clause[confl]
-	}
-
 	for {
 		if s.ca.learnt(confl) {
 			s.bumpClause(confl)
@@ -466,10 +439,6 @@ func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
 				} else {
 					learnt = append(learnt, q)
 				}
-			} else if s.itp != nil && s.level[v] == 0 {
-				// analyze drops level-0 literals silently; in the resolution
-				// proof each drop resolves against the level-0 unit chain.
-				itpCur = s.itpResolve(itpCur, s.zeroItpOf(v), v)
 			}
 		}
 		first = false
@@ -485,42 +454,26 @@ func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
 			break
 		}
 		confl = s.reason[p.Var()]
-		if s.itp != nil {
-			itpCur = s.itpResolve(itpCur, s.itp.clause[confl], p.Var())
-		}
 	}
 	learnt[0] = p.Not()
-	if s.itp != nil {
-		s.itp.lastLearnt = itpCur
-	}
 
-	// Clause minimization: remove literals implied by the rest. Disabled in
-	// proof mode — litRedundant performs resolutions the interpolant
-	// bookkeeping never sees; the learnt literals' seen flags (cleared below
-	// as a side effect of minimization) must still be reset.
-	if s.itp != nil {
-		for _, l := range learnt {
-			s.seen[l.Var()] = 0
+	// Clause minimization: remove literals implied by the rest.
+	s.toClear = s.toClear[:0]
+	for _, l := range learnt {
+		s.seen[l.Var()] = 1
+		s.toClear = append(s.toClear, l.Var())
+	}
+	j := 1
+	for i := 1; i < len(learnt); i++ {
+		v := learnt[i].Var()
+		if s.reason[v] == crefUndef || !s.litRedundant(learnt[i]) {
+			learnt[j] = learnt[i]
+			j++
 		}
 	}
-	if s.itp == nil {
-		s.toClear = s.toClear[:0]
-		for _, l := range learnt {
-			s.seen[l.Var()] = 1
-			s.toClear = append(s.toClear, l.Var())
-		}
-		j := 1
-		for i := 1; i < len(learnt); i++ {
-			v := learnt[i].Var()
-			if s.reason[v] == crefUndef || !s.litRedundant(learnt[i]) {
-				learnt[j] = learnt[i]
-				j++
-			}
-		}
-		learnt = learnt[:j]
-		for _, v := range s.toClear {
-			s.seen[v] = 0
-		}
+	learnt = learnt[:j]
+	for _, v := range s.toClear {
+		s.seen[v] = 0
 	}
 
 	// Compute backtrack level: second-highest level in the clause.
@@ -734,9 +687,6 @@ func (s *Solver) solve(assumps []cnf.Lit) (Status, error) {
 		s.conflictSet = nil
 		return Unsat, nil
 	}
-	if s.itp != nil && len(assumps) > 0 {
-		panic("sat: assumptions unsupported in proof mode; add unit clauses instead")
-	}
 	for _, l := range assumps {
 		s.EnsureVars(int(l.Var()))
 	}
@@ -796,9 +746,6 @@ func (s *Solver) search(conflictLimit int64, maxLearnts *float64) Status {
 			conflicts++
 			s.Budget.AddConflicts(1)
 			if s.decisionLevel() == 0 {
-				if s.itp != nil {
-					s.finalizeItp(confl)
-				}
 				s.ok = false
 				return Unsat
 			}
@@ -808,17 +755,11 @@ func (s *Solver) search(conflictLimit int64, maxLearnts *float64) Status {
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				if s.itp != nil {
-					s.itp.zero[learnt[0].Var()] = s.itp.lastLearnt
-				}
 				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
 				c := s.attachClause(learnt, true)
 				s.ca.setLBD(c, s.computeLBD(learnt))
 				s.bumpClause(c)
-				if s.itp != nil {
-					s.itp.clause[c] = s.itp.lastLearnt
-				}
 				s.uncheckedEnqueue(learnt[0], c)
 				s.Stats.Learned++
 				s.numLearnts++
@@ -835,9 +776,7 @@ func (s *Solver) search(conflictLimit int64, maxLearnts *float64) Status {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		if s.itp == nil && float64(s.numLearnts) >= *maxLearnts {
-			// Proof mode never reduces: crefs key the interpolant map and
-			// compaction would relocate them.
+		if float64(s.numLearnts) >= *maxLearnts {
 			s.reduceDB()
 			*maxLearnts *= 1.1
 		}

@@ -27,6 +27,18 @@ func bruteForceSat(f *cnf.Formula) bool {
 
 func lit(d int) cnf.Lit { return cnf.LitFromDimacs(d) }
 
+// addFormula adds all clauses of f to s, allocating variables as needed. It
+// returns false once the clause set is unsatisfiable at level 0.
+func addFormula(s *Solver, f *cnf.Formula) bool {
+	s.EnsureVars(f.NumVars)
+	for _, c := range f.Clauses {
+		if !s.AddClause(c...) {
+			return false
+		}
+	}
+	return s.ok
+}
+
 func TestTrivialSat(t *testing.T) {
 	s := New()
 	s.EnsureVars(2)
@@ -162,9 +174,9 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		f := randomFormula(rng, nVars, nClauses, 4)
 		want := bruteForceSat(f)
 		s := New()
-		if !s.AddFormula(f) {
+		if !addFormula(s, f) {
 			if want {
-				t.Fatalf("iter %d: AddFormula says UNSAT, brute force says SAT\n%v", iter, f.Clauses)
+				t.Fatalf("iter %d: addFormula says UNSAT, brute force says SAT\n%v", iter, f.Clauses)
 			}
 			continue
 		}
@@ -226,6 +238,80 @@ func TestFailedAssumptions(t *testing.T) {
 	}
 }
 
+// TestFailedAssumptionsSubset checks conflict-set extraction when the
+// conflict runs through a Tseitin-encoded cone: root r ↔ a∧b forces a and b
+// when assumed, so assuming r and ¬a fails, and the irrelevant assumption c
+// must not appear in the set.
+func TestFailedAssumptionsSubset(t *testing.T) {
+	s := New()
+	a, b, c, r := lit(1), lit(2), lit(3), lit(4)
+	s.AddClause(r.Not(), a)
+	s.AddClause(r.Not(), b)
+	s.AddClause(r, a.Not(), b.Not())
+
+	if st := s.SolveAssuming([]cnf.Lit{r, c, a.Not()}); st != Unsat {
+		t.Fatalf("query = %v; want Unsat", st)
+	}
+	failed := s.FailedAssumptions()
+	if len(failed) == 0 {
+		t.Fatal("empty conflict set")
+	}
+	for _, l := range failed {
+		if l == c.Not() {
+			t.Fatalf("irrelevant assumption reported in conflict set %v", failed)
+		}
+		if l != r.Not() && l != a {
+			t.Fatalf("conflict set %v contains literal outside the negated assumptions", failed)
+		}
+	}
+}
+
+// TestScopeRetraction exercises the activation-literal protocol the MaxSAT
+// backend runs on one long-lived solver: clauses guarded by ¬act constrain
+// only while act is assumed, the top-level unit ¬act retracts them without
+// a rebuild, and conflict-set extraction still works after retraction —
+// assuming a retracted scope's literal fails and the set names it.
+func TestScopeRetraction(t *testing.T) {
+	s := New()
+	a := cnf.PosLit(s.NewVar())
+	act := cnf.PosLit(s.NewVar())
+	s.SetPhase(act.Var(), false)
+	s.AddClause(a, act.Not())       // scope forces a
+	s.AddClause(a.Not(), act.Not()) // ... and ¬a: contradictory inside the scope
+
+	if st := s.SolveAssuming([]cnf.Lit{act}); st != Unsat {
+		t.Fatalf("query under contradictory scope = %v; want Unsat", st)
+	}
+	// Without the scope the solver is unconstrained again.
+	if st := s.SolveAssuming([]cnf.Lit{a}); st != Sat {
+		t.Fatalf("query outside scope = %v; want Sat", st)
+	}
+
+	s.AddClause(act.Not()) // retract
+	if st := s.SolveAssuming([]cnf.Lit{a.Not()}); st != Sat {
+		t.Fatalf("query after retraction = %v; want Sat", st)
+	}
+
+	// act is now false at the top level, so assuming it must fail with act
+	// in the extracted set.
+	if st := s.SolveAssuming([]cnf.Lit{act, a}); st != Unsat {
+		t.Fatalf("assuming a retracted scope = %v; want Unsat", st)
+	}
+	failed := s.FailedAssumptions()
+	found := false
+	for _, l := range failed {
+		if l.Var() == act.Var() {
+			found = true
+		}
+		if l == a.Not() {
+			t.Fatalf("conflict set %v blames the satisfiable literal, not the retracted scope", failed)
+		}
+	}
+	if !found {
+		t.Fatalf("conflict set %v does not name the retracted scope literal", failed)
+	}
+}
+
 func TestIncrementalAddAfterSolve(t *testing.T) {
 	s := New()
 	s.EnsureVars(2)
@@ -246,7 +332,7 @@ func TestRandomIncrementalAssumptions(t *testing.T) {
 		nVars := 4 + rng.Intn(6)
 		f := randomFormula(rng, nVars, 3+rng.Intn(15), 3)
 		s := New()
-		if !s.AddFormula(f) {
+		if !addFormula(s, f) {
 			continue
 		}
 		for round := 0; round < 5; round++ {

@@ -57,8 +57,7 @@ func TestChaosSchedulerUnderFaults(t *testing.T) {
 			"maxsat.solve:error:p=0.05;"+
 			"qbf.eliminate:unknown:p=0.02;"+
 			"aig.sweep:error:p=0.2;"+
-			"oracle.query:error:p=0.05;"+
-			"defex.check:error:p=0.05",
+			"oracle.query:error:p=0.05",
 		1)
 
 	s := NewScheduler(Config{
@@ -70,7 +69,7 @@ func TestChaosSchedulerUnderFaults(t *testing.T) {
 	})
 
 	const jobsTotal = 200
-	engines := []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand, EnginePortfolio}
+	engines := []Engine{EngineHQS, EngineIDQ, EngineExpand, EnginePortfolio}
 	var (
 		mu       sync.Mutex
 		accepted []*Job

@@ -52,7 +52,7 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 // with nothing to fall back to.
 func fallbackChain(eng Engine) []Engine {
 	switch eng {
-	case EngineHQS, EngineDefex, EngineExpand:
+	case EngineHQS, EngineExpand:
 		return []Engine{eng, EnginePortfolio, EngineIDQ}
 	case EnginePortfolio, "":
 		return []Engine{EnginePortfolio, EngineIDQ}
@@ -132,7 +132,7 @@ func (r *Runner) solve(b *budget.Budget, req Request, pol RetryPolicy, observe f
 				return last
 			}
 			attempts++
-			out := r.runGuarded(req.Problem, e, b, req.Trace)
+			out := r.attempt(req.Problem, e, b, req.Trace)
 			out.Attempts = attempts
 			out.Fallbacks = ci
 			out.Conflicts = b.ConflictsUsed()

@@ -113,7 +113,6 @@ func TestFallbackChainShape(t *testing.T) {
 		want []Engine
 	}{
 		{EngineHQS, []Engine{EngineHQS, EnginePortfolio, EngineIDQ}},
-		{EngineDefex, []Engine{EngineDefex, EnginePortfolio, EngineIDQ}},
 		{EngineExpand, []Engine{EngineExpand, EnginePortfolio, EngineIDQ}},
 		{EnginePortfolio, []Engine{EnginePortfolio, EngineIDQ}},
 		{"", []Engine{EnginePortfolio, EngineIDQ}},

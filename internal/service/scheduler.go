@@ -61,9 +61,9 @@ type Config struct {
 	// The scheduler does not close the store — its opener does.
 	Store *store.Store
 	// Certify is the certify policy of the scheduler's Runner (hqsd
-	// -certify): HQS and defex SAT verdicts are reported only with a checked
-	// Skolem certificate, and bare SAT store entries are re-solved instead
-	// of served.
+	// -certify): HQS SAT verdicts are reported only with a checked Skolem
+	// certificate, and bare SAT store entries are re-solved instead of
+	// served.
 	Certify bool
 	// Faults, when non-nil, is the fault-injection plan of this scheduler
 	// (hqsd -faults). It fires the sched.dispatch and cache.lookup seams and
@@ -290,7 +290,7 @@ type Stats struct {
 	CacheLen       int   `json:"cache_len"`
 	Workers        int   `json:"workers"`
 	// Oracle counters sum the persistent incremental SAT oracle stats that
-	// the runner's HQS and defex runs report (portfolio arms, retries and
+	// the runner's HQS runs report (portfolio arms, retries and
 	// fallbacks included; certificate checks are not counted).
 	OracleQueries     int64 `json:"oracle_queries"`
 	OracleIncremental int64 `json:"oracle_incremental"`

@@ -123,6 +123,61 @@ func TestSchedulerStoreRejectsBadCertificate(t *testing.T) {
 	}
 }
 
+// TestSchedulerStoreServesRetiredEngineEntry: an entry whose Engine names an
+// engine this build no longer has ("defex", as older builds wrote it) is
+// still served, because its verdict rests on its certificate, not on the
+// engine — and that certificate is re-checked like any other: a good one is
+// served under the recorded engine name, a bad one is quarantined and the
+// instance re-solved.
+func TestSchedulerStoreServesRetiredEngineEntry(t *testing.T) {
+	f := paperExample1()
+	good := (&Runner{Certify: true}).Run(nil, request(f, EngineHQS, Limits{Timeout: 30 * time.Second}))
+	if good.Verdict != VerdictSat || good.Cert == nil {
+		t.Fatalf("reference solve: %+v, want SAT with a certificate", good)
+	}
+	bogus := &cert.Certificate{G: aig.New(), Funcs: map[cnf.Var]aig.Ref{3: aig.False, 4: aig.False}}
+	for _, c := range []struct {
+		name      string
+		cert      *cert.Certificate
+		fromStore bool
+	}{{"good certificate", good.Cert, true}, {"bad certificate", bogus, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st0 := quietStore(t, dir)
+			if err := st0.Put(&store.Entry{
+				Key: problem.CanonicalFormulaHash(f), Verdict: store.VerdictSat, Engine: "defex",
+				CreatedUnix: time.Now().Unix(), Cert: c.cert,
+			}); err != nil {
+				t.Fatalf("planting entry: %v", err)
+			}
+			st0.Close()
+
+			st := quietStore(t, dir)
+			defer st.Close()
+			s := NewScheduler(Config{Workers: 1, Store: st, Certify: true})
+			j, err := s.Submit(request(f, EngineHQS, Limits{Timeout: 30 * time.Second}))
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			out := waitDone(t, j)
+			drainNow(t, s)
+			if out.Verdict != VerdictSat || out.FromStore != c.fromStore {
+				t.Fatalf("outcome %+v, want SAT with FromStore %v", out, c.fromStore)
+			}
+			rejected := int64(1)
+			if c.fromStore {
+				rejected = 0
+				if out.Engine != "defex" {
+					t.Fatalf("served engine %q, want the recorded \"defex\"", out.Engine)
+				}
+			}
+			if ss := st.Stats(); ss.CertRejected != rejected {
+				t.Fatalf("store stats %+v, want %d cert-rejected", ss, rejected)
+			}
+		})
+	}
+}
+
 // TestSchedulerStoreBareSATUnderCertify: a SAT entry without a certificate is
 // fine normally but below the bar when -certify is on — then it must be
 // re-solved, not trusted.
