@@ -43,9 +43,11 @@ fuzz-smoke:
 # the AIG compose/cofactor identities the certificate extractor relies on,
 # the universal expansion (every accepted input is valid; the full
 # grounding's SAT verdict equals brute force), the AIG sweep (the
-# function is unchanged; a cone of at most 9 inputs makes no SAT call), and
+# function is unchanged; a cone of at most 9 inputs makes no SAT call),
 # CNF preprocessing (no failure; every clause left is sorted, duplicate-free
-# and non-tautological; the verdict equals brute force).
+# and non-tautological; the verdict equals brute force), and HQS's linear
+# phase on byte-built QBFs, with and without the final SAT call (the verdict
+# equals brute force; every SAT certificate checks).
 fuzz-native:
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz '^FuzzGround$$' -fuzztime 10s
@@ -56,6 +58,7 @@ fuzz-native:
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGCompose$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLinearPhase$$' -fuzztime 10s
 
 # Chaos drill under the race detector: fault-injected panics, errors, and
 # spurious Unknowns against the scheduler with concurrent submits, cancels,

@@ -1,7 +1,7 @@
 // Package aig implements And-Inverter Graphs (AIGs): Boolean-circuit
 // representations built from two-input AND gates and edge complement bits
-// (inverters). AIGs are the matrix representation of HQS and of the QBF
-// back-end solver, mirroring the aigpp library used in the paper.
+// (inverters). AIGs are the matrix representation of HQS, through its main
+// loop and its linear phase, mirroring the aigpp library used in the paper.
 //
 // A Graph is a structurally hashed DAG. References (Ref) follow the AIGER
 // literal convention: the constant false is Ref 0, true is Ref 1, and node i

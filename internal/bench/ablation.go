@@ -33,7 +33,7 @@ func AblationVariants() []AblationVariant {
 		mk("elimset=greedy", func(o *core.Options) { o.Strategy = core.ElimGreedy }),
 		mk("elimset=all", func(o *core.Options) { o.Strategy = core.ElimAll }),
 		mk("order=reverse", func(o *core.Options) { o.ReverseElimOrder = true }),
-		mk("unitpure=off", func(o *core.Options) { o.UnitPure = false; o.QBF.UnitPure = false }),
+		mk("unitpure=off", func(o *core.Options) { o.UnitPure = false }),
 		mk("sweep=off", func(o *core.Options) { o.SweepThreshold = 0; o.QBF.SweepThreshold = 0 }),
 		mk("preprocess=off", func(o *core.Options) { o.Preprocess = false; o.DetectGates = false }),
 	}

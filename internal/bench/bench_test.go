@@ -40,6 +40,20 @@ func TestGenerateFamilies(t *testing.T) {
 	}
 }
 
+// TestGenerateUnknownFamily checks that a misspelt family is refused by
+// name, with the known families listed, before any generator runs.
+func TestGenerateUnknownFamily(t *testing.T) {
+	_, err := Generate("addr", smallGen())
+	if err == nil {
+		t.Fatal("unknown family accepted")
+	}
+	for _, want := range []string{`"addr"`, "adder", "C432", "circuit"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a, err := Generate(FamilyAdder, smallGen())
 	if err != nil {
@@ -252,7 +266,7 @@ func pigeonholeDQBF(n int) *dqbf.Formula {
 // it, tied into the first pigeon's clause: (z1 ∨ p00)(¬z1 ∨ x ∨ p01)
 // (z2 ∨ p03)(¬z2 ∨ ¬x ∨ p02). Theorem 2 eliminates z1 and z2 but leaves x
 // in the support, so the pigeon variables (empty dependency sets) are not
-// eliminated one by one; the QBF back end gets ∃p ∀x, drops x, and decides
+// eliminated one by one; the linear phase gets ∃p ∀x, drops x, and decides
 // the pigeonhole part with one final SAT call.
 func withFinalSATGadget(f *dqbf.Formula, n int) *dqbf.Formula {
 	p := func(i, j int) cnf.Var { return cnf.Var(i*n + j + 1) }

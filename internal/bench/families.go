@@ -18,6 +18,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/dqbf"
@@ -86,8 +88,17 @@ func DefaultGenOptions() GenOptions {
 	return GenOptions{Count: 20, Seed: 20150309, MaxWidth: 4}
 }
 
-// Generate builds the instances of one family.
+// Generate builds the instances of one family. An unknown family is an
+// error naming it and listing the known ones.
 func Generate(f Family, opt GenOptions) ([]Instance, error) {
+	known := append(append([]Family(nil), Families...), ExtensionFamilies...)
+	if !slices.Contains(known, f) {
+		names := make([]string, len(known))
+		for i, k := range known {
+			names[i] = string(k)
+		}
+		return nil, fmt.Errorf("bench: unknown family %q (known: %s)", f, strings.Join(names, ", "))
+	}
 	rng := rand.New(rand.NewSource(opt.Seed + int64(len(f))*7919))
 	var out []Instance
 	for i := 0; i < opt.Count; i++ {

@@ -17,7 +17,7 @@
 //   - Theorem-2 eliminations and QBF block eliminations record the matrix the
 //     variable was quantified out of,
 //   - Theorem-1 universal expansions record the copy renaming, and
-//   - the back end's final SAT call records its model.
+//   - the linear phase's final SAT call records its model.
 //
 // Transformations that only strengthen the matrix (universal reduction,
 // subsumption, self-subsuming resolution), replace it by an equivalent one

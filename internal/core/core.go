@@ -1,7 +1,7 @@
 // Package core implements HQS, the paper's contribution: an elimination-based
 // DQBF solver that turns a dependency quantified Boolean formula into an
 // equivalent QBF by eliminating a minimum set of universal variables, then
-// hands the linearized problem to an AIG-based QBF solver.
+// decides that QBF by AIGSolve-style block elimination on the same AIG.
 //
 // The solver is assembled from named passes on the shared pass pipeline
 // (internal/pipeline), following Fig. 3 of the paper:
@@ -21,8 +21,12 @@
 //     "thm1" (elimination of the selected universals, Theorem 1) until the
 //     dependency graph is acyclic, with the shared "sweep" pass compressing
 //     the AIG between eliminations.
-//  5. "qbf" — linearization (Theorem 3) and the QBF back end (package qbf),
-//     which runs its own pipeline of the same shared passes.
+//  5. "qbf" — linearization (Theorem 3) and the linear phase (linear.go):
+//     "blockelim" eliminates the innermost quantifier block variable by
+//     variable, interleaved with the shared "unitpure", "dropsupport" and
+//     "sweep" passes, and "finalsat" decides the last existential block with
+//     one SAT call. The linear phase runs on the same state; its events
+//     carry stage "qbf".
 //
 // Every pass execution is budget-polled, fault-injectable at
 // "pipeline.<pass>", and emits one structured trace event when
@@ -43,7 +47,6 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/pipeline"
 	"repro/internal/problem"
-	"repro/internal/qbf"
 	"repro/internal/trace"
 )
 
@@ -84,7 +87,8 @@ type Options struct {
 	Preprocess bool
 	// DetectGates enables Tseitin gate detection (requires Preprocess).
 	DetectGates bool
-	// UnitPure enables syntactic unit/pure elimination on the AIG.
+	// UnitPure enables syntactic unit/pure elimination on the AIG, in the
+	// main loop and in the linear phase.
 	UnitPure bool
 	// Strategy selects the universal elimination set.
 	Strategy ElimStrategy
@@ -93,43 +97,45 @@ type Options struct {
 	// SweepThreshold triggers a SAT sweep when the matrix grows by this many
 	// AND nodes since the last sweep; 0 disables sweeping.
 	SweepThreshold int
-	// SweepOptions configure individual sweeps.
+	// SweepOptions configure individual sweeps of both phases.
 	SweepOptions aig.SweepOptions
 	// Workers, when nonzero, overrides the SAT worker-pool size of every
-	// sweep (here and in the QBF back end): 1 is serial, negative uses
-	// runtime.GOMAXPROCS(0). See aig.SweepOptions.Workers for the
-	// determinism guarantees.
+	// sweep: 1 is serial, negative uses runtime.GOMAXPROCS(0). See
+	// aig.SweepOptions.Workers for the determinism guarantees.
 	Workers int
-	// QBF configures the back-end QBF solver.
-	QBF qbf.Options
+	// QBF holds the linear phase's own sweep trigger: a sweep runs once the
+	// matrix has grown by SweepThreshold AND nodes since the last one; 0
+	// disables sweeping there.
+	QBF struct{ SweepThreshold int }
 	// Certify records Skolem reconstruction steps during the solve and, on a
 	// SAT verdict, extracts a per-existential Skolem certificate into
 	// Result.Certificate (see internal/cert). Recording does not perturb the
 	// pass schedule; extraction runs after the verdict.
 	Certify bool
-	// Budget, when non-nil, is the solve's only bound: the pipeline runner,
-	// the MaxSAT elimination-set selection, SAT sweeps, and the QBF back end
-	// (including its final SAT call) poll it and unwind with status Timeout
+	// Budget, when non-nil, is the solve's only bound: the pipeline runners,
+	// the MaxSAT elimination-set selection, SAT sweeps, and the final SAT
+	// call of the linear phase poll it and unwind with status Timeout
 	// (deadline) or Cancelled (cancel, conflict/decision caps); its node cap
 	// is the AIG's node limit (the analogue of the paper's 8 GB memory
 	// limit; status Memout). Nil means unlimited.
 	Budget *budget.Budget
 	// Trace, when non-nil, receives one structured event per executed
-	// pipeline pass (this pipeline and the QBF back end's).
+	// pipeline pass of either phase.
 	Trace trace.Sink
 }
 
 // DefaultOptions mirror the configuration evaluated in the paper.
 func DefaultOptions() Options {
-	return Options{
+	opt := Options{
 		Preprocess:     true,
 		DetectGates:    true,
 		UnitPure:       true,
 		Strategy:       ElimMaxSAT,
 		SweepThreshold: 1024,
 		SweepOptions:   aig.DefaultSweepOptions(),
-		QBF:            qbf.DefaultOptions(),
 	}
+	opt.QBF.SweepThreshold = 512
+	return opt
 }
 
 // Stats collects solver counters and the instrumentation the paper reports
@@ -143,17 +149,21 @@ type Stats struct {
 
 	UnivElims  int // Theorem 1 eliminations
 	ExistElims int // Theorem 2 eliminations
-	UnitElims  int
-	PureElims  int
+	UnitElims  int // main-loop unit eliminations
+	PureElims  int // main-loop pure eliminations
 	CopiesMade int // existential copies introduced by Theorem 1
 	Sweeps     int
-	// Sweep aggregates the SAT-sweeping counters of the main loop (the QBF
-	// back end keeps its own aggregate in QBF.Sweep).
+	// Sweep aggregates the SAT-sweeping counters of the main loop.
 	Sweep aig.SweepStats
+	// QBF counts the sweeps of the linear phase and aggregates their
+	// counters.
+	QBF struct {
+		Sweeps int
+		Sweep  aig.SweepStats
+	}
 
 	PeakAIGNodes int
-	QBF          qbf.Stats
-	DecidedBy    string // "preprocess", "constant", "qbf", "finalsat"
+	DecidedBy    string // "preprocess", "constant" or "qbf"
 
 	// Oracle aggregates the reuse counters of the run's persistent
 	// incremental SAT pool.
@@ -191,12 +201,11 @@ type budgetStop struct{ err error }
 func (s *Solver) Solve(p *problem.Problem) (res Result) {
 	start := time.Now()
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
-	// Workers is resolved once, here, into the sweep options of both this
-	// pipeline and the QBF back end; no pass consults it again.
+	// Workers is resolved once, here, into the sweep options both phases
+	// use; no pass consults it again.
 	if w := s.Opt.Workers; w != 0 {
 		opt := s.Opt
 		opt.SweepOptions.Workers = w
-		opt.QBF.SweepOptions.Workers = w
 		s = New(opt)
 	}
 
@@ -224,11 +233,7 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 		panic("core: Solve requires a formula-kind problem (DQBF or QBF)")
 	}
 	work := p.Formula.Clone()
-	st := &pipeline.State{
-		Prefix:  pipeline.FormulaPrefix{F: work},
-		Budget:  s.Opt.Budget,
-		Problem: p,
-	}
+	st := &pipeline.State{Prefix: work, Budget: s.Opt.Budget}
 	if s.Opt.Certify {
 		st.Cert = cert.NewBuilder()
 	}
@@ -359,7 +364,7 @@ func (s *Solver) eliminateUniversal(g *aig.Graph, work *dqbf.Formula, m aig.Ref,
 	// resulting prefix — and with it the downstream pass schedule — is
 	// deterministic, which the golden-trace tests pin.
 	orig := append([]cnf.Var(nil), work.Exist...)
-	pipeline.FormulaPrefix{F: work}.Remove(x)
+	work.Remove(x)
 	for _, y := range orig {
 		yc, ok := ren[y]
 		if !ok {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/problem"
-	"repro/internal/qbf"
 )
 
 // paperExample1 is ∀x1∀x2 ∃y1(x1) ∃y2(x2) with matrix (y1↔x1)∧(y2↔x2):
@@ -61,7 +60,7 @@ func TestSolveCrossExampleUnsat(t *testing.T) {
 
 // testOptionMatrix covers the solver feature combinations.
 func testOptionMatrix() []Options {
-	plain := Options{Strategy: ElimMaxSAT, QBF: qbf.Options{}}
+	plain := Options{Strategy: ElimMaxSAT}
 	noPre := DefaultOptions()
 	noPre.Preprocess = false
 	noPre.DetectGates = false

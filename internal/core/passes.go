@@ -11,15 +11,14 @@ import (
 	"repro/internal/maxsat"
 	"repro/internal/oracle"
 	"repro/internal/pipeline"
-	"repro/internal/qbf"
 )
 
 // The HQS-specific pass names, registered at init so fault-spec validation
 // (hqsd -faults pipeline.thm1:...) accepts them before any solve runs. The
-// shared passes (unitpure, dropsupport, sweep) are registered by the
-// pipeline package, "blockelim" and "finalsat" by the qbf package.
+// passes both phases share (unitpure, dropsupport, sweep) are registered by
+// the pipeline package.
 func init() {
-	for _, name := range []string{"preprocess", "build", "elimset", "thm2", "thm1", "qbf"} {
+	for _, name := range []string{"blockelim", "finalsat", "preprocess", "build", "elimset", "thm2", "thm1", "qbf"} {
 		pipeline.RegisterPass(name)
 	}
 }
@@ -39,12 +38,13 @@ type hqsPipeline struct {
 	nextVar cnf.Var
 	// elimExhausted is set by the thm1 pass when the dependency graph is
 	// still cyclic but no further universal can be selected; the driver then
-	// leaves the main loop for the QBF back end.
+	// leaves the main loop for the linear phase.
 	elimExhausted bool
 }
 
 // track records the AIG high-water mark at the same points the monolithic
-// loop did: after the build, after each elimination, and after the back end.
+// loop did: after the build, after each elimination, and after the linear
+// phase.
 func (px *hqsPipeline) track() {
 	if px.st.G == nil {
 		return
@@ -208,29 +208,16 @@ func (px *hqsPipeline) thm1() pipeline.Pass {
 	})
 }
 
-// qbfPass is step 5: linearization (Theorem 3) and the block-elimination QBF
-// back end, which runs its own pipeline of the shared passes on the same
-// trace sink.
+// qbf is step 5: linearization (Theorem 3) and the linear phase on the same
+// state, whose passes run on a runner of their own (stage "qbf"). A node
+// limit unwinds straight to Solve's recover; stop errors pass through.
 func (px *hqsPipeline) qbf() pipeline.Pass {
 	return pipeline.NewPass("qbf", func(st *pipeline.State) (pipeline.Result, error) {
+		defer px.track()
 		blocks := dqbf.Linearize(px.work)
-		qopt := px.s.Opt.QBF
-		qopt.Budget = px.s.Opt.Budget
-		qopt.Trace = px.s.Opt.Trace
-		qopt.Cert = st.Cert
-		qopt.Oracle = st.Oracle
-		qs := qbf.New(st.G, qopt)
-		sat, err := qs.Solve(blocks, st.Matrix)
-		px.res.Stats.QBF = qs.Stat
-		px.track()
+		sat, err := px.eliminateBlocks(st, linearBlocks(blocks))
 		if err != nil {
-			if nl, ok := err.(aig.ErrNodeLimit); ok {
-				panic(nl) // unwinds to the driver's recover → Memout
-			}
-			if errors.Is(err, pipeline.ErrTimeout) || errors.Is(err, pipeline.ErrCancelled) {
-				return pipeline.Result{}, err
-			}
-			return pipeline.Result{}, fmt.Errorf("qbf back end: %w", err)
+			return pipeline.Result{}, err
 		}
 		st.Decide(sat, "qbf")
 		return pipeline.Result{Changed: true, Counters: pipeline.Counters{"blocks": int64(len(blocks))}}, nil

@@ -9,7 +9,7 @@ import (
 )
 
 // TestWorkersReachBothSweepPools checks that Options.Workers sizes the sweep
-// worker pools of both the HQS main loop and the QBF back end, although
+// worker pools of both the HQS main loop and the linear phase, although
 // neither SweepOptions asks for workers: the largest pool is 1 without it
 // and 2 with Workers: 2.
 func TestWorkersReachBothSweepPools(t *testing.T) {
@@ -33,7 +33,7 @@ func TestWorkersReachBothSweepPools(t *testing.T) {
 		}
 		want := max(workers, 1)
 		if main != want || back != want {
-			t.Fatalf("Workers: %d: sweep pools of %d (main loop) and %d (QBF back end) workers, want %d",
+			t.Fatalf("Workers: %d: sweep pools of %d (main loop) and %d (linear phase) workers, want %d",
 				workers, main, back, want)
 		}
 	}

@@ -77,6 +77,56 @@ func (f *Formula) UniversalSet() *VarSet {
 	return NewVarSet(f.Univ...)
 }
 
+// Remove deletes v from the prefix: a universal leaves every dependency
+// set, an existential leaves the prefix with its dependency set.
+func (f *Formula) Remove(v cnf.Var) {
+	for i, u := range f.Univ {
+		if u == v {
+			f.Univ = append(f.Univ[:i], f.Univ[i+1:]...)
+			for _, d := range f.Deps {
+				d.Remove(v)
+			}
+			return
+		}
+	}
+	for i, y := range f.Exist {
+		if y == v {
+			f.Exist = append(f.Exist[:i], f.Exist[i+1:]...)
+			delete(f.Deps, v)
+			return
+		}
+	}
+}
+
+// RetainSupport drops every prefix variable outside support (universals
+// leave the dependency sets as well) and returns how many were dropped.
+func (f *Formula) RetainSupport(support map[cnf.Var]bool) int {
+	removed := 0
+	var exist []cnf.Var
+	for _, y := range f.Exist {
+		if support[y] {
+			exist = append(exist, y)
+		} else {
+			delete(f.Deps, y)
+			removed++
+		}
+	}
+	f.Exist = exist
+	var univ []cnf.Var
+	for _, x := range f.Univ {
+		if support[x] {
+			univ = append(univ, x)
+			continue
+		}
+		for _, d := range f.Deps {
+			d.Remove(x)
+		}
+		removed++
+	}
+	f.Univ = univ
+	return removed
+}
+
 // Clone returns a deep copy of the formula.
 func (f *Formula) Clone() *Formula {
 	g := New()

@@ -36,7 +36,7 @@ const (
 	SATSolve Point = "sat.solve"
 	// AIGSweep fires at the entry of a FRAIG-style sweep (aig.Graph.Sweep).
 	AIGSweep Point = "aig.sweep"
-	// AIGFinalSAT fires before the QBF back end's final SAT shortcut on the
+	// AIGFinalSAT fires before the linear phase's final SAT shortcut on the
 	// outermost existential block.
 	AIGFinalSAT Point = "aig.finalsat"
 	// MaxSATSolve fires at the entry of the partial MaxSAT oracle that

@@ -7,8 +7,9 @@ import (
 	"repro/internal/cnf"
 )
 
-// Pass names shared by the HQS and QBF pipelines, registered at init so
-// fault-spec validation knows them before any solve runs.
+// Pass names shared by the main loop and the linear phase of HQS,
+// registered at init so fault-spec validation knows them before any solve
+// runs.
 var (
 	unitPurePoint    = RegisterPass("unitpure")
 	dropSupportPoint = RegisterPass("dropsupport")
@@ -16,14 +17,11 @@ var (
 )
 
 // UnitPurePass applies the paper's Theorems 5 and 6 — unit and pure literal
-// elimination directly on the AIG — until a fixpoint. It is the one shared
-// implementation of the unit/pure+elimination interleaving that used to be
-// duplicated between the HQS main loop and the QBF back end; the Prefix
-// interface supplies the quantifier semantics of the caller.
+// elimination directly on the AIG — until a fixpoint. The main loop and the
+// linear phase both run it; the state's formula supplies the quantifiers.
 //
 // Variables are considered in ascending order, so the elimination sequence
-// (and therefore the resulting AIG) is deterministic and bit-identical for
-// both callers on the same graph, matrix and quantifier assignment.
+// (and therefore the resulting AIG) is deterministic.
 type UnitPurePass struct{}
 
 // Name implements Pass.
@@ -51,11 +49,12 @@ func (UnitPurePass) Run(st *State) (Result, error) {
 			vars = append(vars, v)
 		}
 		slices.Sort(vars)
+		univSet := st.Prefix.UniversalSet()
 		changed := false
 		for _, v := range vars {
 			p := up[v]
 			exist := st.Prefix.IsExistential(v)
-			univ := st.Prefix.IsUniversal(v)
+			univ := univSet.Has(v)
 			if !exist && !univ {
 				continue // gate-defined or already removed
 			}

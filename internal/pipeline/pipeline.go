@@ -2,13 +2,17 @@
 // HQS is a sequence of named transformations — preprocessing, gate
 // detection, matrix construction, elimination-set selection, then an
 // interleaved loop of unit/pure elimination, Theorem-2 and Theorem-1
-// eliminations and FRAIG sweeping, finishing with block-wise QBF
-// elimination — and this package makes that sequence first-class: a Pass is
-// one named transformation over a shared State (the DQBF prefix, the AIG,
-// the matrix reference, and the budget), and a Runner executes passes,
-// polling the budget between them, firing a per-pass fault-injection point
-// ("pipeline.<pass>"), and emitting one structured trace.Event per pass
-// execution.
+// eliminations and FRAIG sweeping, finishing with a linear phase of
+// block-wise QBF elimination — and this package makes that sequence
+// first-class: a Pass is one named transformation over a shared State (the
+// working formula as the prefix, the AIG, the matrix reference, and the
+// budget), and a Runner executes passes, polling the budget between them,
+// firing a per-pass fault-injection point ("pipeline.<pass>"), and emitting
+// one structured trace.Event per pass execution.
+//
+// A solve has one State. Its main loop and its linear phase run their
+// passes on two Runners over that State, so each phase's events carry its
+// own stage name ("hqs", "qbf") and each keeps its own per-pass totals.
 //
 // The framework exists so alternative preprocessing or elimination
 // techniques (a definability pass, partial elimination with learning, …)
@@ -25,11 +29,9 @@ import (
 	"repro/internal/aig"
 	"repro/internal/budget"
 	"repro/internal/cert"
-	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/faults"
 	"repro/internal/oracle"
-	"repro/internal/problem"
 )
 
 // Stop errors returned by Runner.Run and State.Stop when the budget ends a
@@ -42,32 +44,16 @@ var (
 	ErrCancelled = errors.New("pipeline: cancelled")
 )
 
-// Prefix is the quantifier-prefix view passes share. The HQS pipeline backs
-// it with a dqbf.Formula (FormulaPrefix); the QBF back end backs it with its
-// linear block list. Through this interface one unit/pure or support pass
-// serves both pipelines.
-type Prefix interface {
-	// IsExistential and IsUniversal report the quantifier of v; both false
-	// means v is not quantified here (gate-defined or already removed).
-	IsExistential(v cnf.Var) bool
-	IsUniversal(v cnf.Var) bool
-	// Remove deletes v from the prefix (and any dependency bookkeeping).
-	Remove(v cnf.Var)
-	// RetainSupport drops every prefix variable not in support, returning
-	// how many were removed.
-	RetainSupport(support map[cnf.Var]bool) int
-	// Size returns the current universal and existential variable counts.
-	Size() (univ, exist int)
-}
-
 // State is the shared mutable state a pipeline threads through its passes.
 type State struct {
 	// G is the AIG the matrix lives in (nil until a build pass creates it).
 	G *aig.Graph
 	// Matrix is the current matrix reference in G.
 	Matrix aig.Ref
-	// Prefix is the quantifier prefix being eliminated.
-	Prefix Prefix
+	// Prefix is the working formula whose quantifier prefix is being
+	// eliminated; passes remove the variables they eliminate from it. Its
+	// CNF matrix is stale once Matrix is built.
+	Prefix *dqbf.Formula
 	// Budget, when non-nil, bounds the pipeline (deadline, caps,
 	// cancellation); the Runner polls it before each pass and long passes
 	// poll Stop between rounds.
@@ -82,10 +68,6 @@ type State struct {
 	// SAT check route every query through it, so encodings and learned
 	// clauses survive across passes. A pipeline that sweeps must set it.
 	Oracle *oracle.Pool
-	// Problem, when non-nil, is the ingested problem the run came from —
-	// passes can consult its Kind (DQBF vs plain QBF) and provenance
-	// without re-deriving them from the prefix.
-	Problem *problem.Problem
 
 	// Decided, Sat and DecidedBy carry the verdict once a pass settles the
 	// formula.
@@ -205,68 +187,3 @@ func PassNames() []string {
 
 // FaultPoint returns the fault-injection point of a pass name.
 func FaultPoint(name string) faults.Point { return faults.Point("pipeline." + name) }
-
-// FormulaPrefix adapts a dqbf.Formula to the Prefix interface (the HQS
-// pipeline's view; the QBF back end adapts its block list instead).
-type FormulaPrefix struct{ F *dqbf.Formula }
-
-// IsExistential implements Prefix.
-func (p FormulaPrefix) IsExistential(v cnf.Var) bool { return p.F.IsExistential(v) }
-
-// IsUniversal implements Prefix.
-func (p FormulaPrefix) IsUniversal(v cnf.Var) bool { return p.F.IsUniversal(v) }
-
-// Size implements Prefix.
-func (p FormulaPrefix) Size() (int, int) { return len(p.F.Univ), len(p.F.Exist) }
-
-// Remove implements Prefix: a universal leaves every dependency set, an
-// existential leaves the prefix with its dependency set.
-func (p FormulaPrefix) Remove(v cnf.Var) {
-	f := p.F
-	for i, u := range f.Univ {
-		if u == v {
-			f.Univ = append(f.Univ[:i], f.Univ[i+1:]...)
-			for _, d := range f.Deps {
-				d.Remove(v)
-			}
-			return
-		}
-	}
-	for i, y := range f.Exist {
-		if y == v {
-			f.Exist = append(f.Exist[:i], f.Exist[i+1:]...)
-			delete(f.Deps, v)
-			return
-		}
-	}
-}
-
-// RetainSupport implements Prefix: variables outside the support leave the
-// prefix (universals leave the dependency sets as well).
-func (p FormulaPrefix) RetainSupport(support map[cnf.Var]bool) int {
-	f := p.F
-	removed := 0
-	var exist []cnf.Var
-	for _, y := range f.Exist {
-		if support[y] {
-			exist = append(exist, y)
-		} else {
-			delete(f.Deps, y)
-			removed++
-		}
-	}
-	f.Exist = exist
-	var univ []cnf.Var
-	for _, x := range f.Univ {
-		if support[x] {
-			univ = append(univ, x)
-			continue
-		}
-		for _, d := range f.Deps {
-			d.Remove(x)
-		}
-		removed++
-	}
-	f.Univ = univ
-	return removed
-}

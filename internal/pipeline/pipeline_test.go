@@ -10,13 +10,12 @@ import (
 	"repro/internal/faults"
 	"repro/internal/pipeline"
 
-	// Imported for their init-time pass registrations, so the test sees the
-	// full pass inventory of both pipelines.
+	// Imported for its init-time pass registrations, so the test sees the
+	// full pass inventory of both phases.
 	_ "repro/internal/core"
-	_ "repro/internal/qbf"
 )
 
-// expectedPasses is the pass inventory of the two pipelines; a new pass must
+// expectedPasses is the pass inventory of both phases; a new pass must
 // be registered (and thereby fault-injectable) to show up in PassNames.
 var expectedPasses = []string{
 	"blockelim", "build", "dropsupport", "elimset", "finalsat",

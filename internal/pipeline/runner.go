@@ -29,13 +29,11 @@ type Runner struct {
 }
 
 // NewRunner returns a runner over st emitting events to sink (nil disables
-// tracing) tagged with the given stage name ("hqs", "qbf").
+// tracing) tagged with the given stage name ("hqs" for the main loop, "qbf" for
+// the linear phase).
 func NewRunner(st *State, sink trace.Sink, stage string) *Runner {
 	return &Runner{st: st, sink: sink, stage: stage, totals: make(map[string]*PassTotal)}
 }
-
-// State returns the runner's shared state.
-func (r *Runner) State() *State { return r.st }
 
 // Run executes one pass. It returns ErrTimeout/ErrCancelled when the budget
 // stops the pipeline (before the pass, via an injected spurious Unknown, or
@@ -118,5 +116,5 @@ func (r *Runner) prefixSize() (int, int) {
 	if r.st.Prefix == nil {
 		return 0, 0
 	}
-	return r.st.Prefix.Size()
+	return len(r.st.Prefix.Univ), len(r.st.Prefix.Exist)
 }

@@ -65,8 +65,8 @@ func TestSpuriousUnknownIsRetried(t *testing.T) {
 // satisfiable (y1=x1, y2=x2), but — unlike the paper examples, which
 // preprocessing decides outright — its 4-literal XOR clauses survive
 // preprocessing, so HQS must run elimination-set selection (the dependency
-// sets form a binary cycle, so the MaxSAT oracle runs) and finish in the QBF
-// back end.
+// sets form a binary cycle, so the MaxSAT oracle runs) and finish in the
+// linear phase.
 func xorLinkedDQBF() *dqbf.Formula {
 	f := dqbf.New()
 	f.AddUniversal(1)

@@ -24,8 +24,8 @@ import (
 type Event struct {
 	// Seq numbers events within one stream, assigned by the sink (1-based).
 	Seq int `json:"seq,omitempty"`
-	// Stage names the pipeline the pass ran in ("hqs" for the DQBF main
-	// pipeline, "qbf" for the back end's block-elimination pipeline).
+	// Stage names the phase the pass ran in ("hqs" for the DQBF main loop,
+	// "qbf" for its block-eliminating linear phase).
 	Stage string `json:"stage"`
 	// Pass is the registered pass name (e.g. "unitpure", "thm1").
 	Pass string `json:"pass"`
