@@ -163,11 +163,12 @@ func main() {
 	}
 	if *stats {
 		st := res.Stats
+		thm1, thm2, up := st.Pass("hqs", "thm1"), st.Pass("hqs", "thm2"), st.Pass("hqs", "unitpure")
 		fmt.Fprintf(os.Stderr, "c time            %v\n", elapsed)
 		fmt.Fprintf(os.Stderr, "c decided by      %s\n", st.DecidedBy)
-		fmt.Fprintf(os.Stderr, "c elim set        %v (maxsat %v)\n", st.ElimSet, st.ElimSetTime)
-		fmt.Fprintf(os.Stderr, "c thm1/thm2 elims %d/%d (%d copies)\n", st.UnivElims, st.ExistElims, st.CopiesMade)
-		fmt.Fprintf(os.Stderr, "c unit/pure       %d/%d in %v\n", st.UnitElims, st.PureElims, st.UnitPureTime)
+		fmt.Fprintf(os.Stderr, "c elim set        %v (maxsat %v)\n", st.ElimSet, st.Pass("hqs", "elimset").Wall)
+		fmt.Fprintf(os.Stderr, "c thm1/thm2 elims %d/%d (%d copies)\n", thm1.Counters["univ"], thm2.Counters["exist"], thm1.Counters["copies"])
+		fmt.Fprintf(os.Stderr, "c unit/pure       %d/%d in %v\n", up.Counters["units"], up.Counters["pures"], up.Wall)
 		fmt.Fprintf(os.Stderr, "c sweeps          %d, peak AIG nodes %d\n", st.Sweeps+st.QBF.Sweeps, st.PeakAIGNodes)
 		sw := st.Sweep
 		sw.Add(st.QBF.Sweep)
@@ -180,7 +181,7 @@ func main() {
 			or.Queries, or.Incremental, or.Rebuilds, or.Scopes)
 		fmt.Fprintf(os.Stderr, "c oracle reuse    %d learnts retained, %d encoded nodes, %d arena bytes peak\n",
 			or.LearntsRetained, or.EncodedNodes, or.ArenaBytesHW)
-		fmt.Fprintf(os.Stderr, "c gates detected  %d\n", len(st.Preprocess.Gates))
+		fmt.Fprintf(os.Stderr, "c gates detected  %d\n", st.Pass("hqs", "preprocess").Counters["gates"])
 	}
 	switch res.Status {
 	case core.Solved:

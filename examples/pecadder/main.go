@@ -71,5 +71,5 @@ func solve(title string, spec, impl *circuit.Circuit, cut []string) {
 		verdict = "REALIZABLE (suitable black-box implementations exist)"
 	}
 	fmt.Printf("   HQS: %s in %v (eliminated %v, %d copies)\n\n",
-		verdict, res.Stats.TotalTime, res.Stats.ElimSet, res.Stats.CopiesMade)
+		verdict, res.Stats.TotalTime, res.Stats.ElimSet, res.Stats.Pass("hqs", "thm1").Counters["copies"])
 }

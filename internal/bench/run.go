@@ -108,8 +108,8 @@ func RunHQS(inst Instance, opt RunOptions) RunResult {
 		Solver:          SolverHQS,
 		Sat:             res.Sat,
 		Seconds:         time.Since(start).Seconds(),
-		ElimSetSeconds:  res.Stats.ElimSetTime.Seconds(),
-		UnitPureSeconds: res.Stats.UnitPureTime.Seconds(),
+		ElimSetSeconds:  res.Stats.Pass("hqs", "elimset").Wall.Seconds(),
+		UnitPureSeconds: res.Stats.Pass("hqs", "unitpure").Wall.Seconds(),
 		SweepSatCalls:   sw.SatCalls,
 		SweepMerged:     sw.Merged,
 		ArenaPeakBytes:  sw.ArenaBytes,

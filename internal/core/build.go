@@ -5,11 +5,11 @@ import (
 	"repro/internal/cnf"
 )
 
-// BuildMatrix converts a CNF matrix into an AIG over graph g and composes
+// buildMatrix converts a CNF matrix into an AIG over graph g and composes
 // the detected gate definitions in: every occurrence of a gate output
 // variable is replaced by the gate's function, so the Tseitin auxiliaries
 // vanish from the matrix without any quantifier elimination (Section III-C).
-func BuildMatrix(g *aig.Graph, f *cnf.Formula, gates []Gate) aig.Ref {
+func buildMatrix(g *aig.Graph, f *cnf.Formula, gates []Gate) aig.Ref {
 	// Resolve gate functions; gates may feed each other but form a DAG.
 	byOut := make(map[cnf.Var]Gate, len(gates))
 	for _, gt := range gates {

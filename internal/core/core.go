@@ -37,6 +37,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/aig"
@@ -138,23 +139,21 @@ func DefaultOptions() Options {
 	return opt
 }
 
-// Stats collects solver counters and the instrumentation the paper reports
-// (MaxSAT selection time, unit/pure elimination time).
+// Stats is the record of one solve, folded once at the end of Solve (budget
+// stops and memouts included) from its ledger: the pass totals of both
+// pipeline stages, the two sweep passes, the oracle pool and the AIG arena.
+// The paper's in-text instrumentation reads from it: the MaxSAT selection
+// time is Pass("hqs", "elimset").Wall, the unit/pure elimination time
+// Pass("hqs", "unitpure").Wall.
 type Stats struct {
-	Preprocess   PreprocessResult
-	ElimSet      []cnf.Var
-	ElimSetTime  time.Duration
-	UnitPureTime time.Duration
-	TotalTime    time.Duration
+	// ElimSet is the universal elimination set the elimset pass selected.
+	ElimSet   []cnf.Var
+	TotalTime time.Duration
 
-	UnivElims  int // Theorem 1 eliminations
-	ExistElims int // Theorem 2 eliminations
-	UnitElims  int // main-loop unit eliminations
-	PureElims  int // main-loop pure eliminations
-	CopiesMade int // existential copies introduced by Theorem 1
-	Sweeps     int
-	// Sweep aggregates the SAT-sweeping counters of the main loop.
-	Sweep aig.SweepStats
+	// Sweeps counts the SAT sweeps of the main loop and Sweep aggregates
+	// their counters.
+	Sweeps int
+	Sweep  aig.SweepStats
 	// QBF counts the sweeps of the linear phase and aggregates their
 	// counters.
 	QBF struct {
@@ -162,12 +161,30 @@ type Stats struct {
 		Sweep  aig.SweepStats
 	}
 
+	// PeakAIGNodes is the AIG arena's final size. The arena is append-only,
+	// so this is also its high-water mark.
 	PeakAIGNodes int
-	DecidedBy    string // "preprocess", "constant" or "qbf"
+	// DecidedBy names the pass execution that settled the formula as
+	// "stage/pass": "hqs/preprocess", "hqs/build", "hqs/unitpure",
+	// "hqs/thm2", "hqs/thm1", "hqs/sweep", "qbf/unitpure", "qbf/blockelim",
+	// "qbf/sweep", "qbf/finalsat" or, as a fallback, "hqs/qbf". It is empty
+	// unless the solve reached a verdict.
+	DecidedBy string
 
 	// Oracle aggregates the reuse counters of the run's persistent
 	// incremental SAT pool.
 	Oracle oracle.Stats
+
+	// passes holds the pipeline runners' totals, keyed by "stage/pass".
+	passes map[string]pipeline.PassTotal
+}
+
+// Pass returns the totals of every execution of pass in stage ("hqs" for
+// the main loop, "qbf" for the linear phase): runs, wall time and summed
+// counters. Among the counters: preprocess "gates", thm1 "univ" and
+// "copies", thm2 "exist", unitpure "units" and "pures".
+func (s Stats) Pass(stage, pass string) pipeline.PassTotal {
+	return s.passes[stage+"/"+pass]
 }
 
 // Result is the outcome of a Solve call.
@@ -239,23 +256,27 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 	}
 	r := pipeline.NewRunner(st, s.Opt.Trace, "hqs")
 	px := &hqsPipeline{
-		s:     s,
-		st:    st,
-		work:  work,
-		res:   &res,
-		sweep: pipeline.NewSweepPass(s.Opt.SweepThreshold, s.Opt.SweepOptions),
+		s:           s,
+		st:          st,
+		work:        work,
+		sweep:       pipeline.NewSweepPass(s.Opt.SweepThreshold, s.Opt.SweepOptions),
+		linear:      pipeline.NewRunner(st, s.Opt.Trace, "qbf"),
+		linearSweep: pipeline.NewSweepPass(s.Opt.QBF.SweepThreshold, s.Opt.SweepOptions),
 	}
-	// Fold the pipeline's per-pass totals into the stats the paper reports;
-	// deferred so budget-stopped solves report partial counters too.
+	// Fold the ledger into Stats, once; deferred so budget-stopped solves
+	// report partial counters too.
 	defer func() {
-		up := r.Total("unitpure")
-		res.Stats.UnitPureTime = up.Wall
-		res.Stats.UnitElims = int(up.Counters["units"])
-		res.Stats.PureElims = int(up.Counters["pures"])
-		res.Stats.ElimSetTime = r.Total("elimset").Wall
-		n, sst := px.sweep.Stats()
-		res.Stats.Sweeps = n
-		res.Stats.Sweep = sst
+		res.Stats.ElimSet = px.elimSet
+		res.Stats.passes = r.Totals()
+		maps.Copy(res.Stats.passes, px.linear.Totals())
+		res.Stats.Sweeps, res.Stats.Sweep = px.sweep.Stats()
+		res.Stats.QBF.Sweeps, res.Stats.QBF.Sweep = px.linearSweep.Stats()
+		if st.G != nil {
+			res.Stats.PeakAIGNodes = st.G.NumNodes()
+		}
+		if st.Decided {
+			res.Stats.DecidedBy = st.DecidedBy
+		}
 		if st.Oracle != nil {
 			res.Stats.Oracle = st.Oracle.Stats()
 		}
@@ -277,7 +298,7 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 			return true
 		}
 		if st.G != nil && st.Matrix.IsConst() {
-			st.Decide(st.Matrix == aig.True, "constant")
+			st.Decide(st.Matrix == aig.True)
 			return true
 		}
 		return false
@@ -285,7 +306,6 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 	finish := func() Result {
 		res.Status = Solved
 		res.Sat = st.Sat
-		res.Stats.DecidedBy = st.DecidedBy
 		// Extraction replays against the original formula, after the verdict
 		// and after every trace event, so certified runs keep bit-identical
 		// pass schedules.
@@ -344,8 +364,9 @@ func (s *Solver) Solve(p *problem.Problem) (res Result) {
 // eliminateUniversal applies Theorem 1 to universal variable x:
 // ψ ≡ ∀-prefix without x : φ[0/x] ∧ φ[1/x][y'/y for y ∈ E_x], where every
 // existential depending on x is duplicated in the positive cofactor with
-// dependency set D_y ∖ {x}.
-func (s *Solver) eliminateUniversal(g *aig.Graph, work *dqbf.Formula, m aig.Ref, x cnf.Var, nextVar *cnf.Var, st *Stats, cb *cert.Builder) aig.Ref {
+// dependency set D_y ∖ {x}. It returns the new matrix and the number of
+// copies made.
+func (s *Solver) eliminateUniversal(g *aig.Graph, work *dqbf.Formula, m aig.Ref, x cnf.Var, nextVar *cnf.Var, cb *cert.Builder) (aig.Ref, int) {
 	cof0 := g.Cofactor(m, x, false)
 	cof1 := g.Cofactor(m, x, true)
 
@@ -376,7 +397,5 @@ func (s *Solver) eliminateUniversal(g *aig.Graph, work *dqbf.Formula, m aig.Ref,
 			work.Matrix.NumVars = int(yc)
 		}
 	}
-	st.UnivElims++
-	st.CopiesMade += len(ren)
-	return g.And(cof0, cof1)
+	return g.And(cof0, cof1), len(ren)
 }

@@ -179,7 +179,7 @@ func TestTseitinCircuitInstances(t *testing.T) {
 	}
 	// With gate detection on, at least one gate must be found.
 	res := New(DefaultOptions()).Solve(problem.FromDQBF(f))
-	if len(res.Stats.Preprocess.Gates) == 0 {
+	if res.Stats.Pass("hqs", "preprocess").Counters["gates"] == 0 {
 		t.Fatal("expected XOR gate detection")
 	}
 }
@@ -242,7 +242,7 @@ func TestStatsInstrumentation(t *testing.T) {
 	// Preprocessing solves Example 1 outright (the equivalences y1≡x1,
 	// y2≡x2 empty the matrix); verify that path first.
 	res := New(DefaultOptions()).Solve(problem.FromDQBF(paperExample1()))
-	if res.Stats.DecidedBy != "preprocess" || !res.Sat {
+	if res.Stats.DecidedBy != "hqs/preprocess" || !res.Sat {
 		t.Fatalf("Example 1 should be decided by preprocessing, got %+v", res.Stats)
 	}
 	// Without preprocessing the full pipeline runs: MaxSAT selection must
@@ -347,12 +347,11 @@ func TestEliminateUniversalSemantics(t *testing.T) {
 		// Apply Theorem 1 manually to universal variable 1, then re-decide
 		// with the default solver.
 		g := aig.New()
-		m := BuildMatrix(g, f.Matrix, nil)
+		m := buildMatrix(g, f.Matrix, nil)
 		work := f.Clone()
 		s := New(DefaultOptions())
 		next := cnf.Var(f.Matrix.NumVars + 1)
-		var st Stats
-		m2 := s.eliminateUniversal(g, work, m, 1, &next, &st, nil)
+		m2, _ := s.eliminateUniversal(g, work, m, 1, &next, nil)
 		// Decide the reduced formula via the QBF/HQS machinery on the AIG:
 		// rebuild a CNF via Tseitin and solve as DQBF.
 		got := solveAIGAsDQBF(t, g, m2, work)

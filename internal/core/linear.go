@@ -73,10 +73,8 @@ func retainQuantified(blocks []qblock, f *dqbf.Formula) []qblock {
 // same variables the state's formula quantifies) and returns the truth
 // value. A budget stop returns the pipeline's stop error.
 func (px *hqsPipeline) eliminateBlocks(st *pipeline.State, blocks []qblock) (bool, error) {
-	r := pipeline.NewRunner(st, px.s.Opt.Trace, "qbf")
-	sweep := pipeline.NewSweepPass(px.s.Opt.QBF.SweepThreshold, px.s.Opt.SweepOptions)
+	r, sweep := px.linear, px.linearSweep
 	sweep.Reset(st.G.ConeSize(st.Matrix))
-	defer func() { px.res.Stats.QBF.Sweeps, px.res.Stats.QBF.Sweep = sweep.Stats() }()
 
 	trySAT := true
 	finalSAT := pipeline.NewPass("finalsat", func(st *pipeline.State) (pipeline.Result, error) {
@@ -104,7 +102,7 @@ func (px *hqsPipeline) eliminateBlocks(st *pipeline.State, blocks []qblock) (boo
 			// functions.
 			st.Cert.RecordModel(model)
 		}
-		st.Decide(sat, "finalsat")
+		st.Decide(sat)
 		return pipeline.Result{Changed: true}, nil
 	})
 	blockElim := pipeline.NewPass("blockelim", func(st *pipeline.State) (pipeline.Result, error) {

@@ -25,33 +25,26 @@ func init() {
 
 // hqsPipeline holds the driver-side context the HQS passes close over: the
 // solver options, the shared pipeline state, the working formula behind the
-// state's prefix, the elimination-set queue, and the fresh-variable counter
-// for Theorem-1 copies.
+// state's prefix, the detected gates, the elimination-set queue, the
+// fresh-variable counter for Theorem-1 copies, and the linear phase's runner
+// and sweep pass.
 type hqsPipeline struct {
 	s     *Solver
 	st    *pipeline.State
 	work  *dqbf.Formula
-	res   *Result
 	sweep *pipeline.SweepPass
 
+	gates   []Gate
+	elimSet []cnf.Var
 	elim    []cnf.Var
 	nextVar cnf.Var
 	// elimExhausted is set by the thm1 pass when the dependency graph is
 	// still cyclic but no further universal can be selected; the driver then
 	// leaves the main loop for the linear phase.
 	elimExhausted bool
-}
 
-// track records the AIG high-water mark at the same points the monolithic
-// loop did: after the build, after each elimination, and after the linear
-// phase.
-func (px *hqsPipeline) track() {
-	if px.st.G == nil {
-		return
-	}
-	if n := px.st.G.NumNodes(); n > px.res.Stats.PeakAIGNodes {
-		px.res.Stats.PeakAIGNodes = n
-	}
+	linear      *pipeline.Runner
+	linearSweep *pipeline.SweepPass
 }
 
 // selectElim runs the elimination-set selection, mapping a budget stop onto
@@ -76,13 +69,13 @@ func (px *hqsPipeline) selectElim() ([]cnf.Var, error) {
 // preprocess is step 1 (CNF-level preprocessing and gate detection).
 func (px *hqsPipeline) preprocess() pipeline.Pass {
 	return pipeline.NewPass("preprocess", func(st *pipeline.State) (pipeline.Result, error) {
-		pr, err := PreprocessCert(px.work, px.s.Opt.DetectGates, st.Cert)
-		px.res.Stats.Preprocess = pr
+		pr, err := preprocessCert(px.work, px.s.Opt.DetectGates, st.Cert)
 		if err != nil {
 			return pipeline.Result{}, err
 		}
+		px.gates = pr.Gates
 		if pr.Decided {
-			st.Decide(pr.Value, "preprocess")
+			st.Decide(pr.Value)
 		}
 		c := pipeline.Counters{
 			"units":    int64(pr.Units),
@@ -107,9 +100,8 @@ func (px *hqsPipeline) build() pipeline.Pass {
 		// long-lived SAT instance of this run (sweep workers, MaxSAT
 		// backend, final check) and dies with the solve.
 		st.Oracle = oracle.NewPool(g)
-		st.Matrix = BuildMatrix(g, px.work.Matrix, px.res.Stats.Preprocess.Gates)
+		st.Matrix = buildMatrix(g, px.work.Matrix, px.gates)
 		px.sweep.Reset(g.ConeSize(st.Matrix))
-		px.track()
 		return pipeline.Result{Changed: true, Counters: pipeline.Counters{"nodes": int64(g.NumNodes())}}, nil
 	})
 }
@@ -127,8 +119,7 @@ func (px *hqsPipeline) elimset() pipeline.Pass {
 				elim[i], elim[j] = elim[j], elim[i]
 			}
 		}
-		px.elim = elim
-		px.res.Stats.ElimSet = elim
+		px.elim, px.elimSet = elim, elim
 		px.nextVar = cnf.Var(px.work.Matrix.NumVars + 1)
 		return pipeline.Result{
 			Changed:  len(elim) > 0,
@@ -153,10 +144,8 @@ func (px *hqsPipeline) thm2() pipeline.Pass {
 			st.Cert.RecordExists(y, st.Matrix)
 			st.Matrix = st.G.Exists(st.Matrix, y)
 			st.Prefix.Remove(y)
-			px.res.Stats.ExistElims++
 			res.Changed = true
 			res.Counters = res.Counters.Add(pipeline.Counters{"exist": 1})
-			px.track()
 			if st.Matrix.IsConst() {
 				return res, nil
 			}
@@ -195,15 +184,11 @@ func (px *hqsPipeline) thm1() pipeline.Pass {
 			}
 			px.elim = more
 		}
-		copiesBefore := px.res.Stats.CopiesMade
-		st.Matrix = px.s.eliminateUniversal(st.G, px.work, st.Matrix, x, &px.nextVar, &px.res.Stats, st.Cert)
-		px.track()
+		m, copies := px.s.eliminateUniversal(st.G, px.work, st.Matrix, x, &px.nextVar, st.Cert)
+		st.Matrix = m
 		return pipeline.Result{
-			Changed: true,
-			Counters: pipeline.Counters{
-				"univ":   1,
-				"copies": int64(px.res.Stats.CopiesMade - copiesBefore),
-			},
+			Changed:  true,
+			Counters: pipeline.Counters{"univ": 1, "copies": int64(copies)},
 		}, nil
 	})
 }
@@ -213,13 +198,12 @@ func (px *hqsPipeline) thm1() pipeline.Pass {
 // limit unwinds straight to Solve's recover; stop errors pass through.
 func (px *hqsPipeline) qbf() pipeline.Pass {
 	return pipeline.NewPass("qbf", func(st *pipeline.State) (pipeline.Result, error) {
-		defer px.track()
 		blocks := dqbf.Linearize(px.work)
 		sat, err := px.eliminateBlocks(st, linearBlocks(blocks))
 		if err != nil {
 			return pipeline.Result{}, err
 		}
-		st.Decide(sat, "qbf")
+		st.Decide(sat)
 		return pipeline.Result{Changed: true, Counters: pipeline.Counters{"blocks": int64(len(blocks))}}, nil
 	})
 }

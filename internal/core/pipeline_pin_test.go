@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/dqbf"
+	"repro/internal/pipeline"
 	"repro/internal/problem"
 	"repro/internal/trace"
 )
@@ -103,7 +105,8 @@ func pipelineCorpus(t *testing.T) []pinInstance {
 // trace event except its wall time. The hand-off event (stage "hqs", pass
 // "qbf") is hashed without its after-sizes: they describe the prefix the
 // linear phase leaves behind, which is not part of the pinned behaviour.
-func pipelineDigest(p *problem.Problem, opt core.Options) string {
+// The result and the events are returned for further checks.
+func pipelineDigest(p *problem.Problem, opt core.Options) (string, core.Result, []trace.Event) {
 	rec := trace.NewRecorder(1 << 20)
 	opt.Trace = rec
 	opt.Workers = 1
@@ -129,7 +132,41 @@ func pipelineDigest(p *problem.Problem, opt core.Options) string {
 		h.Write(line)
 		h.Write([]byte("\n"))
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return fmt.Sprintf("%x", h.Sum(nil)), res, rec.Events()
+}
+
+// passNames lists the passes of both stages.
+var passNames = []string{
+	"blockelim", "build", "dropsupport", "elimset", "finalsat",
+	"preprocess", "qbf", "sweep", "thm1", "thm2", "unitpure",
+}
+
+// checkLedger reports where res.Stats disagrees with the solve's trace: for
+// every stage and pass, Stats.Pass must count its events and sum their wall
+// times and counters, and DecidedBy must name one of them exactly when the
+// solve reached a verdict.
+func checkLedger(res core.Result, events []trace.Event) error {
+	want := map[string]pipeline.PassTotal{}
+	for _, ev := range events {
+		k := ev.Stage + "/" + ev.Pass
+		t := want[k]
+		t.Runs++
+		t.Wall += ev.Wall
+		t.Counters = t.Counters.Add(pipeline.Counters(ev.Counters))
+		want[k] = t
+	}
+	for _, stage := range []string{"hqs", "qbf"} {
+		for _, pass := range passNames {
+			got, w := res.Stats.Pass(stage, pass), want[stage+"/"+pass]
+			if got.Runs != w.Runs || got.Wall != w.Wall || !maps.Equal(got.Counters, w.Counters) {
+				return fmt.Errorf("Stats.Pass(%q, %q) = %+v, events sum to %+v", stage, pass, got, w)
+			}
+		}
+	}
+	if _, ok := want[res.Stats.DecidedBy]; ok != (res.Status == core.Solved) {
+		return fmt.Errorf("status %v decided by %q, which names no event", res.Status, res.Stats.DecidedBy)
+	}
+	return nil
 }
 
 // TestPipelineTracesPinned pins, for every instance of a fixed corpus under
@@ -137,14 +174,18 @@ func pipelineDigest(p *problem.Problem, opt core.Options) string {
 // complete observable behaviour of a solve: verdict or resource status, the
 // Skolem certificate, and the full trace of both stages with every counter
 // and size. A refactor of the pipeline's plumbing must leave every digest
-// unchanged.
+// unchanged. Each solve's Stats must also be the fold of its trace.
 //
 // Regenerate with: go test ./internal/core -run TestPipelineTracesPinned -update
 func TestPipelineTracesPinned(t *testing.T) {
 	var b bytes.Buffer
 	for _, inst := range pipelineCorpus(t) {
 		for _, v := range bench.AblationVariants() {
-			fmt.Fprintf(&b, "%s %s %s\n", inst.name, v.Name, pipelineDigest(inst.p, v.Opt))
+			digest, res, events := pipelineDigest(inst.p, v.Opt)
+			fmt.Fprintf(&b, "%s %s %s\n", inst.name, v.Name, digest)
+			if err := checkLedger(res, events); err != nil {
+				t.Errorf("%s %s: %v", inst.name, v.Name, err)
+			}
 		}
 	}
 	got := b.String()

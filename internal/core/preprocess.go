@@ -114,13 +114,13 @@ func (p *preprocessor) depsOf(v cnf.Var) *dqbf.VarSet {
 // and equivalent-variable substitution; finally Tseitin gate detection
 // (Section III-C). The formula is modified in place.
 func Preprocess(f *dqbf.Formula, detectGates bool) (PreprocessResult, error) {
-	return PreprocessCert(f, detectGates, nil)
+	return preprocessCert(f, detectGates, nil)
 }
 
-// PreprocessCert is Preprocess with certificate recording: existential unit
+// preprocessCert is Preprocess with certificate recording: existential unit
 // assignments, equivalence substitutions and detected gates each record one
 // reconstruction step into cb (nil-safe, so uncertified callers pass nil).
-func PreprocessCert(f *dqbf.Formula, detectGates bool, cb *cert.Builder) (PreprocessResult, error) {
+func preprocessCert(f *dqbf.Formula, detectGates bool, cb *cert.Builder) (PreprocessResult, error) {
 	p := newPreprocessor(f, cb)
 	// Normalize: drop tautological clauses and duplicate literals up front —
 	// universal reduction and unit propagation assume normalized clauses.

@@ -23,8 +23,6 @@ package pipeline
 
 import (
 	"errors"
-	"sort"
-	"sync"
 
 	"repro/internal/aig"
 	"repro/internal/budget"
@@ -69,18 +67,19 @@ type State struct {
 	// clauses survive across passes. A pipeline that sweeps must set it.
 	Oracle *oracle.Pool
 
-	// Decided, Sat and DecidedBy carry the verdict once a pass settles the
-	// formula.
-	Decided   bool
-	Sat       bool
+	// Decided and Sat carry the verdict once a pass settles the formula.
+	Decided bool
+	Sat     bool
+	// DecidedBy is stamped by the Runner as "stage/pass" (such as
+	// "hqs/preprocess" or "qbf/finalsat") on the first pass execution after
+	// which the state is decided or the matrix is constant.
 	DecidedBy string
 }
 
 // Decide records a verdict on the state.
-func (st *State) Decide(sat bool, by string) {
+func (st *State) Decide(sat bool) {
 	st.Decided = true
 	st.Sat = sat
-	st.DecidedBy = by
 }
 
 // Stop reports whether the pipeline must unwind: ErrTimeout past the
@@ -149,41 +148,15 @@ func NewPass(name string, fn func(*State) (Result, error)) Pass {
 	return funcPass{name: name, fn: fn}
 }
 
-// passRegistry lists every known pass name; each registration also creates
-// the pass's fault-injection point so chaos specs can target it.
-var passRegistry struct {
-	mu    sync.Mutex
-	names []string
-	seen  map[string]bool
-}
-
-// RegisterPass registers a pass name (idempotent) and its
-// "pipeline.<name>" fault point, returning the point. Packages contributing
-// passes register their names at init time so flag-time fault-spec
-// validation (hqsd -faults) accepts them before any solve runs.
+// RegisterPass registers a pass name's "pipeline.<name>" fault point
+// (idempotent) and returns it. Packages contributing passes register their
+// names at init time so flag-time fault-spec validation (hqsd -faults)
+// accepts them before any solve runs.
 func RegisterPass(name string) faults.Point {
-	pt := FaultPoint(name)
-	passRegistry.mu.Lock()
-	defer passRegistry.mu.Unlock()
-	if passRegistry.seen == nil {
-		passRegistry.seen = make(map[string]bool)
-	}
-	if !passRegistry.seen[name] {
-		passRegistry.seen[name] = true
-		passRegistry.names = append(passRegistry.names, name)
-		faults.Register(pt)
-	}
+	pt := faultPoint(name)
+	faults.Register(pt)
 	return pt
 }
 
-// PassNames returns every registered pass name, sorted.
-func PassNames() []string {
-	passRegistry.mu.Lock()
-	defer passRegistry.mu.Unlock()
-	out := append([]string(nil), passRegistry.names...)
-	sort.Strings(out)
-	return out
-}
-
-// FaultPoint returns the fault-injection point of a pass name.
-func FaultPoint(name string) faults.Point { return faults.Point("pipeline." + name) }
+// faultPoint returns the fault-injection point of a pass name.
+func faultPoint(name string) faults.Point { return faults.Point("pipeline." + name) }

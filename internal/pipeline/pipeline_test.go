@@ -95,3 +95,37 @@ func TestRunnerFaultMapping(t *testing.T) {
 		t.Fatal("pass body ran despite injected unknown")
 	}
 }
+
+// TestRunnerStampsDecidedBy: the runner names the first pass execution
+// after which the state is decided or the matrix constant, as
+// "stage/pass", and later executions leave that name alone.
+func TestRunnerStampsDecidedBy(t *testing.T) {
+	g := aig.New()
+	st := &pipeline.State{G: g, Matrix: g.Input(1)}
+	noop := pipeline.NewPass("dropsupport", func(*pipeline.State) (pipeline.Result, error) {
+		return pipeline.Result{}, nil
+	})
+	fold := pipeline.NewPass("thm2", func(st *pipeline.State) (pipeline.Result, error) {
+		st.Matrix = st.G.Exists(st.Matrix, 1)
+		return pipeline.Result{Changed: true}, nil
+	})
+	decide := pipeline.NewPass("finalsat", func(st *pipeline.State) (pipeline.Result, error) {
+		st.Decide(true)
+		return pipeline.Result{Changed: true}, nil
+	})
+	r := pipeline.NewRunner(st, nil, "hqs")
+	if _, err := r.Run(noop); err != nil || st.DecidedBy != "" {
+		t.Fatalf("after a pass leaving the matrix open: err %v, DecidedBy %q", err, st.DecidedBy)
+	}
+	if _, err := r.Run(fold); err != nil || st.DecidedBy != "hqs/thm2" {
+		t.Fatalf("after the matrix became constant: err %v, DecidedBy %q, want hqs/thm2", err, st.DecidedBy)
+	}
+	if _, err := pipeline.NewRunner(st, nil, "qbf").Run(decide); err != nil || st.DecidedBy != "hqs/thm2" {
+		t.Fatalf("a later decision restamped: err %v, DecidedBy %q, want hqs/thm2", err, st.DecidedBy)
+	}
+
+	st = &pipeline.State{}
+	if _, err := pipeline.NewRunner(st, nil, "qbf").Run(decide); err != nil || st.DecidedBy != "qbf/finalsat" {
+		t.Fatalf("after Decide on a state without a graph: err %v, DecidedBy %q, want qbf/finalsat", err, st.DecidedBy)
+	}
+}

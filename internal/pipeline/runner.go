@@ -18,8 +18,9 @@ type PassTotal struct {
 
 // Runner executes passes over one shared State: it polls the budget before
 // each pass, fires the pass's "pipeline.<pass>" fault point, measures the
-// execution, emits one trace.Event per executed pass, and aggregates
-// per-pass totals for the driver's stats.
+// execution, emits one trace.Event per executed pass, stamps the state's
+// DecidedBy, and aggregates per-pass totals, which are the driver's only
+// record of what the passes did.
 type Runner struct {
 	st    *State
 	sink  trace.Sink
@@ -38,9 +39,10 @@ func NewRunner(st *State, sink trace.Sink, stage string) *Runner {
 // Run executes one pass. It returns ErrTimeout/ErrCancelled when the budget
 // stops the pipeline (before the pass, via an injected spurious Unknown, or
 // reported by the pass itself), a hard error when the pass fails or a fault
-// plan injects one, and nil otherwise. A trace event is emitted for every
-// execution that reaches the pass body, stop errors included; panics
-// (aig.ErrNodeLimit in particular) propagate to the driver's recover.
+// plan injects one, and nil otherwise. A trace event is emitted and the
+// totals are updated for every execution that reaches the pass body, stop
+// errors included; panics (aig.ErrNodeLimit in particular) propagate to the
+// driver's recover.
 func (r *Runner) Run(p Pass) (Result, error) {
 	if err := r.st.Stop(); err != nil {
 		return Result{}, err
@@ -49,7 +51,7 @@ func (r *Runner) Run(p Pass) (Result, error) {
 	// chaos harness can target any stage of any pipeline. A spurious Unknown
 	// unwinds like a cancellation; other injected errors surface as hard
 	// pass failures (and injected panics propagate to the engine's recover).
-	if ferr := r.st.Budget.Faults().Fire(FaultPoint(p.Name())); ferr != nil {
+	if ferr := r.st.Budget.Faults().Fire(faultPoint(p.Name())); ferr != nil {
 		if errors.Is(ferr, faults.ErrUnknown) {
 			return Result{}, ErrCancelled
 		}
@@ -70,6 +72,9 @@ func (r *Runner) Run(p Pass) (Result, error) {
 	t.Runs++
 	t.Wall += wall
 	t.Counters = t.Counters.Add(res.Counters)
+	if r.st.DecidedBy == "" && (r.st.Decided || r.st.G != nil && r.st.Matrix.IsConst()) {
+		r.st.DecidedBy = r.stage + "/" + p.Name()
+	}
 
 	if r.sink != nil {
 		ev := trace.Event{
@@ -97,12 +102,14 @@ func (r *Runner) Run(p Pass) (Result, error) {
 	return res, err
 }
 
-// Total returns the aggregate of every execution of the named pass.
-func (r *Runner) Total(name string) PassTotal {
-	if t := r.totals[name]; t != nil {
-		return *t
+// Totals returns the aggregate of every pass this runner executed, keyed by
+// "stage/pass".
+func (r *Runner) Totals() map[string]PassTotal {
+	out := make(map[string]PassTotal, len(r.totals))
+	for name, t := range r.totals {
+		out[r.stage+"/"+name] = *t
 	}
-	return PassTotal{}
+	return out
 }
 
 func (r *Runner) nodes() int {

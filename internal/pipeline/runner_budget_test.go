@@ -48,7 +48,7 @@ func TestRunnerBudgetExpiryMidPass(t *testing.T) {
 	if evs[0].Err != pipeline.ErrCancelled.Error() {
 		t.Fatalf("trace event error %q, want %q", evs[0].Err, pipeline.ErrCancelled)
 	}
-	if total := r.Total("unitpure"); total.Runs != 1 {
+	if total := r.Totals()["test/unitpure"]; total.Runs != 1 {
 		t.Fatalf("pass totals recorded %d runs, want 1", total.Runs)
 	}
 }
