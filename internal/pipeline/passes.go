@@ -32,16 +32,20 @@ func (UnitPurePass) Name() string { return "unitpure" }
 // out and removed from the prefix, recomputing the unit/pure flags after
 // every elimination. Stop is polled between fixpoint rounds.
 func (UnitPurePass) Run(st *State) (Result, error) {
-	var res Result
 	var units, pures int64
-	defer func() {
+	changed := false
+	// result reports the eliminations made so far; every return goes
+	// through it.
+	result := func(err error) (Result, error) {
+		res := Result{Changed: changed}
 		if units > 0 || pures > 0 {
 			res.Counters = Counters{"units": units, "pures": pures}
 		}
-	}()
+		return res, err
+	}
 	for {
 		if err := st.Stop(); err != nil {
-			return res, err
+			return result(err)
 		}
 		up := st.G.UnitPure(st.Matrix)
 		vars := make([]cnf.Var, 0, len(up))
@@ -50,7 +54,7 @@ func (UnitPurePass) Run(st *State) (Result, error) {
 		}
 		slices.Sort(vars)
 		univSet := st.Prefix.UniversalSet()
-		changed := false
+		eliminated := false
 		for _, v := range vars {
 			p := up[v]
 			exist := st.Prefix.IsExistential(v)
@@ -71,8 +75,8 @@ func (UnitPurePass) Run(st *State) (Result, error) {
 				// A universal unit means the opposite value falsifies the
 				// matrix: the formula is false.
 				st.Matrix = aig.False
-				res.Changed = true
-				return res, nil
+				changed = true
+				return result(nil)
 			case exist && p.PosPure:
 				st.Cert.RecordConst(v, true)
 				st.Matrix = st.G.Cofactor(st.Matrix, v, true)
@@ -91,15 +95,14 @@ func (UnitPurePass) Run(st *State) (Result, error) {
 				continue
 			}
 			st.Prefix.Remove(v)
-			changed = true
-			res.Changed = true
+			eliminated, changed = true, true
 			if st.Matrix.IsConst() {
-				return res, nil
+				return result(nil)
 			}
 			break // recompute unit/pure flags on the new matrix
 		}
-		if !changed {
-			return res, nil
+		if !eliminated {
+			return result(nil)
 		}
 	}
 }
