@@ -90,10 +90,11 @@ check: vet fmt test race fuzz-smoke fuzz-native chaos chaos-store serve-smoke cl
 # -faults drill — one plan from the flag fails the first dispatch and the
 # first engine attempt of the next job, which the retry answers, and a plan
 # naming an unregistered point is refused; then hqs itself refuses a retired
-# engine name with the unknown-engine error.
+# engine name with the unknown-engine error, and hqs -stats names the
+# deciding pass and counts the main loop's unit/pure eliminations.
 serve-smoke:
 	$(GO) test -tags smoke -run 'TestServeSmoke|TestStoreKillRecoverySmoke|TestServeFaultsSmoke' -v ./cmd/hqsd
-	$(GO) test -tags smoke -run 'TestHQSRetiredEngineSmoke' -v ./cmd/hqs
+	$(GO) test -tags smoke -run 'TestHQSRetiredEngineSmoke|TestHQSStatsSmoke' -v ./cmd/hqs
 
 # End-to-end cluster smoke: build hqsd and hqsc, start two workers under a
 # coordinator, solve the example through the cluster with a certificate,
