@@ -8,9 +8,8 @@ import (
 	"repro/internal/sat"
 )
 
-// testOracle is a persistent SweepOracle over one solver and CNFBuilder,
-// built the way internal/oracle builds its own (which this package cannot
-// import).
+// testOracle is a SweepOracle over one solver and CNFBuilder, built the way
+// internal/oracle builds its own (which this package cannot import).
 type testOracle struct {
 	s *sat.Solver
 	b *CNFBuilder
@@ -33,7 +32,8 @@ func (o *testOracle) ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.
 
 func (o *testOracle) Footprint() (int, int64) { return o.s.ArenaBytes(), o.s.Stats.Compactions }
 
-// testOraclePool hands out one testOracle per worker index.
+// testOraclePool hands out one testOracle per worker index and, like
+// oracle.Pool, drops them when a sweep retires its workers.
 type testOraclePool struct {
 	g  *Graph
 	mu sync.Mutex
@@ -52,6 +52,12 @@ func (p *testOraclePool) WorkerOracle(i int) SweepOracle {
 		p.os[i] = &testOracle{s: s, b: NewCNFBuilder(p.g, s)}
 	}
 	return p.os[i]
+}
+
+func (p *testOraclePool) RetireWorkers() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	clear(p.os)
 }
 
 // testSweepOptions returns opt with a fresh test oracle pool over g, as every

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -26,12 +25,11 @@ func (r *rng) next() uint64 {
 	return x
 }
 
-// SweepOracle is a persistent equivalence oracle queried by one sweep
-// worker. Implementations (internal/oracle) keep a long-lived incremental
-// SAT solver plus Tseitin memo alive across sweep rounds, so candidate
-// checks are assumption queries against an already-loaded solver. An oracle
-// is NOT safe for concurrent use; the pool hands each index to exactly one
-// worker.
+// SweepOracle is an incremental equivalence oracle queried by one sweep
+// worker. Implementations (internal/oracle) keep one incremental SAT solver
+// plus Tseitin memo alive for the whole sweep, so each candidate check is an
+// assumption query against an already-loaded solver. An oracle is NOT safe
+// for concurrent use; the pool hands each index to exactly one worker.
 type SweepOracle interface {
 	// ProveEquiv reports whether the functions rooted at lhs and rhs are
 	// equivalent, spending at most conflictBudget conflicts per SAT query
@@ -47,12 +45,18 @@ type SweepOracle interface {
 	Footprint() (arenaBytes int, compactions int64)
 }
 
-// SweepOraclePool supplies one persistent SweepOracle per worker index.
+// SweepOraclePool supplies one SweepOracle per worker index for the
+// duration of one sweep.
 type SweepOraclePool interface {
 	// WorkerOracle returns the oracle owned by worker i, creating it on
 	// first use. A sweep fetches every worker's oracle before starting its
 	// workers; the returned oracle itself is single-goroutine.
 	WorkerOracle(i int) SweepOracle
+	// RetireWorkers is called once a sweep's candidate checks are done.
+	// The pool may drop its worker oracles, so the next sweep starts on
+	// fresh ones: an oracle that carries earlier cones' clauses and learnts
+	// makes every later query propagate over them.
+	RetireWorkers()
 }
 
 // SweepStats reports what a sweep did.
@@ -136,10 +140,11 @@ type SweepOptions struct {
 	// other; only budget exhaustion is history-sensitive).
 	Workers int
 	// Oracles supplies the SAT side of the sweep: worker i checks its
-	// candidates with assumption queries against the pool's persistent
-	// oracle i (see internal/oracle), so Tseitin encodings and learned
-	// clauses survive across sweep rounds. It is required whenever a cone
-	// has more than exactInputs inputs; a smaller cone never reaches SAT.
+	// candidates with assumption queries against the pool's oracle i (see
+	// internal/oracle), so Tseitin encodings and learned clauses carry from
+	// one candidate to the next; the pool retires the oracles when the
+	// sweep ends. It is required whenever a cone has more than exactInputs
+	// inputs; a smaller cone never reaches SAT.
 	Oracles SweepOraclePool
 }
 
@@ -244,7 +249,7 @@ const (
 // so equal signatures are equal functions: every candidate is merged at once
 // and the sweep issues no SAT call (SweepStats.Exact). A larger cone gets
 // pseudo-random signatures, and its candidates are checked on opt.Workers
-// persistent oracles of opt.Oracles, one per goroutine. Candidates are
+// oracles of opt.Oracles, one per goroutine, bottom-up. Candidates are
 // independent of one another (each compares a node against the fixed
 // representative of its signature class), so proven merges are applied in
 // deterministic candidate order afterwards and the swept graph is
@@ -349,9 +354,9 @@ func (g *Graph) sweep(r Ref, opt SweepOptions, forceSAT bool) (Ref, SweepStats) 
 }
 
 // candidates simulates the cone on words 64-bit words per input and
-// returns, in deterministic order, one candidate per class member that is
-// not its class's representative: members share a signature up to
-// complement. When the cone's k inputs have at most 64·words assignments,
+// returns one candidate per class member that is not its class's
+// representative, in ascending position of that member (bottom-up): members
+// share a signature up to complement. When the cone's k inputs have at most 64·words assignments,
 // the patterns enumerate them all, in Exhaustive's order, and exact is true:
 // every signature is a truth table (repeated when k < 6), so every candidate
 // is an equivalence. Otherwise the patterns are pseudo-random. It returns
@@ -409,48 +414,40 @@ func (c *coneIndex) candidates(words int, expired func() bool) (cands []sweepCan
 		}
 		return bucketKey(buf), int32(inv)
 	}
-	buckets := make(map[bucketKey][]int32)
-	var keys []bucketKey
-	for p := int32(1); int(p) < len(c.fanin); p++ { // topological, so members are too
-		key, _ := normSig(p)
-		if _, seen := buckets[key]; !seen {
-			keys = append(keys, key)
-		}
-		buckets[key] = append(buckets[key], p)
-	}
-	// Deterministic class order: by topologically smallest representative.
-	sort.Slice(keys, func(i, j int) bool {
-		return buckets[keys[i]][0] < buckets[keys[j]][0]
-	})
-
-	// Merge each class member into its representative. A representative is
-	// never itself merged away (each node sits in exactly one class), so
-	// candidates are mutually independent and can be checked in any order —
-	// or concurrently.
-	for _, key := range keys {
-		members := buckets[key]
-		if len(members) < 2 {
+	// Merge each class member into its representative, the class's first
+	// node in topological order: reps maps each signature to its
+	// representative's position edge. A representative is never itself
+	// merged away (each node sits in exactly one class), so candidates are
+	// mutually independent and can be checked in any order — or
+	// concurrently.
+	reps := make(map[bucketKey]int32)
+	for p := int32(1); int(p) < len(c.fanin); p++ {
+		key, inv := normSig(p)
+		rep, seen := reps[key]
+		if !seen {
+			reps[key] = p<<1 | inv
 			continue
 		}
-		rep := members[0]
-		_, invRep := normSig(rep)
-		repRef := Ref(c.nodes[rep-1]<<1 | invRep)
-		for _, p := range members[1:] {
-			_, inv := normSig(p)
-			cands = append(cands, sweepCand{
-				lhs:    rep<<1 | invRep,
-				rhs:    p<<1 | inv,
-				lhsRef: repRef,
-				rhsRef: Ref(c.nodes[p-1]<<1 | inv),
-			})
-		}
+		cands = append(cands, sweepCand{
+			lhs:    rep,
+			rhs:    p<<1 | inv,
+			lhsRef: Ref(c.nodes[rep>>1-1]<<1 | rep&1),
+			rhsRef: Ref(c.nodes[p-1]<<1 | inv),
+		})
 	}
 	return cands, exact, true
 }
 
-// checkCandidates decides every candidate on opt.Workers persistent
-// oracles of opt.Oracles and returns the verdicts, indexed like cands, with
-// the pool's stats (Merged left for the caller).
+// checkCandidates decides every candidate on opt.Workers oracles of
+// opt.Oracles, retires them, and returns the verdicts, indexed like cands,
+// with the pool's stats (Merged left for the caller).
+//
+// Candidates come bottom-up, in ascending position of their merged node
+// (rhs), and are checked in that order, as FRAIG construction proves
+// equivalences while the graph is built: each query then finds the cone
+// below it already encoded, with the clauses learned proving lower pairs
+// equivalent, instead of encoding the top of the cone first. The order
+// changes what each query costs, never its verdict.
 //
 // Every refuted candidate yields a counterexample, and each worker simulates
 // its counterexamples over the cone, one per bit of a 64-bit word per
@@ -469,6 +466,7 @@ func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, opt SweepOption
 	for w := range oracles {
 		oracles[w] = opt.Oracles.WorkerOracle(w)
 	}
+	defer opt.Oracles.RetireWorkers()
 
 	// runWorker checks cands[w], cands[w+workers], ... on oracle w. Static
 	// striding keeps each worker's query sequence — and therefore any

@@ -14,9 +14,15 @@ import (
 // is deterministic so that two calls on fresh graphs yield identical node
 // numbering.
 func buildRedundantCone(g *Graph, groups int) Ref {
+	return g.OrN(redundantGroups(g, 1, groups)...)
+}
+
+// redundantGroups builds the parts of buildRedundantCone: two per group,
+// group i over the three inputs first+3i, first+3i+1 and first+3i+2.
+func redundantGroups(g *Graph, first cnf.Var, groups int) []Ref {
 	var parts []Ref
 	for i := 0; i < groups; i++ {
-		base := cnf.Var(1 + 3*i)
+		base := first + cnf.Var(3*i)
 		a, b, c := g.Input(base), g.Input(base+1), g.Input(base+2)
 		// (a∧b)∧c vs a∧(b∧c): equivalent, structurally different.
 		left := g.And(g.And(a, b), c)
@@ -30,7 +36,7 @@ func buildRedundantCone(g *Graph, groups int) Ref {
 			g.Or(right.Not(), g.And(xor2, c.Not())),
 		)
 	}
-	return g.OrN(parts...)
+	return parts
 }
 
 // buildFalseCandidateCone constructs a cone full of simulation-equal but
@@ -98,6 +104,56 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		}
 		if !gPar.Equivalent(rp, parRef) {
 			t.Fatalf("workers=%d: sweep changed the function", workers)
+		}
+	}
+}
+
+// TestSweepIndependentOfOracleHistory checks that what a sweep merges does
+// not depend on what its oracles answered before: with no conflict budget,
+// a sweep on a fresh pool, one whose worker oracle already encodes an
+// unrelated cone (with its clauses and learnts), and one on two workers
+// return the same root and merge the same pairs. Checking candidates in any
+// order, on oracles of any history, rests on this.
+func TestSweepIndependentOfOracleHistory(t *testing.T) {
+	builders := []struct {
+		name              string
+		target, unrelated func(*Graph) Ref
+	}{
+		{"redundant", func(g *Graph) Ref { return buildRedundantCone(g, 6) }, func(g *Graph) Ref { return buildFalseCandidateCone(g, 12) }},
+		{"false-candidate", func(g *Graph) Ref { return buildFalseCandidateCone(g, 24) }, func(g *Graph) Ref { return buildRedundantCone(g, 4) }},
+	}
+	for _, b := range builders {
+		build := func() (*Graph, Ref, Ref) {
+			g := New()
+			u := b.unrelated(g)
+			return g, b.target(g), u
+		}
+		g, r, _ := build()
+		if n := len(g.Support(r)); n <= exactInputs {
+			t.Fatalf("%s: cone reads %d inputs; the check needs more than %d", b.name, n, exactInputs)
+		}
+		freshRef, fresh := g.Sweep(r, testSweepOptions(g, SweepOptions{Workers: 1}))
+		if fresh.SatCalls == 0 {
+			t.Fatalf("%s: the sweep made no SAT call", b.name)
+		}
+
+		gp, rp, u := build()
+		pool := newTestOraclePool(gp)
+		for _, other := range []Ref{False, True} {
+			if _, calls, _ := pool.WorkerOracle(0).ProveEquiv(u, other, 0, nil); calls == 0 {
+				t.Fatalf("%s: priming the oracle made no SAT call", b.name)
+			}
+		}
+		primedRef, primed := gp.Sweep(rp, SweepOptions{Workers: 1, Oracles: pool})
+
+		gw, rw, _ := build()
+		parRef, par := gw.Sweep(rw, testSweepOptions(gw, SweepOptions{Workers: 2}))
+
+		if primedRef != freshRef || primed.Merged != fresh.Merged {
+			t.Fatalf("%s: primed oracle swept to %v with %d merges; fresh pool gave %v with %d", b.name, primedRef, primed.Merged, freshRef, fresh.Merged)
+		}
+		if parRef != freshRef || par.Merged != fresh.Merged {
+			t.Fatalf("%s: two workers swept to %v with %d merges; one gave %v with %d", b.name, parRef, par.Merged, freshRef, fresh.Merged)
 		}
 	}
 }
@@ -194,6 +250,7 @@ func TestSweepWithoutOraclesFailsLoudly(t *testing.T) {
 type panicOraclePool struct{}
 
 func (panicOraclePool) WorkerOracle(int) SweepOracle { return panicOracle{} }
+func (panicOraclePool) RetireWorkers()               {}
 
 type panicOracle struct{}
 

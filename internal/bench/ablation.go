@@ -46,6 +46,9 @@ type AblationRow struct {
 	Timeouts     int
 	Memouts      int
 	TotalSeconds float64 // over solved instances
+	// PeakNodesSum sums the peak AIG node count over solved instances only:
+	// a timed-out or memout solve's peak is wherever the budget stopped it,
+	// which moves with machine speed and the node cap.
 	PeakNodesSum int
 	// OracleQueries / OracleIncremental sum the persistent-oracle reuse
 	// counters over every instance: how many SAT queries the variant issued
@@ -78,12 +81,12 @@ func RunAblation(instances []Instance, variants []AblationVariant, timeout time.
 			case core.Solved:
 				row.Solved++
 				row.TotalSeconds += sec
+				row.PeakNodesSum += res.Stats.PeakAIGNodes
 			case core.Timeout:
 				row.Timeouts++
 			case core.Memout:
 				row.Memouts++
 			}
-			row.PeakNodesSum += res.Stats.PeakAIGNodes
 			row.OracleQueries += res.Stats.Oracle.Queries
 			row.OracleIncremental += res.Stats.Oracle.Incremental
 			for _, s := range trace.Summarize(rec.Events()) {
@@ -98,6 +101,7 @@ func RunAblation(instances []Instance, variants []AblationVariant, timeout time.
 // FormatAblation renders the ablation rows as a table.
 func FormatAblation(rows []AblationRow, nInstances int) string {
 	var b strings.Builder
+	b.WriteString("time and peak nodes are summed over solved instances\n")
 	fmt.Fprintf(&b, "%-18s %8s %4s %4s %12s %12s %16s\n",
 		"variant", "solved", "TO", "MO", "time [s]", "peak nodes", "oracle q (incr)")
 	b.WriteString(strings.Repeat("-", 81) + "\n")

@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/cnf"
+	"repro/internal/core"
 	"repro/internal/dqbf"
+	"repro/internal/problem"
 )
 
 func smallGen() GenOptions {
@@ -191,6 +194,38 @@ func TestAblationRunner(t *testing.T) {
 	}
 	if !strings.Contains(FormatAblation(rows, len(insts)), "variant") {
 		t.Fatal("missing ablation header")
+	}
+}
+
+// TestAblationPeakNodesOverSolved checks that a row's peak-node sum counts
+// solved instances only: under a node cap that makes one instance memout,
+// the sum equals the peaks of the solves that finished, and the memout's
+// own peak (wherever the cap stopped it) is left out.
+func TestAblationPeakNodesOverSolved(t *testing.T) {
+	insts, err := Generate(FamilyPecXor, GenOptions{Count: 3, Seed: 5, MaxWidth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodeCap = 400
+	v := AblationVariants()[0]
+	want, memoutPeak := 0, 0
+	for _, inst := range insts {
+		opt := v.Opt
+		opt.Budget = budget.New(budget.Limits{Timeout: time.Minute, Nodes: nodeCap})
+		res := core.New(opt).Solve(problem.FromDQBF(inst.Formula))
+		switch res.Status {
+		case core.Solved:
+			want += res.Stats.PeakAIGNodes
+		case core.Memout:
+			memoutPeak += res.Stats.PeakAIGNodes
+		}
+	}
+	row := RunAblation(insts, []AblationVariant{v}, time.Minute, nodeCap)[0]
+	if row.Memouts == 0 || row.Solved == 0 || memoutPeak == 0 {
+		t.Fatalf("node cap %d should memout some instances and solve others: %+v", nodeCap, row)
+	}
+	if row.PeakNodesSum != want {
+		t.Fatalf("PeakNodesSum = %d; want %d, the sum over solved instances (memouts peaked at %d)", row.PeakNodesSum, want, memoutPeak)
 	}
 }
 

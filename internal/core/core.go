@@ -171,8 +171,8 @@ type Stats struct {
 	// unless the solve reached a verdict.
 	DecidedBy string
 
-	// Oracle aggregates the reuse counters of the run's persistent
-	// incremental SAT pool.
+	// Oracle aggregates the reuse counters of the run's incremental SAT
+	// pool, the retired oracles of earlier sweeps included.
 	Oracle oracle.Stats
 
 	// passes holds the pipeline runners' totals, keyed by "stage/pass".

@@ -86,9 +86,8 @@ func (px *hqsPipeline) eliminateBlocks(st *pipeline.State, blocks []qblock) (boo
 			return pipeline.Result{}, nil
 		}
 		// Outermost existential block: one SAT call, under the budget so a
-		// cancellation interrupts the CDCL search itself. The check reuses
-		// the run's incremental solver — the matrix cone is usually already
-		// largely encoded from earlier sweeps.
+		// cancellation interrupts the CDCL search itself. The check runs on
+		// the run's main oracle, whose model becomes the certificate.
 		sat, model, err := st.Oracle.Main().IsSatisfiable(st.Matrix, st.Budget)
 		if err != nil {
 			if stop := st.Stop(); stop != nil {

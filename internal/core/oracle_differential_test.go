@@ -10,6 +10,7 @@ import (
 	"repro/internal/dqbf"
 	"repro/internal/expand"
 	"repro/internal/problem"
+	"repro/internal/trace"
 )
 
 // oracleConfigs are the pipeline configurations the differential suite holds
@@ -81,5 +82,42 @@ func TestOracleDifferentialFamilies(t *testing.T) {
 		if !sawOracleQueries {
 			t.Fatalf("family %s never exercised the persistent oracle", fam)
 		}
+	}
+}
+
+// TestOracleStatsCountRetiredSweepOracles checks that Stats.Oracle keeps the
+// counters of sweep oracles after each sweep retires them: every sweep SAT
+// call is an oracle query, and every sweep that reached SAT built one
+// oracle (the solve is serial), besides at most the main oracle and the
+// MaxSAT backend.
+func TestOracleStatsCountRetiredSweepOracles(t *testing.T) {
+	insts, err := bench.Generate(bench.FamilyAdder, bench.GenOptions{Count: 3, Seed: 20150309, MaxWidth: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := insts[len(insts)-1] // width 6
+	rec := trace.NewRecorder(0)
+	opt := core.DefaultOptions()
+	opt.Workers = 1
+	opt.Trace = rec
+	res := core.New(opt).Solve(problem.FromDQBF(inst.Formula))
+	if res.Status != core.Solved {
+		t.Fatalf("%s: status %v", inst.Name, res.Status)
+	}
+	sweepOracles := int64(0)
+	for _, ev := range rec.Events() {
+		if ev.Pass == "sweep" && ev.Counters["satcalls"] > 0 {
+			sweepOracles++
+		}
+	}
+	if sweepOracles < 2 {
+		t.Fatalf("%s: %d sweeps reached SAT; the check needs at least 2", inst.Name, sweepOracles)
+	}
+	st := res.Stats
+	if calls := int64(st.Sweep.SatCalls + st.QBF.Sweep.SatCalls); st.Oracle.Queries < calls {
+		t.Fatalf("%s: %d oracle queries, fewer than the sweeps' %d SAT calls", inst.Name, st.Oracle.Queries, calls)
+	}
+	if r := st.Oracle.Rebuilds; r < sweepOracles || r > sweepOracles+2 {
+		t.Fatalf("%s: %d oracle rebuilds; want %d sweep oracles plus at most the main oracle and the MaxSAT backend", inst.Name, r, sweepOracles)
 	}
 }

@@ -96,9 +96,10 @@ func (px *hqsPipeline) build() pipeline.Pass {
 		g := aig.New()
 		g.NodeLimit = px.s.Opt.Budget.NodeCap()
 		st.G = g
-		// The persistent oracle pool is born with the graph: it owns every
-		// long-lived SAT instance of this run (sweep workers, MaxSAT
-		// backend, final check) and dies with the solve.
+		// The oracle pool is born with the graph: it owns every SAT
+		// instance of this run (the MaxSAT backend and final check, which
+		// live for the solve, and each sweep's worker oracles, which live
+		// for that sweep) and dies with the solve.
 		st.Oracle = oracle.NewPool(g)
 		st.Matrix = buildMatrix(g, px.work.Matrix, px.gates)
 		px.sweep.Reset(g.ConeSize(st.Matrix))

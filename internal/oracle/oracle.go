@@ -1,18 +1,21 @@
-// Package oracle provides the pipeline's persistent incremental SAT
-// substrate: one long-lived CDCL solver plus Tseitin builder per consumer,
-// kept alive across passes so that encodings and learned clauses are reused
-// instead of rebuilt for every query. Every SAT question of a solve — each
-// sweep round, each MaxSAT elimination-set step, the final SAT check — goes
-// through the run's Pool.
+// Package oracle provides the pipeline's incremental SAT substrate: one
+// CDCL solver plus Tseitin builder per consumer, so that encodings and
+// learned clauses are reused instead of rebuilt for every query. Every SAT
+// question of a solve — each sweep's candidate checks, each MaxSAT
+// elimination-set step, the final SAT check — goes through the run's Pool.
+// The main oracle and the MaxSAT backend persist for the whole solve; a
+// sweep worker's oracle persists within one sweep and is retired when the
+// sweep ends, so a later sweep's queries do not propagate over the clauses
+// and learnts of earlier sweeps' cones.
 //
 // The AIG is append-only (nodes are never deleted or rewritten), so a
 // Tseitin definition once pushed is a permanently valid fact: an Oracle
 // therefore pushes only the delta of newly reachable cone nodes per query
 // (CNFBuilder's node→var memo persists) and poses every question as an
 // assumption query, never as a retractable unit clause. Learned clauses
-// survive between queries, bounded by the solver's retention policy
-// (sat.Solver.KeepLearnts), and all clauses — original and learned — live
-// in the solver's single packed arena.
+// survive between an oracle's queries, bounded by the solver's retention
+// policy (sat.Solver.KeepLearnts), and all clauses — original and learned —
+// live in the solver's single packed arena.
 //
 // The one consumer whose constraints ARE transient, the MaxSAT
 // elimination-set search, keeps its own persistent backend (maxsat.Backend,
@@ -38,16 +41,16 @@ var QueryPoint = faults.Point("oracle.query")
 
 func init() { faults.Register(QueryPoint) }
 
-// keepLearnts is the learned-clause retention floor for persistent oracle
-// solvers: queries within a sweep round are closely related, so a much
-// larger floor than the per-call default (100) pays for itself.
+// keepLearnts is the learned-clause retention floor for oracle solvers:
+// the queries of one sweep are closely related, so a much larger floor than
+// the per-call default (100) pays for itself.
 const keepLearnts = 2000
 
-// Stats counts reuse across one or more persistent oracles.
+// Stats counts reuse across one or more oracles.
 type Stats struct {
 	Queries     int64 // SAT queries answered
 	Incremental int64 // queries answered on an already-loaded solver
-	Rebuilds    int64 // fresh solver instantiations (one per oracle lifetime)
+	Rebuilds    int64 // fresh solver instantiations: one per oracle, so one per sweep worker per sweep
 	Scopes      int64 // MaxSAT activation-literal scopes opened and retracted
 
 	EncodedNodes    int64 // AIG nodes Tseitin-encoded (delta pushes, summed)
@@ -85,7 +88,7 @@ func (s Stats) Counters() map[string]int64 {
 	}
 }
 
-// Oracle is one persistent incremental SAT instance over a single AIG. It
+// Oracle is one incremental SAT instance over a single AIG. It
 // is single-goroutine: each consumer (a sweep worker, the final check)
 // owns its oracle exclusively. Use a Pool to hand oracles to workers.
 type Oracle struct {

@@ -148,7 +148,8 @@ func TestLitDeltaOnly(t *testing.T) {
 }
 
 // TestPoolWorkerIdentity checks that a pool hands each worker index a stable
-// oracle and aggregates their stats.
+// oracle until the workers are retired, and aggregates the stats of live and
+// retired oracles.
 func TestPoolWorkerIdentity(t *testing.T) {
 	g := aig.New()
 	a, b := g.Input(1), g.Input(2)
@@ -178,6 +179,24 @@ func TestPoolWorkerIdentity(t *testing.T) {
 	}
 	if st.Rebuilds != 4 {
 		t.Fatalf("pool rebuilds = %d; want 4 (main + workers 0..2)", st.Rebuilds)
+	}
+
+	// Retiring the workers keeps their counters and hands the next sweep
+	// fresh oracles, whose rebuilds and queries add to the retired ones.
+	p.RetireWorkers()
+	if got := p.Stats(); got != st {
+		t.Fatalf("stats after retiring = %+v; want %+v", got, st)
+	}
+	fresh := p.WorkerOracle(0)
+	if fresh == w0 {
+		t.Fatal("a retired worker oracle was handed out again")
+	}
+	if proven, _, _ := fresh.ProveEquiv(ab, redundant, 0, nil); !proven {
+		t.Fatal("fresh worker oracle failed a provable equivalence")
+	}
+	st = p.Stats()
+	if st.Queries != 5 || st.Rebuilds != 5 || st.Incremental != 2 {
+		t.Fatalf("pool stats after a second sweep = %+v; want 5 queries, 5 rebuilds, 2 incremental", st)
 	}
 }
 

@@ -7,12 +7,13 @@ import (
 	"repro/internal/maxsat"
 )
 
-// Pool owns every persistent SAT instance of one pipeline run over one AIG:
-// the main oracle (final SAT check, certificate-style queries), one oracle
-// per sweep worker, and the guarded MaxSAT backend used by the
-// elimination-set selections. It is created by the core build pass, lives
-// on pipeline.State for the lifetime of the solve, and is shared with the
-// QBF backend (which operates on the same graph).
+// Pool owns every incremental SAT instance of one pipeline run over one
+// AIG: the main oracle (final SAT check, certificate-style queries) and the
+// guarded MaxSAT backend used by the elimination-set selections, which both
+// persist for the whole solve, and one oracle per sweep worker, which lives
+// for one sweep. It is created by the core build pass, lives on
+// pipeline.State for the lifetime of the solve, and is shared with the QBF
+// backend (which operates on the same graph).
 //
 // Oracles are created lazily: a run that never sweeps never pays for worker
 // oracles. The pool's accessors are goroutine-safe; the returned oracles
@@ -23,6 +24,7 @@ type Pool struct {
 	mu      sync.Mutex
 	main    *Oracle
 	workers []*Oracle
+	retired Stats // folded counters of the worker oracles of earlier sweeps
 	mx      *maxsat.Backend
 }
 
@@ -39,9 +41,9 @@ func (p *Pool) Main() *Oracle {
 	return p.main
 }
 
-// WorkerOracle implements aig.SweepOraclePool: worker i always receives
-// pool oracle i, so the candidate striding — and any budget-exhaustion
-// history — stays deterministic for a fixed worker count.
+// WorkerOracle implements aig.SweepOraclePool: within a sweep, worker i
+// always receives pool oracle i, so the candidate striding — and any
+// budget-exhaustion history — stays deterministic for a fixed worker count.
 func (p *Pool) WorkerOracle(i int) aig.SweepOracle {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -52,6 +54,20 @@ func (p *Pool) WorkerOracle(i int) aig.SweepOracle {
 		p.workers[i] = New(p.g)
 	}
 	return p.workers[i]
+}
+
+// RetireWorkers implements aig.SweepOraclePool: it folds the worker
+// oracles' counters into the pool's stats and drops the oracles, so the
+// next sweep encodes only its own cone on fresh solvers.
+func (p *Pool) RetireWorkers() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, o := range p.workers {
+		if o != nil {
+			p.retired.Add(o.Stats())
+		}
+	}
+	p.workers = nil
 }
 
 // MaxSATBackend returns the pool's persistent guarded MaxSAT substrate,
@@ -65,12 +81,13 @@ func (p *Pool) MaxSATBackend() *maxsat.Backend {
 	return p.mx
 }
 
-// Stats aggregates the reuse counters of every instance in the pool
-// (sums for flows, maxima for high-water marks).
+// Stats aggregates the reuse counters of every instance the pool has
+// held, retired worker oracles included (sums for flows, one rebuild per
+// oracle, maxima for high-water marks).
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var st Stats
+	st := p.retired
 	if p.main != nil {
 		st.Add(p.main.Stats())
 	}

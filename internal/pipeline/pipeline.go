@@ -60,11 +60,12 @@ type State struct {
 	// formula-changing pass. All Builder recorders are nil-safe, so passes
 	// record unconditionally.
 	Cert *cert.Builder
-	// Oracle is the run's persistent incremental SAT substrate: one pool of
-	// long-lived solvers over G, created alongside the graph by the build
-	// pass. Sweeping, the MaxSAT elimination-set selection and the final
-	// SAT check route every query through it, so encodings and learned
-	// clauses survive across passes. A pipeline that sweeps must set it.
+	// Oracle is the run's incremental SAT substrate: one pool of solvers
+	// over G, created alongside the graph by the build pass. Sweeping, the
+	// MaxSAT elimination-set selection and the final SAT check route every
+	// query through it. The main oracle and the MaxSAT backend keep their
+	// encodings and learned clauses for the whole solve; a sweep's worker
+	// oracles keep theirs for that sweep. A pipeline that sweeps must set it.
 	Oracle *oracle.Pool
 
 	// Decided and Sat carry the verdict once a pass settles the formula.

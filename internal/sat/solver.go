@@ -117,10 +117,9 @@ type Solver struct {
 	Budget *budget.Budget
 
 	// KeepLearnts, when > 0, raises the floor of the learned-clause database
-	// size before reduceDB kicks in (default 100). Long-lived incremental
-	// consumers (internal/oracle) raise it so learned clauses survive across
-	// the many small queries of a sweep round instead of being evicted
-	// between them.
+	// size before reduceDB kicks in (default 100). Incremental consumers
+	// (internal/oracle) raise it so learned clauses survive across the many
+	// small queries of a sweep instead of being evicted between them.
 	KeepLearnts int
 
 	budgetPoll uint32 // search-loop iterations since the last budget check
