@@ -172,8 +172,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "c sweeps          %d, peak AIG nodes %d\n", st.Sweeps+st.QBF.Sweeps, st.PeakAIGNodes)
 		sw := st.Sweep
 		sw.Add(st.QBF.Sweep)
-		fmt.Fprintf(os.Stderr, "c sweep sat calls %d over %d candidates (%d merged, %d sim-refuted, %d exact sweeps, pool %d)\n",
-			sw.SatCalls, sw.Candidates, sw.Merged, sw.SimRefuted, sw.Exact, sw.Workers)
+		fmt.Fprintf(os.Stderr, "c sweep merges    %d of %d candidates: %d hashed, %d truth-table, %d SAT (%d SAT calls, %d sim-refuted, pool %d)\n",
+			sw.Merged, sw.Candidates, sw.Strash, sw.Exact, sw.Merged-sw.Strash-sw.Exact, sw.SatCalls, sw.SimRefuted, sw.Workers)
 		fmt.Fprintf(os.Stderr, "c sweep arena     %d bytes peak, %d compactions\n",
 			sw.ArenaBytes, sw.Compactions)
 		or := st.Oracle

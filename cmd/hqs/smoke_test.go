@@ -45,26 +45,57 @@ func TestHQSRetiredEngineSmoke(t *testing.T) {
 // TestHQSStatsSmoke: hqs -stats on the 3∃/2∀/2∃ QBF of core's
 // TestUnitPureOffEverywhere answers SAT (exit 10), names the final SAT call
 // of the linear phase as the deciding pass, and reports the main loop's two
-// unit/pure eliminations.
+// unit/pure eliminations. On a frozen two-box C432 PEC instance (UNSAT,
+// exit 20) the linear phase sweeps, and the sweep line splits the merges
+// over the three deciders, each of which merges some: structural hashing,
+// truth tables and SAT.
 func TestHQSStatsSmoke(t *testing.T) {
 	bin := buildHQS(t)
-	out, err := exec.Command(bin, "-stats", "testdata/unitpure.qdimacs").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 10 {
-		t.Fatalf("hqs -stats: %v, want exit status 10 (SAT)\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "c decided by      qbf/finalsat\n") {
+	out := runStats(t, bin, "testdata/unitpure.qdimacs", 10)
+	if !strings.Contains(out, "c decided by      qbf/finalsat\n") {
 		t.Errorf("hqs -stats does not name qbf/finalsat as the deciding pass:\n%s", out)
 	}
 	var units, pures int
-	for _, line := range strings.Split(string(out), "\n") {
-		if rest, ok := strings.CutPrefix(line, "c unit/pure"); ok {
-			if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%d/%d", &units, &pures); err != nil {
-				t.Fatalf("unit/pure line %q: %v", line, err)
-			}
-		}
+	if _, err := fmt.Sscanf(statsLine(t, out, "c unit/pure"), "%d/%d", &units, &pures); err != nil {
+		t.Fatalf("unit/pure line: %v", err)
 	}
 	if units+pures != 2 {
 		t.Errorf("hqs -stats reports unit/pure %d/%d, want 2 eliminations:\n%s", units, pures, out)
 	}
+
+	out = runStats(t, bin, "testdata/c432_w5_b2_000.dqdimacs", 20)
+	line := statsLine(t, out, "c sweep merges")
+	var merged, cands, hashed, table, sat int
+	if _, err := fmt.Sscanf(line, "%d of %d candidates: %d hashed, %d truth-table, %d SAT",
+		&merged, &cands, &hashed, &table, &sat); err != nil {
+		t.Fatalf("sweep line %q: %v", line, err)
+	}
+	if hashed <= 0 || table <= 0 || sat <= 0 || hashed+table+sat != merged || merged > cands {
+		t.Errorf("sweep line %q: want every decider > 0, summing to the merges, at most the candidates", line)
+	}
+}
+
+// runStats runs hqs -stats on file and returns its output, failing t unless
+// hqs exits with code.
+func runStats(t *testing.T, bin, file string, code int) string {
+	t.Helper()
+	out, err := exec.Command(bin, "-stats", file).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != code {
+		t.Fatalf("hqs -stats %s: %v, want exit status %d\n%s", file, err, code, out)
+	}
+	return string(out)
+}
+
+// statsLine returns the rest of the -stats line that starts with prefix,
+// trimmed, failing t if there is none.
+func statsLine(t *testing.T, out, prefix string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			return strings.TrimSpace(rest)
+		}
+	}
+	t.Fatalf("hqs -stats printed no %q line:\n%s", prefix, out)
+	return ""
 }

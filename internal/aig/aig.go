@@ -38,8 +38,8 @@ const (
 // Not returns the complement of r.
 func (r Ref) Not() Ref { return r ^ 1 }
 
-// Compl reports whether r is complemented.
-func (r Ref) Compl() bool { return r&1 == 1 }
+// compl reports whether r is complemented.
+func (r Ref) compl() bool { return r&1 == 1 }
 
 // node reports the node index of r.
 func (r Ref) node() int32 { return int32(r) >> 1 }
@@ -93,17 +93,6 @@ func New() *Graph {
 // NumNodes returns the number of nodes (constant and inputs included).
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
-// NumAnds returns the number of AND gates in the graph.
-func (g *Graph) NumAnds() int {
-	n := 0
-	for i := 1; i < len(g.nodes); i++ {
-		if g.nodes[i].v == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Input returns the (plain) reference of the input node for variable v,
 // creating it on first use.
 func (g *Graph) Input(v cnf.Var) Ref {
@@ -128,9 +117,6 @@ func (g *Graph) InputVar(r Ref) cnf.Var {
 	return g.nodes[n].v
 }
 
-// IsInput reports whether r references an input node.
-func (g *Graph) IsInput(r Ref) bool { return g.InputVar(r) != 0 }
-
 func (g *Graph) newNode(n node) Ref {
 	if g.NodeLimit > 0 && len(g.nodes) >= g.NodeLimit {
 		panic(ErrNodeLimit{g.NodeLimit})
@@ -142,27 +128,36 @@ func (g *Graph) newNode(n node) Ref {
 // And returns a reference for a∧b, applying two-level simplification rules
 // and structural hashing.
 func (g *Graph) And(a, b Ref) Ref {
+	r, key, ok := g.findAnd(a, b)
+	if ok {
+		return r
+	}
+	r = g.newNode(node{f0: key[0], f1: key[1]})
+	g.strash[key] = r
+	return r
+}
+
+// findAnd returns the reference And(a, b) would return and true when that
+// needs no new node: a trivial rule applies or the structural hash holds
+// the gate. Otherwise it returns false and the gate's hash key.
+func (g *Graph) findAnd(a, b Ref) (Ref, [2]Ref, bool) {
 	// Constant and trivial rules.
 	switch {
 	case a == False || b == False || a == b.Not():
-		return False
+		return False, [2]Ref{}, true
 	case a == True:
-		return b
+		return b, [2]Ref{}, true
 	case b == True:
-		return a
+		return a, [2]Ref{}, true
 	case a == b:
-		return a
+		return a, [2]Ref{}, true
 	}
 	if a > b {
 		a, b = b, a
 	}
 	key := [2]Ref{a, b}
-	if r, ok := g.strash[key]; ok {
-		return r
-	}
-	r := g.newNode(node{f0: a, f1: b})
-	g.strash[key] = r
-	return r
+	r, ok := g.strash[key]
+	return r, key, ok
 }
 
 // Or returns a∨b.
@@ -175,9 +170,6 @@ func (g *Graph) Xor(a, b Ref) Ref {
 
 // Xnor returns a↔b.
 func (g *Graph) Xnor(a, b Ref) Ref { return g.Xor(a, b).Not() }
-
-// Implies returns a→b.
-func (g *Graph) Implies(a, b Ref) Ref { return g.Or(a.Not(), b) }
 
 // Ite returns if c then t else e.
 func (g *Graph) Ite(c, t, e Ref) Ref {
@@ -226,7 +218,7 @@ func (g *Graph) Eval(r Ref, assign func(cnf.Var) bool) bool {
 			}
 			memo[n] = val
 		}
-		return val != e.Compl()
+		return val != e.compl()
 	}
 	return rec(r)
 }
@@ -323,5 +315,5 @@ func (g *Graph) ConeSize(r Ref) int {
 // String renders a short description of the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("aig.Graph{nodes: %d, ands: %d, inputs: %d}",
-		g.NumNodes(), g.NumAnds(), len(g.inputs))
+		g.NumNodes(), g.NumNodes()-1-len(g.inputs), len(g.inputs))
 }

@@ -46,13 +46,13 @@ func (g *Graph) WriteAAG(w io.Writer, outputs ...Ref) error {
 		n := e.node()
 		if n == 0 {
 			// AIGER: literal 0 = false, 1 = true.
-			if e.Compl() {
+			if e.compl() {
 				return 1
 			}
 			return 0
 		}
 		l := 2 * index[n]
-		if e.Compl() {
+		if e.compl() {
 			l++
 		}
 		return l

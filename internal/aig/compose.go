@@ -30,7 +30,7 @@ func (g *Graph) compose(r Ref, subst map[cnf.Var]Ref, memo []Ref) Ref {
 		return r
 	}
 	if out := memo[n]; out >= 0 {
-		return out.XorSign(r.Compl())
+		return out.XorSign(r.compl())
 	}
 	nd := g.nodes[n] // copy: g.nodes may be appended to during recursion
 	out := Ref(n << 1)
@@ -46,7 +46,7 @@ func (g *Graph) compose(r Ref, subst map[cnf.Var]Ref, memo []Ref) Ref {
 		}
 	}
 	memo[n] = out
-	return out.XorSign(r.Compl())
+	return out.XorSign(r.compl())
 }
 
 // Cofactor returns r with variable v fixed to val.

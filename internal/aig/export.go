@@ -21,9 +21,9 @@ func (g *Graph) Export(r Ref, dst *Graph, memo map[int32]Ref) Ref {
 	edge := func(e Ref) Ref {
 		n := e.node()
 		if n == 0 {
-			return False.XorSign(e.Compl())
+			return False.XorSign(e.compl())
 		}
-		return memo[n].XorSign(e.Compl())
+		return memo[n].XorSign(e.compl())
 	}
 	for _, n := range g.coneNodes(r) {
 		if _, ok := memo[n]; ok {

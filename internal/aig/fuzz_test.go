@@ -138,8 +138,10 @@ func varIndex(v cnf.Var) int {
 }
 
 // FuzzSweep sweeps fuzz-built AIGs: the function must be unchanged, and a
-// cone of at most exactInputs inputs must be decided by its truth tables,
-// with no SAT call.
+// cone of at most exactInputs inputs must be decided by hashing or truth
+// tables, with no SAT call. On a twin graph, the seam that sends every
+// candidate to SAT must merge as many pairs into a cone of the same size,
+// and every merge must have exactly one decider.
 func FuzzSweep(f *testing.F) {
 	f.Add([]byte{0, 8, 4, 0, 8, 5, 6})
 	f.Add([]byte{0, 8, 16, 24, 7, 0, 3, 8, 3, 4, 16, 24, 6, 5})
@@ -151,12 +153,27 @@ func FuzzSweep(f *testing.F) {
 		g := New()
 		r := buildFuzzAIG(g, data)
 		want := evalAll(g, r)
-		swept, st := g.Sweep(r, testSweepOptions(g, DefaultSweepOptions()))
+		opt := testSweepOptions(g, DefaultSweepOptions())
+		swept, st := g.Sweep(r, opt)
 		if got := evalAll(g, swept); !eqVec(got, want) {
 			t.Fatalf("sweep changed the function of %v", r)
 		}
 		if k := len(g.Support(r)); k <= exactInputs && st.SatCalls != 0 {
 			t.Fatalf("%d-input cone: %d SAT calls", k, st.SatCalls)
+		}
+		checkDeciders(t, "default", st, opt)
+
+		gs := New()
+		rs := buildFuzzAIG(gs, data)
+		sopt := testSweepOptions(gs, SweepOptions{Workers: 1})
+		satSwept, sst := gs.sweep(rs, sopt, true)
+		if got := evalAll(gs, satSwept); !eqVec(got, want) {
+			t.Fatalf("forced SAT sweep changed the function of %v", rs)
+		}
+		checkDeciders(t, "forced SAT", sst, sopt)
+		if sst.Merged != st.Merged || gs.ConeSize(satSwept) != g.ConeSize(swept) {
+			t.Fatalf("SAT merged %d into a cone of %d, the default sweep %d into %d",
+				sst.Merged, gs.ConeSize(satSwept), st.Merged, g.ConeSize(swept))
 		}
 	})
 }

@@ -2,6 +2,8 @@ package aig
 
 import (
 	"sync"
+	"sync/atomic"
+	"testing"
 
 	"repro/internal/budget"
 	"repro/internal/cnf"
@@ -11,8 +13,9 @@ import (
 // testOracle is a SweepOracle over one solver and CNFBuilder, built the way
 // internal/oracle builds its own (which this package cannot import).
 type testOracle struct {
-	s *sat.Solver
-	b *CNFBuilder
+	s      *sat.Solver
+	b      *CNFBuilder
+	proofs *atomic.Int64
 }
 
 func (o *testOracle) ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.Budget) (bool, int, func(cnf.Var) bool) {
@@ -27,17 +30,20 @@ func (o *testOracle) ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.
 			return false, i + 1, nil
 		}
 	}
+	o.proofs.Add(1)
 	return true, 2, nil
 }
 
 func (o *testOracle) Footprint() (int, int64) { return o.s.ArenaBytes(), o.s.Stats.Compactions }
 
 // testOraclePool hands out one testOracle per worker index and, like
-// oracle.Pool, drops them when a sweep retires its workers.
+// oracle.Pool, drops them when a sweep retires its workers. proofs counts
+// the equivalences its oracles proved.
 type testOraclePool struct {
-	g  *Graph
-	mu sync.Mutex
-	os map[int]*testOracle
+	g      *Graph
+	mu     sync.Mutex
+	os     map[int]*testOracle
+	proofs atomic.Int64
 }
 
 func newTestOraclePool(g *Graph) *testOraclePool {
@@ -49,7 +55,7 @@ func (p *testOraclePool) WorkerOracle(i int) SweepOracle {
 	defer p.mu.Unlock()
 	if p.os[i] == nil {
 		s := sat.New()
-		p.os[i] = &testOracle{s: s, b: NewCNFBuilder(p.g, s)}
+		p.os[i] = &testOracle{s: s, b: NewCNFBuilder(p.g, s), proofs: &p.proofs}
 	}
 	return p.os[i]
 }
@@ -65,4 +71,20 @@ func (p *testOraclePool) RetireWorkers() {
 func testSweepOptions(g *Graph, opt SweepOptions) SweepOptions {
 	opt.Oracles = newTestOraclePool(g)
 	return opt
+}
+
+// satProofs returns how many equivalences the test oracle pool of opt
+// proved.
+func satProofs(opt SweepOptions) int {
+	return int(opt.Oracles.(*testOraclePool).proofs.Load())
+}
+
+// checkDeciders fails t unless every merge of st has exactly one decider:
+// Strash + Exact + the pool's SAT proofs = Merged. opt's pool must have
+// served this one sweep only.
+func checkDeciders(t *testing.T, what string, st SweepStats, opt SweepOptions) {
+	t.Helper()
+	if sat := satProofs(opt); st.Strash+st.Exact+sat != st.Merged {
+		t.Fatalf("%s: %d hashed + %d truth-table + %d SAT-proven merges, but %d merged", what, st.Strash, st.Exact, sat, st.Merged)
+	}
 }

@@ -39,6 +39,23 @@ func redundantGroups(g *Graph, first cnf.Var, groups int) []Ref {
 	return parts
 }
 
+// buildWideCone is buildRedundantCone with pairs past the truth-table
+// bound: after the groups' inputs come wide parity pairs over
+// exactInputs+1 fresh inputs each, which only SAT can prove equivalent.
+func buildWideCone(g *Graph, groups, wide int) Ref {
+	parts := redundantGroups(g, 1, groups)
+	first := cnf.Var(1 + 3*groups)
+	for i := 0; i < wide; i++ {
+		vs := make([]cnf.Var, exactInputs+1)
+		for j := range vs {
+			vs[j] = first + cnf.Var(i*len(vs)+j)
+		}
+		up, down := parityPair(g, vs)
+		parts = append(parts, up, down)
+	}
+	return g.OrN(parts...)
+}
+
 // buildFalseCandidateCone constructs a cone full of simulation-equal but
 // inequivalent pairs: pairs f and f⊕m, where m is one minterm over all 16
 // inputs, which random simulation words almost never hit. Every pair shares
@@ -68,58 +85,65 @@ func buildFalseCandidateCone(g *Graph, pairs int) Ref {
 	return g.OrN(parts...)
 }
 
-// TestSweepParallelMatchesSerial checks the determinism guarantee: with an
-// unlimited conflict budget, sweeping with a worker pool must prove exactly
-// the same equivalences — and rebuild exactly the same graph — as the serial
-// sweep.
+// TestSweepParallelMatchesSerial checks the determinism guarantees on a
+// cone whose candidates go to all three deciders. With an unlimited
+// conflict budget, a worker pool proves as many merges as the serial sweep,
+// into the same function and a cone of the same size; node numbering may
+// differ, since a round's candidates do not see one another's merges. For
+// one worker count, two sweeps of twin graphs are bit-identical.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	build := func() (*Graph, Ref) {
 		g := New()
-		return g, buildRedundantCone(g, 6)
+		return g, buildWideCone(g, 6, 4)
 	}
 	gSerial, r := build()
 	serialRef, serialStats := gSerial.Sweep(r, testSweepOptions(gSerial, SweepOptions{Workers: 1}))
-	if serialStats.Merged == 0 {
-		t.Fatal("redundant cone should produce merges")
+	if serialStats.Merged == 0 || serialStats.SatCalls == 0 {
+		t.Fatalf("wide cone should produce merges and SAT calls: %+v", serialStats)
 	}
-	for _, workers := range []int{2, 4, -1} {
-		gPar, rp := build()
-		if rp != r {
-			t.Fatal("deterministic construction produced different refs")
+	for _, workers := range []int{1, 2, 4, -1} {
+		var refs []Ref
+		var nodes []int
+		for twin := 0; twin < 2; twin++ {
+			gPar, rp := build()
+			if rp != r {
+				t.Fatal("deterministic construction produced different refs")
+			}
+			parRef, parStats := gPar.Sweep(rp, testSweepOptions(gPar, SweepOptions{Workers: workers}))
+			refs, nodes = append(refs, parRef), append(nodes, gPar.NumNodes())
+			if parStats.Merged != serialStats.Merged {
+				t.Fatalf("workers=%d: merged %d pairs, serial merged %d",
+					workers, parStats.Merged, serialStats.Merged)
+			}
+			if got, want := gPar.ConeSize(parRef), gSerial.ConeSize(serialRef); got != want {
+				t.Fatalf("workers=%d: final cone size %d, serial %d", workers, got, want)
+			}
+			if !gPar.Equivalent(rp, parRef) {
+				t.Fatalf("workers=%d: sweep changed the function", workers)
+			}
 		}
-		parRef, parStats := gPar.Sweep(rp, testSweepOptions(gPar, SweepOptions{Workers: workers}))
-		if parRef != serialRef {
-			t.Fatalf("workers=%d: swept ref %v differs from serial %v", workers, parRef, serialRef)
+		if refs[0] != refs[1] || nodes[0] != nodes[1] {
+			t.Fatalf("workers=%d: twin sweeps gave %v with %d nodes and %v with %d", workers, refs[0], nodes[0], refs[1], nodes[1])
 		}
-		if parStats.Merged != serialStats.Merged {
-			t.Fatalf("workers=%d: merged %d pairs, serial merged %d",
-				workers, parStats.Merged, serialStats.Merged)
-		}
-		if got, want := gPar.ConeSize(parRef), gSerial.ConeSize(serialRef); got != want {
-			t.Fatalf("workers=%d: final cone size %d, serial %d", workers, got, want)
-		}
-		if gPar.NumNodes() != gSerial.NumNodes() {
-			t.Fatalf("workers=%d: graph has %d nodes, serial %d",
-				workers, gPar.NumNodes(), gSerial.NumNodes())
-		}
-		if !gPar.Equivalent(rp, parRef) {
-			t.Fatalf("workers=%d: sweep changed the function", workers)
+		if workers == 1 && (refs[0] != serialRef || nodes[0] != gSerial.NumNodes()) {
+			t.Fatalf("one worker: %v with %d nodes, serial %v with %d", refs[0], nodes[0], serialRef, gSerial.NumNodes())
 		}
 	}
 }
 
 // TestSweepIndependentOfOracleHistory checks that what a sweep merges does
 // not depend on what its oracles answered before: with no conflict budget,
-// a sweep on a fresh pool, one whose worker oracle already encodes an
-// unrelated cone (with its clauses and learnts), and one on two workers
-// return the same root and merge the same pairs. Checking candidates in any
-// order, on oracles of any history, rests on this.
+// a sweep on a fresh pool and one whose worker oracle already encodes an
+// unrelated cone (with its clauses and learnts) return the same root and
+// merge the same pairs, and one on two workers merges as many into a cone
+// of the same size. Checking candidates in any order, on oracles of any
+// history, rests on this.
 func TestSweepIndependentOfOracleHistory(t *testing.T) {
 	builders := []struct {
 		name              string
 		target, unrelated func(*Graph) Ref
 	}{
-		{"redundant", func(g *Graph) Ref { return buildRedundantCone(g, 6) }, func(g *Graph) Ref { return buildFalseCandidateCone(g, 12) }},
+		{"wide", func(g *Graph) Ref { return buildWideCone(g, 6, 3) }, func(g *Graph) Ref { return buildFalseCandidateCone(g, 12) }},
 		{"false-candidate", func(g *Graph) Ref { return buildFalseCandidateCone(g, 24) }, func(g *Graph) Ref { return buildRedundantCone(g, 4) }},
 	}
 	for _, b := range builders {
@@ -152,8 +176,8 @@ func TestSweepIndependentOfOracleHistory(t *testing.T) {
 		if primedRef != freshRef || primed.Merged != fresh.Merged {
 			t.Fatalf("%s: primed oracle swept to %v with %d merges; fresh pool gave %v with %d", b.name, primedRef, primed.Merged, freshRef, fresh.Merged)
 		}
-		if parRef != freshRef || par.Merged != fresh.Merged {
-			t.Fatalf("%s: two workers swept to %v with %d merges; one gave %v with %d", b.name, parRef, par.Merged, freshRef, fresh.Merged)
+		if gw.ConeSize(parRef) != g.ConeSize(freshRef) || par.Merged != fresh.Merged {
+			t.Fatalf("%s: two workers swept to a cone of %d with %d merges; one gave %d with %d", b.name, gw.ConeSize(parRef), par.Merged, g.ConeSize(freshRef), fresh.Merged)
 		}
 	}
 }
@@ -161,20 +185,19 @@ func TestSweepIndependentOfOracleHistory(t *testing.T) {
 // TestSweepParallelPreservesSemanticsRandom cross-checks the concurrent path
 // against exhaustive simulation on random AIGs (and is the main target of
 // `go test -race ./internal/aig`). Every cone reads more than exactInputs
-// inputs, so its candidates go to the SAT worker pool.
+// inputs and holds a parity pair over all of them, so some of its
+// candidates go to the SAT worker pool.
 func TestSweepParallelPreservesSemanticsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1789))
 	vs := vars(exactInputs + 3)
 	satCalls := 0
 	for iter := 0; iter < 40; iter++ {
 		g := New()
-		r := readingAll(g, randomCone(g, rng, vs, 30), vs)
+		up, down := parityPair(g, vs)
+		r := readingAll(g, g.OrN(randomCone(g, rng, vs, 30), up, down.Not()), vs)
 		opt := testSweepOptions(g, DefaultSweepOptions())
 		opt.Workers = 1 + rng.Intn(4)
 		swept, st := g.Sweep(r, opt)
-		if st.Exact != 0 {
-			t.Fatalf("iter %d: a %d-input cone was swept by truth table", iter, len(g.Support(r)))
-		}
 		satCalls += st.SatCalls
 		if !sameFunction(g, r, swept, vs) {
 			t.Fatalf("iter %d (workers=%d): sweep changed semantics", iter, opt.Workers)
@@ -188,8 +211,13 @@ func TestSweepParallelPreservesSemanticsRandom(t *testing.T) {
 // TestSweepStatsCounters checks the observability counters of the sweep.
 func TestSweepStatsCounters(t *testing.T) {
 	g := New()
-	r := buildRedundantCone(g, 4)
-	_, st := g.Sweep(r, testSweepOptions(g, SweepOptions{Workers: 3}))
+	r := buildWideCone(g, 4, 2)
+	opt := testSweepOptions(g, SweepOptions{Workers: 3})
+	_, st := g.Sweep(r, opt)
+	checkDeciders(t, "wide cone", st, opt)
+	if st.Strash == 0 && st.Exact == 0 {
+		t.Fatalf("no merge decided without SAT: %+v", st)
+	}
 	if st.Workers < 1 || st.Workers > 3 {
 		t.Fatalf("workers = %d, want 1..3", st.Workers)
 	}
@@ -216,13 +244,17 @@ func TestSweepStatsCounters(t *testing.T) {
 	if c := fst.Counters(); c["simrefuted"] != int64(fst.SimRefuted) || c["satcalls"] != int64(fst.SatCalls) {
 		t.Fatalf("Counters() = %v; want simrefuted %d, satcalls %d", c, fst.SimRefuted, fst.SatCalls)
 	}
+	if c := st.Counters(); c["strash"] != int64(st.Strash) || c["exact"] != int64(st.Exact) || c["merged"] != int64(st.Merged) {
+		t.Fatalf("Counters() = %v; want strash %d, exact %d, merged %d", c, st.Strash, st.Exact, st.Merged)
+	}
 
 	// Aggregation across sweeps keeps peaks and sums.
 	var agg SweepStats
 	agg.Add(st)
 	agg.Add(fst)
-	agg.Add(SweepStats{SatCalls: 1, SimRefuted: 2, ArenaBytes: st.ArenaBytes / 2, Workers: 1})
+	agg.Add(SweepStats{SatCalls: 1, SimRefuted: 2, Strash: 3, Exact: 4, ArenaBytes: st.ArenaBytes / 2, Workers: 1})
 	if agg.SatCalls != st.SatCalls+fst.SatCalls+1 || agg.SimRefuted != st.SimRefuted+fst.SimRefuted+2 ||
+		agg.Strash != st.Strash+fst.Strash+3 || agg.Exact != st.Exact+fst.Exact+4 ||
 		agg.ArenaBytes != max(st.ArenaBytes, fst.ArenaBytes) || agg.Workers != st.Workers {
 		t.Fatalf("bad aggregation: %+v", agg)
 	}
@@ -261,15 +293,25 @@ func (panicOracle) ProveEquiv(Ref, Ref, int64, *budget.Budget) (bool, int, func(
 func (panicOracle) Footprint() (int, int64) { return 0, 0 }
 
 // TestSweepContainsOracleFailures checks the two ways a sweep gives up on its
-// candidates without failing: a query that panics is contained in its worker,
-// and a stopped budget ends the candidate loop. Either way nothing is merged
-// and the cone is returned as it was.
+// candidates without failing. A query that panics is contained: that round's
+// candidates, and every later one bound for SAT, stay unproven, while
+// hashing and truth tables still merge theirs. A stopped budget ends the
+// candidate loop before anything is merged. Either way the function is kept.
 func TestSweepContainsOracleFailures(t *testing.T) {
 	g := New()
-	r := buildRedundantCone(g, 4)
+	r := buildWideCone(g, 4, 2)
+	tg := New()
+	_, want := tg.Sweep(buildWideCone(tg, 4, 2), testSweepOptions(tg, SweepOptions{Workers: 2}))
 	swept, st := g.Sweep(r, SweepOptions{Workers: 2, Oracles: panicOraclePool{}})
-	if st.Panics != 2 || st.Merged != 0 || swept != r {
-		t.Fatalf("panicking oracles: %d panics, %d merges, root %v -> %v; want 2, 0, unchanged", st.Panics, st.Merged, r, swept)
+	if st.Panics == 0 || st.Panics > 2 || st.SatCalls != 0 {
+		t.Fatalf("panicking oracles: %d panics, %d SAT calls; want 1 or 2 and 0", st.Panics, st.SatCalls)
+	}
+	if st.Merged != st.Strash+st.Exact || st.Merged == 0 || st.Merged >= want.Merged {
+		t.Fatalf("panicking oracles: %d merges (%d hashed, %d by truth table); want only and some of the non-SAT ones, fewer than %d",
+			st.Merged, st.Strash, st.Exact, want.Merged)
+	}
+	if !g.Equivalent(r, swept) {
+		t.Fatal("panicking oracles: sweep changed the function")
 	}
 	stopped := budget.New(budget.Limits{})
 	stopped.Cancel()

@@ -126,9 +126,9 @@ func (b *CNFBuilder) edgeLit(e Ref) cnf.Lit {
 		}
 		b.s.AddClause(cnf.PosLit(tv))
 		// Ref 0 = false, Ref 1 = true.
-		return cnf.NewLit(tv, !e.Compl())
+		return cnf.NewLit(tv, !e.compl())
 	}
-	return cnf.NewLit(b.nodeVar[n], false).XorSign(e.Compl())
+	return cnf.NewLit(b.nodeVar[n], false).XorSign(e.compl())
 }
 
 // ToFormula Tseitin-encodes the cone of r into a standalone CNF formula.
@@ -142,11 +142,11 @@ func (g *Graph) ToFormula(r Ref, maxInputVar cnf.Var) (*cnf.Formula, cnf.Lit) {
 		// Represent with a fresh variable forced appropriately.
 		t := f.NewVar()
 		f.AddClause(cnf.PosLit(t))
-		return f, cnf.NewLit(t, !r.Compl())
+		return f, cnf.NewLit(t, !r.compl())
 	}
 	f, lits := g.coneCNF(g.indexCone(r), maxInputVar)
 	// The root is the cone's largest node, so it holds the last position.
-	return f, lits[len(lits)-1].XorSign(r.Compl())
+	return f, lits[len(lits)-1].XorSign(r.compl())
 }
 
 // coneCNF Tseitin-encodes a whole indexed cone into a standalone CNF formula

@@ -28,7 +28,7 @@ func (g *Graph) UnitPure(r Ref) map[cnf.Var]Polarity {
 	// One flag byte per node of the cone's index range, indexed by node.
 	lo := cone[0]
 	fl := make([]byte, int(cone[len(cone)-1]-lo)+1)
-	if r.Compl() {
+	if r.compl() {
 		fl[r.node()-lo] = flagOdd
 	} else {
 		fl[r.node()-lo] = flagEven | flagClean
@@ -43,7 +43,7 @@ func (g *Graph) UnitPure(r Ref) map[cnf.Var]Polarity {
 		}
 		f := fl[n-lo]
 		for _, e := range [2]Ref{nd.f0, nd.f1} {
-			if e.Compl() {
+			if e.compl() {
 				// A complemented edge swaps parity and breaks cleanliness.
 				fl[e.node()-lo] |= f&flagOdd>>1 | f&flagEven<<1
 			} else {
@@ -60,7 +60,7 @@ func (g *Graph) UnitPure(r Ref) map[cnf.Var]Polarity {
 			continue
 		}
 		for _, e := range [2]Ref{nd.f0, nd.f1} {
-			if e.Compl() {
+			if e.compl() {
 				fl[e.node()-lo] |= flagNegUnit
 			} else {
 				fl[e.node()-lo] |= flagPosUnit
@@ -68,7 +68,7 @@ func (g *Graph) UnitPure(r Ref) map[cnf.Var]Polarity {
 		}
 	}
 	if g.nodes[r.node()].v != 0 {
-		if r.Compl() {
+		if r.compl() {
 			fl[r.node()-lo] |= flagNegUnit
 		} else {
 			fl[r.node()-lo] |= flagPosUnit
