@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep baseline bench-gate bench-gate-quick bench-compare loc
+.PHONY: build test race vet fmt check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep bench-sweep-smoke baseline bench-gate bench-gate-quick bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,9 @@ vet:
 fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); test -z "$$out" || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
 
-# Race-check the packages with concurrent code paths (the parallel SAT
-# sweep, the SAT substrate it drives, the job scheduler/portfolio and the
-# expand engine racing inside it, the fault-injection plumbing they
+# Race-check the packages with concurrent code paths, and the AIG, SAT and
+# oracle layers every concurrently running engine is built on (the job
+# scheduler/portfolio and the expand engine racing inside it, the fault-injection plumbing they
 # share, the daemon's HTTP handlers, the certificate checker the portfolio
 # arms consult concurrently, the ingestion/PQE layers the daemon calls
 # from its handler goroutines, and the cluster coordinator fanning cube
@@ -76,10 +76,10 @@ chaos-store:
 
 # The PR gate: vet, the gofmt check, the full test suite, the race pass, the certified fuzz
 # smoke, the native fuzz harnesses, both chaos drills, the daemon and cluster
-# smokes, the nested benchmark module (so an internal API change that breaks
-# perfbench/ fails here), and the quick bench gate. Each step is defined
-# once, by its own target.
-check: vet fmt test race fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke
+# smokes, one iteration of each sweep benchmark, the nested benchmark module
+# (so an internal API change that breaks perfbench/ fails here), and the
+# quick bench gate. Each step is defined once, by its own target.
+check: vet fmt test race fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench-sweep-smoke
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) bench-gate-quick
 
@@ -107,9 +107,15 @@ cluster-smoke:
 bench-sat:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sat
 
-# Sweep wall-clock, serial vs worker pool.
+# Sweep wall-clock: a redundant cone, a cone of false candidates, and
+# consecutive sweeps on one oracle pool.
 bench-sweep:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchmem ./internal/aig
+
+# One iteration of each sweep benchmark, so their guards (every cone merges,
+# reaches SAT, or refutes by simulation, as it was built to) run in the gate.
+bench-sweep-smoke:
+	$(GO) test -run '^$$' -bench BenchmarkSweep -benchtime 1x ./internal/aig
 
 # End-to-end paper evaluation benchmarks (Table I, Fig. 4, ablations).
 bench:

@@ -166,17 +166,14 @@ func benchAblation(b *testing.B, name string) {
 	}
 }
 
-// benchPECWorkers runs HQS end-to-end over the three PEC families with the
-// given SAT-sweeping worker pool size, reporting solved counts and the sweep
-// oracle load. Comparing the Workers1/Workers4 variants isolates the effect
-// of the parallel sweep on whole-solver wall-clock.
-func benchPECWorkers(b *testing.B, workers int) {
+// BenchmarkPEC_EndToEnd runs HQS end-to-end over the three PEC families,
+// reporting solved counts and the sweep oracle load.
+func BenchmarkPEC_EndToEnd(b *testing.B) {
 	var all []bench.Instance
 	for _, f := range []bench.Family{bench.FamilyAdder, bench.FamilyBitcell, bench.FamilyPecXor} {
 		all = append(all, familyInstances(b, f)...)
 	}
 	opt := runOptions()
-	opt.HQSOptions.Workers = workers
 	b.ResetTimer()
 	var solved, satCalls int
 	for i := 0; i < b.N; i++ {
@@ -193,9 +190,6 @@ func benchPECWorkers(b *testing.B, workers int) {
 	b.ReportMetric(float64(solved), "solved")
 	b.ReportMetric(float64(satCalls), "sweep-sat-calls")
 }
-
-func BenchmarkPEC_EndToEnd_Workers1(b *testing.B) { benchPECWorkers(b, 1) }
-func BenchmarkPEC_EndToEnd_Workers4(b *testing.B) { benchPECWorkers(b, 4) }
 
 func BenchmarkAblation_ElimSetGreedy(b *testing.B) { benchAblation(b, "elimset=greedy") }
 func BenchmarkAblation_ElimSetAll(b *testing.B)    { benchAblation(b, "elimset=all") }

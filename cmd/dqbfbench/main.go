@@ -40,7 +40,6 @@ func main() {
 		nodeLim    = flag.Int("node-limit", 2_000_000, "HQS AIG node limit (memout analogue)")
 		instLim    = flag.Int("inst-limit", 2_000_000, "iDQ instantiation limit (memout analogue)")
 		parallel   = flag.Int("parallel", 0, "concurrent instances (0 = NumCPU)")
-		workers    = flag.Int("workers", 1, "HQS SAT-sweeping worker pool size per instance (0 = one per CPU)")
 		scatter    = flag.String("scatter", "", "write Figure 4 scatter CSV to this file")
 		baseline   = flag.String("baseline", "", "write a machine-readable campaign baseline (JSON) to this file")
 		stats      = flag.Bool("stats", false, "print the paper's in-text statistics")
@@ -180,11 +179,6 @@ func main() {
 		Parallelism:          *parallel,
 	}
 	opt.HQSOptions = bench.DefaultRunOptions().HQSOptions
-	if *workers == 0 {
-		opt.HQSOptions.Workers = -1
-	} else {
-		opt.HQSOptions.Workers = *workers
-	}
 	campaign := bench.Run(instances, opt)
 
 	if d := campaign.Disagreements(); len(d) > 0 {

@@ -49,7 +49,6 @@ func main() {
 		noGates    = flag.Bool("no-gates", false, "disable Tseitin gate detection")
 		noUnitPure = flag.Bool("no-unitpure", false, "disable unit/pure elimination on AIGs")
 		noSweep    = flag.Bool("no-sweep", false, "disable SAT sweeping")
-		workers    = flag.Int("workers", 1, "SAT-sweeping worker pool size (0 = one per CPU)")
 		stats      = flag.Bool("stats", false, "print solver statistics to stderr")
 		certFlag   = flag.Bool("cert", false, "extract, check, and print a Skolem certificate on SAT")
 		traceFlag  = flag.Bool("trace", false, "print a per-pass pipeline trace table to stderr")
@@ -137,11 +136,6 @@ func main() {
 		opt.SweepThreshold = 0
 		opt.QBF.SweepThreshold = 0
 	}
-	if *workers == 0 {
-		opt.Workers = -1 // resolved to runtime.GOMAXPROCS(0) by the sweeper
-	} else {
-		opt.Workers = *workers
-	}
 	switch *strategy {
 	case "maxsat":
 		opt.Strategy = core.ElimMaxSAT
@@ -172,8 +166,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "c sweeps          %d, peak AIG nodes %d\n", st.Sweeps+st.QBF.Sweeps, st.PeakAIGNodes)
 		sw := st.Sweep
 		sw.Add(st.QBF.Sweep)
-		fmt.Fprintf(os.Stderr, "c sweep merges    %d of %d candidates: %d hashed, %d truth-table, %d SAT (%d SAT calls, %d sim-refuted, pool %d)\n",
-			sw.Merged, sw.Candidates, sw.Strash, sw.Exact, sw.Merged-sw.Strash-sw.Exact, sw.SatCalls, sw.SimRefuted, sw.Workers)
+		fmt.Fprintf(os.Stderr, "c sweep merges    %d of %d candidates: %d hashed, %d truth-table, %d SAT (%d SAT calls, %d sim-refuted)\n",
+			sw.Merged, sw.Candidates, sw.Strash, sw.Exact, sw.Merged-sw.Strash-sw.Exact, sw.SatCalls, sw.SimRefuted)
 		fmt.Fprintf(os.Stderr, "c sweep arena     %d bytes peak, %d compactions\n",
 			sw.ArenaBytes, sw.Compactions)
 		or := st.Oracle

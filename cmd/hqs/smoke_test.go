@@ -48,7 +48,8 @@ func TestHQSRetiredEngineSmoke(t *testing.T) {
 // unit/pure eliminations. On a frozen two-box C432 PEC instance (UNSAT,
 // exit 20) the linear phase sweeps, and the sweep line splits the merges
 // over the three deciders, each of which merges some: structural hashing,
-// truth tables and SAT.
+// truth tables and SAT, and ends with the SAT-call and simulation-refutation
+// counts.
 func TestHQSStatsSmoke(t *testing.T) {
 	bin := buildHQS(t)
 	out := runStats(t, bin, "testdata/unitpure.qdimacs", 10)
@@ -65,13 +66,16 @@ func TestHQSStatsSmoke(t *testing.T) {
 
 	out = runStats(t, bin, "testdata/c432_w5_b2_000.dqdimacs", 20)
 	line := statsLine(t, out, "c sweep merges")
-	var merged, cands, hashed, table, sat int
-	if _, err := fmt.Sscanf(line, "%d of %d candidates: %d hashed, %d truth-table, %d SAT",
-		&merged, &cands, &hashed, &table, &sat); err != nil {
-		t.Fatalf("sweep line %q: %v", line, err)
+	var merged, cands, hashed, table, sat, calls, refuted int
+	if _, err := fmt.Sscanf(line, "%d of %d candidates: %d hashed, %d truth-table, %d SAT (%d SAT calls, %d sim-refuted)",
+		&merged, &cands, &hashed, &table, &sat, &calls, &refuted); err != nil || !strings.HasSuffix(line, " sim-refuted)") {
+		t.Fatalf("sweep line %q does not end with the sim-refuted count: %v", line, err)
 	}
 	if hashed <= 0 || table <= 0 || sat <= 0 || hashed+table+sat != merged || merged > cands {
 		t.Errorf("sweep line %q: want every decider > 0, summing to the merges, at most the candidates", line)
+	}
+	if calls < 2*sat || merged+refuted > cands {
+		t.Errorf("sweep line %q: want two SAT calls per SAT merge, and merges plus refutations at most the candidates", line)
 	}
 }
 

@@ -165,7 +165,7 @@ func FuzzSweep(f *testing.F) {
 
 		gs := New()
 		rs := buildFuzzAIG(gs, data)
-		sopt := testSweepOptions(gs, SweepOptions{Workers: 1})
+		sopt := testSweepOptions(gs, SweepOptions{})
 		satSwept, sst := gs.sweep(rs, sopt, true)
 		if got := evalAll(gs, satSwept); !eqVec(got, want) {
 			t.Fatalf("forced SAT sweep changed the function of %v", rs)

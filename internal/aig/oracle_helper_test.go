@@ -1,8 +1,6 @@
 package aig
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/budget"
@@ -15,7 +13,7 @@ import (
 type testOracle struct {
 	s      *sat.Solver
 	b      *CNFBuilder
-	proofs *atomic.Int64
+	proofs *int
 }
 
 func (o *testOracle) ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.Budget) (bool, int, func(cnf.Var) bool) {
@@ -30,41 +28,32 @@ func (o *testOracle) ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.
 			return false, i + 1, nil
 		}
 	}
-	o.proofs.Add(1)
+	*o.proofs++
 	return true, 2, nil
 }
 
 func (o *testOracle) Footprint() (int, int64) { return o.s.ArenaBytes(), o.s.Stats.Compactions }
 
-// testOraclePool hands out one testOracle per worker index and, like
-// oracle.Pool, drops them when a sweep retires its workers. proofs counts
-// the equivalences its oracles proved.
+// testOraclePool hands a sweep one testOracle and, like oracle.Pool, drops
+// it when the sweep retires it. proofs counts the equivalences its oracles
+// proved.
 type testOraclePool struct {
 	g      *Graph
-	mu     sync.Mutex
-	os     map[int]*testOracle
-	proofs atomic.Int64
+	o      *testOracle
+	proofs int
 }
 
-func newTestOraclePool(g *Graph) *testOraclePool {
-	return &testOraclePool{g: g, os: map[int]*testOracle{}}
-}
+func newTestOraclePool(g *Graph) *testOraclePool { return &testOraclePool{g: g} }
 
-func (p *testOraclePool) WorkerOracle(i int) SweepOracle {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.os[i] == nil {
+func (p *testOraclePool) Oracle() SweepOracle {
+	if p.o == nil {
 		s := sat.New()
-		p.os[i] = &testOracle{s: s, b: NewCNFBuilder(p.g, s), proofs: &p.proofs}
+		p.o = &testOracle{s: s, b: NewCNFBuilder(p.g, s), proofs: &p.proofs}
 	}
-	return p.os[i]
+	return p.o
 }
 
-func (p *testOraclePool) RetireWorkers() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	clear(p.os)
-}
+func (p *testOraclePool) Retire() { p.o = nil }
 
 // testSweepOptions returns opt with a fresh test oracle pool over g, as every
 // sweep that reaches SAT needs.
@@ -76,7 +65,7 @@ func testSweepOptions(g *Graph, opt SweepOptions) SweepOptions {
 // satProofs returns how many equivalences the test oracle pool of opt
 // proved.
 func satProofs(opt SweepOptions) int {
-	return int(opt.Oracles.(*testOraclePool).proofs.Load())
+	return opt.Oracles.(*testOraclePool).proofs
 }
 
 // checkDeciders fails t unless every merge of st has exactly one decider:

@@ -3,9 +3,7 @@ package aig
 import (
 	"cmp"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/budget"
 	"repro/internal/cnf"
@@ -25,11 +23,11 @@ func (r *rng) next() uint64 {
 	return x
 }
 
-// SweepOracle is an incremental equivalence oracle queried by one sweep
-// worker. Implementations (internal/oracle) keep one incremental SAT solver
-// plus Tseitin memo alive for the whole sweep, so each candidate check is an
+// SweepOracle is an incremental equivalence oracle queried by one sweep.
+// Implementations (internal/oracle) keep one incremental SAT solver plus
+// Tseitin memo alive for the whole sweep, so each candidate check is an
 // assumption query against an already-loaded solver. An oracle is NOT safe
-// for concurrent use; the pool hands each index to exactly one worker.
+// for concurrent use.
 type SweepOracle interface {
 	// ProveEquiv reports whether the functions rooted at lhs and rhs are
 	// equivalent, spending at most conflictBudget conflicts per SAT query
@@ -45,18 +43,15 @@ type SweepOracle interface {
 	Footprint() (arenaBytes int, compactions int64)
 }
 
-// SweepOraclePool supplies one SweepOracle per worker index for the
-// duration of one sweep.
+// SweepOraclePool supplies the SweepOracle of one sweep.
 type SweepOraclePool interface {
-	// WorkerOracle returns the oracle owned by worker i, creating it on
-	// first use. A sweep fetches every worker's oracle before starting its
-	// workers; the returned oracle itself is single-goroutine.
-	WorkerOracle(i int) SweepOracle
-	// RetireWorkers is called once a sweep's candidate checks are done.
-	// The pool may drop its worker oracles, so the next sweep starts on
-	// fresh ones: an oracle that carries earlier cones' clauses and learnts
-	// makes every later query propagate over them.
-	RetireWorkers()
+	// Oracle returns the sweep's oracle, creating it on first use.
+	Oracle() SweepOracle
+	// Retire is called once a sweep's candidate checks are done. The pool
+	// may drop the sweep's oracle, so the next sweep starts on a fresh one:
+	// an oracle that carries earlier cones' clauses and learnts makes every
+	// later query propagate over them.
+	Retire()
 }
 
 // SweepStats reports what a sweep did. Every merge has one decider: the
@@ -69,13 +64,12 @@ type SweepStats struct {
 	Exact      int // merges decided by truth table, with no SAT call (pairs of at most exactInputs inputs)
 	SatCalls   int // individual SAT oracle invocations (up to two per pair)
 	SimRefuted int // candidates refuted by counterexample words or a truth table, with no SAT call
-	Workers    int // size of the worker pool actually used
 	Skipped    int // sweeps skipped outright (injected fault at aig.sweep)
 	Panics     int // oracle panics contained (the sweep then sends no candidate to SAT)
 
-	// SAT substrate footprint, aggregated over the workers' oracles.
-	ArenaBytes  int   // peak packed-clause-arena size of any one solver
-	Compactions int64 // arena garbage collections summed over the pool
+	// SAT substrate footprint of the sweep's oracle.
+	ArenaBytes  int   // peak packed-clause-arena size
+	Compactions int64 // arena garbage collections
 }
 
 // Counters flattens the stats into the generic counter map consumed by the
@@ -112,9 +106,6 @@ func (s *SweepStats) Add(o SweepStats) {
 	if o.ArenaBytes > s.ArenaBytes {
 		s.ArenaBytes = o.ArenaBytes
 	}
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
 }
 
 // simWords is the number of 64-bit words in a node's simulation signature:
@@ -137,25 +128,12 @@ type SweepOptions struct {
 	// for prompt cancellation mid-query. Merges proven before the stop are
 	// still applied (the result stays equivalent).
 	Budget *budget.Budget
-	// Workers is the number of oracles that check SAT-bound candidates at
-	// once. 0 or 1 runs serially, with no goroutine; negative values use
-	// runtime.GOMAXPROCS(0). The sweep's own goroutine hashes, simulates
-	// and builds every node. It hands the SAT-bound candidates to the
-	// workers in rounds of Workers, one per oracle, and applies a round's
-	// merges before it goes on, so the graph never changes while a worker
-	// reads it. The swept graph is deterministic for a fixed worker count.
-	// Across worker counts the merges, the swept function and the size of
-	// its cone are the same whenever no query exhausts ConflictBudget or
-	// the Budget, but node numbering may differ: the candidates of one
-	// round are checked without one another's merges, so a later one may
-	// reach SAT where one worker would have found it by hashing.
-	Workers int
-	// Oracles supplies the SAT side of the sweep: worker i checks its
-	// candidates with assumption queries against the pool's oracle i (see
+	// Oracles supplies the SAT side of the sweep: SAT-bound candidates are
+	// checked with assumption queries against the pool's oracle (see
 	// internal/oracle), so Tseitin encodings and learned clauses carry from
-	// one candidate to the next. Oracle i is fetched when a round first
-	// needs it, and the pool retires the fetched oracles when the sweep
-	// ends. The pool is required whenever a cone has more than exactInputs
+	// one candidate to the next. The oracle is fetched when the first
+	// candidate reaches SAT, and the pool retires it when the sweep ends.
+	// The pool is required whenever a cone has more than exactInputs
 	// inputs; a smaller cone never reaches SAT.
 	Oracles SweepOraclePool
 }
@@ -163,21 +141,6 @@ type SweepOptions struct {
 // DefaultSweepOptions are a reasonable tradeoff for the solver loops.
 func DefaultSweepOptions() SweepOptions {
 	return SweepOptions{ConflictBudget: 2000}
-}
-
-// poolSize resolves the Workers knob against the candidate count.
-func (o SweepOptions) poolSize(candidates int) int {
-	w := o.Workers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > candidates {
-		w = candidates
-	}
-	return w
 }
 
 // coneIndex is a dense view of the cone of one root, built once per sweep.
@@ -256,7 +219,7 @@ type sweepCand struct {
 //  2. truth table: the pair reads at most exactInputs inputs (in a cone of
 //     at most 64), so its cone simulated on all their assignments decides
 //     it (SweepStats.Exact);
-//  3. SAT: an oracle of opt.Oracles proves or refutes the reduced refs.
+//  3. SAT: the oracle of opt.Oracles proves or refutes the reduced refs.
 //
 // A cone of at most exactInputs inputs is simulated exhaustively, so its
 // signatures are truth tables: every candidate passes check 2 at once, and
@@ -418,12 +381,6 @@ type fraig struct {
 	epoch     int32
 	virtNodes int
 
-	// While a SAT round is pending (journaling), journal lists the
-	// positions reduced since it began, whose reduced refs do not yet see
-	// its merges.
-	journal    []int32
-	journaling bool
-
 	// Counterexample simulation: bit k of cex[p] is position p's value
 	// under counterexample k mod 64 (the newest overwrites the oldest). Once
 	// the first one is simulated, every column is the simulation of a full
@@ -443,21 +400,10 @@ type fraig struct {
 	stack, sub []int32
 	words      []uint64
 
-	oracles  []SweepOracle // per worker, fetched when a round first needs it
-	compact0 []int64       // each oracle's compaction count at fetch
-	satOff   bool          // an oracle panicked: no candidate goes to SAT any more
+	oracle   SweepOracle // fetched when the first candidate reaches SAT
+	compact0 int64       // its compaction count at fetch
+	satOff   bool        // the oracle panicked: no candidate goes to SAT any more
 	stats    SweepStats
-}
-
-// satCheck is one SAT-bound candidate of a round: its reduced refs going
-// in, and the oracle's answer coming out.
-type satCheck struct {
-	cand     sweepCand
-	l, r     Ref
-	proven   bool
-	calls    int
-	cex      func(cnf.Var) bool
-	panicked bool
 }
 
 // checkCandidates decides cands, bottom-up, and returns the sweep's state:
@@ -468,11 +414,8 @@ type satCheck struct {
 // apart is refuted without a check; that skip only drops pairs SAT would
 // refute too, so it changes the time of a sweep, never its merges.
 //
-// SAT-bound candidates are checked in rounds of opt.Workers, one per
-// oracle and goroutine; this goroutine builds every node, before and after
-// a round, never during one.
-// Candidates come bottom-up, so each query finds the cone below it already
-// encoded, with the clauses learned proving lower pairs equivalent.
+// Candidates come bottom-up, so each SAT query finds the cone below it
+// already encoded, with the clauses learned proving lower pairs equivalent.
 func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, exact bool, opt SweepOptions, forceSAT bool, expired func() bool) *fraig {
 	f := &fraig{
 		g:       g,
@@ -484,15 +427,12 @@ func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, exact bool, opt
 	for i := range f.reduced {
 		f.reduced[i] = unbuilt
 	}
-	workers := 1
 	if !exact {
 		if opt.Oracles == nil {
 			// Fail loudly, whatever the candidates: a cone past the
 			// truth-table bound may need SAT.
 			panic("aig: sweeping a cone of more than exactInputs inputs needs SweepOptions.Oracles")
 		}
-		workers = opt.poolSize(len(cands))
-		f.stats.Workers = workers
 		f.cex = make([]uint64, len(c.fanin))
 		if !forceSAT {
 			f.virt = make(map[[2]term]term)
@@ -506,7 +446,6 @@ func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, exact bool, opt
 	}
 	defer f.retire()
 
-	round := make([]satCheck, 0, workers)
 	for i, cd := range cands {
 		if i%8 == 0 && expired() {
 			break
@@ -538,18 +477,10 @@ func (g *Graph) checkCandidates(c *coneIndex, cands []sweepCand, exact bool, opt
 				continue
 			}
 		}
-		if f.satOff {
-			continue
-		}
-		round = append(round, satCheck{cand: cd, l: f.reduce(cd.lhsRef), r: f.reduce(cd.rhsRef)})
-		if len(round) == workers {
-			f.prove(round)
-			round = round[:0]
-		} else {
-			f.journaling = true
+		if !f.satOff {
+			f.prove(cd)
 		}
 	}
-	f.prove(round)
 	return f
 }
 
@@ -580,16 +511,8 @@ func (f *fraig) reduce(e Ref) Ref {
 	if nd.v == 0 {
 		out = f.g.And(f.reduce(nd.f0), f.reduce(nd.f1))
 	}
-	f.memo(p, out)
-	return out.XorSign(e.compl())
-}
-
-// memo records out as position p's reduced ref.
-func (f *fraig) memo(p int32, out Ref) {
 	f.reduced[p] = out
-	if f.journaling {
-		f.journal = append(f.journal, p)
-	}
+	return out.XorSign(e.compl())
 }
 
 // A term is a reduced ref as hashEqual sees it: a graph ref, or, at or
@@ -605,16 +528,11 @@ const virtualTerm term = 1 << 32
 func (f *fraig) hashEqual(cd sweepCand) bool {
 	if len(f.g.nodes) != f.virtNodes {
 		// A new node may be a gate virt holds: start afresh.
-		f.dropVirtual()
+		clear(f.virt)
+		f.epoch++
+		f.virtNodes = len(f.g.nodes)
 	}
 	return f.probe(cd.lhsRef) == f.probe(cd.rhsRef)
-}
-
-// dropVirtual forgets every virtual term.
-func (f *fraig) dropVirtual() {
-	clear(f.virt)
-	f.epoch++
-	f.virtNodes = len(f.g.nodes)
 }
 
 // probe returns e's term on the reduced graph. A gate it finds in the graph
@@ -637,13 +555,13 @@ func (f *fraig) probe(e Ref) term {
 	}
 	nd := f.g.nodes[n]
 	if nd.v != 0 {
-		f.memo(p, Ref(n<<1))
+		f.reduced[p] = Ref(n << 1)
 		return term(e)
 	}
 	a, b := f.probe(nd.f0), f.probe(nd.f1)
 	if a < virtualTerm && b < virtualTerm {
 		if out, _, ok := f.g.findAnd(Ref(a), Ref(b)); ok {
-			f.memo(p, out)
+			f.reduced[p] = out
 			return term(out) ^ ph
 		}
 	}
@@ -780,87 +698,53 @@ func (f *fraig) learn(val func(rank int) bool) {
 	f.c.simulate(f.cex)
 }
 
-// prove checks one round of SAT-bound candidates, check k on worker
-// oracle k, and applies the round's verdicts in candidate order. Every
-// reduced ref built while the round was pending, above its lowest merge,
-// is dropped, so later reductions see the round's merges.
+// prove checks cd on the reduced graph with the sweep's oracle. Only
+// positions up to cd's rhs are reduced, and every later candidate merges a
+// higher one, so no reduced ref or virtual term built so far depends on
+// whether cd is merged.
 //
-// A panic escaping a SAT query (notably an injected one) is contained in
-// the query's goroutine rather than killing the sweep: the candidate stays
-// unproven, which is sound because unproven pairs are simply not merged,
-// and no later candidate goes to SAT, since the oracle may be left
-// mid-query.
-func (f *fraig) prove(round []satCheck) {
-	if len(round) == 0 {
+// A panic escaping the SAT query (notably an injected one) is contained
+// rather than killing the sweep: the candidate stays unproven, which is
+// sound because unproven pairs are simply not merged, and no later
+// candidate goes to SAT, since the oracle may be left mid-query.
+func (f *fraig) prove(cd sweepCand) {
+	l, r := f.reduce(cd.lhsRef), f.reduce(cd.rhsRef)
+	if f.oracle == nil {
+		// Fetched here, outside the panic containment, so a broken pool
+		// fails the sweep loudly.
+		f.oracle = f.opt.Oracles.Oracle()
+		_, f.compact0 = f.oracle.Footprint()
+	}
+	proven, calls, cex, ok := f.query(l, r)
+	f.stats.SatCalls += calls
+	if !ok {
+		f.stats.Panics++
+		f.satOff = true
 		return
 	}
-	// Oracles are fetched here, outside the panic containment, so a broken
-	// pool fails the sweep loudly.
-	for len(f.oracles) < len(round) {
-		o := f.opt.Oracles.WorkerOracle(len(f.oracles))
-		_, compactions := o.Footprint()
-		f.oracles, f.compact0 = append(f.oracles, o), append(f.compact0, compactions)
+	if cex != nil {
+		f.learn(func(rank int) bool { return cex(f.c.vars[f.c.inputs[rank]]) })
 	}
-	// This goroutine checks the first candidate itself, so a round of one
-	// starts no goroutine.
-	var wg sync.WaitGroup
-	wg.Add(len(round) - 1)
-	for k := 1; k < len(round); k++ {
-		go func(k int) {
-			defer wg.Done()
-			f.query(k, &round[k])
-		}(k)
-	}
-	f.query(0, &round[0])
-	wg.Wait()
-	lowest := int32(len(f.c.fanin))
-	for k := range round {
-		chk := &round[k]
-		f.stats.SatCalls += chk.calls
-		if chk.panicked {
-			f.stats.Panics++
-			f.satOff = true
-			continue
-		}
-		if chk.cex != nil {
-			f.learn(func(rank int) bool { return chk.cex(f.c.vars[f.c.inputs[rank]]) })
-		}
-		if chk.proven {
-			f.merge(chk.cand)
-			lowest = min(lowest, chk.cand.rhs>>1)
-		}
-	}
-	for _, p := range f.journal {
-		if p > lowest {
-			f.reduced[p] = unbuilt
-		}
-	}
-	f.journal, f.journaling = f.journal[:0], false
-	if f.virt != nil {
-		f.dropVirtual()
+	if proven {
+		f.merge(cd)
 	}
 }
 
-// query runs one SAT check on worker k's oracle, containing its panic.
-func (f *fraig) query(k int, chk *satCheck) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			chk.panicked = true
-		}
-	}()
-	chk.proven, chk.calls, chk.cex = f.oracles[k].ProveEquiv(chk.l, chk.r, f.opt.ConflictBudget, f.opt.Budget)
+// query runs one SAT check on the sweep's oracle; ok is false, and the
+// other results zero, if it panicked.
+func (f *fraig) query(l, r Ref) (proven bool, calls int, cex func(cnf.Var) bool, ok bool) {
+	defer func() { _ = recover() }()
+	proven, calls, cex = f.oracle.ProveEquiv(l, r, f.opt.ConflictBudget, f.opt.Budget)
+	return proven, calls, cex, true
 }
 
-// retire records the fetched oracles' footprint and hands them back to the
-// pool.
+// retire records the oracle's footprint and hands it back to the pool.
 func (f *fraig) retire() {
-	if len(f.oracles) == 0 {
+	if f.oracle == nil {
 		return
 	}
-	for k, o := range f.oracles {
-		ab, compactions := o.Footprint()
-		f.stats.ArenaBytes = max(f.stats.ArenaBytes, ab)
-		f.stats.Compactions += compactions - f.compact0[k]
-	}
-	f.opt.Oracles.RetireWorkers()
+	ab, compactions := f.oracle.Footprint()
+	f.stats.ArenaBytes = ab
+	f.stats.Compactions = compactions - f.compact0
+	f.opt.Oracles.Retire()
 }

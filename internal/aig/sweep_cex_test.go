@@ -24,12 +24,11 @@ func randomCone(g *Graph, rng *rand.Rand, vs []cnf.Var, ops int) Ref {
 
 // TestSweepCounterexampleRefinementProperty checks counterexample-guided
 // candidate filtering against exhaustive simulation on random cones of 10 to
-// 16 inputs, with 1 and 4 workers and an unlimited conflict budget. One
-// simulation word leaves many inequivalent candidates for SAT and simulation
-// to refute. Every candidate is merged exactly when its functions are equal,
-// so no refutation, by simulation or by SAT, drops a true equivalence. The
-// swept function, its merges and its cone size are the same for both worker
-// counts.
+// 16 inputs, with an unlimited conflict budget. One simulation word leaves
+// many inequivalent candidates for SAT and simulation to refute. Every
+// candidate is merged exactly when its functions are equal, so no
+// refutation, by simulation or by SAT, drops a true equivalence, and the
+// swept function is unchanged.
 func TestSweepCounterexampleRefinementProperty(t *testing.T) {
 	never := func() bool { return false }
 	var simRefutes, satRefutes int
@@ -38,36 +37,26 @@ func TestSweepCounterexampleRefinementProperty(t *testing.T) {
 		nv := exactInputs + 1 + iter%7 // 10..16 inputs
 		vs := vars(nv)
 
-		wantMerged, wantSize := -1, -1
-		for _, workers := range []int{1, 4} {
-			g := New()
-			r := readingAll(g, randomCone(g, rand.New(rand.NewSource(seed)), vs, 30+2*nv), vs)
-			opt := testSweepOptions(g, SweepOptions{Workers: workers})
-			c := g.indexCone(r)
-			cands, _, _ := c.candidates(1, never)
-			f := g.checkCandidates(c, cands, false, opt, false, never)
-			for i, cd := range cands {
-				eq := sameFunction(g, cd.lhsRef, cd.rhsRef, vs)
-				if merged := f.repl[cd.rhs>>1] != False; merged != eq {
-					t.Fatalf("iter %d workers=%d: candidate %d merged=%v, functions equal=%v",
-						iter, workers, i, merged, eq)
-				}
+		g := New()
+		r := readingAll(g, randomCone(g, rand.New(rand.NewSource(seed)), vs, 30+2*nv), vs)
+		opt := testSweepOptions(g, SweepOptions{})
+		c := g.indexCone(r)
+		cands, _, _ := c.candidates(1, never)
+		f := g.checkCandidates(c, cands, false, opt, false, never)
+		for i, cd := range cands {
+			eq := sameFunction(g, cd.lhsRef, cd.rhsRef, vs)
+			if merged := f.repl[cd.rhs>>1] != False; merged != eq {
+				t.Fatalf("iter %d: candidate %d merged=%v, functions equal=%v", iter, i, merged, eq)
 			}
-			st := f.stats
-			simRefutes += st.SimRefuted
-			satRefutes += st.Candidates - st.Merged - st.SimRefuted
-			checkDeciders(t, "refinement", st, opt)
+		}
+		st := f.stats
+		simRefutes += st.SimRefuted
+		satRefutes += st.Candidates - st.Merged - st.SimRefuted
+		checkDeciders(t, "refinement", st, opt)
 
-			swept, sst := g.Sweep(r, testSweepOptions(g, opt))
-			if wantMerged == -1 {
-				wantMerged, wantSize = sst.Merged, g.ConeSize(swept)
-			} else if sst.Merged != wantMerged || g.ConeSize(swept) != wantSize {
-				t.Fatalf("iter %d workers=%d: %d merges and a cone of %d; one worker gave %d and %d",
-					iter, workers, sst.Merged, g.ConeSize(swept), wantMerged, wantSize)
-			}
-			if !sameFunction(g, r, swept, vs) {
-				t.Fatalf("iter %d workers=%d: sweep changed semantics", iter, workers)
-			}
+		swept, _ := g.Sweep(r, testSweepOptions(g, opt))
+		if !sameFunction(g, r, swept, vs) {
+			t.Fatalf("iter %d: sweep changed semantics", iter)
 		}
 	}
 	t.Logf("%d candidates refuted by simulation, %d by SAT", simRefutes, satRefutes)

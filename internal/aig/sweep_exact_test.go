@@ -105,7 +105,7 @@ func TestSweepExactPath(t *testing.T) {
 
 			g1 := New()
 			r1 := exactCone(g1, seed, k)
-			swept, st := g1.Sweep(r1, SweepOptions{Workers: 1})
+			swept, st := g1.Sweep(r1, SweepOptions{})
 			if st.SatCalls != 0 || st.Exact == 0 {
 				t.Fatalf("k=%d iter %d: %d SAT calls, %d truth-table merges; want 0 and > 0", k, iter, st.SatCalls, st.Exact)
 			}
@@ -119,7 +119,7 @@ func TestSweepExactPath(t *testing.T) {
 
 			g2 := New()
 			r2 := exactCone(g2, seed, k)
-			opt := testSweepOptions(g2, SweepOptions{Workers: 2})
+			opt := testSweepOptions(g2, SweepOptions{})
 			satSwept, sst := g2.sweep(r2, opt, true)
 			if sst.SatCalls == 0 || sst.Strash != 0 || sst.Exact != 0 {
 				t.Fatalf("k=%d iter %d: forced SAT path made %d SAT calls, %d hashed and %d truth-table merges",
@@ -174,8 +174,7 @@ func TestSweepExactBound(t *testing.T) {
 // bound too, and on a cone of 80 inputs, where no pair is decided by truth
 // table. On twin graphs, the default sweep and the seam that sends every
 // candidate to SAT merge as many pairs, into the same function and a cone of
-// the same size, with one worker and with three; every merge has exactly one
-// decider.
+// the same size; every merge has exactly one decider.
 func TestSweepDecidersAgreeWithSAT(t *testing.T) {
 	deciders := map[string]int{}
 	for iter := 0; iter < 38; iter++ {
@@ -191,24 +190,23 @@ func TestSweepDecidersAgreeWithSAT(t *testing.T) {
 			r = g.OrN(r, g.And(up, g.Input(vs[0])), g.And(down, g.Input(vs[1]).Not()))
 			return g, readingAll(g, r, vs)
 		}
-		workers := 1 + 2*(iter%2)
 		g, r := build()
-		opt := testSweepOptions(g, SweepOptions{Workers: workers})
+		opt := testSweepOptions(g, SweepOptions{})
 		swept, st := g.Sweep(r, opt)
 		checkDeciders(t, "default", st, opt)
 		gs, rs := build()
-		sopt := testSweepOptions(gs, SweepOptions{Workers: workers})
+		sopt := testSweepOptions(gs, SweepOptions{})
 		satSwept, sst := gs.sweep(rs, sopt, true)
 		checkDeciders(t, "forced SAT", sst, sopt)
 		if sst.Merged != st.Merged || gs.ConeSize(satSwept) != g.ConeSize(swept) {
-			t.Fatalf("iter %d (workers=%d): SAT merged %d into a cone of %d, the default sweep %d into %d",
-				iter, workers, sst.Merged, gs.ConeSize(satSwept), st.Merged, g.ConeSize(swept))
+			t.Fatalf("iter %d: SAT merged %d into a cone of %d, the default sweep %d into %d",
+				iter, sst.Merged, gs.ConeSize(satSwept), st.Merged, g.ConeSize(swept))
 		}
 		if iter >= 36 && st.Exact != 0 {
 			t.Fatalf("iter %d: %d truth-table merges in a cone of %d inputs", iter, st.Exact, len(g.Support(r)))
 		}
 		if !g.Equivalent(r, swept) || !gs.Equivalent(rs, satSwept) {
-			t.Fatalf("iter %d (workers=%d): sweep changed the function", iter, workers)
+			t.Fatalf("iter %d: sweep changed the function", iter)
 		}
 		deciders["strash"] += st.Strash
 		deciders["exact"] += st.Exact
@@ -241,7 +239,7 @@ func TestSweepHashingBuildsNothing(t *testing.T) {
 
 	c := g.indexCone(r)
 	cands, _, _ := c.candidates(simWords, never)
-	f := g.checkCandidates(c, cands, false, testSweepOptions(g, SweepOptions{Workers: 1}), false, never)
+	f := g.checkCandidates(c, cands, false, testSweepOptions(g, SweepOptions{}), false, never)
 	// The OR tree over the parts collapses too, by hashing.
 	if f.stats.Exact != 2 || f.stats.Strash == 0 || f.stats.Merged != f.stats.Strash+f.stats.Exact || f.stats.SatCalls != 0 {
 		t.Fatalf("want right and right2 merged by truth table, the rest by hashing, with no SAT call: %+v", f.stats)

@@ -29,7 +29,6 @@ type BaselineRow struct {
 type Baseline struct {
 	CreatedAt string        `json:"created_at"`
 	Timeout   string        `json:"timeout"`
-	Workers   int           `json:"workers"`
 	Rows      []BaselineRow `json:"rows"`
 
 	// Aggregated HQS sweep instrumentation across all instances.
@@ -80,7 +79,6 @@ func ComputeBaseline(c *Campaign, opt RunOptions) Baseline {
 	b := Baseline{
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Timeout:   opt.Timeout.String(),
-		Workers:   opt.HQSOptions.Workers,
 	}
 	for _, inst := range c.Order {
 		h := c.HQS[inst.Name]

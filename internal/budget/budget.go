@@ -151,11 +151,6 @@ func (b *Budget) Cancelled() bool {
 	}
 }
 
-// Expired reports whether the deadline has passed. Nil-safe.
-func (b *Budget) Expired() bool {
-	return b != nil && !b.deadline.IsZero() && time.Now().After(b.deadline)
-}
-
 // AddConflicts records n CDCL conflicts spent against the budget. Nil-safe.
 func (b *Budget) AddConflicts(n int64) {
 	if b != nil && n != 0 {
@@ -196,7 +191,7 @@ func (b *Budget) Err() error {
 	if b.Cancelled() {
 		return ErrCancelled
 	}
-	if b.Expired() {
+	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
 		return ErrDeadline
 	}
 	if b.maxConflicts > 0 && b.conflicts.Load() >= b.maxConflicts {

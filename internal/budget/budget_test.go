@@ -46,7 +46,7 @@ func TestCancel(t *testing.T) {
 
 func TestDeadline(t *testing.T) {
 	b := New(Limits{Deadline: time.Now().Add(-time.Second)})
-	if !b.Expired() || !errors.Is(b.Err(), ErrDeadline) {
+	if !errors.Is(b.Err(), ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", b.Err())
 	}
 	b2 := WithTimeout(time.Hour)

@@ -100,9 +100,8 @@ type Options struct {
 	SweepThreshold int
 	// SweepOptions configure individual sweeps of both phases.
 	SweepOptions aig.SweepOptions
-	// Workers, when nonzero, overrides the SAT worker-pool size of every
-	// sweep: 1 is serial, negative uses runtime.GOMAXPROCS(0). See
-	// aig.SweepOptions.Workers for the determinism guarantees.
+	// Workers is ignored: every sweep checks its candidates on one oracle.
+	// It is kept only so that callers which still set it keep building.
 	Workers int
 	// QBF holds the linear phase's own sweep trigger: a sweep runs once the
 	// matrix has grown by SweepThreshold AND nodes since the last one; 0
@@ -218,13 +217,6 @@ type budgetStop struct{ err error }
 func (s *Solver) Solve(p *problem.Problem) (res Result) {
 	start := time.Now()
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
-	// Workers is resolved once, here, into the sweep options both phases
-	// use; no pass consults it again.
-	if w := s.Opt.Workers; w != 0 {
-		opt := s.Opt
-		opt.SweepOptions.Workers = w
-		s = New(opt)
-	}
 
 	// Passes unwind via panic on resource exhaustion (aig.ErrNodeLimit) and
 	// via stop errors otherwise; run below wraps stop errors in budgetStop,

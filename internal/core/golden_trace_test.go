@@ -35,7 +35,6 @@ func goldenTrace(t *testing.T, f *dqbf.Formula, certify bool) (string, core.Resu
 	rec := trace.NewRecorder(0)
 	opt := core.DefaultOptions()
 	opt.Trace = rec
-	opt.Workers = 1 // serial sweeps, so the pass schedule is deterministic
 	opt.Certify = certify
 	res := core.New(opt).Solve(problem.FromDQBF(f))
 	if res.Status != core.Solved {

@@ -92,7 +92,6 @@ func solveLinear(t *testing.T, f *dqbf.Formula, opt core.Options) (core.Result, 
 	t.Helper()
 	rec := trace.NewRecorder(1 << 16)
 	opt.Trace = rec
-	opt.Workers = 1
 	opt.Certify = true
 	res := core.New(opt).Solve(&problem.Problem{Kind: problem.KindQBF, Formula: f})
 	if res.Status == core.Solved && res.Sat {

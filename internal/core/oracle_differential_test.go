@@ -13,40 +13,27 @@ import (
 	"repro/internal/trace"
 )
 
-// oracleConfigs are the pipeline configurations the differential suite holds
-// to the reference: the default persistent-oracle pipeline, serial and with a
-// 2-worker sweep pool (so the per-worker oracles run concurrently under
-// -race).
-func oracleConfigs() map[string]core.Options {
-	workers := core.DefaultOptions()
-	workers.Workers = 2
-	return map[string]core.Options{
-		"oracle":         core.DefaultOptions(),
-		"oracle-workers": workers,
-	}
-}
-
-// diffSolve decides f under every configuration and fails on any verdict
-// that disagrees with full universal expansion, which grounds the formula
-// into one fresh SAT call and shares no code with the oracle path.
-func diffSolve(t *testing.T, name string, f *dqbf.Formula) {
+// diffSolve decides f with the default persistent-oracle pipeline and fails
+// on a verdict that disagrees with full universal expansion, which grounds
+// the formula into one fresh SAT call and shares no code with the oracle
+// path. It returns the pipeline's result.
+func diffSolve(t *testing.T, name string, f *dqbf.Formula) core.Result {
 	t.Helper()
 	ref, err := expand.New(expand.Options{}).Solve(f)
 	if err != nil {
 		t.Fatalf("%s: expansion reference: %v", name, err)
 	}
-	for cfg, opt := range oracleConfigs() {
-		res := core.New(opt).Solve(problem.FromDQBF(f))
-		if res.Status != core.Solved {
-			t.Fatalf("%s [%s]: status %v, want solved", name, cfg, res.Status)
-		}
-		if res.Sat != ref.Sat {
-			t.Fatalf("%s: %s says sat=%v, expansion says sat=%v", name, cfg, res.Sat, ref.Sat)
-		}
+	res := core.New(core.DefaultOptions()).Solve(problem.FromDQBF(f))
+	if res.Status != core.Solved {
+		t.Fatalf("%s: status %v, want solved", name, res.Status)
 	}
+	if res.Sat != ref.Sat {
+		t.Fatalf("%s: the oracle pipeline says sat=%v, expansion says sat=%v", name, res.Sat, ref.Sat)
+	}
+	return res
 }
 
-// TestOracleDifferentialRandom holds the incremental-oracle pipelines to full
+// TestOracleDifferentialRandom holds the incremental-oracle pipeline to full
 // expansion over the pinned random corpus: identical verdicts on every
 // instance, or the persistent solver state leaked between queries.
 func TestOracleDifferentialRandom(t *testing.T) {
@@ -72,12 +59,9 @@ func TestOracleDifferentialFamilies(t *testing.T) {
 		}
 		sawOracleQueries := false
 		for _, inst := range insts {
-			opt := core.DefaultOptions()
-			res := core.New(opt).Solve(problem.FromDQBF(inst.Formula))
-			if res.Status == core.Solved && res.Stats.Oracle.Queries > 0 {
+			if diffSolve(t, inst.Name, inst.Formula).Stats.Oracle.Queries > 0 {
 				sawOracleQueries = true
 			}
-			diffSolve(t, inst.Name, inst.Formula)
 		}
 		if !sawOracleQueries {
 			t.Fatalf("family %s never exercised the persistent oracle", fam)
@@ -88,8 +72,7 @@ func TestOracleDifferentialFamilies(t *testing.T) {
 // TestOracleStatsCountRetiredSweepOracles checks that Stats.Oracle keeps the
 // counters of sweep oracles after each sweep retires them: every sweep SAT
 // call is an oracle query, and every sweep that reached SAT built one
-// oracle (the solve is serial), besides at most the main oracle and the
-// MaxSAT backend.
+// oracle, besides at most the main oracle and the MaxSAT backend.
 func TestOracleStatsCountRetiredSweepOracles(t *testing.T) {
 	insts, err := bench.Generate(bench.FamilyAdder, bench.GenOptions{Count: 3, Seed: 20150309, MaxWidth: 6})
 	if err != nil {
@@ -98,7 +81,6 @@ func TestOracleStatsCountRetiredSweepOracles(t *testing.T) {
 	inst := insts[len(insts)-1] // width 6
 	rec := trace.NewRecorder(0)
 	opt := core.DefaultOptions()
-	opt.Workers = 1
 	opt.Trace = rec
 	res := core.New(opt).Solve(problem.FromDQBF(inst.Formula))
 	if res.Status != core.Solved {

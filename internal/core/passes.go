@@ -98,8 +98,8 @@ func (px *hqsPipeline) build() pipeline.Pass {
 		st.G = g
 		// The oracle pool is born with the graph: it owns every SAT
 		// instance of this run (the MaxSAT backend and final check, which
-		// live for the solve, and each sweep's worker oracles, which live
-		// for that sweep) and dies with the solve.
+		// live for the solve, and each sweep's oracle, which lives for
+		// that sweep) and dies with the solve.
 		st.Oracle = oracle.NewPool(g)
 		st.Matrix = buildMatrix(g, px.work.Matrix, px.gates)
 		px.sweep.Reset(g.ConeSize(st.Matrix))

@@ -109,7 +109,6 @@ func pipelineCorpus(t *testing.T) []pinInstance {
 func pipelineDigest(p *problem.Problem, opt core.Options) (string, core.Result, []trace.Event) {
 	rec := trace.NewRecorder(1 << 20)
 	opt.Trace = rec
-	opt.Workers = 1
 	opt.Certify = true
 	opt.Budget = budget.New(budget.Limits{Nodes: pinNodeCap})
 	res := core.New(opt).Solve(p)

@@ -199,7 +199,6 @@ func TestSolveSearchAgainstEliminationSolver(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opt := range []core.Options{core.DefaultOptions(), linearOptions()} {
-			opt.Workers = 1
 			res := core.New(opt).Solve(&problem.Problem{Kind: problem.KindQBF, Formula: f})
 			if res.Status != core.Solved || res.Sat != searchRes {
 				t.Fatalf("iter %d: search %v, elimination %v/%v", iter, searchRes, res.Status, res.Sat)

@@ -4,7 +4,7 @@
 // question of a solve — each sweep's candidate checks, each MaxSAT
 // elimination-set step, the final SAT check — goes through the run's Pool.
 // The main oracle and the MaxSAT backend persist for the whole solve; a
-// sweep worker's oracle persists within one sweep and is retired when the
+// sweep's oracle persists within that sweep and is retired when the
 // sweep ends, so a later sweep's queries do not propagate over the clauses
 // and learnts of earlier sweeps' cones.
 //
@@ -50,7 +50,7 @@ const keepLearnts = 2000
 type Stats struct {
 	Queries     int64 // SAT queries answered
 	Incremental int64 // queries answered on an already-loaded solver
-	Rebuilds    int64 // fresh solver instantiations: one per oracle, so one per sweep worker per sweep
+	Rebuilds    int64 // fresh solver instantiations: one per oracle, so one per sweep that reaches SAT
 	Scopes      int64 // MaxSAT activation-literal scopes opened and retracted
 
 	EncodedNodes    int64 // AIG nodes Tseitin-encoded (delta pushes, summed)
@@ -89,8 +89,8 @@ func (s Stats) Counters() map[string]int64 {
 }
 
 // Oracle is one incremental SAT instance over a single AIG. It
-// is single-goroutine: each consumer (a sweep worker, the final check)
-// owns its oracle exclusively. Use a Pool to hand oracles to workers.
+// is single-goroutine: each consumer (a sweep, the final check) owns its
+// oracle exclusively. A Pool hands out one oracle per consumer.
 type Oracle struct {
 	g     *aig.Graph
 	s     *sat.Solver

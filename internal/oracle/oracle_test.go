@@ -147,9 +147,9 @@ func TestLitDeltaOnly(t *testing.T) {
 	}
 }
 
-// TestPoolWorkerIdentity checks that a pool hands each worker index a stable
-// oracle until the workers are retired, and aggregates the stats of live and
-// retired oracles.
+// TestPoolWorkerIdentity checks that a pool hands a sweep one stable
+// oracle until it is retired, distinct from the main oracle, and aggregates
+// the stats of live and retired oracles.
 func TestPoolWorkerIdentity(t *testing.T) {
 	g := aig.New()
 	a, b := g.Input(1), g.Input(2)
@@ -157,17 +157,16 @@ func TestPoolWorkerIdentity(t *testing.T) {
 	redundant := g.And(ab, b)
 	p := oracle.NewPool(g)
 
-	w0 := p.WorkerOracle(0)
-	if p.WorkerOracle(0) != w0 {
-		t.Fatal("worker 0 must get the same oracle every time")
+	sw := p.Oracle()
+	if p.Oracle() != sw {
+		t.Fatal("a sweep must get the same oracle every time")
 	}
-	w2 := p.WorkerOracle(2)
-	if w2 == w0 || p.WorkerOracle(1) == w2 {
-		t.Fatal("distinct worker indices must get distinct oracles")
+	if sw == aig.SweepOracle(p.Main()) {
+		t.Fatal("the sweep oracle must not be the main oracle")
 	}
 
-	if proven, _, _ := w0.ProveEquiv(ab, redundant, 0, nil); !proven {
-		t.Fatal("worker oracle failed a provable equivalence")
+	if proven, _, _ := sw.ProveEquiv(ab, redundant, 0, nil); !proven {
+		t.Fatal("sweep oracle failed a provable equivalence")
 	}
 	if ok, _, err := p.Main().IsSatisfiable(ab, nil); !ok || err != nil {
 		t.Fatalf("main oracle: %v %v", ok, err)
@@ -175,28 +174,28 @@ func TestPoolWorkerIdentity(t *testing.T) {
 
 	st := p.Stats()
 	if st.Queries != 3 {
-		t.Fatalf("pool queries = %d; want 3 (2 worker + 1 main)", st.Queries)
+		t.Fatalf("pool queries = %d; want 3 (2 sweep + 1 main)", st.Queries)
 	}
-	if st.Rebuilds != 4 {
-		t.Fatalf("pool rebuilds = %d; want 4 (main + workers 0..2)", st.Rebuilds)
+	if st.Rebuilds != 2 {
+		t.Fatalf("pool rebuilds = %d; want 2 (main + sweep)", st.Rebuilds)
 	}
 
-	// Retiring the workers keeps their counters and hands the next sweep
-	// fresh oracles, whose rebuilds and queries add to the retired ones.
-	p.RetireWorkers()
+	// Retiring the sweep oracle keeps its counters and hands the next sweep
+	// a fresh oracle, whose rebuild and queries add to the retired ones.
+	p.Retire()
 	if got := p.Stats(); got != st {
 		t.Fatalf("stats after retiring = %+v; want %+v", got, st)
 	}
-	fresh := p.WorkerOracle(0)
-	if fresh == w0 {
-		t.Fatal("a retired worker oracle was handed out again")
+	fresh := p.Oracle()
+	if fresh == sw {
+		t.Fatal("a retired sweep oracle was handed out again")
 	}
 	if proven, _, _ := fresh.ProveEquiv(ab, redundant, 0, nil); !proven {
-		t.Fatal("fresh worker oracle failed a provable equivalence")
+		t.Fatal("fresh sweep oracle failed a provable equivalence")
 	}
 	st = p.Stats()
-	if st.Queries != 5 || st.Rebuilds != 5 || st.Incremental != 2 {
-		t.Fatalf("pool stats after a second sweep = %+v; want 5 queries, 5 rebuilds, 2 incremental", st)
+	if st.Queries != 5 || st.Rebuilds != 3 || st.Incremental != 2 {
+		t.Fatalf("pool stats after a second sweep = %+v; want 5 queries, 3 rebuilds, 2 incremental", st)
 	}
 }
 

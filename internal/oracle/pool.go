@@ -10,21 +10,21 @@ import (
 // Pool owns every incremental SAT instance of one pipeline run over one
 // AIG: the main oracle (final SAT check, certificate-style queries) and the
 // guarded MaxSAT backend used by the elimination-set selections, which both
-// persist for the whole solve, and one oracle per sweep worker, which lives
-// for one sweep. It is created by the core build pass, lives on
-// pipeline.State for the lifetime of the solve, and is shared with the QBF
-// backend (which operates on the same graph).
+// persist for the whole solve, and the sweep oracle, which lives for one
+// sweep. It is created by the core build pass, lives on pipeline.State for
+// the lifetime of the solve, and is shared with the QBF backend (which
+// operates on the same graph).
 //
-// Oracles are created lazily: a run that never sweeps never pays for worker
-// oracles. The pool's accessors are goroutine-safe; the returned oracles
-// are single-goroutine (each sweep worker uses exclusively its own index).
+// Oracles are created lazily: a run that never sweeps never pays for a
+// sweep oracle. The pool's accessors are goroutine-safe; the returned
+// oracles are single-goroutine.
 type Pool struct {
 	g *aig.Graph
 
 	mu      sync.Mutex
 	main    *Oracle
-	workers []*Oracle
-	retired Stats // folded counters of the worker oracles of earlier sweeps
+	sweep   *Oracle
+	retired Stats // folded counters of the sweep oracles of earlier sweeps
 	mx      *maxsat.Backend
 }
 
@@ -41,33 +41,27 @@ func (p *Pool) Main() *Oracle {
 	return p.main
 }
 
-// WorkerOracle implements aig.SweepOraclePool: within a sweep, worker i
-// always receives pool oracle i, so the candidate striding — and any
-// budget-exhaustion history — stays deterministic for a fixed worker count.
-func (p *Pool) WorkerOracle(i int) aig.SweepOracle {
+// Oracle implements aig.SweepOraclePool: it returns the current sweep's
+// oracle, creating it on first use.
+func (p *Pool) Oracle() aig.SweepOracle {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.workers) <= i {
-		p.workers = append(p.workers, nil)
+	if p.sweep == nil {
+		p.sweep = New(p.g)
 	}
-	if p.workers[i] == nil {
-		p.workers[i] = New(p.g)
-	}
-	return p.workers[i]
+	return p.sweep
 }
 
-// RetireWorkers implements aig.SweepOraclePool: it folds the worker
-// oracles' counters into the pool's stats and drops the oracles, so the
-// next sweep encodes only its own cone on fresh solvers.
-func (p *Pool) RetireWorkers() {
+// Retire implements aig.SweepOraclePool: it folds the sweep oracle's
+// counters into the pool's stats and drops the oracle, so the next sweep
+// encodes only its own cone on a fresh solver.
+func (p *Pool) Retire() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, o := range p.workers {
-		if o != nil {
-			p.retired.Add(o.Stats())
-		}
+	if p.sweep != nil {
+		p.retired.Add(p.sweep.Stats())
 	}
-	p.workers = nil
+	p.sweep = nil
 }
 
 // MaxSATBackend returns the pool's persistent guarded MaxSAT substrate,
@@ -82,7 +76,7 @@ func (p *Pool) MaxSATBackend() *maxsat.Backend {
 }
 
 // Stats aggregates the reuse counters of every instance the pool has
-// held, retired worker oracles included (sums for flows, one rebuild per
+// held, retired sweep oracles included (sums for flows, one rebuild per
 // oracle, maxima for high-water marks).
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
@@ -91,10 +85,8 @@ func (p *Pool) Stats() Stats {
 	if p.main != nil {
 		st.Add(p.main.Stats())
 	}
-	for _, o := range p.workers {
-		if o != nil {
-			st.Add(o.Stats())
-		}
+	if p.sweep != nil {
+		st.Add(p.sweep.Stats())
 	}
 	if p.mx != nil {
 		st.Rebuilds++

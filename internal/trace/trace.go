@@ -159,17 +159,6 @@ func (m multiSink) Emit(ev Event) {
 	}
 }
 
-// WriteJSONL writes the events as JSON lines.
-func WriteJSONL(w io.Writer, events []Event) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FormatTable renders events as a human-readable table (the `hqs -trace`
 // output): one row per pass execution with wall time, node and prefix
 // deltas, and the pass counters.

@@ -117,28 +117,6 @@ func TestWriterJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteJSONLMatchesWriter checks the batch writer agrees with the
-// streaming sink on pre-sequenced events.
-func TestWriteJSONLMatchesWriter(t *testing.T) {
-	evs := sampleEvents()
-	for i := range evs {
-		evs[i].Seq = i + 1
-	}
-	var batch strings.Builder
-	if err := WriteJSONL(&batch, evs); err != nil {
-		t.Fatal(err)
-	}
-	var stream strings.Builder
-	w := NewWriter(&stream)
-	for _, ev := range sampleEvents() {
-		w.Emit(ev)
-	}
-	if batch.String() != stream.String() {
-		t.Fatalf("batch and streaming JSONL diverge:\n--- batch ---\n%s--- stream ---\n%s",
-			batch.String(), stream.String())
-	}
-}
-
 func TestMultiSkipsNil(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Fatal("empty Multi must collapse to nil")
