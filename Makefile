@@ -42,7 +42,10 @@ fuzz-smoke:
 # two deciders (same verdict on every decoded certificate for Example 1),
 # the AIG compose/cofactor identities the certificate extractor relies on,
 # the universal expansion (every accepted input is valid; the full
-# grounding's SAT verdict equals brute force), the AIG sweep (the
+# grounding's SAT verdict equals brute force), the cone-scoped SAT solve on
+# byte-built Tseitin AND-graphs (its verdict equals an unscoped and a fresh
+# solver's; a Sat model is consistent inside the scope and extends by
+# evaluating the gates), the AIG sweep (the
 # function is unchanged; a cone of at most 9 inputs makes no SAT call),
 # CNF preprocessing (no failure; every clause left is sorted, duplicate-free
 # and non-tautological; the verdict equals brute force), and HQS's linear
@@ -56,6 +59,7 @@ fuzz-native:
 	$(GO) test ./internal/cert -run '^$$' -fuzz FuzzCertDecode -fuzztime 10s
 	$(GO) test ./internal/cert -run '^$$' -fuzz '^FuzzCertCheck$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGCompose$$' -fuzztime 10s
+	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolveWithin$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLinearPhase$$' -fuzztime 10s

@@ -9,7 +9,8 @@ import (
 )
 
 // testOracle is a SweepOracle over one solver and CNFBuilder, built the way
-// internal/oracle builds its own (which this package cannot import).
+// internal/oracle builds its own (which this package cannot import): each
+// query is confined to the pair's cone, as there.
 type testOracle struct {
 	s      *sat.Solver
 	b      *CNFBuilder
@@ -17,10 +18,11 @@ type testOracle struct {
 }
 
 func (o *testOracle) ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.Budget) (bool, int, func(cnf.Var) bool) {
+	scope := o.b.Cone(lhs, rhs)
 	l, r := o.b.Lit(lhs), o.b.Lit(rhs)
 	o.s.ConflictBudget, o.s.Budget = conflictBudget, bud
 	for i, assumps := range [2][]cnf.Lit{{l, r.Not()}, {l.Not(), r}} {
-		switch st, _ := o.s.SolveErr(assumps); st {
+		switch st, _ := o.s.SolveWithin(assumps, scope); st {
 		case sat.Sat:
 			m := o.s.Model()
 			return false, i + 1, func(v cnf.Var) bool { return o.b.InputValue(m, v) }

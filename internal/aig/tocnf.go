@@ -22,6 +22,12 @@ type CNFBuilder struct {
 	encoded int       // nodes with a SAT variable
 
 	stack, delta []int32 // Lit's scratch space
+
+	// Cone's scratch space: a node is in the current cone when its stamp
+	// equals epoch.
+	stamp []uint32
+	epoch uint32
+	scope []cnf.Var
 }
 
 // pendingVar marks a node collected into Lit's delta but not yet encoded.
@@ -99,6 +105,47 @@ func (b *CNFBuilder) Lit(r Ref) cnf.Lit {
 	}
 	b.stack, b.delta = stack, delta
 	return b.edgeLit(r)
+}
+
+// Cone encodes the cones of lhs and rhs (if not yet encoded) and returns
+// the SAT variables of their joint cone, the scope under which
+// sat.Solver.SolveWithin may answer a query over lhs and rhs: the cone is
+// fanin-closed, so every satisfying assignment of it extends to the other
+// encoded nodes by evaluating the graph. The slice is reused by the next
+// call.
+func (b *CNFBuilder) Cone(lhs, rhs Ref) []cnf.Var {
+	b.Lit(lhs)
+	b.Lit(rhs)
+	if n := len(b.nodeVar); len(b.stamp) < n {
+		b.stamp = append(b.stamp, make([]uint32, n-len(b.stamp))...)
+	}
+	b.epoch++
+	if b.epoch == 0 {
+		clear(b.stamp)
+		b.epoch = 1
+	}
+	stack, scope := b.stack[:0], b.scope[:0]
+	for _, n := range [2]int32{lhs.node(), rhs.node()} {
+		if b.stamp[n] != b.epoch {
+			b.stamp[n] = b.epoch
+			stack = append(stack, n)
+		}
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		scope = append(scope, b.nodeVar[n])
+		if nd := &b.g.nodes[n]; nd.v == 0 {
+			for _, c := range [2]int32{nd.f0.node(), nd.f1.node()} {
+				if b.stamp[c] != b.epoch {
+					b.stamp[c] = b.epoch
+					stack = append(stack, c)
+				}
+			}
+		}
+	}
+	b.stack, b.scope = stack, scope
+	return scope
 }
 
 // grow extends nodeVar to cover every node of the graph.

@@ -116,8 +116,9 @@ func (o *Oracle) Stats() Stats {
 }
 
 // query runs one assumption query against the persistent solver, metering
-// the reuse counters and firing the oracle.query fault point.
-func (o *Oracle) query(assumps []cnf.Lit, conflictBudget int64, bud *budget.Budget) (sat.Status, error) {
+// the reuse counters and firing the oracle.query fault point. A non-nil
+// scope confines the solve to those variables (sat.Solver.SolveWithin).
+func (o *Oracle) query(assumps []cnf.Lit, scope []cnf.Var, conflictBudget int64, bud *budget.Budget) (sat.Status, error) {
 	if err := bud.Faults().Fire(QueryPoint); err != nil {
 		return sat.Unknown, err
 	}
@@ -130,7 +131,13 @@ func (o *Oracle) query(assumps []cnf.Lit, conflictBudget int64, bud *budget.Budg
 	}
 	o.s.ConflictBudget = conflictBudget
 	o.s.Budget = bud
-	st, err := o.s.SolveErr(assumps)
+	var st sat.Status
+	var err error
+	if scope != nil {
+		st, err = o.s.SolveWithin(assumps, scope)
+	} else {
+		st, err = o.s.SolveErr(assumps)
+	}
 	if ab := int64(o.s.ArenaBytes()); ab > o.stats.ArenaBytesHW {
 		o.stats.ArenaBytesHW = ab
 	}
@@ -150,7 +157,7 @@ func (o *Oracle) IsSatisfiable(r aig.Ref, bud *budget.Budget) (bool, map[cnf.Var
 		return false, nil, nil
 	}
 	l := o.b.Lit(r)
-	st, err := o.query([]cnf.Lit{l}, 0, bud)
+	st, err := o.query([]cnf.Lit{l}, nil, 0, bud)
 	if st == sat.Unknown {
 		if err == nil {
 			err = sat.ErrBudget
@@ -173,13 +180,18 @@ func (o *Oracle) IsSatisfiable(r aig.Ref, bud *budget.Budget) (bool, map[cnf.Var
 // lhs≠rhs with assumption queries. Budget exhaustion and injected faults
 // yield false (unproven), which sweeping treats soundly by not merging. A
 // satisfiable query is a counterexample, returned as cex: the model's value
-// of each input variable, valid until the oracle's next query.
+// of each input variable, valid until the oracle's next query. Inputs
+// outside the cones of lhs and rhs read false.
+//
+// Each query is confined to the joint cone of lhs and rhs
+// (aig.CNFBuilder.Cone), so it neither decides nor propagates over the
+// other cones the oracle has encoded.
 func (o *Oracle) ProveEquiv(lhs, rhs aig.Ref, conflictBudget int64, bud *budget.Budget) (proven bool, calls int, cex func(cnf.Var) bool) {
-	ll := o.b.Lit(lhs)
-	rl := o.b.Lit(rhs)
+	scope := o.b.Cone(lhs, rhs)
+	ll, rl := o.b.Lit(lhs), o.b.Lit(rhs)
 	for _, assumps := range [2][]cnf.Lit{{ll, rl.Not()}, {ll.Not(), rl}} {
 		calls++
-		st, err := o.query(assumps, conflictBudget, bud)
+		st, err := o.query(assumps, scope, conflictBudget, bud)
 		if err != nil || st == sat.Unknown {
 			return false, calls, nil
 		}

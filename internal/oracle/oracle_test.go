@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/aig"
+	"repro/internal/cnf"
 	"repro/internal/oracle"
 )
 
@@ -113,7 +114,7 @@ func TestProveEquiv(t *testing.T) {
 }
 
 // TestLitDeltaOnly checks the persistent oracle's encoding through its
-// solver: re-asking about an encoded root adds no variables and no clauses,
+// solver: re-asking about an encoded root adds no variables and no clause bytes,
 // and a super-cone adds exactly its new nodes.
 func TestLitDeltaOnly(t *testing.T) {
 	g := aig.New()
@@ -128,14 +129,14 @@ func TestLitDeltaOnly(t *testing.T) {
 		}
 	}
 	query(ab)
-	vars, clauses := oracle.SolverSize(o)
+	vars, arena := oracle.SolverSize(o)
 	encoded := o.Stats().EncodedNodes
 	if encoded != 3 {
 		t.Fatalf("EncodedNodes = %d after a∧b; want 3", encoded)
 	}
 	query(ab)
-	if v, cl := oracle.SolverSize(o); v != vars || cl != clauses {
-		t.Fatalf("second query grew the solver: vars %d→%d, clauses %d→%d", vars, v, clauses, cl)
+	if v, ab := oracle.SolverSize(o); v != vars || ab != arena {
+		t.Fatalf("second query grew the solver: vars %d→%d, arena bytes %d→%d", vars, v, arena, ab)
 	}
 
 	query(g.And(ab, c)) // new: c and the top AND
@@ -209,5 +210,68 @@ func TestStatsAdd(t *testing.T) {
 	}
 	if a.LearntsRetained != 10 || a.ArenaBytesHW != 700 {
 		t.Fatalf("high-water marks wrong: %+v", a)
+	}
+}
+
+// wideCone builds, over inputs base+1..base+w, two parities folded in
+// opposite orders (equivalent, structurally distinct), the AND and the OR
+// of the inputs, and a chain of alternating ANDs and ORs.
+func wideCone(g *aig.Graph, base cnf.Var, w int) []aig.Ref {
+	x := make([]aig.Ref, w)
+	for i := range x {
+		x[i] = g.Input(base + cnf.Var(i+1))
+	}
+	fwd, rev, and, or, chain := aig.False, aig.False, aig.True, aig.False, x[0]
+	for i := range x {
+		fwd = g.Xor(fwd, x[i])
+		rev = g.Xor(x[w-1-i], rev)
+		and = g.And(and, x[i])
+		or = g.Or(or, x[i])
+		if i > 0 && i%2 == 0 {
+			chain = g.And(chain, x[i])
+		} else if i > 0 {
+			chain = g.Or(chain, x[i])
+		}
+	}
+	return []aig.Ref{fwd, rev, and, or, chain}
+}
+
+// TestProveEquivStaysInCone checks that a sweep query decides and
+// propagates only inside the cone of its pair: an oracle that has also
+// encoded a second, disjoint wide cone answers every query on the first
+// cone with exactly the decisions and propagations of an oracle that never
+// encoded it. Every counterexample must separate its pair.
+func TestProveEquivStaysInCone(t *testing.T) {
+	const w = 12
+	g := aig.New()
+	first, second := wideCone(g, 0, w), wideCone(g, w, w)
+	both, alone := oracle.New(g), oracle.New(g)
+	for _, r := range first {
+		oracle.Encode(both, r)
+		oracle.Encode(alone, r)
+	}
+	for _, r := range second {
+		oracle.Encode(both, r)
+	}
+	for i, lhs := range first {
+		for _, rhs := range first[i+1:] {
+			for _, rhs := range []aig.Ref{rhs, rhs.Not()} {
+				proven, _, cex := both.ProveEquiv(lhs, rhs, 0, nil)
+				want, _, _ := alone.ProveEquiv(lhs, rhs, 0, nil)
+				if proven != want {
+					t.Fatalf("ProveEquiv(%v, %v) = %v; the oracle without the second cone says %v", lhs, rhs, proven, want)
+				}
+				if got, want := oracle.SolverStats(both), oracle.SolverStats(alone); got.Decisions != want.Decisions || got.Propagations != want.Propagations {
+					t.Fatalf("ProveEquiv(%v, %v) made %d decisions and %d propagations; without the second cone %d and %d",
+						lhs, rhs, got.Decisions, got.Propagations, want.Decisions, want.Propagations)
+				}
+				if !proven && (cex == nil || g.Eval(lhs, cex) == g.Eval(rhs, cex)) {
+					t.Fatalf("ProveEquiv(%v, %v): no counterexample separates them", lhs, rhs)
+				}
+				if proven && (lhs != first[0] || rhs != first[1]) {
+					t.Fatalf("ProveEquiv(%v, %v) proved an inequivalent pair", lhs, rhs)
+				}
+			}
+		}
 	}
 }

@@ -32,6 +32,14 @@ func (h *varHeap) insert(v cnf.Var, act []float64) {
 	h.up(len(h.data)-1, act)
 }
 
+// clear empties the heap.
+func (h *varHeap) clear() {
+	for _, v := range h.data {
+		h.pos[v] = -1
+	}
+	h.data = h.data[:0]
+}
+
 // update restores the heap property after v's activity increased.
 func (h *varHeap) update(v cnf.Var, act []float64) {
 	if !h.contains(v) {

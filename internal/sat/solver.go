@@ -4,8 +4,9 @@
 // watching for unit propagation, VSIDS variable activities with a binary heap,
 // first-UIP conflict analysis with recursive clause minimization, phase
 // saving, Luby-sequence restarts, and LBD/activity-based learned-clause
-// deletion. It supports incremental solving under assumptions and extraction
-// of the subset of assumptions responsible for unsatisfiability.
+// deletion. It supports incremental solving under assumptions, extraction
+// of the subset of assumptions responsible for unsatisfiability, and solves
+// confined to a scope of variables (SolveWithin).
 //
 // Clause storage is a packed arena (see arena.go): all clauses live in one
 // flat slab of 32-bit words and are referenced by offsets, which keeps the
@@ -104,6 +105,12 @@ type Solver struct {
 	assumptions []cnf.Lit
 	conflictSet []cnf.Lit // failed assumptions after Unsat-under-assumptions
 
+	// The scope of a SolveWithin call: while scoped, decisions come from
+	// scopeHeap and propagation above level 0 assigns only inScope vars.
+	scoped    bool
+	inScope   []bool // indexed by var
+	scopeHeap varHeap
+
 	model cnf.Assignment
 
 	// ConflictBudget caps the conflicts of one solve; <= 0 means unlimited.
@@ -160,17 +167,13 @@ func New() *Solver {
 	s.pinned = append(s.pinned, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
+	s.inScope = append(s.inScope, false)
 	s.watches = append(s.watches, nil, nil)
 	return s
 }
 
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return s.numVars }
-
-// NumClauses returns the number of problem clauses attached to the solver.
-// Unit clauses are assigned at the top level, not stored, so they do not
-// count.
-func (s *Solver) NumClauses() int { return s.numProblem }
 
 // NumLearnts returns the number of learned clauses currently in the database.
 func (s *Solver) NumLearnts() int { return s.numLearnts }
@@ -199,6 +202,7 @@ func (s *Solver) NewVar() cnf.Var {
 	s.pinned = append(s.pinned, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
+	s.inScope = append(s.inScope, false)
 	s.watches = append(s.watches, nil, nil)
 	s.heap.insert(v, s.activity)
 	return v
@@ -359,6 +363,9 @@ func (s *Solver) propagate() cref {
 				s.qhead = len(s.trail)
 				return w.cref
 			}
+			if s.scoped && !s.inScope[first.Var()] && s.decisionLevel() > 0 {
+				continue // stays watched on a false literal until backtracking
+			}
 			s.uncheckedEnqueue(first, w.cref)
 		}
 		// Keep watchers appended during the scan.
@@ -380,6 +387,9 @@ func (s *Solver) cancelUntil(lvl int) {
 		if !s.heap.contains(v) {
 			s.heap.insert(v, s.activity)
 		}
+		if s.scoped && s.inScope[v] {
+			s.scopeHeap.insert(v, s.activity)
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
@@ -395,6 +405,9 @@ func (s *Solver) bumpVar(v cnf.Var) {
 		s.varInc *= 1e-100
 	}
 	s.heap.update(v, s.activity)
+	if s.scoped {
+		s.scopeHeap.update(v, s.activity)
+	}
 }
 
 func (s *Solver) bumpClause(c cref) {
@@ -553,8 +566,12 @@ func (s *Solver) computeLBD(lits []cnf.Lit) int {
 }
 
 func (s *Solver) pickBranchLit() (cnf.Lit, bool) {
-	for !s.heap.empty() {
-		v := s.heap.removeTop(s.activity)
+	h := &s.heap
+	if s.scoped {
+		h = &s.scopeHeap
+	}
+	for !h.empty() {
+		v := h.removeTop(s.activity)
 		if s.assign[v] == lUndef {
 			return cnf.NewLit(v, !s.polarity[v]), true
 		}
@@ -669,6 +686,44 @@ func (s *Solver) SolveAssuming(assumps []cnf.Lit) Status {
 // shared budget's error (budget.ErrCancelled, budget.ErrDeadline, ...) when
 // the Budget field stopped the search.
 func (s *Solver) SolveErr(assumps []cnf.Lit) (Status, error) {
+	return s.solve(assumps)
+}
+
+// SolveWithin is like SolveErr, but decides and propagates only inside
+// vars, the scope: decisions come from the scope's variables alone, and
+// above decision level 0 a clause that becomes unit on a variable outside
+// the scope stays watched and is not propagated. Propagation at level 0
+// stays complete, so later calls of any kind see an intact watch
+// invariant. The assumptions' variables must lie in the scope. Sat is
+// reported once every scope variable is assigned without conflict; Model
+// then gives the scope variables their values, and variables left
+// unassigned read false.
+//
+// Unsat is sound for any solver: it holds under any decision order and on
+// any subset of the clauses, and learned clauses are resolvents, so they
+// stay valid for the whole clause set. Sat is sound only when every
+// clause-consistent assignment of the scope extends to a model of all the
+// clauses. That holds for a solver fed by aig.CNFBuilder with the SAT
+// variables of a fanin-closed cone as scope: its clauses are Tseitin
+// definitions of a fanin-closed node set (plus learned clauses those
+// imply), so evaluating the AIG extends the scope's assignment. Other
+// solvers must use SolveErr.
+func (s *Solver) SolveWithin(assumps []cnf.Lit, vars []cnf.Var) (Status, error) {
+	for _, v := range vars {
+		s.EnsureVars(int(v))
+		s.inScope[v] = true
+		if s.assign[v] == lUndef {
+			s.scopeHeap.insert(v, s.activity)
+		}
+	}
+	s.scoped = true
+	defer func() {
+		s.scoped = false
+		for _, v := range vars {
+			s.inScope[v] = false
+		}
+		s.scopeHeap.clear()
+	}()
 	return s.solve(assumps)
 }
 
@@ -801,7 +856,7 @@ func (s *Solver) search(conflictLimit int64, maxLearnts *float64) Status {
 		}
 		l, ok := s.pickBranchLit()
 		if !ok {
-			// All variables assigned: model found.
+			// All (scope) variables assigned: model found.
 			s.model = cnf.NewAssignment(s.numVars)
 			for v := 1; v <= s.numVars; v++ {
 				s.model.Set(cnf.Var(v), s.assign[v] == lTrue)
