@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep bench-sweep-smoke baseline bench-gate bench-gate-quick bench-compare loc
+.PHONY: build test race vet fmt exports check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep bench-sweep-smoke baseline bench-gate bench-gate-quick bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,23 @@ vet:
 # gofmt-clean. The offending files are listed on failure.
 fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); test -z "$$out" || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
+
+# Export ratchet: every exported func or method in a non-test .go file under
+# internal/ must be named (grep -w) by some .go file outside its package
+# directory — tests, perfbench/, cmd/ and examples/ all count as callers.
+# Methods that satisfy standard interfaces are exempt. The scan undercounts:
+# a common name (Solve, String, Add) matches any mention of that word
+# anywhere, so it finds only the names that appear nowhere else.
+EXPORTS_EXEMPT = MarshalJSON UnmarshalJSON MarshalBinary UnmarshalBinary Unwrap
+exports:
+	@files=$$(git ls-files -co --exclude-standard '*.go'); bad=0; \
+	for f in $$(echo "$$files" | grep '^internal/' | grep -v '_test\.go$$'); do \
+		d=$$(dirname $$f); others=$$(echo "$$files" | grep -v "^$$d/[^/]*$$"); \
+		for n in $$(sed -n 's/^func \(([^)]*) \)\{0,1\}\([A-Z][A-Za-z0-9_]*\).*/\2/p' $$f); do \
+			case " $(EXPORTS_EXEMPT) " in *" $$n "*) continue;; esac; \
+			grep -qw "$$n" $$others || { echo "exported but not called outside its package: $$f: $$n"; bad=1; }; \
+		done; \
+	done; exit $$bad
 
 # Race-check the packages with concurrent code paths, and the AIG, SAT and
 # oracle layers every concurrently running engine is built on (the job
@@ -78,12 +95,12 @@ chaos:
 chaos-store:
 	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' -v ./internal/store ./internal/service
 
-# The PR gate: vet, the gofmt check, the full test suite, the race pass, the certified fuzz
+# The PR gate: vet, the gofmt check, the export ratchet, the full test suite, the race pass, the certified fuzz
 # smoke, the native fuzz harnesses, both chaos drills, the daemon and cluster
 # smokes, one iteration of each sweep benchmark, the nested benchmark module
 # (so an internal API change that breaks perfbench/ fails here), and the
 # quick bench gate. Each step is defined once, by its own target.
-check: vet fmt test race fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench-sweep-smoke
+check: vet fmt exports test race fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench-sweep-smoke
 	cd perfbench && $(GO) vet . && $(GO) test .
 	$(MAKE) bench-gate-quick
 

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/pec"
-	"repro/internal/problem"
 )
 
 type boxFlags []string
@@ -94,14 +93,11 @@ func main() {
 }
 
 func loadBench(path string) (*circuit.Circuit, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	// Route through the unified ingestion layer so BENCH parsing shares the
-	// problem.parse fault point with every other reader.
-	return problem.ReadBenchCircuit(f)
+	return circuit.ParseBench(data)
 }
 
 func parseBox(impl *circuit.Circuit, s string) (pec.BlackBox, error) {

@@ -32,7 +32,7 @@ d 4 2 0
 `
 
 func main() {
-	f, err := dqbf.ParseDQDIMACSString(input)
+	f, err := dqbf.ParseDQDIMACS([]byte(input))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -168,9 +168,6 @@ func (g *Graph) Xor(a, b Ref) Ref {
 	return g.Or(g.And(a, b.Not()), g.And(a.Not(), b))
 }
 
-// Xnor returns a↔b.
-func (g *Graph) Xnor(a, b Ref) Ref { return g.Xor(a, b).Not() }
-
 // Ite returns if c then t else e.
 func (g *Graph) Ite(c, t, e Ref) Ref {
 	return g.Or(g.And(c, t), g.And(c.Not(), e))

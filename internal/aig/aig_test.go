@@ -89,7 +89,7 @@ func TestDerivedOps(t *testing.T) {
 	}{
 		{"or", g.Or(x, y), func(a, b, _ bool) bool { return a || b }},
 		{"xor", g.Xor(x, y), func(a, b, _ bool) bool { return a != b }},
-		{"xnor", g.Xnor(x, y), func(a, b, _ bool) bool { return a == b }},
+		{"xnor", g.Xor(x, y).Not(), func(a, b, _ bool) bool { return a == b }},
 		{"ite", g.Ite(x, y, z), func(a, b, c bool) bool {
 			if a {
 				return b

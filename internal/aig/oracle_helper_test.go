@@ -22,7 +22,7 @@ func (o *testOracle) ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.
 	l, r := o.b.Lit(lhs), o.b.Lit(rhs)
 	o.s.ConflictBudget, o.s.Budget = conflictBudget, bud
 	for i, assumps := range [2][]cnf.Lit{{l, r.Not()}, {l.Not(), r}} {
-		switch st, _ := o.s.SolveWithin(assumps, scope); st {
+		switch st, _ := o.s.Solve(assumps, scope); st {
 		case sat.Sat:
 			m := o.s.Model()
 			return false, i + 1, func(v cnf.Var) bool { return o.b.InputValue(m, v) }

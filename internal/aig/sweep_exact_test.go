@@ -19,7 +19,7 @@ func vars(n int) []cnf.Var {
 // sameFunction reports whether a and b agree under every assignment to vs,
 // by exhaustive simulation of their miter.
 func sameFunction(g *Graph, a, b Ref, vs []cnf.Var) bool {
-	v, _ := g.Exhaustive(g.Xnor(a, b), vs, 1<<40)
+	v, _ := g.Exhaustive(g.Xor(a, b).Not(), vs, 1<<40)
 	return v == Valid
 }
 

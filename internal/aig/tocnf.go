@@ -109,7 +109,7 @@ func (b *CNFBuilder) Lit(r Ref) cnf.Lit {
 
 // Cone encodes the cones of lhs and rhs (if not yet encoded) and returns
 // the SAT variables of their joint cone, the scope under which
-// sat.Solver.SolveWithin may answer a query over lhs and rhs: the cone is
+// sat.Solver.Solve may answer a query over lhs and rhs: the cone is
 // fanin-closed, so every satisfying assignment of it extends to the other
 // encoded nodes by evaluating the graph. The slice is reused by the next
 // call.
@@ -235,7 +235,7 @@ func (g *Graph) IsSatisfiable(r Ref) (bool, map[cnf.Var]bool) {
 	s := sat.New()
 	b := NewCNFBuilder(g, s)
 	s.AddClause(b.Lit(r))
-	if s.Solve() != sat.Sat {
+	if st, _ := s.Solve(nil, nil); st != sat.Sat {
 		return false, nil
 	}
 	m := s.Model()

@@ -65,7 +65,7 @@ func TestCNFBuilderDeltaOnly(t *testing.T) {
 	}
 
 	// The incremental encoding stays sound: super ∧ ¬sub is unsatisfiable.
-	if st := s.SolveAssuming([]cnf.Lit{b.Lit(super), l.Not()}); st != sat.Unsat {
+	if st, _ := s.Solve([]cnf.Lit{b.Lit(super), l.Not()}, nil); st != sat.Unsat {
 		t.Fatalf("super ∧ ¬sub = %v; want Unsat", st)
 	}
 }

@@ -171,19 +171,6 @@ func (b *Builder) RecordModel(model map[cnf.Var]bool) {
 	b.model = cp
 }
 
-// Steps returns how many reconstruction steps were recorded (plus one when a
-// final model was).
-func (b *Builder) Steps() int {
-	if b == nil {
-		return 0
-	}
-	n := len(b.steps)
-	if b.model != nil {
-		n++
-	}
-	return n
-}
-
 // Certificate is a set of Skolem functions witnessing satisfaction: for
 // every existential variable of the formula, an AIG function over its
 // dependency set. The functions live in their own graph, detached from any

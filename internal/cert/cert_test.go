@@ -288,7 +288,4 @@ func TestBuilderNilSafety(t *testing.T) {
 	b.RecordExists(1, aig.False)
 	b.RecordExpand(1, nil)
 	b.RecordModel(nil)
-	if b.Steps() != 0 {
-		t.Fatal("nil builder recorded steps")
-	}
 }

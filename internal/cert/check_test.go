@@ -188,7 +188,7 @@ func FuzzCertCheck(f *testing.F) {
 		}
 		f.Add(blob)
 	}
-	formula, err := dqbf.ParseDQDIMACSString(example1)
+	formula, err := dqbf.ParseDQDIMACS([]byte(example1))
 	if err != nil {
 		f.Fatal(err)
 	}

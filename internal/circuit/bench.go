@@ -195,11 +195,6 @@ func parenArg(line string) (string, error) {
 	return name, nil
 }
 
-// ParseBenchString parses a BENCH netlist from a string.
-func ParseBenchString(s string) (*Circuit, error) {
-	return ParseBench([]byte(s))
-}
-
 // WriteBench writes the circuit in BENCH format. FREE signals are emitted as
 // comments (they have no BENCH syntax) and referenced by name.
 func (c *Circuit) WriteBench(w io.Writer) error {

@@ -1,18 +1,13 @@
 // Package circuit provides the gate-level combinational-circuit substrate for
 // the PEC (partial equivalence checking) benchmarks of the paper's
-// evaluation: a netlist model with evaluation, Tseitin CNF encoding, AIG
-// conversion, an ISCAS-85-style BENCH reader/writer, circuit generators for
+// evaluation: a netlist model with evaluation, Tseitin CNF encoding, an
+// ISCAS-85-style BENCH reader/writer, circuit generators for
 // the seven benchmark families (adders, arbiter bitcell chains, lookahead
 // arbiters, XOR chains, z4-style adders, comparators, C432-style priority
 // logic), and fault injection for producing unrealizable instances.
 package circuit
 
-import (
-	"fmt"
-
-	"repro/internal/aig"
-	"repro/internal/cnf"
-)
+import "fmt"
 
 // GateType enumerates the supported gate functions.
 type GateType int
@@ -242,50 +237,4 @@ func (c *Circuit) FreeSignals() []int {
 		}
 	}
 	return out
-}
-
-// ToAIG builds AIG references for all signals over graph g: primary inputs
-// and free signals are mapped through sigVar, which assigns each such signal
-// a distinct AIG input variable. It returns a per-signal reference slice.
-func (c *Circuit) ToAIG(g *aig.Graph, sigVar func(id int) cnf.Var) []aig.Ref {
-	refs := make([]aig.Ref, len(c.Gates))
-	for id, gate := range c.Gates {
-		switch gate.Type {
-		case InputGate, FreeGate:
-			refs[id] = g.Input(sigVar(id))
-		case Const0:
-			refs[id] = aig.False
-		case Const1:
-			refs[id] = aig.True
-		case BufGate:
-			refs[id] = refs[gate.Ins[0]]
-		case NotGate:
-			refs[id] = refs[gate.Ins[0]].Not()
-		case AndGate, NandGate:
-			ins := make([]aig.Ref, len(gate.Ins))
-			for i, in := range gate.Ins {
-				ins[i] = refs[in]
-			}
-			r := g.AndN(ins...)
-			if gate.Type == NandGate {
-				r = r.Not()
-			}
-			refs[id] = r
-		case OrGate, NorGate:
-			ins := make([]aig.Ref, len(gate.Ins))
-			for i, in := range gate.Ins {
-				ins[i] = refs[in]
-			}
-			r := g.OrN(ins...)
-			if gate.Type == NorGate {
-				r = r.Not()
-			}
-			refs[id] = r
-		case XorGate:
-			refs[id] = g.Xor(refs[gate.Ins[0]], refs[gate.Ins[1]])
-		case XnorGate:
-			refs[id] = g.Xnor(refs[gate.Ins[0]], refs[gate.Ins[1]])
-		}
-	}
-	return refs
 }

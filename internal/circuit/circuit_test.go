@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/aig"
 	"repro/internal/cnf"
 	"repro/internal/sat"
 )
@@ -206,15 +205,12 @@ func TestPriorityController(t *testing.T) {
 	}
 }
 
-// checkEncodingsAgree verifies circuit evaluation against the AIG and CNF
-// encodings on random vectors.
+// checkEncodingsAgree verifies circuit evaluation against the CNF encoding
+// on random vectors.
 func checkEncodingsAgree(t *testing.T, c *Circuit, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := aig.New()
 	sigVar := func(id int) cnf.Var { return cnf.Var(id + 1) }
-	refs := c.ToAIG(g, sigVar)
-
 	f := cnf.NewFormula(len(c.Gates))
 	enc := c.ToCNF(f, sigVar)
 
@@ -226,14 +222,7 @@ func checkEncodingsAgree(t *testing.T, c *Circuit, seed int64) {
 			assign[sigVar(id)] = in[i]
 		}
 		want := c.Eval(in, nil)
-		// AIG agreement.
-		for i, id := range c.Outputs {
-			got := g.Eval(refs[id], func(v cnf.Var) bool { return assign[v] })
-			if got != want[i] {
-				t.Fatalf("AIG output %d disagrees (round %d)", i, round)
-			}
-		}
-		// CNF agreement: fix inputs, solve, check output literals.
+		// Fix the inputs, solve, check the output literals.
 		s := sat.New()
 		s.EnsureVars(f.NumVars)
 		for _, cl := range f.Clauses {
@@ -242,7 +231,7 @@ func checkEncodingsAgree(t *testing.T, c *Circuit, seed int64) {
 		for v, val := range assign {
 			s.AddClause(cnf.NewLit(v, !val))
 		}
-		if s.Solve() != sat.Sat {
+		if st, _ := s.Solve(nil, nil); st != sat.Sat {
 			t.Fatalf("CNF encoding unsatisfiable under input fixing (round %d)", round)
 		}
 		m := s.Model()
@@ -365,7 +354,7 @@ OUTPUT(f)
 f = AND(g, b)
 g = XOR(a, bb)
 `
-	c, err := ParseBenchString(src)
+	c, err := ParseBench([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +378,7 @@ func TestParseBenchErrors(t *testing.T) {
 		"a = BUF(b)\nb = BUF(a)\nOUTPUT(a)\n",
 	}
 	for _, src := range cases {
-		if _, err := ParseBenchString(src); err == nil {
+		if _, err := ParseBench([]byte(src)); err == nil {
 			t.Errorf("no error for %q", src)
 		}
 	}

@@ -56,11 +56,11 @@ func TestMiterDetectsFault(t *testing.T) {
 // TestMiterFreeSignals: the implementation has a black box; the right box
 // function makes the circuits equivalent, a constant does not.
 func TestMiterFreeSignals(t *testing.T) {
-	spec, err := ParseBenchString("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = XOR(a, b)\n")
+	spec, err := ParseBench([]byte("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = XOR(a, b)\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	impl, err := ParseBenchString("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = XOR(f, b)\n")
+	impl, err := ParseBench([]byte("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = XOR(f, b)\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestMiterFreeSignals(t *testing.T) {
 }
 
 func TestMiterBenchRoundTrip(t *testing.T) {
-	impl, err := ParseBenchString("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = XOR(f, b)\n")
+	impl, err := ParseBench([]byte("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = XOR(f, b)\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := ParseBenchString("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = XOR(a, b)\n")
+	spec, err := ParseBench([]byte("INPUT(a)\nINPUT(b)\nOUTPUT(o)\no = XOR(a, b)\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestMiterErrors(t *testing.T) {
 	if _, err := Miter(moreOuts, RippleCarryAdder(1)); err == nil {
 		t.Error("output count mismatch accepted")
 	}
-	withFree, err := ParseBenchString("INPUT(a)\nOUTPUT(o)\no = AND(a, f)\n")
+	withFree, err := ParseBench([]byte("INPUT(a)\nOUTPUT(o)\no = AND(a, f)\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	complete, err := ParseBenchString("INPUT(a)\nOUTPUT(o)\no = BUFF(a)\n")
+	complete, err := ParseBench([]byte("INPUT(a)\nOUTPUT(o)\no = BUFF(a)\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

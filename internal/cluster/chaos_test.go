@@ -48,7 +48,7 @@ func TestClusterWorkerKillMidBatch(t *testing.T) {
 			t.Fatalf("instance %d: cluster says %s, serial says %s (victim %d)", i, got, want[i], victim)
 		}
 	}
-	if got := c.CoordStats().Failovers; got == 0 {
+	if got := c.coordStats().Failovers; got == 0 {
 		t.Fatal("no failover recorded after killing a worker")
 	}
 	// The survivors must be fully settled: everything submitted completed.
@@ -104,7 +104,7 @@ func TestClusterForwardFaultDrill(t *testing.T) {
 	if fails := flaky.fails.Load(); fails < 2 {
 		t.Fatalf("transport failed %d forwards, want >= 2", fails)
 	}
-	if got := c.CoordStats().Failovers; got < 2 {
+	if got := c.coordStats().Failovers; got < 2 {
 		t.Fatalf("%d failovers recorded, want >= 2", got)
 	}
 }
@@ -192,7 +192,7 @@ func TestClusterAsyncJobLifecycle(t *testing.T) {
 		t.Fatal("empty trace payload")
 	}
 
-	if _, _, err := c.SplitJobID("no-prefix"); err == nil {
+	if _, _, err := c.splitJobID("no-prefix"); err == nil {
 		t.Fatal("malformed job ID accepted")
 	}
 	if _, _, status, err := c.GetJob(ctx, "w0:nonexistent", false); err == nil || status != 404 {
@@ -271,7 +271,7 @@ func TestClusterUnsatCubeCancelsSiblings(t *testing.T) {
 	if res.Cubes != 2 {
 		t.Fatalf("fan of %d cubes, want 2", res.Cubes)
 	}
-	cs := c.CoordStats()
+	cs := c.coordStats()
 	if cs.CubeUnsatShortCircuits != 1 {
 		t.Fatalf("%d short circuits recorded, want 1", cs.CubeUnsatShortCircuits)
 	}
@@ -316,7 +316,7 @@ func TestClusterSplitAfterEscalation(t *testing.T) {
 	if got := res.Info.Outcome.Verdict; got != service.VerdictSat {
 		t.Fatalf("verdict %s, want SAT", got)
 	}
-	cs := c.CoordStats()
+	cs := c.coordStats()
 	if cs.Escalations != 1 {
 		t.Fatalf("%d escalations recorded, want 1", cs.Escalations)
 	}

@@ -153,8 +153,8 @@ func New(cfg Config) (*Coordinator, error) {
 	}, nil
 }
 
-// CoordStats snapshots the coordinator counters.
-func (c *Coordinator) CoordStats() CoordStats {
+// coordStats snapshots the coordinator counters.
+func (c *Coordinator) coordStats() CoordStats {
 	return CoordStats{
 		Forwards:               c.forwards.Load(),
 		Failovers:              c.failovers.Load(),
@@ -247,7 +247,7 @@ func (c *Coordinator) forward(ctx context.Context, key, path string, body []byte
 	for round := 0; round < attempts; round++ {
 		if round > 0 {
 			select {
-			case <-time.After(Backoff(retry, round-1)):
+			case <-time.After(backoff(retry, round-1)):
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -290,11 +290,11 @@ func maxAttempts(p service.RetryPolicy) int {
 	return p.MaxAttempts
 }
 
-// Backoff is the coordinator's copy of the service retry schedule, built
+// backoff is the coordinator's copy of the service retry schedule, built
 // from the exported policy fields: BaseDelay doubling per round, capped at
 // MaxDelay (service defaults for zero values, without the jitter — ring
 // walks are already decorrelated by key).
-func Backoff(p service.RetryPolicy, round int) time.Duration {
+func backoff(p service.RetryPolicy, round int) time.Duration {
 	base, ceil := p.BaseDelay, p.MaxDelay
 	if base <= 0 {
 		base = 5 * time.Millisecond
@@ -546,7 +546,7 @@ func (c *Coordinator) solveCubes(ctx context.Context, f *dqbf.Formula, key strin
 // Stats merges /stats across the ring: every worker's scheduler counters
 // (with reachability), their numeric sum, and the coordinator's counters.
 func (c *Coordinator) Stats(ctx context.Context) Stats {
-	st := Stats{Coordinator: c.CoordStats()}
+	st := Stats{Coordinator: c.coordStats()}
 	for i, w := range c.cfg.Workers {
 		ws := WorkerStats{URL: w}
 		func() {

@@ -186,7 +186,7 @@ func differentialRandom(t *testing.T, c *Coordinator, eng service.Engine) {
 	if sat == 0 || unsat == 0 {
 		t.Fatalf("degenerate instance mix: %d SAT, %d UNSAT", sat, unsat)
 	}
-	cs := c.CoordStats()
+	cs := c.coordStats()
 	if cs.CubeSplits == 0 {
 		t.Fatal("no instance exercised the cube fan")
 	}
@@ -287,7 +287,7 @@ func TestClusterCubeEdgeCases(t *testing.T) {
 	if res.Cubes != 0 {
 		t.Fatalf("zero-universal formula fanned into %d cubes", res.Cubes)
 	}
-	if got := c.CoordStats().CubeSplits; got != 1 {
+	if got := c.coordStats().CubeSplits; got != 1 {
 		t.Fatalf("%d cube splits recorded, want 1 (the degrade case must forward)", got)
 	}
 }

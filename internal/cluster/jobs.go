@@ -17,14 +17,14 @@ import (
 // member that owns the job so GET/DELETE route back to it without any
 // coordinator-side job table.
 
-// JobID builds the cluster-visible ID for a worker-local job ID.
-func JobID(worker int, id string) string {
+// jobID builds the cluster-visible ID for a worker-local job ID.
+func jobID(worker int, id string) string {
 	return "w" + strconv.Itoa(worker) + ":" + id
 }
 
-// SplitJobID parses a cluster job ID back into its worker index and
+// splitJobID parses a cluster job ID back into its worker index and
 // worker-local ID.
-func (c *Coordinator) SplitJobID(id string) (int, string, error) {
+func (c *Coordinator) splitJobID(id string) (int, string, error) {
 	rest, ok := strings.CutPrefix(id, "w")
 	if !ok {
 		return 0, "", fmt.Errorf("cluster: job ID %q has no worker prefix", id)
@@ -58,7 +58,7 @@ func (c *Coordinator) SubmitJob(ctx context.Context, p *problem.Problem, eng ser
 		return service.JobInfo{}, err
 	}
 	info := reply.JobInfo
-	info.ID = JobID(reply.worker, info.ID)
+	info.ID = jobID(reply.worker, info.ID)
 	return info, nil
 }
 
@@ -66,7 +66,7 @@ func (c *Coordinator) SubmitJob(ctx context.Context, p *problem.Problem, eng ser
 // trace, DELETE) and returns the raw response. No failover: the job lives on
 // exactly one worker.
 func (c *Coordinator) jobRequest(ctx context.Context, method, id, suffix, query string) (int, []byte, int, error) {
-	w, local, err := c.SplitJobID(id)
+	w, local, err := c.splitJobID(id)
 	if err != nil {
 		return 0, nil, http.StatusNotFound, err
 	}
@@ -107,7 +107,7 @@ func (c *Coordinator) GetJob(ctx context.Context, id string, withCert bool) (ser
 	if err := json.Unmarshal(raw, &reply); err != nil {
 		return service.JobInfo{}, "", http.StatusBadGateway, fmt.Errorf("cluster: bad reply: %w", err)
 	}
-	reply.JobInfo.ID = JobID(w, reply.JobInfo.ID)
+	reply.JobInfo.ID = jobID(w, reply.JobInfo.ID)
 	return reply.JobInfo, reply.CertSkolem, status, nil
 }
 
@@ -125,7 +125,7 @@ func (c *Coordinator) GetTrace(ctx context.Context, id string) ([]byte, int, err
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, http.StatusBadGateway, fmt.Errorf("cluster: bad trace reply: %w", err)
 	}
-	idJSON, _ := json.Marshal(JobID(w, strings.Trim(string(doc["id"]), `"`)))
+	idJSON, _ := json.Marshal(jobID(w, strings.Trim(string(doc["id"]), `"`)))
 	doc["id"] = idJSON
 	out, err := json.Marshal(doc)
 	if err != nil {

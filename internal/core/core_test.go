@@ -9,6 +9,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/faults"
 	"repro/internal/problem"
 )
 
@@ -388,4 +389,28 @@ func solveAIGAsDQBF(t *testing.T, g *aig.Graph, m aig.Ref, work *dqbf.Formula) b
 		t.Fatalf("nested solve status %v", res.Status)
 	}
 	return res.Sat
+}
+
+// TestElimSetSpuriousUnknownCancels injects one spurious Unknown into the
+// elimination-set MaxSAT of a cyclic instance, at the MaxSAT seam and at
+// the SAT seam below it. Either must unwind as a cancellation, the
+// pipeline's convention for an injected Unknown, and never panic.
+func TestElimSetSpuriousUnknownCancels(t *testing.T) {
+	for _, pt := range []faults.Point{faults.SATSolve, faults.MaxSATSolve} {
+		plan, err := faults.ParseSpec(string(pt)+":unknown:times=1", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions()
+		opt.Preprocess = false
+		opt.DetectGates = false
+		opt.Budget = budget.New(budget.Limits{Faults: plan})
+		res := New(opt).Solve(problem.FromDQBF(paperExample1()))
+		if res.Status != Cancelled {
+			t.Fatalf("%s: status %v, want %v", pt, res.Status, Cancelled)
+		}
+		if plan.Fires(pt) != 1 {
+			t.Fatalf("%s: the fault never fired", pt)
+		}
+	}
 }

@@ -80,12 +80,11 @@ func checkGolden(t *testing.T, name, got string) {
 // ordering, or elimination behavior shows up as a diff against the
 // checked-in golden JSONL.
 func TestGoldenTraceExample1(t *testing.T) {
-	fh, err := os.Open(filepath.Join("..", "..", "examples", "example1.dqdimacs"))
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "example1.dqdimacs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fh.Close()
-	f, err := dqbf.ParseDQDIMACS(fh)
+	f, err := dqbf.ParseDQDIMACS(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,8 +349,8 @@ func TestStatsPopulated(t *testing.T) {
 // variables (the prefix goes from 2∀/5∃ to 1∀/4∃); with it off, no stage
 // does. Either way the final SAT call decides it, and Stats says so.
 func TestUnitPureOffEverywhere(t *testing.T) {
-	f, err := dqbf.ParseDQDIMACSString("p cnf 7 8\ne 1 2 3 0\na 4 5 0\ne 6 7 0\n" +
-		"3 2 -6 0\n-4 -2 6 0\n-1 -4 -6 0\n3 -6 7 0\n-6 -4 2 0\n7 -2 4 0\n5 -1 -7 0\n4 7 1 0\n")
+	f, err := dqbf.ParseDQDIMACS([]byte("p cnf 7 8\ne 1 2 3 0\na 4 5 0\ne 6 7 0\n" +
+		"3 2 -6 0\n-4 -2 6 0\n-1 -4 -6 0\n3 -6 7 0\n-6 -4 2 0\n7 -2 4 0\n5 -1 -7 0\n4 7 1 0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/faults"
 	"repro/internal/maxsat"
 	"repro/internal/oracle"
 	"repro/internal/pipeline"
@@ -49,13 +50,15 @@ type hqsPipeline struct {
 
 // selectElim runs the elimination-set selection, mapping a budget stop onto
 // the pipeline's stop error (ErrTimeout on the deadline, ErrCancelled
-// otherwise). Successive selections share the oracle pool's guarded MaxSAT
-// backend (the dependency-cycle structure persists as the formula shrinks,
-// so learned clauses carry over between strengthening steps).
+// otherwise). An injected spurious Unknown unwinds like a cancellation, as
+// it does in pipeline.Runner.Run. Successive selections share the oracle
+// pool's guarded MaxSAT backend (the dependency-cycle structure persists as
+// the formula shrinks, so learned clauses carry over between strengthening
+// steps).
 func (px *hqsPipeline) selectElim() ([]cnf.Var, error) {
 	elim, err := selectEliminationSet(px.work, px.s.Opt.Strategy, px.s.Opt.Budget, px.st.Oracle.MaxSATBackend())
 	if err != nil {
-		if errors.Is(err, maxsat.ErrBudget) {
+		if errors.Is(err, maxsat.ErrBudget) || errors.Is(err, faults.ErrUnknown) {
 			if errors.Is(err, budget.ErrDeadline) {
 				return nil, pipeline.ErrTimeout
 			}

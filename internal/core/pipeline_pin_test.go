@@ -93,7 +93,7 @@ func pipelineCorpus(t *testing.T) []pinInstance {
 		f := randomQBF(rng, nu, ne, 2+rng.Intn(3*(nu+ne)))
 		out = append(out, pinInstance{fmt.Sprintf("qbf/%03d", i), &problem.Problem{Kind: problem.KindQBF, Format: problem.FormatQDIMACS, Formula: f}})
 	}
-	ex, err := dqbf.ParseDQDIMACSString("p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n")
+	ex, err := dqbf.ParseDQDIMACS([]byte("p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

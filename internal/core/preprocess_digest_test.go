@@ -49,7 +49,7 @@ func digestCorpus(t *testing.T) []struct {
 		nu, ne := 1+rng.Intn(4), 1+rng.Intn(6)
 		add(fmt.Sprintf("random/%03d", i), dqbf.RandomFormula(rng, nu, ne, 2+rng.Intn(3*(nu+ne))))
 	}
-	ex, err := dqbf.ParseDQDIMACSString("p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n")
+	ex, err := dqbf.ParseDQDIMACS([]byte("p cnf 4 4\na 1 2 0\nd 3 1 0\nd 4 2 0\n-3 1 0\n3 -1 0\n-4 2 0\n4 -2 0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,42 +8,6 @@ import (
 	"repro/internal/cnf"
 )
 
-// DepGraph is the dependency graph of Definition 4: vertices are the
-// existential variables; there is an edge y→z iff D_y ⊄ D_z (y depends on a
-// universal that z does not).
-type DepGraph struct {
-	Vars  []cnf.Var
-	Edges map[cnf.Var]*VarSet // adjacency: Edges[y] = {z | y→z}
-}
-
-// DependencyGraph builds the dependency graph of the formula.
-func DependencyGraph(f *Formula) *DepGraph {
-	g := &DepGraph{
-		Vars:  append([]cnf.Var(nil), f.Exist...),
-		Edges: make(map[cnf.Var]*VarSet, len(f.Exist)),
-	}
-	for _, y := range f.Exist {
-		g.Edges[y] = NewVarSet()
-	}
-	for _, y := range f.Exist {
-		for _, z := range f.Exist {
-			if y == z {
-				continue
-			}
-			if !f.Deps[y].SubsetOf(f.Deps[z]) {
-				g.Edges[y].Add(z)
-			}
-		}
-	}
-	return g
-}
-
-// HasEdge reports whether the edge y→z is present.
-func (g *DepGraph) HasEdge(y, z cnf.Var) bool {
-	e, ok := g.Edges[y]
-	return ok && e.Has(z)
-}
-
 // BinaryCycles returns the unordered pairs {y,z} with both y→z and z→y —
 // by Lemma 1/Theorem 4 the graph is cyclic iff such a pair exists, so these
 // pairs characterize all non-linearity in the prefix.

@@ -151,8 +151,8 @@ func (f *Formula) Validate() error {
 	if len(f.Exist) != exi.Len() {
 		return fmt.Errorf("dqbf: duplicate existential variable")
 	}
-	if !uni.Intersect(exi).Empty() {
-		return fmt.Errorf("dqbf: variable quantified both ways: %v", uni.Intersect(exi))
+	if !uni.intersect(exi).Empty() {
+		return fmt.Errorf("dqbf: variable quantified both ways: %v", uni.intersect(exi))
 	}
 	for _, y := range f.Exist {
 		d, ok := f.Deps[y]

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -18,7 +17,7 @@ import (
 // newline; a longer line fails with bufio.ErrTooLong.
 const maxLine = 1<<24 - 1
 
-// ParseDQDIMACSBytes reads a formula in DQDIMACS format, the DQBF extension
+// ParseDQDIMACS reads a formula in DQDIMACS format, the DQBF extension
 // of QDIMACS used by iDQ and HQS:
 //
 //	p cnf <vars> <clauses>
@@ -50,7 +49,7 @@ const maxLine = 1<<24 - 1
 // one pass over data and allocates by len(data), never by the header: the
 // clauses are capacity-limited sub-slices of one literal array, in which a
 // 0 closes each clause, and the dependency sets share one word array.
-func ParseDQDIMACSBytes(data []byte) (*Formula, error) {
+func ParseDQDIMACS(data []byte) (*Formula, error) {
 	// An existential's dependency set is deps[lo:hi] for a "d" line and
 	// univ[:hi] for an "e" line.
 	type existential struct {
@@ -263,20 +262,6 @@ func ParseDQDIMACSBytes(data []byte) (*Formula, error) {
 	return f, nil
 }
 
-// ParseDQDIMACS reads all of r and parses it with ParseDQDIMACSBytes.
-func ParseDQDIMACS(r io.Reader) (*Formula, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return ParseDQDIMACSBytes(data)
-}
-
-// ParseDQDIMACSString parses a DQDIMACS formula from a string.
-func ParseDQDIMACSString(s string) (*Formula, error) {
-	return ParseDQDIMACSBytes([]byte(s))
-}
-
 // parseVarLine appends the variables of a quantifier line's remaining
 // fields to out: positive, within the declared range, terminated by a 0
 // that is the line's last field.
@@ -403,73 +388,6 @@ func (m *prefixMarks) mark(v cnf.Var, universal bool) {
 	if universal {
 		m.univ.Add(v)
 	}
-}
-
-// WriteQDIMACS writes the formula in plain QDIMACS, the linear-prefix
-// subset of DQDIMACS: alternating "a"/"e" blocks, no "d" lines. It fails
-// when the formula is not linear — i.e. when some existential's dependency
-// set is not exactly a prefix of the universal order — since QDIMACS cannot
-// express such a formula without changing its meaning.
-//
-// The writer preserves quantifier-block order exactly: existentials are
-// grouped by dependency-prefix length with a stable sort, so a
-// write→parse→write round trip is a byte-level fixpoint (the parser maps
-// each "e" block back to the universals declared before it).
-func (f *Formula) WriteQDIMACS(w io.Writer) error {
-	pos := make(map[cnf.Var]int, len(f.Univ))
-	for i, x := range f.Univ {
-		pos[x] = i
-	}
-	type block struct {
-		y cnf.Var
-		k int
-	}
-	exs := make([]block, 0, len(f.Exist))
-	for _, y := range f.Exist {
-		d := f.Deps[y]
-		k := d.Len()
-		for _, x := range d.Vars() {
-			i, ok := pos[x]
-			if !ok || i >= k {
-				return fmt.Errorf("qdimacs: existential %d depends on %s, not a prefix of the universal order (formula is not linear)", y, d)
-			}
-		}
-		exs = append(exs, block{y, k})
-	}
-	sort.SliceStable(exs, func(i, j int) bool { return exs[i].k < exs[j].k })
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p cnf %d %d\n", f.Matrix.NumVars, len(f.Matrix.Clauses))
-	emitted := 0
-	for i := 0; i < len(exs); {
-		k := exs[i].k
-		if k > emitted {
-			fmt.Fprint(bw, "a")
-			for _, x := range f.Univ[emitted:k] {
-				fmt.Fprintf(bw, " %d", x)
-			}
-			fmt.Fprintln(bw, " 0")
-			emitted = k
-		}
-		fmt.Fprint(bw, "e")
-		for ; i < len(exs) && exs[i].k == k; i++ {
-			fmt.Fprintf(bw, " %d", exs[i].y)
-		}
-		fmt.Fprintln(bw, " 0")
-	}
-	if emitted < len(f.Univ) {
-		fmt.Fprint(bw, "a")
-		for _, x := range f.Univ[emitted:] {
-			fmt.Fprintf(bw, " %d", x)
-		}
-		fmt.Fprintln(bw, " 0")
-	}
-	for _, c := range f.Matrix.Clauses {
-		for _, l := range c {
-			fmt.Fprintf(bw, "%d ", l.Dimacs())
-		}
-		fmt.Fprintln(bw, "0")
-	}
-	return bw.Flush()
 }
 
 // WriteDQDIMACS writes the formula in DQDIMACS format. Existentials whose

@@ -52,7 +52,7 @@ func TestParseMalformedInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseDQDIMACSString(tc.in)
+			_, err := ParseDQDIMACS([]byte(tc.in))
 			if err == nil {
 				t.Fatalf("no error for %q", tc.in)
 			}
@@ -78,7 +78,7 @@ d 3 1 0
 3 0
 -1 4
 `
-	f, err := ParseDQDIMACSString(in)
+	f, err := ParseDQDIMACS([]byte(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDQDIMACSLineCap(t *testing.T) {
 		if tc.newline {
 			in = append(in, "\n1 0\n"...)
 		}
-		_, err := ParseDQDIMACSBytes(in)
+		_, err := ParseDQDIMACS(in)
 		_, refErr := scannerParseDQDIMACS(bytes.NewReader(in))
 		if got, want := fmt.Sprint(err), fmt.Sprint(refErr); got != want {
 			t.Fatalf("line of %d bytes (newline %v): reader %q, reference %q", tc.n, tc.newline, got, want)

@@ -44,7 +44,7 @@ func FuzzDQDIMACSReader(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		formula, err := ParseDQDIMACSBytes(data)
+		formula, err := ParseDQDIMACS(data)
 		ref, refErr := scannerParseDQDIMACS(bytes.NewReader(data))
 		if got, want := readerOutcome(formula, err), readerOutcome(ref, refErr); got != want {
 			t.Fatalf("reader and reference disagree on %q:\n--- reader ---\n%s--- reference ---\n%s", data, got, want)
@@ -56,7 +56,7 @@ func FuzzDQDIMACSReader(f *testing.F) {
 		if err := formula.WriteDQDIMACS(&first); err != nil {
 			t.Fatalf("write of accepted formula failed: %v", err)
 		}
-		reparsed, err := ParseDQDIMACSString(first.String())
+		reparsed, err := ParseDQDIMACS([]byte(first.String()))
 		if err != nil {
 			t.Fatalf("writer output rejected by parser: %v\noutput:\n%s", err, first.String())
 		}
@@ -102,7 +102,7 @@ func FuzzGround(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		formula, err := ParseDQDIMACS(bytes.NewReader(data))
+		formula, err := ParseDQDIMACS(data)
 		if err != nil {
 			return
 		}

@@ -26,7 +26,8 @@ func groundAll(t testing.TB, f *Formula) bool {
 			return false
 		}
 	}
-	return s.Solve() == sat.Sat
+	st, _ := s.Solve(nil, nil)
+	return st == sat.Sat
 }
 
 // smallForBruteForce reports whether BruteForce decides f quickly: few

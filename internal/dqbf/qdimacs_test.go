@@ -2,96 +2,79 @@ package dqbf
 
 import (
 	"bytes"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/cnf"
 )
 
-// linearFormula builds ∃y3 ∀x1 ∃y4 ∀x2 ∃y5 with a small matrix: three
-// existential blocks at prefix lengths 0, 1, and 2.
-func linearFormula() *Formula {
-	f := New()
-	f.Matrix.NumVars = 5
-	f.AddUniversal(1)
-	f.AddUniversal(2)
-	f.AddExistential(3)
-	f.AddExistential(4, 1)
-	f.AddExistential(5, 1, 2)
-	f.Matrix.AddClause(cnf.PosLit(3), cnf.NegLit(1))
-	f.Matrix.AddClause(cnf.PosLit(4), cnf.PosLit(2), cnf.NegLit(5))
-	return f
-}
-
-// TestWriteQDIMACSBlockOrder pins the exact serialization: quantifier
-// blocks appear in prefix order, universals interleaved between the
-// existential blocks that depend on them.
-func TestWriteQDIMACSBlockOrder(t *testing.T) {
-	var buf bytes.Buffer
-	if err := linearFormula().WriteQDIMACS(&buf); err != nil {
-		t.Fatalf("WriteQDIMACS: %v", err)
+// checkPrefix asserts the quantifier prefix of f: the universal order, the
+// existential order, and each existential's dependency set.
+func checkPrefix(t *testing.T, f *Formula, univ, exist []cnf.Var, deps map[cnf.Var][]cnf.Var) {
+	t.Helper()
+	if !slices.Equal(f.Univ, univ) {
+		t.Fatalf("Univ = %v, want %v", f.Univ, univ)
 	}
-	want := `p cnf 5 2
-e 3 0
-a 1 0
-e 4 0
-a 2 0
-e 5 0
-3 -1 0
-4 2 -5 0
-`
-	if buf.String() != want {
-		t.Fatalf("serialization drifted:\ngot:\n%s\nwant:\n%s", buf.String(), want)
+	if !slices.Equal(f.Exist, exist) {
+		t.Fatalf("Exist = %v, want %v", f.Exist, exist)
+	}
+	for _, y := range exist {
+		if got := f.Deps[y].Vars(); !slices.Equal(got, deps[y]) {
+			t.Fatalf("Deps[%d] = %v, want %v", y, got, deps[y])
+		}
 	}
 }
 
-// TestQDIMACSWriteParseFixpoint is the round-trip guarantee: writing,
-// parsing, and writing again is byte-identical, so the quantifier-block
-// order survives exactly.
+// TestQDIMACSWriteParseFixpoint reads plain QDIMACS, whose alternating
+// blocks give each "e" line the universals declared before it, and checks
+// the prefix directly. The formula read is then a DQDIMACS
+// write→parse→write fixpoint, and the round trip keeps every dependency set.
 func TestQDIMACSWriteParseFixpoint(t *testing.T) {
 	cases := []struct {
-		name string
-		f    *Formula
+		name        string
+		src         string
+		univ, exist []cnf.Var
+		deps        map[cnf.Var][]cnf.Var
 	}{
-		{"interleaved blocks", linearFormula()},
-		{"trailing universals", func() *Formula {
-			f := New()
-			f.Matrix.NumVars = 3
-			f.AddUniversal(2)
-			f.AddUniversal(3)
-			f.AddExistential(1, 2)
-			f.Matrix.AddClause(cnf.PosLit(1), cnf.PosLit(3))
-			return f
-		}()},
-		{"no existentials", func() *Formula {
-			f := New()
-			f.Matrix.NumVars = 2
-			f.AddUniversal(1)
-			f.AddUniversal(2)
-			f.Matrix.AddClause(cnf.PosLit(1), cnf.PosLit(2))
-			return f
-		}()},
-		{"propositional", func() *Formula {
-			f := New()
-			f.Matrix.NumVars = 2
-			f.AddExistential(1)
-			f.AddExistential(2)
-			f.Matrix.AddClause(cnf.NegLit(1), cnf.PosLit(2))
-			return f
-		}()},
+		{"interleaved blocks",
+			"p cnf 5 2\ne 3 0\na 1 0\ne 4 0\na 2 0\ne 5 0\n3 -1 0\n4 2 -5 0\n",
+			[]cnf.Var{1, 2}, []cnf.Var{3, 4, 5},
+			map[cnf.Var][]cnf.Var{3: nil, 4: {1}, 5: {1, 2}}},
+		{"trailing universals",
+			"p cnf 3 1\na 2 0\ne 1 0\na 3 0\n1 3 0\n",
+			[]cnf.Var{2, 3}, []cnf.Var{1},
+			map[cnf.Var][]cnf.Var{1: {2}}},
+		{"no existentials",
+			"p cnf 2 1\na 1 2 0\n1 2 0\n",
+			[]cnf.Var{1, 2}, nil, nil},
+		{"propositional",
+			"p cnf 2 1\ne 1 2 0\n-1 2 0\n",
+			nil, []cnf.Var{1, 2},
+			map[cnf.Var][]cnf.Var{1: nil, 2: nil}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			f, err := ParseDQDIMACS([]byte(tc.src))
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			checkPrefix(t, f, tc.univ, tc.exist, tc.deps)
 			var first bytes.Buffer
-			if err := tc.f.WriteQDIMACS(&first); err != nil {
+			if err := f.WriteDQDIMACS(&first); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			parsed, err := ParseDQDIMACS(bytes.NewReader(first.Bytes()))
+			parsed, err := ParseDQDIMACS(first.Bytes())
 			if err != nil {
 				t.Fatalf("parse own output: %v\n%s", err, first.Bytes())
 			}
+			// The writer's "e" line gathers the existentials that depend
+			// on every universal, so only the existential order may move.
+			if len(parsed.Exist) != len(tc.exist) || !NewVarSet(parsed.Exist...).Equal(NewVarSet(tc.exist...)) {
+				t.Fatalf("round trip Exist = %v, want a permutation of %v", parsed.Exist, tc.exist)
+			}
+			checkPrefix(t, parsed, tc.univ, parsed.Exist, tc.deps)
 			var second bytes.Buffer
-			if err := parsed.WriteQDIMACS(&second); err != nil {
+			if err := parsed.WriteDQDIMACS(&second); err != nil {
 				t.Fatalf("rewrite: %v", err)
 			}
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -102,8 +85,9 @@ func TestQDIMACSWriteParseFixpoint(t *testing.T) {
 	}
 }
 
-// TestQDIMACSSourceFixpoint starts from QDIMACS text instead of a built
-// formula: after one normalizing write, the form is stable.
+// TestQDIMACSSourceFixpoint reads QDIMACS text whose first "e" block is
+// unsorted and precedes every universal: the existentials keep the order
+// of the text, and the clauses are read verbatim.
 func TestQDIMACSSourceFixpoint(t *testing.T) {
 	src := `p cnf 4 2
 e 4 0
@@ -112,33 +96,17 @@ e 2 3 0
 1 2 0
 -1 3 -4 0
 `
-	f, err := ParseDQDIMACS(strings.NewReader(src))
+	f, err := ParseDQDIMACS([]byte(src))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	var first bytes.Buffer
-	if err := f.WriteQDIMACS(&first); err != nil {
-		t.Fatalf("write: %v", err)
+	checkPrefix(t, f, []cnf.Var{1}, []cnf.Var{4, 2, 3},
+		map[cnf.Var][]cnf.Var{4: nil, 2: {1}, 3: {1}})
+	want := []cnf.Clause{
+		{cnf.PosLit(1), cnf.PosLit(2)},
+		{cnf.NegLit(1), cnf.PosLit(3), cnf.NegLit(4)},
 	}
-	if first.String() != src {
-		t.Fatalf("parse→write changed an already-normal input:\ngot:\n%s\nwant:\n%s", first.String(), src)
-	}
-}
-
-func TestWriteQDIMACSRejectsNonLinear(t *testing.T) {
-	f := New()
-	f.Matrix.NumVars = 4
-	f.AddUniversal(1)
-	f.AddUniversal(2)
-	// Depends on x2 but not x1: not a prefix of the universal order.
-	f.AddExistential(3, 2)
-	f.Matrix.AddClause(cnf.PosLit(3), cnf.PosLit(4))
-	var buf bytes.Buffer
-	err := f.WriteQDIMACS(&buf)
-	if err == nil {
-		t.Fatal("non-linear formula serialized as QDIMACS")
-	}
-	if !strings.Contains(err.Error(), "not linear") {
-		t.Fatalf("error %q does not explain the linearity failure", err)
+	if !slices.EqualFunc(f.Matrix.Clauses, want, slices.Equal) {
+		t.Fatalf("clauses = %v, want %v", f.Matrix.Clauses, want)
 	}
 }

@@ -139,7 +139,7 @@ func pinMutate(rng *rand.Rand, in string) string {
 // rejected input; for an accepted one the prefix order and the formula
 // re-written as DQDIMACS.
 func readerResult(in string) string {
-	f, err := dqbf.ParseDQDIMACSString(in)
+	f, err := dqbf.ParseDQDIMACS([]byte(in))
 	if err != nil {
 		return "error: " + err.Error() + "\n"
 	}

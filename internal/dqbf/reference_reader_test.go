@@ -15,7 +15,7 @@ import (
 // standard library's own rules — a bufio.Scanner over the input,
 // strings.TrimSpace and strings.Fields on each line, strconv.Atoi on each
 // token — kept as the reference FuzzDQDIMACSReader holds
-// ParseDQDIMACSBytes to. Both readers must produce the same formula or the
+// ParseDQDIMACS to. Both readers must produce the same formula or the
 // same error text on every input.
 func scannerParseDQDIMACS(r io.Reader) (*Formula, error) {
 	f := New()
@@ -144,7 +144,10 @@ func scannerParseDQDIMACS(r io.Reader) (*Formula, error) {
 		f.AddExistential(e.v, e.deps...)
 	}
 	// Free matrix variables become outermost existentials.
-	quantified := NewVarSet(f.Univ...).Union(NewVarSet(f.Exist...))
+	quantified := NewVarSet(f.Univ...)
+	for _, y := range f.Exist {
+		quantified.Add(y)
+	}
 	var free []cnf.Var
 	seen := NewVarSet()
 	for _, c := range f.Matrix.Clauses {

@@ -110,26 +110,8 @@ func (s *VarSet) Diff(t *VarSet) *VarSet {
 	return out
 }
 
-// Union returns s ∪ t as a new set.
-func (s *VarSet) Union(t *VarSet) *VarSet {
-	n := len(s.words)
-	if len(t.words) > n {
-		n = len(t.words)
-	}
-	out := &VarSet{words: make([]uint64, n)}
-	for i := range out.words {
-		if i < len(s.words) {
-			out.words[i] |= s.words[i]
-		}
-		if i < len(t.words) {
-			out.words[i] |= t.words[i]
-		}
-	}
-	return out
-}
-
-// Intersect returns s ∩ t as a new set.
-func (s *VarSet) Intersect(t *VarSet) *VarSet {
+// intersect returns s ∩ t as a new set.
+func (s *VarSet) intersect(t *VarSet) *VarSet {
 	n := len(s.words)
 	if len(t.words) < n {
 		n = len(t.words)

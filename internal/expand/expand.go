@@ -114,13 +114,9 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 			return res, nil
 		}
 	}
-	st := solver.Solve()
+	st, err := solver.Solve(nil, nil)
 	res.Stats.SATConflicts = solver.Stats.Conflicts
 	if st == sat.Unknown {
-		err := s.Opt.Budget.Err()
-		if err == nil {
-			err = fmt.Errorf("expand: SAT call stopped")
-		}
 		return res, fmt.Errorf("expand: ground SAT call stopped: %w", err)
 	}
 	res.Sat = st == sat.Sat

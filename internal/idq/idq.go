@@ -156,7 +156,7 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 
 		// Step 1: abstraction.
 		res.Stats.AbstractionSAT++
-		st := abs.Solve()
+		st, _ := abs.Solve(nil, nil)
 		if st == sat.Unknown {
 			// The oracle only stops on the shared budget; report why.
 			if st, stop := stopStatus(); stop {
@@ -291,7 +291,7 @@ func (s *Solver) verify(f *dqbf.Formula, tables map[cnf.Var]map[string]bool) ([]
 	}
 	vs.AddClause(sel...)
 
-	switch vs.Solve() {
+	switch st, _ := vs.Solve(nil, nil); st {
 	case sat.Unknown:
 		return nil, false, true
 	case sat.Sat:

@@ -118,11 +118,14 @@ func (m *Solver) Solve() (Result, error) {
 // activation literal. With base 0, an empty scope, and a raw adder this is
 // byte-identical to the historical fresh-solver search.
 func (m *Solver) run(s *sat.Solver, base int, scope []cnf.Lit, add clauseAdder) (Result, error) {
+	var stopErr error // why the last Unknown oracle call stopped
 	solve := func(assumps []cnf.Lit) sat.Status {
 		if len(scope) > 0 {
 			assumps = append(append(make([]cnf.Lit, 0, len(assumps)+len(scope)), assumps...), scope...)
 		}
-		return s.SolveAssuming(assumps)
+		st, err := s.Solve(assumps, nil)
+		stopErr = err
+		return st
 	}
 	for _, c := range m.hard {
 		if !add.AddClause(m.shiftClause(c, base)...) {
@@ -143,7 +146,7 @@ func (m *Solver) run(s *sat.Solver, base int, scope []cnf.Lit, add clauseAdder) 
 	if len(m.soft) == 0 {
 		switch st := solve(nil); {
 		case st == sat.Unknown:
-			return Result{}, m.budgetErr()
+			return Result{}, m.budgetErr(stopErr)
 		case st != sat.Sat:
 			return Result{}, ErrUnsat
 		}
@@ -159,12 +162,12 @@ func (m *Solver) run(s *sat.Solver, base int, scope []cnf.Lit, add clauseAdder) 
 	case sat.Sat:
 		return Result{Cost: 0, Model: m.truncateModel(s.Model(), base)}, nil
 	case sat.Unknown:
-		return Result{}, m.budgetErr()
+		return Result{}, m.budgetErr(stopErr)
 	}
 	// Hard clauses alone satisfiable?
 	switch st := solve(nil); {
 	case st == sat.Unknown:
-		return Result{}, m.budgetErr()
+		return Result{}, m.budgetErr(stopErr)
 	case st != sat.Sat:
 		return Result{}, ErrUnsat
 	}
@@ -175,19 +178,19 @@ func (m *Solver) run(s *sat.Solver, base int, scope []cnf.Lit, add clauseAdder) 
 	enc := newSeqCounter(add, relax)
 	for k := 1; k < best; k++ {
 		if m.Budget.Stopped() {
-			return Result{}, m.budgetErr()
+			return Result{}, m.budgetErr(nil)
 		}
 		switch solve(enc.atMost(k)) {
 		case sat.Sat:
 			return Result{Cost: m.countViolated(s.Model(), base), Model: m.truncateModel(s.Model(), base)}, nil
 		case sat.Unknown:
-			return Result{}, m.budgetErr()
+			return Result{}, m.budgetErr(stopErr)
 		}
 	}
 	// Optimum equals the upper bound.
 	switch solve(enc.atMost(best)) {
 	case sat.Unknown:
-		return Result{}, m.budgetErr()
+		return Result{}, m.budgetErr(stopErr)
 	case sat.Sat:
 	default:
 		return Result{}, errors.New("maxsat: internal error, bound unreachable")
@@ -209,11 +212,16 @@ func (m *Solver) shiftClause(c cnf.Clause, base int) cnf.Clause {
 	return out
 }
 
-// budgetErr wraps the budget's stop reason in ErrBudget; if the oracle
-// stopped for a reason the budget cannot explain, that is an internal error.
-func (m *Solver) budgetErr() error {
+// budgetErr wraps the budget's stop reason in ErrBudget. If the budget
+// cannot explain the stop, the oracle's own error (an injected fault, the
+// conflict cap) is wrapped instead; an Unknown with neither is an internal
+// error.
+func (m *Solver) budgetErr(oracleErr error) error {
 	if err := m.Budget.Err(); err != nil {
 		return errors.Join(ErrBudget, err)
+	}
+	if oracleErr != nil {
+		return fmt.Errorf("maxsat: oracle stopped: %w", oracleErr)
 	}
 	return errors.New("maxsat: oracle returned unknown")
 }

@@ -117,7 +117,7 @@ func (o *Oracle) Stats() Stats {
 
 // query runs one assumption query against the persistent solver, metering
 // the reuse counters and firing the oracle.query fault point. A non-nil
-// scope confines the solve to those variables (sat.Solver.SolveWithin).
+// scope confines the solve to those variables (see sat.Solver.Solve).
 func (o *Oracle) query(assumps []cnf.Lit, scope []cnf.Var, conflictBudget int64, bud *budget.Budget) (sat.Status, error) {
 	if err := bud.Faults().Fire(QueryPoint); err != nil {
 		return sat.Unknown, err
@@ -131,13 +131,7 @@ func (o *Oracle) query(assumps []cnf.Lit, scope []cnf.Var, conflictBudget int64,
 	}
 	o.s.ConflictBudget = conflictBudget
 	o.s.Budget = bud
-	var st sat.Status
-	var err error
-	if scope != nil {
-		st, err = o.s.SolveWithin(assumps, scope)
-	} else {
-		st, err = o.s.SolveErr(assumps)
-	}
+	st, err := o.s.Solve(assumps, scope)
 	if ab := int64(o.s.ArenaBytes()); ab > o.stats.ArenaBytesHW {
 		o.stats.ArenaBytesHW = ab
 	}

@@ -128,7 +128,7 @@ func Solve(q *problem.PQESplit, opt Options) (*Result, error) {
 		res.Rounds++
 
 		res.SATCalls++
-		st, err := enum.SolveErr(nil)
+		st, err := enum.Solve(nil, nil)
 		if err != nil {
 			return res, err
 		}
@@ -147,7 +147,7 @@ func Solve(q *problem.PQESplit, opt Options) (*Result, error) {
 		}
 
 		res.SATCalls++
-		st, err = checker.SolveErr(assumps)
+		st, err = checker.Solve(assumps, nil)
 		if err != nil {
 			return res, err
 		}
@@ -208,7 +208,7 @@ func VerifyResult(q *problem.PQESplit, Q []cnf.Clause) error {
 				s.AddClause(c...)
 			}
 		}
-		st, err := s.SolveErr(assumps)
+		st, err := s.Solve(assumps, nil)
 		if err != nil {
 			return false, err
 		}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/dqbf"
 )
 
-// FromCircuit encodes a combinational netlist as a Problem: every primary
+// fromCircuit encodes a combinational netlist as a Problem: every primary
 // output is constrained true, primary inputs become universal variables (in
 // declaration order), free (undriven) signals become existential variables
 // depending on all inputs — "is there a driver function making the outputs
@@ -18,7 +18,7 @@ import (
 //
 // The encoding is linear (every dependency set is the full universal set),
 // so the resulting problem is KindQBF.
-func FromCircuit(c *circuit.Circuit) (*Problem, error) {
+func fromCircuit(c *circuit.Circuit) (*Problem, error) {
 	f := dqbf.New()
 	m := f.Matrix
 	sig := make(map[int]cnf.Var, len(c.Inputs))

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// Detect sniffs the input format from the first bytes of data. The rules, in
+// detect sniffs the input format from the first bytes of data. The rules, in
 // order of precedence:
 //
 //   - a header line "aag ..." or "aig ..." is AIGER (ascii / binary);
@@ -20,9 +20,9 @@ import (
 //   - "#" comment lines are skipped (BENCH); "c" comment lines are skipped
 //     (DIMACS family) unless the line itself looks like a BENCH assignment.
 //
-// Detect never reads past the first few significant lines, so it is safe on
+// detect never reads past the first few significant lines, so it is safe on
 // large inputs.
-func Detect(data []byte) (Format, error) {
+func detect(data []byte) (Format, error) {
 	rest := data
 	sawCNF := false
 	for lineNo := 0; len(rest) > 0 && lineNo < 1<<20; lineNo++ {

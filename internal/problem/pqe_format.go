@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -130,27 +129,4 @@ func parsePQEVarLine(toks []string, lineNo, numVars int) ([]cnf.Var, error) {
 		out = append(out, cnf.Var(d))
 	}
 	return nil, fmt.Errorf("pqe line %d: quantifier line not terminated by 0", lineNo)
-}
-
-// WritePQE serializes the split in the dialect parsePQE reads; the output
-// round-trips exactly.
-func (q *PQESplit) WritePQE(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p pqe %d %d %d\n", q.NumVars, len(q.F), len(q.G))
-	if len(q.X) > 0 {
-		fmt.Fprint(bw, "e")
-		for _, x := range q.X {
-			fmt.Fprintf(bw, " %d", x)
-		}
-		fmt.Fprintln(bw, " 0")
-	}
-	for _, cs := range [][]cnf.Clause{q.F, q.G} {
-		for _, c := range cs {
-			for _, l := range c {
-				fmt.Fprintf(bw, "%d ", l.Dimacs())
-			}
-			fmt.Fprintln(bw, "0")
-		}
-	}
-	return bw.Flush()
 }

@@ -1,12 +1,12 @@
 // Package problem is the unified ingestion layer of the solver stack: one
 // Problem type carrying the matrix, the quantifier structure, and the input
-// provenance (format, source), with format autodetection and readers for the
-// four accepted input languages — DQDIMACS, QDIMACS, AIGER (ascii and
+// format, with format autodetection and one byte-slice reader, ParseBytes,
+// for the four accepted input languages — DQDIMACS, QDIMACS, AIGER (ascii and
 // binary), and ISCAS-85-style BENCH netlists — plus the PQE dialect for
 // partial-quantifier-elimination queries.
 //
 // Every consumer of a parsed instance (core.Solve, the service scheduler,
-// the hqsd daemon, and the hqs/dqbfinfo/pec2dqbf/dqbfbench CLIs) routes
+// the hqsd daemon, and the hqs/hqsc/dqbfinfo/dqbffuzz/dqbfbench CLIs) routes
 // through this package, so a new input language is one reader here instead
 // of five call-site patches. The canonical cache/store hash is computed on
 // the normalized Problem, which makes cache keys stable across input
@@ -155,15 +155,12 @@ func (q *PQESplit) FreeVars() []cnf.Var {
 }
 
 // Problem is one parsed solver input: a DQBF/QBF formula or a PQE split,
-// together with its provenance.
+// together with the format it was read from.
 type Problem struct {
 	// Kind classifies the question (DQBF, QBF, or PQE).
 	Kind Kind
 	// Format is the input language the problem was read from.
 	Format Format
-	// Source names where the bytes came from (a file path, "stdin", "http");
-	// informational only — it does not participate in the canonical hash.
-	Source string
 	// Formula is the parsed formula for KindDQBF/KindQBF problems; nil for
 	// KindPQE.
 	Formula *dqbf.Formula
@@ -184,7 +181,7 @@ func FromDQBF(f *dqbf.Formula) *Problem {
 
 // Clone returns a deep copy of the problem.
 func (p *Problem) Clone() *Problem {
-	c := &Problem{Kind: p.Kind, Format: p.Format, Source: p.Source}
+	c := &Problem{Kind: p.Kind, Format: p.Format}
 	if p.Formula != nil {
 		c.Formula = p.Formula.Clone()
 	}

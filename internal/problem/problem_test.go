@@ -2,9 +2,8 @@ package problem
 
 import (
 	"bytes"
-	"os"
+	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -72,7 +71,7 @@ func TestDetect(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := Detect([]byte(tc.input))
+			got, err := detect([]byte(tc.input))
 			if err != nil {
 				t.Fatalf("Detect: %v", err)
 			}
@@ -91,8 +90,8 @@ func TestDetectErrors(t *testing.T) {
 		"p sat 3\n",
 		"garbage line\n",
 	} {
-		if f, err := Detect([]byte(input)); err == nil {
-			t.Errorf("Detect(%q) = %q, want error", input, f)
+		if f, err := detect([]byte(input)); err == nil {
+			t.Errorf("detect(%q) = %q, want error", input, f)
 		}
 	}
 }
@@ -278,25 +277,41 @@ func TestPQEHashDomainSeparated(t *testing.T) {
 	}
 }
 
+// writePQE serializes the split in the dialect parsePQE reads, the
+// reference TestPQERoundTrip holds the reader to.
+func writePQE(q *PQESplit) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "p pqe %d %d %d\n", q.NumVars, len(q.F), len(q.G))
+	if len(q.X) > 0 {
+		b.WriteString("e")
+		for _, x := range q.X {
+			fmt.Fprintf(&b, " %d", x)
+		}
+		b.WriteString(" 0\n")
+	}
+	for _, cs := range [][]cnf.Clause{q.F, q.G} {
+		for _, c := range cs {
+			for _, l := range c {
+				fmt.Fprintf(&b, "%d ", l.Dimacs())
+			}
+			b.WriteString("0\n")
+		}
+	}
+	return b.Bytes()
+}
+
 func TestPQERoundTrip(t *testing.T) {
 	p, err := ParseBytes([]byte(pqeExample), "")
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := p.PQE.WritePQE(&buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	p2, err := ParseBytes(buf.Bytes(), "")
+	first := writePQE(p.PQE)
+	p2, err := ParseBytes(first, "")
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
-	var buf2 bytes.Buffer
-	if err := p2.PQE.WritePQE(&buf2); err != nil {
-		t.Fatalf("rewrite: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("write→parse→write not a fixpoint:\n%q\n%q", buf.Bytes(), buf2.Bytes())
+	if second := writePQE(p2.PQE); !bytes.Equal(first, second) {
+		t.Fatalf("write→parse→write not a fixpoint:\n%q\n%q", first, second)
 	}
 	if p.CanonicalHash() != p2.CanonicalHash() {
 		t.Fatal("round trip changed the canonical hash")
@@ -451,13 +466,13 @@ func TestAIGERConstants(t *testing.T) {
 }
 
 func TestFromCircuitFreeSignals(t *testing.T) {
-	c, err := circuit.ParseBenchString(benchExample)
+	c, err := circuit.ParseBench([]byte(benchExample))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	p, err := FromCircuit(c)
+	p, err := fromCircuit(c)
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("fromCircuit: %v", err)
 	}
 	if p.Kind != KindQBF {
 		t.Fatalf("kind = %v, want qbf (circuit encodings are linear)", p.Kind)
@@ -473,37 +488,6 @@ func TestFromCircuitFreeSignals(t *testing.T) {
 		if p.Formula.Deps[y].Len() != len(p.Formula.Univ) {
 			t.Fatalf("existential %d depends on %s, want the full universal set", y, p.Formula.Deps[y])
 		}
-	}
-}
-
-func TestParseFileSetsSource(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/inst.bench"
-	if err := os.WriteFile(path, []byte(benchExample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := ParseFile(path)
-	if err != nil {
-		t.Fatalf("ParseFile: %v", err)
-	}
-	if p.Source != path || p.Format != FormatBENCH {
-		t.Fatalf("source/format = %q/%q", p.Source, p.Format)
-	}
-	if _, err := ParseFile(dir + "/missing.bench"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestReadBenchCircuit(t *testing.T) {
-	c, err := ReadBenchCircuit(strings.NewReader(benchExample))
-	if err != nil {
-		t.Fatalf("ReadBenchCircuit: %v", err)
-	}
-	if len(c.FreeSignals()) != 1 {
-		t.Fatalf("free signals = %d, want 1", len(c.FreeSignals()))
-	}
-	if _, err := ReadBenchCircuit(strings.NewReader("x = NOT(a, b)\n")); err == nil {
-		t.Fatal("arity violation accepted")
 	}
 }
 

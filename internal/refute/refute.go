@@ -111,7 +111,7 @@ func Refute(f *dqbf.Formula) Result {
 		// Periodic refutation check (every assignment keeps the solver
 		// incremental and cheap).
 		res.Stats.SATCalls++
-		if solver.Solve() == sat.Unsat {
+		if st, _ := solver.Solve(nil, nil); st == sat.Unsat {
 			res.Verdict = Refuted
 			return res
 		}

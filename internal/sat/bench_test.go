@@ -44,7 +44,7 @@ func BenchmarkPropagate(b *testing.B) {
 			b.Fatal("formula trivially UNSAT")
 		}
 		b.StartTimer()
-		if s.SolveAssuming([]cnf.Lit{cnf.PosLit(1)}) == Unknown {
+		if status(s.Solve([]cnf.Lit{cnf.PosLit(1)}, nil)) == Unknown {
 			b.Fatal("unexpected Unknown")
 		}
 	}
@@ -77,7 +77,7 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 		if !addFormula(s, f) {
 			b.Fatal("trivially UNSAT")
 		}
-		if s.Solve() == Unknown {
+		if status(s.Solve(nil, nil)) == Unknown {
 			b.Fatal("unexpected Unknown")
 		}
 	}
@@ -95,6 +95,6 @@ func BenchmarkIncrementalAssumptions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := cnf.Var(1 + i%600)
-		s.SolveAssuming([]cnf.Lit{cnf.NewLit(v, i%2 == 0)})
+		s.Solve([]cnf.Lit{cnf.NewLit(v, i%2 == 0)}, nil)
 	}
 }

@@ -50,7 +50,7 @@ func TestBudgetCancelMidSolve(t *testing.T) {
 		b.Cancel()
 	}()
 	start := time.Now()
-	st, err := s.SolveErr([]cnf.Lit{g})
+	st, err := s.Solve([]cnf.Lit{g}, nil)
 	elapsed := time.Since(start)
 	if st != Unknown {
 		t.Fatalf("want Unknown after cancellation, got %v (in %v)", st, elapsed)
@@ -67,7 +67,7 @@ func TestBudgetCancelMidSolve(t *testing.T) {
 
 	// The solver must stay reusable: with the gate off it is trivially SAT.
 	s.Budget = nil
-	if got := s.SolveAssuming([]cnf.Lit{g.Not()}); got != Sat {
+	if got := status(s.Solve([]cnf.Lit{g.Not()}, nil)); got != Sat {
 		t.Fatalf("solver not reusable after cancel: got %v", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestBudgetDeadline(t *testing.T) {
 	g := addGatedPigeonhole(s, 11)
 	s.Budget = budget.New(budget.Limits{Timeout: 100 * time.Millisecond})
 	start := time.Now()
-	st, err := s.SolveErr([]cnf.Lit{g})
+	st, err := s.Solve([]cnf.Lit{g}, nil)
 	if st != Unknown || !errors.Is(err, budget.ErrDeadline) {
 		t.Fatalf("want (Unknown, ErrDeadline), got (%v, %v)", st, err)
 	}
@@ -91,7 +91,7 @@ func TestBudgetConflictCap(t *testing.T) {
 	g := addGatedPigeonhole(s, 9)
 	b := budget.New(budget.Limits{Conflicts: 100})
 	s.Budget = b
-	st, err := s.SolveErr([]cnf.Lit{g})
+	st, err := s.Solve([]cnf.Lit{g}, nil)
 	if st != Unknown || !errors.Is(err, budget.ErrConflicts) {
 		t.Fatalf("want (Unknown, ErrConflicts), got (%v, %v)", st, err)
 	}
@@ -105,10 +105,10 @@ func TestBudgetDoesNotPerturbVerdicts(t *testing.T) {
 	s := New()
 	g := addGatedPigeonhole(s, 4) // PHP(5,4): easy
 	s.Budget = budget.New(budget.Limits{Timeout: time.Minute})
-	if st := s.SolveAssuming([]cnf.Lit{g}); st != Unsat {
+	if st := status(s.Solve([]cnf.Lit{g}, nil)); st != Unsat {
 		t.Fatalf("PHP(5,4) must be Unsat, got %v", st)
 	}
-	if st := s.SolveAssuming([]cnf.Lit{g.Not()}); st != Sat {
+	if st := status(s.Solve([]cnf.Lit{g.Not()}, nil)); st != Sat {
 		t.Fatalf("gated-off instance must be Sat, got %v", st)
 	}
 }

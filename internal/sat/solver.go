@@ -6,7 +6,7 @@
 // saving, Luby-sequence restarts, and LBD/activity-based learned-clause
 // deletion. It supports incremental solving under assumptions, extraction
 // of the subset of assumptions responsible for unsatisfiability, and solves
-// confined to a scope of variables (SolveWithin).
+// confined to a scope of variables (Solve with a non-nil scope).
 //
 // Clause storage is a packed arena (see arena.go): all clauses live in one
 // flat slab of 32-bit words and are referenced by offsets, which keeps the
@@ -51,8 +51,8 @@ func (s Status) String() string {
 	}
 }
 
-// ErrBudget is returned by SolveErr when the conflict or propagation budget
-// is exhausted before a verdict is reached.
+// ErrBudget is returned by Solve when ConflictBudget is exhausted before a
+// verdict is reached.
 var ErrBudget = errors.New("sat: budget exhausted")
 
 type lbool int8
@@ -105,7 +105,7 @@ type Solver struct {
 	assumptions []cnf.Lit
 	conflictSet []cnf.Lit // failed assumptions after Unsat-under-assumptions
 
-	// The scope of a SolveWithin call: while scoped, decisions come from
+	// The scope of a scoped Solve call: while scoped, decisions come from
 	// scopeHeap and propagation above level 0 assigns only inScope vars.
 	scoped    bool
 	inScope   []bool // indexed by var
@@ -117,10 +117,10 @@ type Solver struct {
 	ConflictBudget int64
 
 	// Budget, when non-nil, is a shared cancellable budget polled inside the
-	// search loop: the solve returns Unknown (with the budget's error from
-	// SolveErr) promptly after cancellation, deadline expiry, or cap
-	// exhaustion. Conflicts and decisions are metered into the budget. The
-	// solver stays reusable after a budgeted stop.
+	// search loop: the solve returns Unknown, with the budget's error,
+	// promptly after cancellation, deadline expiry, or cap exhaustion.
+	// Conflicts and decisions are metered into the budget. The solver stays
+	// reusable after a budgeted stop.
 	Budget *budget.Budget
 
 	// KeepLearnts, when > 0, raises the floor of the learned-clause database
@@ -146,7 +146,7 @@ type Stats struct {
 	Learned      int64
 	Removed      int64
 	Compactions  int64 // arena garbage collections
-	SolveCalls   int64 // Solve/SolveAssuming invocations on this instance
+	SolveCalls   int64 // Solve invocations on this instance
 }
 
 // New returns an empty solver.
@@ -669,61 +669,52 @@ func luby(i int64) int64 {
 	return int64(1) << uint(seq)
 }
 
-// Solve determines satisfiability of the current clause set.
-func (s *Solver) Solve() Status { return s.SolveAssuming(nil) }
-
-// SolveAssuming determines satisfiability under the given assumption literals.
-// On Sat, Model returns a full assignment. On Unsat, FailedAssumptions returns
-// a subset of the assumptions that is already unsatisfiable together with the
-// clause set.
-func (s *Solver) SolveAssuming(assumps []cnf.Lit) Status {
-	st, _ := s.solve(assumps)
-	return st
-}
-
-// SolveErr is like SolveAssuming but reports why an Unknown verdict was
-// returned: ErrBudget for the legacy conflict/propagation budgets, or the
-// shared budget's error (budget.ErrCancelled, budget.ErrDeadline, ...) when
-// the Budget field stopped the search.
-func (s *Solver) SolveErr(assumps []cnf.Lit) (Status, error) {
-	return s.solve(assumps)
-}
-
-// SolveWithin is like SolveErr, but decides and propagates only inside
-// vars, the scope: decisions come from the scope's variables alone, and
-// above decision level 0 a clause that becomes unit on a variable outside
-// the scope stays watched and is not propagated. Propagation at level 0
-// stays complete, so later calls of any kind see an intact watch
-// invariant. The assumptions' variables must lie in the scope. Sat is
-// reported once every scope variable is assigned without conflict; Model
-// then gives the scope variables their values, and variables left
-// unassigned read false.
+// Solve determines satisfiability of the clause set under the assumption
+// literals. On Sat, Model returns an assignment. On Unsat,
+// FailedAssumptions returns a subset of the assumptions that is already
+// unsatisfiable together with the clause set. On Unknown, the error says
+// why the search stopped: ErrBudget when ConflictBudget ran out, the
+// shared Budget's error (budget.ErrCancelled, budget.ErrDeadline, ...)
+// when it stopped the search, or the error injected at the sat.solve
+// fault point.
 //
-// Unsat is sound for any solver: it holds under any decision order and on
-// any subset of the clauses, and learned clauses are resolvents, so they
-// stay valid for the whole clause set. Sat is sound only when every
-// clause-consistent assignment of the scope extends to a model of all the
-// clauses. That holds for a solver fed by aig.CNFBuilder with the SAT
-// variables of a fanin-closed cone as scope: its clauses are Tseitin
-// definitions of a fanin-closed node set (plus learned clauses those
-// imply), so evaluating the AIG extends the scope's assignment. Other
-// solvers must use SolveErr.
-func (s *Solver) SolveWithin(assumps []cnf.Lit, vars []cnf.Var) (Status, error) {
-	for _, v := range vars {
-		s.EnsureVars(int(v))
-		s.inScope[v] = true
-		if s.assign[v] == lUndef {
-			s.scopeHeap.insert(v, s.activity)
+// A nil scope solves over every variable, and Model is a full
+// assignment. A non-nil scope decides and propagates only inside the
+// scope's variables: decisions come from the scope alone, and above
+// decision level 0 a clause that becomes unit on a variable outside the
+// scope stays watched and is not propagated. Propagation at level 0 stays
+// complete, so later calls of any kind see an intact watch invariant. The
+// assumptions' variables must lie in the scope. Sat is reported once
+// every scope variable is assigned without conflict; Model then gives the
+// scope variables their values, and variables left unassigned read false.
+//
+// A scoped Unsat is sound for any solver: it holds under any decision
+// order and on any subset of the clauses, and learned clauses are
+// resolvents, so they stay valid for the whole clause set. A scoped Sat
+// is sound only when every clause-consistent assignment of the scope
+// extends to a model of all the clauses. That holds for a solver fed by
+// aig.CNFBuilder with the SAT variables of a fanin-closed cone as scope:
+// its clauses are Tseitin definitions of a fanin-closed node set (plus
+// learned clauses those imply), so evaluating the AIG extends the scope's
+// assignment. Other solvers must pass a nil scope.
+func (s *Solver) Solve(assumps []cnf.Lit, scope []cnf.Var) (Status, error) {
+	if scope != nil {
+		for _, v := range scope {
+			s.EnsureVars(int(v))
+			s.inScope[v] = true
+			if s.assign[v] == lUndef {
+				s.scopeHeap.insert(v, s.activity)
+			}
 		}
+		s.scoped = true
+		defer func() {
+			s.scoped = false
+			for _, v := range scope {
+				s.inScope[v] = false
+			}
+			s.scopeHeap.clear()
+		}()
 	}
-	s.scoped = true
-	defer func() {
-		s.scoped = false
-		for _, v := range vars {
-			s.inScope[v] = false
-		}
-		s.scopeHeap.clear()
-	}()
 	return s.solve(assumps)
 }
 
@@ -903,6 +894,6 @@ func (s *Solver) analyzeFinal(p cnf.Lit) []cnf.Lit {
 // It returns nil if the last call did not return Sat.
 func (s *Solver) Model() cnf.Assignment { return s.model }
 
-// FailedAssumptions returns, after an Unsat result of SolveAssuming, a subset
+// FailedAssumptions returns, after an Unsat result of Solve, a subset
 // of the negated assumptions sufficient for unsatisfiability.
 func (s *Solver) FailedAssumptions() []cnf.Lit { return s.conflictSet }

@@ -27,6 +27,10 @@ func bruteForceSat(f *cnf.Formula) bool {
 
 func lit(d int) cnf.Lit { return cnf.LitFromDimacs(d) }
 
+// status drops the error of a Solve call for tests that only need the
+// verdict.
+func status(st Status, _ error) Status { return st }
+
 // addFormula adds all clauses of f to s, allocating variables as needed. It
 // returns false once the clause set is unsatisfiable at level 0.
 func addFormula(s *Solver, f *cnf.Formula) bool {
@@ -43,7 +47,7 @@ func TestTrivialSat(t *testing.T) {
 	s := New()
 	s.EnsureVars(2)
 	s.AddClause(lit(1), lit(2))
-	if s.Solve() != Sat {
+	if status(s.Solve(nil, nil)) != Sat {
 		t.Fatal("expected SAT")
 	}
 	m := s.Model()
@@ -58,7 +62,7 @@ func TestTrivialUnsat(t *testing.T) {
 	if s.AddClause(lit(-1)) {
 		t.Fatal("AddClause should detect conflict")
 	}
-	if s.Solve() != Unsat {
+	if status(s.Solve(nil, nil)) != Unsat {
 		t.Fatal("expected UNSAT")
 	}
 }
@@ -68,7 +72,7 @@ func TestEmptyClauseUnsat(t *testing.T) {
 	if s.AddClause() {
 		t.Fatal("empty clause should yield false")
 	}
-	if s.Solve() != Unsat {
+	if status(s.Solve(nil, nil)) != Unsat {
 		t.Fatal("expected UNSAT")
 	}
 }
@@ -76,7 +80,7 @@ func TestEmptyClauseUnsat(t *testing.T) {
 func TestNoClausesSat(t *testing.T) {
 	s := New()
 	s.EnsureVars(3)
-	if s.Solve() != Sat {
+	if status(s.Solve(nil, nil)) != Sat {
 		t.Fatal("empty formula should be SAT")
 	}
 }
@@ -85,7 +89,7 @@ func TestTautologyIgnored(t *testing.T) {
 	s := New()
 	s.AddClause(lit(1), lit(-1))
 	s.AddClause(lit(-2))
-	if s.Solve() != Sat {
+	if status(s.Solve(nil, nil)) != Sat {
 		t.Fatal("expected SAT")
 	}
 	if s.Model().Get(2) {
@@ -112,7 +116,7 @@ func TestPigeonhole(t *testing.T) {
 				}
 			}
 		}
-		if s.Solve() != Unsat {
+		if status(s.Solve(nil, nil)) != Unsat {
 			t.Fatalf("PHP(%d,%d) must be UNSAT", n+1, n)
 		}
 	}
@@ -136,7 +140,7 @@ func TestGraphColoringSat(t *testing.T) {
 			s.AddClause(varOf(v, c).Not(), varOf(u, c).Not())
 		}
 	}
-	if s.Solve() != Sat {
+	if status(s.Solve(nil, nil)) != Sat {
 		t.Fatal("C5 is 3-colorable")
 	}
 	// 2-coloring of a 5-cycle: UNSAT (odd cycle).
@@ -147,7 +151,7 @@ func TestGraphColoringSat(t *testing.T) {
 		s2.AddClause(varOf2(v), varOf2(u))
 		s2.AddClause(varOf2(v).Not(), varOf2(u).Not())
 	}
-	if s2.Solve() != Unsat {
+	if status(s2.Solve(nil, nil)) != Unsat {
 		t.Fatal("C5 is not 2-colorable")
 	}
 }
@@ -180,7 +184,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			}
 			continue
 		}
-		got := s.Solve()
+		got := status(s.Solve(nil, nil))
 		if (got == Sat) != want {
 			t.Fatalf("iter %d: solver=%v brute=%v\n%v", iter, got, want, f.Clauses)
 		}
@@ -197,18 +201,18 @@ func TestAssumptions(t *testing.T) {
 	s.EnsureVars(3)
 	s.AddClause(lit(1), lit(2))
 	s.AddClause(lit(-1), lit(3))
-	if s.SolveAssuming([]cnf.Lit{lit(-2)}) != Sat {
+	if status(s.Solve([]cnf.Lit{lit(-2)}, nil)) != Sat {
 		t.Fatal("expected SAT under -2")
 	}
 	m := s.Model()
 	if !m.Get(1) || !m.Get(3) || m.Get(2) {
 		t.Fatalf("bad model %v", m)
 	}
-	if s.SolveAssuming([]cnf.Lit{lit(-2), lit(-1)}) != Unsat {
+	if status(s.Solve([]cnf.Lit{lit(-2), lit(-1)}, nil)) != Unsat {
 		t.Fatal("expected UNSAT under {-2,-1}")
 	}
 	// Solver must stay usable incrementally.
-	if s.Solve() != Sat {
+	if status(s.Solve(nil, nil)) != Sat {
 		t.Fatal("expected SAT with no assumptions")
 	}
 }
@@ -217,7 +221,7 @@ func TestFailedAssumptions(t *testing.T) {
 	s := New()
 	s.EnsureVars(4)
 	s.AddClause(lit(-1), lit(-2))
-	st := s.SolveAssuming([]cnf.Lit{lit(4), lit(1), lit(2)})
+	st := status(s.Solve([]cnf.Lit{lit(4), lit(1), lit(2)}, nil))
 	if st != Unsat {
 		t.Fatal("expected UNSAT")
 	}
@@ -249,7 +253,7 @@ func TestFailedAssumptionsSubset(t *testing.T) {
 	s.AddClause(r.Not(), b)
 	s.AddClause(r, a.Not(), b.Not())
 
-	if st := s.SolveAssuming([]cnf.Lit{r, c, a.Not()}); st != Unsat {
+	if st := status(s.Solve([]cnf.Lit{r, c, a.Not()}, nil)); st != Unsat {
 		t.Fatalf("query = %v; want Unsat", st)
 	}
 	failed := s.FailedAssumptions()
@@ -279,22 +283,22 @@ func TestScopeRetraction(t *testing.T) {
 	s.AddClause(a, act.Not())       // scope forces a
 	s.AddClause(a.Not(), act.Not()) // ... and ¬a: contradictory inside the scope
 
-	if st := s.SolveAssuming([]cnf.Lit{act}); st != Unsat {
+	if st := status(s.Solve([]cnf.Lit{act}, nil)); st != Unsat {
 		t.Fatalf("query under contradictory scope = %v; want Unsat", st)
 	}
 	// Without the scope the solver is unconstrained again.
-	if st := s.SolveAssuming([]cnf.Lit{a}); st != Sat {
+	if st := status(s.Solve([]cnf.Lit{a}, nil)); st != Sat {
 		t.Fatalf("query outside scope = %v; want Sat", st)
 	}
 
 	s.AddClause(act.Not()) // retract
-	if st := s.SolveAssuming([]cnf.Lit{a.Not()}); st != Sat {
+	if st := status(s.Solve([]cnf.Lit{a.Not()}, nil)); st != Sat {
 		t.Fatalf("query after retraction = %v; want Sat", st)
 	}
 
 	// act is now false at the top level, so assuming it must fail with act
 	// in the extracted set.
-	if st := s.SolveAssuming([]cnf.Lit{act, a}); st != Unsat {
+	if st := status(s.Solve([]cnf.Lit{act, a}, nil)); st != Unsat {
 		t.Fatalf("assuming a retracted scope = %v; want Unsat", st)
 	}
 	failed := s.FailedAssumptions()
@@ -316,12 +320,12 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 	s := New()
 	s.EnsureVars(2)
 	s.AddClause(lit(1), lit(2))
-	if s.Solve() != Sat {
+	if status(s.Solve(nil, nil)) != Sat {
 		t.Fatal("SAT expected")
 	}
 	s.AddClause(lit(-1))
 	s.AddClause(lit(-2))
-	if s.Solve() != Unsat {
+	if status(s.Solve(nil, nil)) != Unsat {
 		t.Fatal("UNSAT expected after strengthening")
 	}
 }
@@ -347,7 +351,7 @@ func TestRandomIncrementalAssumptions(t *testing.T) {
 				g.AddClause(l)
 			}
 			want := bruteForceSat(g)
-			got := s.SolveAssuming(assumps)
+			got := status(s.Solve(assumps, nil))
 			if (got == Sat) != want {
 				t.Fatalf("iter %d round %d: got %v want SAT=%v", iter, round, got, want)
 			}
@@ -375,13 +379,13 @@ func TestConflictBudget(t *testing.T) {
 		}
 	}
 	s.ConflictBudget = 10
-	st, err := s.SolveErr(nil)
+	st, err := s.Solve(nil, nil)
 	if err != ErrBudget || st != Unknown {
 		t.Fatalf("want budget exhaustion, got %v / %v", st, err)
 	}
 	// Raising the budget must allow completion.
 	s.ConflictBudget = 0
-	if s.Solve() != Unsat {
+	if status(s.Solve(nil, nil)) != Unsat {
 		t.Fatal("PHP(7,6) must be UNSAT")
 	}
 }
@@ -406,7 +410,7 @@ func TestManyUnitClauses(t *testing.T) {
 	for v := 1; v <= 200; v++ {
 		s.AddClause(cnf.NewLit(cnf.Var(v), v%2 == 0))
 	}
-	if s.Solve() != Sat {
+	if status(s.Solve(nil, nil)) != Sat {
 		t.Fatal("unit-only formula is SAT")
 	}
 	m := s.Model()
@@ -506,7 +510,7 @@ func addPHP(s *Solver, n int) {
 func TestArenaCompaction(t *testing.T) {
 	s := New()
 	addPHP(s, 7)
-	if s.Solve() != Unsat {
+	if status(s.Solve(nil, nil)) != Unsat {
 		t.Fatal("PHP(8,7) must be UNSAT")
 	}
 	if s.Stats.Removed == 0 {
@@ -521,7 +525,7 @@ func TestArenaCompaction(t *testing.T) {
 	// The solver must remain usable after compaction.
 	s2 := New()
 	addPHP(s2, 6)
-	if s2.Solve() != Unsat {
+	if status(s2.Solve(nil, nil)) != Unsat {
 		t.Fatal("PHP(7,6) must be UNSAT")
 	}
 }

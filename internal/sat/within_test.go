@@ -124,15 +124,15 @@ func levelZeroComplete(s *Solver) string {
 	return ""
 }
 
-// checkSolveWithin runs nQueries random queries over one random AND-graph
-// on a solver that interleaves scoped calls (SolveWithin over the cone of
+// checkScopedSolve runs nQueries random queries over one random AND-graph
+// on a solver that interleaves scoped calls (Solve over the cone of
 // random roots, assumptions inside it) with unscoped ones. Every verdict
 // must equal a fresh solver's, and every call must leave level-0
 // propagation complete. A scoped Sat must satisfy every clause inside the
 // scope, and the gates evaluated from its input values must reproduce its
 // scope values and satisfy the assumptions. It returns how many scoped
 // calls followed an unscoped call that fixed new variables at level 0.
-func checkSolveWithin(t *testing.T, pick func(int) int, nIn, nGates, nQueries int) (afterUnits int) {
+func checkScopedSolve(t *testing.T, pick func(int) int, nIn, nGates, nQueries int) (afterUnits int) {
 	t.Helper()
 	g := newAndGraph(pick, nIn, nGates)
 	all := make([]cnf.Var, g.numVars())
@@ -144,9 +144,9 @@ func checkSolveWithin(t *testing.T, pick func(int) int, nIn, nGates, nQueries in
 	for q := 0; q < nQueries; q++ {
 		if pick(3) == 0 {
 			assumps := randomLits(pick, all)
-			want := g.solver().SolveAssuming(assumps)
+			want := status(g.solver().Solve(assumps, nil))
 			units := len(s.trail)
-			if got := s.SolveAssuming(assumps); got != want {
+			if got := status(s.Solve(assumps, nil)); got != want {
 				t.Fatalf("query %d: interleaved unscoped call on %v = %v; fresh solver says %v", q, assumps, got, want)
 			}
 			grew = grew || len(s.trail) > units
@@ -160,27 +160,27 @@ func checkSolveWithin(t *testing.T, pick func(int) int, nIn, nGates, nQueries in
 		}
 		in, scope := g.cone(roots)
 		assumps := randomLits(pick, scope)
-		want := g.solver().SolveAssuming(assumps)
-		if got := unscoped.SolveAssuming(assumps); got != want {
+		want := status(g.solver().Solve(assumps, nil))
+		if got := status(unscoped.Solve(assumps, nil)); got != want {
 			t.Fatalf("query %d: unscoped %v = %v; fresh solver says %v", q, assumps, got, want)
 		}
-		got, err := s.SolveWithin(assumps, scope)
+		got, err := s.Solve(assumps, scope)
 		if err != nil || got != want {
-			t.Fatalf("query %d: SolveWithin(%v, %v) = %v, %v; fresh solver says %v", q, assumps, scope, got, err, want)
+			t.Fatalf("query %d: scoped Solve(%v, %v) = %v, %v; fresh solver says %v", q, assumps, scope, got, err, want)
 		}
 		if grew {
 			afterUnits++
 			grew = false
 		}
 		if err := levelZeroComplete(s); err != "" {
-			t.Fatalf("query %d: after SolveWithin(%v, %v): %s", q, assumps, scope, err)
+			t.Fatalf("query %d: after scoped Solve(%v, %v): %s", q, assumps, scope, err)
 		}
 		if s.decisionLevel() != 0 || s.scoped || !s.scopeHeap.empty() {
-			t.Fatalf("query %d: SolveWithin left level %d, scoped=%v, %d heap entries", q, s.decisionLevel(), s.scoped, len(s.scopeHeap.data))
+			t.Fatalf("query %d: scoped Solve left level %d, scoped=%v, %d heap entries", q, s.decisionLevel(), s.scoped, len(s.scopeHeap.data))
 		}
 		for v, b := range s.inScope {
 			if b {
-				t.Fatalf("query %d: SolveWithin left var %d marked in scope", q, v)
+				t.Fatalf("query %d: scoped Solve left var %d marked in scope", q, v)
 			}
 		}
 		if got != Sat {
@@ -218,7 +218,7 @@ func TestSolveWithinAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	afterUnits := 0
 	for i := 0; i < 400; i++ {
-		afterUnits += checkSolveWithin(t, rng.Intn, 2+rng.Intn(9), rng.Intn(80), 12)
+		afterUnits += checkScopedSolve(t, rng.Intn, 2+rng.Intn(9), rng.Intn(80), 12)
 	}
 	if afterUnits == 0 {
 		t.Fatal("no scoped call followed an unscoped call that fixed new level-0 variables")
@@ -241,6 +241,6 @@ func FuzzSolveWithin(f *testing.F) {
 			i++
 			return int(b) % n
 		}
-		checkSolveWithin(t, pick, 1+pick(6), pick(48), 1+pick(16))
+		checkScopedSolve(t, pick, 1+pick(6), pick(48), 1+pick(16))
 	})
 }

@@ -78,7 +78,7 @@ d 3 1 0
 
 func parseDQ(t *testing.T, s string) *dqbf.Formula {
 	t.Helper()
-	f, err := dqbf.ParseDQDIMACSString(s)
+	f, err := dqbf.ParseDQDIMACS([]byte(s))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

@@ -24,7 +24,7 @@ func withFaults(t *testing.T, s *Store, spec string, seed int64) (*Store, *fault
 	s.Close()
 	opt := discard
 	opt.Faults = plan
-	f, _, err := Open(s.Dir(), opt)
+	f, _, err := Open(s.dir, opt)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

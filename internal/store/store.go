@@ -135,9 +135,6 @@ func Open(dir string, opts ...Options) (*Store, []LostJob, error) {
 	return &Store{dir: dir, journal: j, logf: opt.Logf, plan: opt.Faults}, lost, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases the journal. Entry files need no teardown — every write
 // was already durable when Put returned.
 func (s *Store) Close() error {
