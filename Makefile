@@ -62,9 +62,11 @@ fuzz-smoke:
 # grounding's SAT verdict equals brute force), the cone-scoped SAT solve on
 # byte-built Tseitin AND-graphs (its verdict equals an unscoped and a fresh
 # solver's; a Sat model is consistent inside the scope and extends by
-# evaluating the gates), the AIG sweep (the
-# function is unchanged; a cone of at most 9 inputs makes no SAT call),
-# CNF preprocessing (no failure; every clause left is sorted, duplicate-free
+# evaluating the gates), the AIG sweep (the function is unchanged; a cone
+# of at most 9 inputs makes no SAT call), the exhaustive enumerator on
+# byte-built AIGs of 12 inputs (Graph.Exhaustive's verdict and first
+# falsifier, and a pair's first differing assignment, equal Eval's), CNF
+# preprocessing (no failure; every clause left is sorted, duplicate-free
 # and non-tautological; the verdict equals brute force), and HQS's linear
 # phase on byte-built QBFs, with and without the final SAT call (the verdict
 # equals brute force; every SAT certificate checks).
@@ -78,6 +80,7 @@ fuzz-native:
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzAIGCompose$$' -fuzztime 10s
 	$(GO) test ./internal/sat -run '^$$' -fuzz '^FuzzSolveWithin$$' -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime 10s
+	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzExhaustive$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLinearPhase$$' -fuzztime 10s
 

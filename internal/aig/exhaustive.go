@@ -1,16 +1,15 @@
 package aig
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/cnf"
 )
 
-// chunkWords is the number of 64-bit words Exhaustive simulates per cone
-// position at once: 512 assignments, 64 B per position, the size of a
-// default sweep signature.
-const chunkWords = 8
+// chunkWords is the number of 64-bit words the enumerator simulates per
+// cone position at once: 512 assignments of chunkBits index bits, 64 B per
+// position, the size of a default sweep signature.
+const chunkWords, chunkBits = 8, 9
 
 // basePatterns[j] is the word in which bit b equals bit j of b: the first
 // six variables of every exhaustive enumeration read their values from the
@@ -47,8 +46,6 @@ const (
 // assignment to vars, a list covering r's support. Only the k variables of
 // vars that r's cone reads are enumerated, in their order in vars:
 // assignment i, for i from 0 to 2^k−1, gives the j-th of them bit j of i.
-// The cone is simulated over these assignments 512 at a time, eight words
-// per cone node.
 //
 // A Falsified verdict comes with the first falsifying assignment in counting
 // order, indexed like vars; the variables the cone does not read are false
@@ -57,90 +54,120 @@ const (
 // better.
 func (g *Graph) Exhaustive(r Ref, vars []cnf.Var, maxWork int64) (Verdict, []bool) {
 	c := g.indexCone(r)
-	k := len(c.inputs)
-	shift := max(0, k-6)
-	if shift > 32 || int64(len(c.nodes))<<shift > maxWork {
-		return Undecided, nil
-	}
-	// The index bit each cone input reads, numbered in the order of vars;
-	// varBit[j] is the bit of vars[j], or -1 when the cone does not read it.
-	bitOf := make(map[cnf.Var]int, k)
+	// The index bit of each cone input: its rank among them in vars.
+	bitOf := make(map[cnf.Var]int, len(c.inputs))
 	for _, p := range c.inputs {
 		bitOf[c.vars[p]] = -1
 	}
-	varBit := make([]int, len(vars))
-	next := 0
+	k := 0
+	for _, v := range vars {
+		if b, ok := bitOf[v]; ok && b < 0 {
+			bitOf[v] = k
+			k++
+		}
+	}
+	if k < len(c.inputs) {
+		panic("aig: Exhaustive: vars do not cover the cone's inputs")
+	}
+	e := enumerator{c: c, sub: make([]int32, len(c.nodes)), block: make([]int32, len(c.fanin))}
+	e.ands = make([]and, 0, len(c.nodes))
+	for i := range e.sub {
+		e.sub[i] = int32(i + 1)
+	}
+	i, differ, decided := e.firstDiff(func(p int32) int { return bitOf[c.vars[p]] }, k, maxWork, c.edge(r), c.edge(True))
+	switch {
+	case !decided:
+		return Undecided, nil
+	case !differ:
+		return Valid, nil
+	}
+	cex := make([]bool, len(vars))
 	for j, v := range vars {
 		b, ok := bitOf[v]
-		if !ok {
-			varBit[j] = -1
-			continue
-		}
-		if b < 0 {
-			b, bitOf[v] = next, next
-			next++
-		}
-		varBit[j] = b
+		cex[j] = ok && i>>b&1 == 1
 	}
-	inputCol := make([]int, len(c.inputs))
-	for i, p := range c.inputs {
-		if inputCol[i] = bitOf[c.vars[p]]; inputCol[i] < 0 {
-			panic(fmt.Sprintf("aig: Exhaustive: cone input %d is not in vars", c.vars[p]))
-		}
-	}
+	return Falsified, cex
+}
 
-	// Word w of chunk ch holds assignments (ch·8+w)·64 + b for bit b, so the
-	// first six variables read b, the next three w, and the rest ch. Below
-	// k = 9 all eight words of the single chunk are simulated anyway; the
-	// words past 2^k repeat earlier assignments, since no variable reads
-	// their index bits, so the first falsifying bit still lies below 2^k.
-	words := make([][chunkWords]uint64, len(c.fanin))
-	for i, p := range c.inputs {
-		if j := inputCol[i]; j < 9 {
-			for w := range words[p] {
-				words[p][w] = patternWord(j, w)
+// enumerator is the one exhaustive simulator: it finds the first assignment
+// under which two position edges of a coneIndex differ. Graph.Exhaustive
+// compares a root with True, the sweep's truth tables a candidate pair.
+// Chunk ch simulates words ch·8 … ch·8+7 of the patterns (patternWord), 512
+// assignments, so any number of index bits is enumerated exactly. Below 9
+// bits the words past 2^k repeat earlier assignments, so the first
+// difference still lies below 2^k.
+type enumerator struct {
+	c   *coneIndex
+	sub []int32 // the positions to simulate, ascending and closed under fanin
+	// block[p] is position p's word block, set by firstDiff to one plus its
+	// index in sub. Block 0, all zero and never written, is the constant
+	// false, so block[0] must stay 0.
+	block []int32
+	// Scratch kept across calls: a reused enumerator allocates nothing.
+	ins   []input
+	ands  []and
+	words [][chunkWords]uint64
+}
+
+// An input is block blk, reading index bit bit; an and is block blk, the
+// AND of the block edges f0 and f1 (block<<1 | complement).
+type (
+	input struct{ blk, bit int32 }
+	and   struct{ blk, f0, f1 int32 }
+)
+
+// firstDiff simulates sub, giving the input at position p bit bit(p) of
+// the assignment index, over all 2^k assignments, and returns the first one
+// in counting order under which position edges x and y differ; differ is
+// false when they agree under all. decided is false, and nothing is
+// simulated, when 2^max(0,k−6)·len(sub) exceeds maxWork.
+func (e *enumerator) firstDiff(bit func(p int32) int, k int, maxWork int64, x, y int32) (i uint64, differ, decided bool) {
+	shift := max(0, k-6)
+	if shift > 32 || int64(len(e.sub))<<shift > maxWork {
+		return 0, false, false
+	}
+	if len(e.words) <= len(e.sub) {
+		e.words = make([][chunkWords]uint64, len(e.sub)+1)
+	}
+	c, words := e.c, e.words
+	ins, ands := e.ins[:0], e.ands[:0]
+	for i, p := range e.sub {
+		e.block[p] = int32(i + 1)
+		if c.vars[p] != 0 {
+			ins = append(ins, input{int32(i + 1), int32(bit(p))})
+		} else {
+			ands = append(ands, and{int32(i + 1), e.edge(c.fanin[p][0]), e.edge(c.fanin[p][1])})
+		}
+	}
+	e.ins, e.ands = ins, ands
+	x, y = e.edge(x), e.edge(y)
+	for ch := 0; ch < 1<<max(0, k-chunkBits); ch++ {
+		for _, in := range ins {
+			if ch > 0 && in.bit < chunkBits {
+				continue // its words repeat in every chunk
 			}
-		}
-	}
-	// The AND positions with their fanin edges, flattened so that the chunk
-	// loop reads one slice and skips no input positions.
-	type and struct{ p, f0, f1 int32 }
-	var ands []and
-	for p := 1; p < len(c.fanin); p++ {
-		if c.vars[p] == 0 {
-			ands = append(ands, and{int32(p), c.fanin[p][0], c.fanin[p][1]})
-		}
-	}
-	chunks := uint64(1) << max(0, k-9)
-	root := c.edge(r)
-	for ch := uint64(0); ch < chunks; ch++ {
-		for i, p := range c.inputs {
-			if j := inputCol[i]; j >= 9 {
-				fill := -(ch >> (j - 9) & 1)
-				for w := range words[p] {
-					words[p][w] = fill
-				}
+			for w := range words[in.blk] {
+				words[in.blk][w] = patternWord(int(in.bit), ch*chunkWords+w)
 			}
 		}
 		for _, a := range ands {
-			x, y := words[a.f0>>1], words[a.f1>>1]
-			ma, mb := -uint64(a.f0&1), -uint64(a.f1&1)
-			out := &words[a.p]
+			// The fanins are copied: out never aliases them.
+			l, r, out := words[a.f0>>1], words[a.f1>>1], &words[a.blk]
+			ml, mr := -uint64(a.f0&1), -uint64(a.f1&1)
 			for w := range out {
-				out[w] = (x[w] ^ ma) & (y[w] ^ mb)
+				out[w] = (l[w] ^ ml) & (r[w] ^ mr)
 			}
 		}
-		rw, mr := &words[root>>1], -uint64(root&1)
-		for w := range rw {
-			if miss := ^(rw[w] ^ mr); miss != 0 {
-				i := (ch*chunkWords+uint64(w))<<6 | uint64(bits.TrailingZeros64(miss))
-				cex := make([]bool, len(vars))
-				for j, b := range varBit {
-					cex[j] = b >= 0 && i>>b&1 == 1
-				}
-				return Falsified, cex
+		l, r := &words[x>>1], &words[y>>1]
+		ml, mr := -uint64(x&1), -uint64(y&1)
+		for w := range l {
+			if d := l[w] ^ ml ^ r[w] ^ mr; d != 0 {
+				return uint64(ch*chunkWords+w)<<6 | uint64(bits.TrailingZeros64(d)), true, true
 			}
 		}
 	}
-	return Valid, nil
+	return 0, false, true
 }
+
+// edge translates a position edge into a block edge.
+func (e *enumerator) edge(x int32) int32 { return e.block[x>>1]<<1 | x&1 }

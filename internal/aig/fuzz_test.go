@@ -1,6 +1,8 @@
 package aig
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/cnf"
@@ -10,12 +12,12 @@ import (
 // exhaustive evaluation over all 2^4 assignments stays cheap.
 var fuzzVars = []cnf.Var{1, 2, 3, 4}
 
-// buildFuzzAIG interprets data as a stack program over a small variable set:
-// each byte either pushes an input/constant or combines stack entries with
-// AND/OR/XOR/NOT/ITE. It returns the final stack top (or False for the empty
-// program) — a deterministic way to grow structurally diverse AIGs from
-// fuzzer-mutated bytes.
-func buildFuzzAIG(g *Graph, data []byte) Ref {
+// buildFuzzAIG interprets data as a stack program over the variables vs (at
+// most 32 of them): each byte either pushes an input/constant or combines
+// stack entries with AND/OR/XOR/NOT/ITE. It returns the final stack top (or
+// False for the empty program) — a deterministic way to grow structurally
+// diverse AIGs from fuzzer-mutated bytes.
+func buildFuzzAIG(g *Graph, vs []cnf.Var, data []byte) Ref {
 	stack := []Ref{False}
 	pop := func() Ref {
 		r := stack[len(stack)-1]
@@ -27,7 +29,7 @@ func buildFuzzAIG(g *Graph, data []byte) Ref {
 	for _, b := range data {
 		switch b % 8 {
 		case 0, 1:
-			stack = append(stack, g.Input(fuzzVars[int(b/8)%len(fuzzVars)]))
+			stack = append(stack, g.Input(vs[int(b/8)%len(vs)]))
 		case 2:
 			stack = append(stack, False.XorSign(b&8 != 0))
 		case 3:
@@ -79,8 +81,8 @@ func FuzzAIGCompose(f *testing.F) {
 		}
 		g := New()
 		split := len(data) / 2
-		r := buildFuzzAIG(g, data[:split])
-		sub := buildFuzzAIG(g, data[split:])
+		r := buildFuzzAIG(g, fuzzVars, data[:split])
+		sub := buildFuzzAIG(g, fuzzVars, data[split:])
 		v := fuzzVars[int(varSel)%len(fuzzVars)]
 
 		// Cofactor removes the variable from the support.
@@ -151,7 +153,7 @@ func FuzzSweep(f *testing.F) {
 			return
 		}
 		g := New()
-		r := buildFuzzAIG(g, data)
+		r := buildFuzzAIG(g, fuzzVars, data)
 		want := evalAll(g, r)
 		opt := testSweepOptions(g, DefaultSweepOptions())
 		swept, st := g.Sweep(r, opt)
@@ -164,7 +166,7 @@ func FuzzSweep(f *testing.F) {
 		checkDeciders(t, "default", st, opt)
 
 		gs := New()
-		rs := buildFuzzAIG(gs, data)
+		rs := buildFuzzAIG(gs, fuzzVars, data)
 		sopt := testSweepOptions(gs, SweepOptions{})
 		satSwept, sst := gs.sweep(rs, sopt, true)
 		if got := evalAll(gs, satSwept); !eqVec(got, want) {
@@ -174,6 +176,67 @@ func FuzzSweep(f *testing.F) {
 		if sst.Merged != st.Merged || gs.ConeSize(satSwept) != g.ConeSize(swept) {
 			t.Fatalf("SAT merged %d into a cone of %d, the default sweep %d into %d",
 				sst.Merged, gs.ConeSize(satSwept), st.Merged, g.ConeSize(swept))
+		}
+	})
+}
+
+// FuzzExhaustive holds the enumerator to Graph.Eval on two fuzz-built AIGs
+// over 12 inputs, a and b, in both its caller shapes: Graph.Exhaustive on a,
+// over the variables in descending order, must return Eval's verdict and
+// first falsifier, and the pair (a, b) must differ first at Eval's first
+// differing assignment over their joint support, or nowhere. A joint support
+// of more than 9 inputs runs over several chunks.
+func FuzzExhaustive(f *testing.F) {
+	f.Add([]byte{0, 8, 4, 0, 8, 5, 6})
+	// andOf pushes x1..xn and ANDs them together.
+	andOf := func(n int) []byte {
+		var prog []byte
+		for i := range n {
+			prog = append(prog, byte(8*i))
+		}
+		return append(prog, bytes.Repeat([]byte{4}, n-1)...)
+	}
+	// ¬(x1 ∧ … ∧ x12) is false only at the last assignment; x1 ∧ … ∧ x12 and
+	// x1 ∧ … ∧ x11 ∧ ¬x12 differ first at assignment 2^11−1. Both answers
+	// lie in the last chunks.
+	notAll := append(andOf(12), 3)
+	f.Add(append(notAll, bytes.Repeat([]byte{0}, len(notAll))...))
+	f.Add(append(append([]byte{2}, andOf(12)...), append(andOf(11), 88, 3, 4)...))
+	vs := vars(12)
+	desc := slices.Clone(vs)
+	slices.Reverse(desc)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return
+		}
+		g := New()
+		split := len(data) / 2
+		a := buildFuzzAIG(g, vs, data[:split])
+		b := buildFuzzAIG(g, vs, data[split:])
+
+		verdict, cex := g.Exhaustive(a, desc, 1<<40)
+		i, differ := evalFirstDiff(g, a, True, desc)
+		if differ != (verdict == Falsified) || verdict == Undecided {
+			t.Fatalf("Exhaustive verdict %v, Eval falsifies: %v", verdict, differ)
+		}
+		for j := range cex {
+			if cex[j] != (i>>j&1 == 1) {
+				t.Fatalf("first falsifier %v, Eval's is assignment %d", cex, i)
+			}
+		}
+
+		root := g.Or(g.And(a, g.Input(13)), g.And(b, g.Input(14)))
+		if a.IsConst() || b.IsConst() || root.IsConst() {
+			return
+		}
+		c := g.indexCone(root)
+		if !c.has(a) || !c.has(b) {
+			return
+		}
+		got, gotDiffer, joint := pairFirstDiff(c, c.edge(a), c.edge(b))
+		want, wantDiffer := evalFirstDiff(g, a, b, joint)
+		if gotDiffer != wantDiffer || got != want {
+			t.Fatalf("pair differs %v at %d over %v, Eval says %v at %d", gotDiffer, got, joint, wantDiffer, want)
 		}
 	})
 }

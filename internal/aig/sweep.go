@@ -2,6 +2,7 @@ package aig
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -109,13 +110,13 @@ func (s *SweepStats) Add(o SweepStats) {
 }
 
 // simWords is the number of 64-bit words in a node's simulation signature:
-// 512 input patterns, like one chunk of Exhaustive.
+// one chunk of the enumerator, so a cone of at most 9 inputs gets truth
+// tables as signatures.
 const simWords = chunkWords
 
-// exactInputs is the largest input count whose 2^k assignments all fit in
-// a signature of simWords words. A cone or a candidate pair that reads at
-// most this many inputs is simulated exhaustively, so its signatures are
-// truth tables.
+// exactInputs is the largest joint support of a candidate pair the sweep
+// decides by truth table (with the enumerator) before SAT. Any value up to
+// 64 is sound: the enumerator covers any number of inputs.
 const exactInputs = 9
 
 // SweepOptions configures SAT sweeping.
@@ -266,7 +267,7 @@ func (g *Graph) sweep(r Ref, opt SweepOptions, forceSAT bool) (Ref, SweepStats) 
 // returns one candidate per class member that is not its class's
 // representative, in ascending position of that member (bottom-up): members
 // share a signature up to complement. When the cone's k inputs have at most
-// 64·words assignments, the patterns enumerate them all, in Exhaustive's
+// 64·words assignments, the patterns enumerate them all, in the enumerator's
 // order, and exact is true: every signature is a truth table (repeated when
 // k < 6), so every candidate is an equivalence. Otherwise the patterns are
 // pseudo-random. It returns false if expired stops the simulation.
@@ -394,11 +395,10 @@ type fraig struct {
 	// a cone of more than 64 inputs or whose signatures are truth tables
 	// already.
 	supp []uint64
-	// Truth-table scratch: mark[p] is one plus position p's index in sub
-	// while a pair's cone is simulated into words, simWords per entry.
-	mark       []int32
-	stack, sub []int32
-	words      []uint64
+	// Truth-table scratch, reused by every pair: tt simulates the pair's
+	// cone, and stack collects it.
+	tt    enumerator
+	stack []int32
 
 	oracle   SweepOracle // fetched when the first candidate reaches SAT
 	compact0 int64       // its compaction count at fetch
@@ -585,11 +585,13 @@ func (f *fraig) probe(e Ref) term {
 	return out ^ ph
 }
 
-// indexSupport fills supp bottom-up: an input reads its own rank, an AND
-// the union of its fanins' supports. The cone has at most 64 inputs.
+// indexSupport fills supp bottom-up, an input reading its own rank and an
+// AND the union of its fanins' supports, and readies tt. The cone has at
+// most 64 inputs.
 func (f *fraig) indexSupport() {
 	c := f.c
 	f.supp = make([]uint64, len(c.fanin))
+	f.tt = enumerator{c: c, block: make([]int32, len(c.fanin))}
 	for j, p := range c.inputs {
 		f.supp[p] = 1 << j
 	}
@@ -604,83 +606,49 @@ func (f *fraig) indexSupport() {
 // simulates the pair's cone on every assignment of their joint support and
 // reports whether the two functions are equal. An inequivalent pair's first
 // differing assignment becomes a counterexample. decided is false when the
-// pair reads more inputs, or the cone more than 64.
+// pair reads more inputs, the cone more than 64, or the enumerator declines.
 func (f *fraig) truthTable(cd sweepCand) (eq, decided bool) {
 	if f.supp == nil {
 		return false, false
 	}
 	// The input of rank j is the col(1<<j)-th input of the joint support.
 	joint := f.supp[cd.lhs>>1] | f.supp[cd.rhs>>1]
-	if bits.OnesCount64(joint) > exactInputs {
+	k := bits.OnesCount64(joint)
+	if k > exactInputs {
 		return false, false
 	}
 	col := func(bit uint64) int { return bits.OnesCount64(joint & (bit - 1)) }
-	c := f.c
-	if f.mark == nil {
-		f.mark = make([]int32, len(c.fanin))
-	}
-	// Collect the pair's cone and number it in ascending position.
+	c, tt := f.c, &f.tt
+	// Collect the pair's cone in ascending position; a nonzero block marks
+	// a collected position until the enumerator numbers them.
 	stack := append(f.stack[:0], cd.lhs>>1, cd.rhs>>1)
-	sub := f.sub[:0]
+	sub := tt.sub[:0]
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if f.mark[p] != 0 {
+		if tt.block[p] != 0 {
 			continue
 		}
-		f.mark[p] = 1
+		tt.block[p] = 1
 		sub = append(sub, p)
 		if c.vars[p] == 0 {
 			stack = append(stack, c.fanin[p][0]>>1, c.fanin[p][1]>>1)
 		}
 	}
 	slices.Sort(sub)
-	for i, p := range sub {
-		f.mark[p] = int32(i + 1)
-	}
-	if need := len(sub) * simWords; cap(f.words) < need {
-		f.words = make([]uint64, need)
-	}
-	words := f.words[:len(sub)*simWords]
-	at := func(e int32) ([]uint64, uint64) {
-		i := int(f.mark[e>>1]-1) * simWords
-		return words[i : i+simWords], -uint64(e & 1)
-	}
-	for i, p := range sub {
-		out := words[i*simWords : (i+1)*simWords]
-		if c.vars[p] != 0 {
-			j := col(f.supp[p])
-			for w := range out {
-				out[w] = patternWord(j, w)
-			}
-			continue
-		}
-		a, ma := at(c.fanin[p][0])
-		b, mb := at(c.fanin[p][1])
-		for w := range out {
-			out[w] = (a[w] ^ ma) & (b[w] ^ mb)
-		}
-	}
-	l, ml := at(cd.lhs)
-	r, mr := at(cd.rhs)
-	eq = true
-	for w := range l {
-		if diff := l[w] ^ ml ^ r[w] ^ mr; diff != 0 {
-			// Bit t of the assignment index sets the t-th joint input.
-			i := w<<6 | bits.TrailingZeros64(diff)
-			f.learn(func(rank int) bool {
-				bit := uint64(1) << rank
-				return joint&bit != 0 && i>>col(bit)&1 == 1
-			})
-			eq = false
-			break
-		}
+	f.stack, tt.sub = stack, sub
+	i, differ, decided := tt.firstDiff(func(p int32) int { return col(f.supp[p]) }, k, math.MaxInt64, cd.lhs, cd.rhs)
+	if differ {
+		// Bit t of the assignment index sets the t-th joint input.
+		f.learn(func(rank int) bool {
+			bit := uint64(1) << rank
+			return joint&bit != 0 && i>>col(bit)&1 == 1
+		})
 	}
 	for _, p := range sub {
-		f.mark[p] = 0
+		tt.block[p] = 0
 	}
-	f.stack, f.sub = stack, sub
-	return eq, true
+	return !differ, decided
 }
 
 // learn simulates one counterexample over the cone into the cex words;

@@ -35,6 +35,7 @@ import (
 	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/faults"
 	"repro/internal/sat"
 )
 
@@ -49,8 +50,10 @@ const (
 	// Memout means the instantiation budget was exhausted.
 	Memout
 	// Cancelled means the budget was cancelled (or a conflict/decision cap
-	// was exhausted) before a verdict.
+	// was exhausted) before a verdict, or an oracle gave up spuriously.
 	Cancelled
+	// Failed means an oracle failed for another reason; Result.Err says why.
+	Failed
 )
 
 func (s Status) String() string {
@@ -63,6 +66,8 @@ func (s Status) String() string {
 		return "memout"
 	case Cancelled:
 		return "cancelled"
+	case Failed:
+		return "error"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
@@ -95,6 +100,8 @@ type Result struct {
 	Status Status
 	Sat    bool
 	Stats  Stats
+	// Err is the oracle's error when Status is Failed (nil otherwise).
+	Err error
 	// Certificate holds the Skolem functions witnessing a Sat verdict (nil
 	// otherwise): the final tables with every off-table projection false,
 	// which is certified because any off-table completion is valid. It can
@@ -117,16 +124,22 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 	res := Result{}
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
-	// stopStatus returns the status to report when a loop or oracle must
-	// stop, and false when there is no stop condition.
-	stopStatus := func() (Status, bool) {
-		if err := s.Opt.Budget.Err(); err != nil {
-			if errors.Is(err, budget.ErrDeadline) {
-				return Timeout, true
-			}
-			return Cancelled, true
+	// stopped reports whether the solve must stop, and sets its status:
+	// Timeout on the budget's deadline and Cancelled on any other budget
+	// stop; otherwise, after an oracle stopped with err, Cancelled on a
+	// spurious Unknown and Failed on any other error.
+	stopped := func(err error) bool {
+		switch berr := s.Opt.Budget.Err(); {
+		case errors.Is(berr, budget.ErrDeadline):
+			res.Status = Timeout
+		case berr != nil, errors.Is(err, faults.ErrUnknown):
+			res.Status = Cancelled
+		case err != nil:
+			res.Status, res.Err = Failed, fmt.Errorf("idq: SAT oracle failed: %w", err)
+		default:
+			return false
 		}
-		return 0, false
+		return true
 	}
 
 	abs := sat.New()
@@ -145,8 +158,7 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 
 	for {
 		res.Stats.Iterations++
-		if st, stop := stopStatus(); stop {
-			res.Status = st
+		if stopped(nil) {
 			return res
 		}
 		if s.Opt.MaxInstantiations > 0 && res.Stats.Instantiations > s.Opt.MaxInstantiations {
@@ -156,14 +168,9 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 
 		// Step 1: abstraction.
 		res.Stats.AbstractionSAT++
-		st, _ := abs.Solve(nil, nil)
-		if st == sat.Unknown {
-			// The oracle only stops on the shared budget; report why.
-			if st, stop := stopStatus(); stop {
-				res.Status = st
-			} else {
-				res.Status = Cancelled
-			}
+		st, err := abs.Solve(nil, nil)
+		if st == sat.Unknown { // always with an error
+			stopped(err)
 			return res
 		}
 		if st == sat.Unsat {
@@ -187,14 +194,10 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 
 		// Step 3: verification — search a universal assignment falsifying
 		// the matrix under the tables.
-		cex, found, stopped := s.verify(f, tables)
+		cex, found, err := s.verify(f, tables)
 		res.Stats.VerifySAT++
-		if stopped {
-			if st, stop := stopStatus(); stop {
-				res.Status = st
-			} else {
-				res.Status = Cancelled
-			}
+		if err != nil {
+			stopped(err)
 			return res
 		}
 		if !found {
@@ -232,10 +235,10 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 // per-projection completion is a legal Skolem function, so a verification
 // failure on a free entry is a genuine refinement direction, and an
 // unsatisfiable query proves every completion of the tables correct. The
-// counterexample is given over f.Univ order. The third return value is true
-// when the budget stopped the query before a verdict (the first two are then
+// counterexample is given over f.Univ order. The error is the oracle's when
+// the query stopped before a verdict (the first two values are then
 // meaningless).
-func (s *Solver) verify(f *dqbf.Formula, tables map[cnf.Var]map[string]bool) ([]bool, bool, bool) {
+func (s *Solver) verify(f *dqbf.Formula, tables map[cnf.Var]map[string]bool) ([]bool, bool, error) {
 	vs := sat.New()
 	vs.Budget = s.Opt.Budget
 	vmap := make(map[cnf.Var]cnf.Var) // original var -> verification SAT var
@@ -287,21 +290,21 @@ func (s *Solver) verify(f *dqbf.Formula, tables map[cnf.Var]map[string]bool) ([]
 		sel = append(sel, sl)
 	}
 	if len(sel) == 0 {
-		return nil, false, false // empty matrix is a tautology
+		return nil, false, nil // empty matrix is a tautology
 	}
 	vs.AddClause(sel...)
 
-	switch st, _ := vs.Solve(nil, nil); st {
+	switch st, err := vs.Solve(nil, nil); st {
 	case sat.Unknown:
-		return nil, false, true
+		return nil, false, err
 	case sat.Sat:
 	default:
-		return nil, false, false
+		return nil, false, nil
 	}
 	model := vs.Model()
 	a := make([]bool, len(f.Univ))
 	for i, x := range f.Univ {
 		a[i] = model.Get(varOf(x))
 	}
-	return a, true, false
+	return a, true, nil
 }

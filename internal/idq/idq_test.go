@@ -1,7 +1,9 @@
 package idq
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/dqbf"
+	"repro/internal/faults"
 	"repro/internal/problem"
 )
 
@@ -170,6 +173,40 @@ func TestTimeout(t *testing.T) {
 	}
 }
 
+// TestOracleErrorFails: on paper Example 1, a one-shot injected error at
+// sat.solve fails the solve with that error, while a one-shot spurious
+// Unknown cancels it. Either fault fires exactly once.
+func TestOracleErrorFails(t *testing.T) {
+	for _, tc := range []struct {
+		action string
+		want   Status
+	}{
+		{"error", Failed},
+		{"unknown", Cancelled},
+	} {
+		plan, err := faults.ParseSpec("sat.solve:"+tc.action+":times=1", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := New(Options{Budget: budget.New(budget.Limits{Faults: plan})}).Solve(paperExample1())
+		if res.Status != tc.want {
+			t.Fatalf("%s: status %v (%v), want %v", tc.action, res.Status, res.Err, tc.want)
+		}
+		if n := plan.Fires(faults.SATSolve); n != 1 {
+			t.Fatalf("%s: the fault fired %d times, want 1", tc.action, n)
+		}
+		if tc.want == Cancelled {
+			if res.Err != nil {
+				t.Fatalf("unknown: error %v on a cancelled solve", res.Err)
+			}
+			continue
+		}
+		if !errors.Is(res.Err, faults.ErrInjected) || !strings.Contains(res.Err.Error(), string(faults.SATSolve)) {
+			t.Fatalf("error: %v does not name the injected %s failure", res.Err, faults.SATSolve)
+		}
+	}
+}
+
 func TestInstantiationBudget(t *testing.T) {
 	// Example 1 needs at least one refinement round (the all-zero default
 	// tables are falsified by x1=1), so a budget of one instantiated clause
@@ -181,7 +218,7 @@ func TestInstantiationBudget(t *testing.T) {
 }
 
 func TestStatusString(t *testing.T) {
-	if Solved.String() != "solved" || Timeout.String() != "timeout" || Memout.String() != "memout" {
+	if Solved.String() != "solved" || Timeout.String() != "timeout" || Memout.String() != "memout" || Failed.String() != "error" {
 		t.Fatal("Status.String broken")
 	}
 }

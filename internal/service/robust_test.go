@@ -61,6 +61,43 @@ func TestSpuriousUnknownIsRetried(t *testing.T) {
 	}
 }
 
+// TestIDQOracleErrorIsError: on paper Example 1, a one-shot injected error
+// at sat.solve makes iDQ's attempt an error that names the point, not a
+// cancellation, and the retry loop classifies it as a failed attempt and
+// answers SAT on the next one. A one-shot spurious Unknown still reads as a
+// cancellation. Either fault fires exactly once.
+func TestIDQOracleErrorIsError(t *testing.T) {
+	for _, tc := range []struct {
+		action, reason string
+		verdict        Verdict
+	}{
+		{"error", "error", VerdictError},
+		{"unknown", "cancelled", VerdictUnknown},
+	} {
+		plan := withFaults(t, "sat.solve:"+tc.action+":times=1", 1)
+		b := budget.New(budget.Limits{Faults: plan})
+		var attempts []Outcome
+		out := (&Runner{}).solve(b, request(paperExample1(), EngineIDQ, Limits{}),
+			RetryPolicy{BaseDelay: time.Millisecond}, func(o Outcome) { attempts = append(attempts, o) })
+		if out.Verdict != VerdictSat || len(attempts) != 2 {
+			t.Fatalf("%s: verdict %v after %d attempts, want SAT after 2", tc.action, out.Verdict, len(attempts))
+		}
+		first := attempts[0]
+		if first.Verdict != tc.verdict || first.Reason != tc.reason {
+			t.Fatalf("%s: first attempt %v (%s: %s), want %v (%s)", tc.action, first.Verdict, first.Reason, first.Error, tc.verdict, tc.reason)
+		}
+		if tc.verdict == VerdictError && !strings.Contains(first.Error, string(faults.SATSolve)) {
+			t.Fatalf("error: %q does not name %s", first.Error, faults.SATSolve)
+		}
+		if d := classify(first, b); d != dispositionRetry {
+			t.Fatalf("%s: first attempt classified %v, want a retry", tc.action, d)
+		}
+		if n := plan.Fires(faults.SATSolve); n != 1 {
+			t.Fatalf("%s: the fault fired %d times, want 1", tc.action, n)
+		}
+	}
+}
+
 // xorLinkedDQBF is ∀x1∀x2 ∃y1(x1) ∃y2(x2) with matrix (y1⊕y2) ↔ (x1⊕x2):
 // satisfiable (y1=x1, y2=x2), but — unlike the paper examples, which
 // preprocessing decides outright — its 4-literal XOR clauses survive

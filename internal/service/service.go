@@ -438,7 +438,7 @@ func (r *Runner) runHQS(p *problem.Problem, b *budget.Budget, sink trace.Sink) a
 // solver alone is not trusted with a SAT answer.
 func runIDQ(f *dqbf.Formula, b *budget.Budget) answer {
 	res := idq.New(idq.Options{Budget: b}).Solve(f)
-	return answer{reason: res.Status.String(), sat: res.Sat, check: true, cert: res.Certificate}
+	return answer{reason: res.Status.String(), err: res.Err, sat: res.Sat, check: true, cert: res.Certificate}
 }
 
 // runExpand runs the eager full-expansion reference engine. Its
