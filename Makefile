@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt exports check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep bench-sweep-smoke baseline bench-gate bench-gate-quick bench-compare loc
+.PHONY: build test race vet fmt exports check fuzz-smoke fuzz-native chaos chaos-store serve-smoke cluster-smoke bench bench-sat bench-sweep bench-sweep-smoke bench-cluster baseline bench-gate bench-gate-quick bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -140,6 +140,12 @@ bench-sweep:
 # reaches SAT, or refutes by simulation, as it was built to) run in the gate.
 bench-sweep-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkSweep -benchtime 1x ./internal/aig
+
+# Coordinator layer: a plain forward and a k=2 cube fan over two in-process
+# single-slot workers, reporting worker-reqs/op (HTTP round trips to the
+# workers per solve) next to ns/op.
+bench-cluster:
+	$(GO) test -run '^$$' -bench BenchmarkClusterSolve -benchmem ./internal/cluster
 
 # End-to-end paper evaluation benchmarks (Table I, Fig. 4, ablations).
 bench:

@@ -53,7 +53,7 @@ func (c *Coordinator) SubmitJob(ctx context.Context, p *problem.Problem, eng ser
 	}
 	key := p.CanonicalHash()
 	path := "/jobs" + strings.TrimPrefix(solvePath(eng, lim, false), "/solve")
-	reply, err := c.forward(ctx, key, path, body, key+":job")
+	reply, err := c.forward(ctx, c.ring.order(key), path, body, key+":job")
 	if err != nil {
 		return service.JobInfo{}, err
 	}

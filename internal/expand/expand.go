@@ -75,9 +75,8 @@ func New(opt Options) *Solver { return &Solver{Opt: opt} }
 // Solve decides the DQBF. It returns an error wrapping ErrTooManyUniversals
 // beyond MaxUniversals, one wrapping the budget's sentinel when the budget
 // stops the solve, and one for unquantified variables.
-func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
+func (s *Solver) Solve(f *dqbf.Formula) (res Result, err error) {
 	start := time.Now()
-	res := Result{}
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
 	if len(f.Univ) > MaxUniversals {

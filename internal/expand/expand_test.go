@@ -176,3 +176,15 @@ func TestSharedCopiesCountsOverlap(t *testing.T) {
 		t.Fatal("y=1 satisfies everything")
 	}
 }
+
+// TestTotalTimeReported pins that the deferred timer reaches the returned
+// result: Stats.TotalTime covers the whole solve.
+func TestTotalTimeReported(t *testing.T) {
+	res, err := New(Options{}).Solve(paperExample1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TotalTime <= 0 {
+		t.Fatalf("TotalTime = %v, want > 0", res.Stats.TotalTime)
+	}
+}

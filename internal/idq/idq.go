@@ -119,9 +119,8 @@ func New(opt Options) *Solver { return &Solver{Opt: opt} }
 
 // Solve decides the DQBF. The input is not modified. It panics on a matrix
 // variable that is not quantified.
-func (s *Solver) Solve(f *dqbf.Formula) Result {
+func (s *Solver) Solve(f *dqbf.Formula) (res Result) {
 	start := time.Now()
-	res := Result{}
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
 	// stopped reports whether the solve must stop, and sets its status:

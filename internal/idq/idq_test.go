@@ -231,3 +231,11 @@ func TestInputNotModified(t *testing.T) {
 		t.Fatal("Solve modified its input")
 	}
 }
+
+// TestTotalTimeReported pins that the deferred timer reaches the returned
+// result: Stats.TotalTime covers the whole solve.
+func TestTotalTimeReported(t *testing.T) {
+	if res := New(Options{}).Solve(paperExample1()); res.Stats.TotalTime <= 0 {
+		t.Fatalf("TotalTime = %v, want > 0", res.Stats.TotalTime)
+	}
+}

@@ -64,9 +64,8 @@ type Result struct {
 
 // Refute attempts to disprove the DQBF with a bounded expansion. It panics
 // on a matrix variable that is not quantified.
-func Refute(f *dqbf.Formula) Result {
+func Refute(f *dqbf.Formula) (res Result) {
 	start := time.Now()
-	res := Result{}
 	defer func() { res.Stats.TotalTime = time.Since(start) }()
 
 	n := len(f.Univ)

@@ -157,3 +157,11 @@ func TestNoUniversals(t *testing.T) {
 		t.Fatalf("UNSAT instance: %v", res.Verdict)
 	}
 }
+
+// TestTotalTimeReported pins that the deferred timer reaches the returned
+// result: Stats.TotalTime covers the whole refutation attempt.
+func TestTotalTimeReported(t *testing.T) {
+	if res := Refute(paperExample1()); res.Stats.TotalTime <= 0 {
+		t.Fatalf("TotalTime = %v, want > 0", res.Stats.TotalTime)
+	}
+}
