@@ -38,10 +38,11 @@ exports:
 # scheduler/portfolio and the expand engine racing inside it, the fault-injection plumbing they
 # share, the daemon's HTTP handlers, the certificate checker the portfolio
 # arms consult concurrently, the ingestion/PQE layers the daemon calls
-# from its handler goroutines, and the cluster coordinator fanning cube
-# subproblems across workers).
+# from its handler goroutines, the cluster coordinator fanning cube
+# subproblems across workers, and the trace recorder that portfolio arms
+# emit into concurrently).
 race:
-	$(GO) test -race ./internal/sat ./internal/aig ./internal/cert ./internal/oracle ./internal/core ./internal/expand ./internal/service ./internal/store ./internal/faults ./internal/leakcheck ./internal/problem ./internal/pqe ./internal/httpapi ./internal/cluster ./internal/cube ./cmd/hqsd
+	$(GO) test -race ./internal/sat ./internal/aig ./internal/cert ./internal/oracle ./internal/core ./internal/expand ./internal/service ./internal/store ./internal/faults ./internal/leakcheck ./internal/problem ./internal/pqe ./internal/httpapi ./internal/cluster ./internal/cube ./internal/trace ./cmd/hqsd
 
 # Differential fuzzing smoke run: 200 random instances, every solver
 # configuration against the brute-force reference, with Skolem certificate
@@ -69,7 +70,9 @@ fuzz-smoke:
 # preprocessing (no failure; every clause left is sorted, duplicate-free
 # and non-tautological; the verdict equals brute force), and HQS's linear
 # phase on byte-built QBFs, with and without the final SAT call (the verdict
-# equals brute force; every SAT certificate checks).
+# equals brute force; every SAT certificate checks), and the trace
+# recorder's packed log (byte-built events decode to exactly what was
+# emitted).
 fuzz-native:
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz '^FuzzGround$$' -fuzztime 10s
@@ -83,6 +86,7 @@ fuzz-native:
 	$(GO) test ./internal/aig -run '^$$' -fuzz '^FuzzExhaustive$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPreprocess$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLinearPhase$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRecorder$$' -fuzztime 10s
 
 # Chaos drill under the race detector: fault-injected panics, errors, and
 # spurious Unknowns against the scheduler with concurrent submits, cancels,

@@ -80,10 +80,10 @@ func main() {
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-request bound on blocking /solve calls (0 = none)")
 		faultSpec    = flag.String("faults", "", "fault-injection plan for chaos drills, e.g. 'sat.solve:panic:p=0.1'")
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault rules")
-		traceEvents  = flag.Int("trace-events", 0, "per-job pass-trace retention in events (0 = default 1024, negative = disable)")
+		traceEvents  = flag.Int("trace-events", 0, "per-job pass-trace retention in events (0 = default 1024, negative = disable); a finished job keeps its trace packed, some 30-80 bytes per event")
 		certify      = flag.Bool("certify", false, "verify a Skolem certificate before reporting any HQS SAT verdict")
 		storeDir     = flag.String("store", "", "directory for the persistent result/certificate store (empty = memory cache only)")
-		historySize  = flag.Int("history", 0, "finished jobs kept queryable before eviction (0 = default 512)")
+		historySize  = flag.Int("history", 0, "finished jobs kept queryable before eviction (0 = default 512); each keeps its snapshot, certificate and packed trace but not its formula, a few KB on small instances")
 		retryMax     = flag.Int("retry-attempts", 0, "runs per engine in the fallback chain, first included (0 = default 2)")
 		retryBase    = flag.Duration("retry-base-delay", 0, "backoff before the first retry, doubling per retry (0 = default 5ms)")
 		retryCeiling = flag.Duration("retry-max-delay", 0, "ceiling on the exponential retry backoff (0 = default 250ms)")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -120,5 +121,49 @@ func TestIdempotencyHeaderDedupes(t *testing.T) {
 			t.Fatalf("job never completed: %+v", st)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestIdempotencyKeyConflict pins that a key answers only for its own
+// formula: reusing a tracked key for another instance is a 409, and the
+// job already behind the key is left exactly as it was.
+func TestIdempotencyKeyConflict(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{Workers: 1, CacheSize: -1})
+
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/solve?engine=hqs&timeout=30s", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(IdempotencyHeader, "k")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("solve: %v", err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		return resp.StatusCode, raw
+	}
+	code, raw := post(example1)
+	var first service.JobInfo
+	if err := json.Unmarshal(raw, &first); err != nil || code != http.StatusOK {
+		t.Fatalf("first solve: status %d, %s (%v)", code, raw, err)
+	}
+	if first.Outcome == nil || first.Outcome.Verdict != service.VerdictSat {
+		t.Fatalf("first solve: %s", raw)
+	}
+	if code, raw := post(unsatInstance); code != http.StatusConflict {
+		t.Fatalf("same key, other formula: status %d, %s; want 409", code, raw)
+	}
+	var after service.JobInfo
+	if code := getJSON(t, ts.URL+"/jobs/"+first.ID, &after); code != http.StatusOK {
+		t.Fatalf("snapshot status %d", code)
+	}
+	if !reflect.DeepEqual(after, first) {
+		t.Fatalf("first job changed:\n got %+v\nwant %+v", after, first)
 	}
 }

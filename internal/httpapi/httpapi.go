@@ -21,7 +21,8 @@
 //   - The X-Idempotency-Key request header on /jobs and /solve dedupes
 //     resubmits onto the tracked job with that key (scheduler IdemHits), so a
 //     coordinator retrying a forward after a network failure cannot
-//     double-run a job the worker had in fact accepted.
+//     double-run a job the worker had in fact accepted. A key reused for
+//     another formula is refused with 409 Conflict.
 //
 //   - The ?cert=1 query parameter on /solve and GET /jobs/{id} attaches the
 //     cert.Encode wire form of the Skolem certificate to a SAT response
@@ -267,6 +268,11 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*service.Job, b
 		return nil, false
 	case errors.Is(err, service.ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, err)
+		return nil, false
+	case errors.Is(err, service.ErrIdemConflict):
+		// The key is taken by a job for another formula: resending cannot
+		// help, so it is a permanent client error, not a retryable one.
+		writeError(w, http.StatusConflict, err)
 		return nil, false
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -91,5 +93,32 @@ func TestIdempotentKeyEviction(t *testing.T) {
 	waitDone(t, j3)
 	if st := s.Stats(); st.IdemHits != 0 {
 		t.Fatalf("idem hits after eviction: got %d, want 0", st.IdemHits)
+	}
+}
+
+// TestIdempotencyKeyNamesOneFormula pins that a key answers only for its own
+// formula: a resubmit under a tracked key whose problem has another
+// canonical hash is refused, not answered with the other formula's verdict.
+func TestIdempotencyKeyNamesOneFormula(t *testing.T) {
+	s := NewScheduler(Config{Workers: 1, CacheSize: -1})
+	defer s.Drain(context.Background())
+
+	j1, err := s.Submit(Request{Problem: problem.FromDQBF(paperExample1()), Engine: EngineHQS, IdemKey: "k"})
+	if err != nil {
+		t.Fatalf("first submit: %v", err)
+	}
+	if out := waitDone(t, j1); out.Verdict != VerdictSat {
+		t.Fatalf("first job: %+v", out)
+	}
+	j2, err := s.Submit(Request{Problem: problem.FromDQBF(unsatExample()), Engine: EngineHQS, IdemKey: "k"})
+	if !errors.Is(err, ErrIdemConflict) {
+		var got string
+		if j2 != nil {
+			got = fmt.Sprintf("job %s answering %v", j2.ID(), waitDone(t, j2).Verdict)
+		}
+		t.Fatalf("same key, other formula: err %v, %s; want ErrIdemConflict", err, got)
+	}
+	if st := s.Stats(); st.IdemHits != 0 || st.Submitted != 1 || st.Rejected != 1 {
+		t.Fatalf("stats after conflict: idem_hits=%d submitted=%d rejected=%d", st.IdemHits, st.Submitted, st.Rejected)
 	}
 }

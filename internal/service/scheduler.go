@@ -26,6 +26,9 @@ var (
 	ErrDraining = errors.New("service: scheduler draining")
 	// ErrNoSuchJob means the job ID is unknown (or already evicted).
 	ErrNoSuchJob = errors.New("service: no such job")
+	// ErrIdemConflict means the idempotency key is still tracked for a job
+	// that solves a formula with another canonical hash.
+	ErrIdemConflict = errors.New("service: idempotency key names another formula")
 )
 
 // Config sizes the scheduler.
@@ -51,7 +54,7 @@ type Config struct {
 	Retry RetryPolicy
 	// TraceEvents bounds the per-job pass-trace ring (default 1024 events;
 	// negative disables per-job tracing). The trace stays queryable with the
-	// job's history entry.
+	// job's history entry, packed at a few dozen bytes per event.
 	TraceEvents int
 	// Store, when non-nil, is the persistent second cache tier: memory-cache
 	// misses consult it before solving, definitive verdicts are written back,
@@ -143,14 +146,24 @@ type JobInfo struct {
 	Outcome     *Outcome `json:"outcome,omitempty"`
 }
 
-// Job is one scheduled solve.
+// Job is one scheduled solve. A finished job keeps only what its snapshot
+// and trace can still return: the fields fixed at Submit, its timings, its
+// outcome and its packed pass trace — never its formula.
 type Job struct {
-	id string
-	// req is the submitted request with its problem cloned, its engine
-	// resolved, and its trace sink joined with trc.
-	req Request
+	id     string
+	engine Engine
+	// format and kind describe the ingested problem for Info.
+	format, kind string
+	idemKey      string
+	// key is the problem's canonical hash: the cache and store key, and what
+	// a resubmit under idemKey must match.
 	key string
 	bud *budget.Budget
+	// req is the request a worker solves: the problem cloned, the engine
+	// resolved, and the trace sink joined with trc. Only a queued or running
+	// job holds one; finishing clears it, so the history retains no formula.
+	// Cache and store hits never set it.
+	req Request
 	// journaled is set once the persistent store has a start record for this
 	// job, so finishJob knows whether a matching done record is owed. Only
 	// the owning worker and its finisher touch it (happens-before via the
@@ -160,8 +173,9 @@ type Job struct {
 	// first finisher uncounts it before the done channel closes. Only the
 	// owning worker touches it, like journaled.
 	dispatched bool
-	// trc records the per-pass pipeline trace of every engine attempt; nil
-	// when the scheduler's TraceEvents config disables tracing.
+	// trc records the per-pass pipeline trace of every engine attempt, packed
+	// (see trace.Recorder); nil for cache and store hits and when the
+	// scheduler's TraceEvents config disables tracing.
 	trc *trace.Recorder
 
 	mu        sync.Mutex
@@ -189,8 +203,9 @@ func (j *Job) Outcome() Outcome {
 
 // Trace returns the job's per-pass pipeline trace so far (one trace.Event
 // per executed pass across every engine attempt) and how many events were
-// dropped by the ring bound. It returns (nil, 0) when tracing is disabled
-// or the job never ran an HQS pipeline (cache hits, iDQ-only jobs).
+// dropped by the ring bound. The events are decoded from the job's packed
+// trace on each call. It returns (nil, 0) when tracing is disabled or the
+// job never ran an HQS pipeline (cache and store hits, iDQ-only jobs).
 func (j *Job) Trace() ([]trace.Event, int) {
 	if j.trc == nil {
 		return nil, 0
@@ -202,11 +217,7 @@ func (j *Job) Trace() ([]trace.Event, int) {
 func (j *Job) Info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	info := JobInfo{ID: j.id, State: j.state, Engine: j.req.Engine}
-	if p := j.req.Problem; p != nil {
-		info.Format = string(p.Format)
-		info.Kind = p.Kind.String()
-	}
+	info := JobInfo{ID: j.id, State: j.state, Engine: j.engine, Format: j.format, Kind: j.kind}
 	switch j.state {
 	case StateQueued:
 		info.QueueWaitMS = time.Since(j.submitted).Milliseconds()
@@ -250,6 +261,7 @@ func (j *Job) beginFinish(out Outcome) bool {
 	j.state = StateDone
 	j.finished = time.Now()
 	j.outcome = out
+	j.req = Request{} // the formula and the caller's sink are not served again
 	return true
 }
 
@@ -364,13 +376,13 @@ func NewScheduler(cfg Config) *Scheduler {
 // Submit validates and enqueues a job for req.Problem, any formula kind
 // from any input format (PQE queries are not jobs — SolvePQE answers them
 // synchronously). A job that will run solves a clone of the problem, so the
-// caller may reuse it; a cache or store hit completes the job immediately
-// without queueing or cloning, and reads only the problem's kind and
-// format. Returns ErrQueueFull when the queue has no slot and ErrDraining
-// once Drain has begun — the draining check and the queue send happen under
-// one lock with Drain's queue close, so a job is either rejected with
-// ErrDraining or enqueued before the close and guaranteed to reach a
-// terminal state.
+// caller may reuse it, and drops the clone when it finishes; a cache or
+// store hit completes the job immediately without queueing or cloning, and
+// keeps only the problem's kind and format. Returns ErrQueueFull when the
+// queue has no slot and ErrDraining once Drain has begun — the draining
+// check and the queue send happen under one lock with Drain's queue close,
+// so a job is either rejected with ErrDraining or enqueued before the close
+// and guaranteed to reach a terminal state.
 //
 // The cache/store key is the problem's canonical hash, which is computed on
 // the normalized formula: the same instance ingested as DQDIMACS and as a
@@ -379,7 +391,9 @@ func NewScheduler(cfg Config) *Scheduler {
 // With a non-empty req.IdemKey, while a job submitted under the same key is
 // still tracked (queued, running, or finished-but-unevicted), resubmits
 // return that job instead of creating a new one, and count as IdemHits
-// rather than submissions. The cluster coordinator keys forwarded submits on
+// rather than submissions. A resubmit whose problem has another canonical
+// hash than that job's is refused with ErrIdemConflict: a key answers only
+// for its own formula. The cluster coordinator keys forwarded submits on
 // canonical hash plus attempt number, so a forward retried after a network
 // failure cannot double-run — and double-count — a job the worker had in
 // fact accepted. Keys unregister when their job is evicted from history.
@@ -421,6 +435,10 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	if req.IdemKey != "" {
 		if id, ok := s.idem[req.IdemKey]; ok {
 			if j, tracked := s.jobs[id]; tracked {
+				if j.key != key {
+					s.rejected.Add(1)
+					return nil, fmt.Errorf("%w: key %q is job %s", ErrIdemConflict, req.IdemKey, id)
+				}
 				s.idemHits.Add(1)
 				return j, nil
 			}
@@ -430,16 +448,15 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	s.nextID++
 	job := &Job{
 		id:        fmt.Sprintf("j%d", s.nextID),
-		req:       req,
+		engine:    req.Engine,
+		format:    string(p.Format),
+		kind:      p.Kind.String(),
+		idemKey:   req.IdemKey,
 		key:       key,
 		bud:       budget.New(s.budgetLimits(req.Limits)),
 		state:     StateQueued,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
-	}
-	if s.cfg.TraceEvents > 0 {
-		job.trc = trace.NewRecorder(s.cfg.TraceEvents)
-		job.req.Trace = trace.Multi(job.trc, req.Trace)
 	}
 
 	if hit {
@@ -460,9 +477,14 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	}
 
 	// A job that will run gets its own copy: the engines rewrite the
-	// formula in place. A cache or store hit never solves, so it keeps the
-	// caller's problem.
+	// formula in place. A cache or store hit never solves, so it keeps
+	// neither the caller's problem nor a trace recorder.
+	job.req = req
 	job.req.Problem = p.Clone()
+	if s.cfg.TraceEvents > 0 {
+		job.trc = trace.NewRecorder(s.cfg.TraceEvents)
+		job.req.Trace = trace.Multi(job.trc, req.Trace)
+	}
 	select {
 	case s.queue <- job:
 	default:
@@ -606,8 +628,8 @@ func (s *Scheduler) remember(j *Job) {
 	s.jobs[j.id] = j
 	s.doneIDs = append(s.doneIDs, j.id)
 	for len(s.doneIDs) > s.cfg.HistorySize {
-		if old := s.jobs[s.doneIDs[0]]; old != nil && old.req.IdemKey != "" {
-			delete(s.idem, old.req.IdemKey)
+		if old := s.jobs[s.doneIDs[0]]; old != nil && old.idemKey != "" {
+			delete(s.idem, old.idemKey)
 		}
 		delete(s.jobs, s.doneIDs[0])
 		s.doneIDs = s.doneIDs[1:]
@@ -710,7 +732,7 @@ func (s *Scheduler) runJob(job *Job) {
 			s.panics.Add(1)
 			s.finishJob(job, Outcome{
 				Verdict:    VerdictError,
-				Engine:     job.req.Engine,
+				Engine:     job.engine,
 				Reason:     "error",
 				Error:      fmt.Sprintf("worker panic: %v", r),
 				PanicStack: string(debug.Stack()),
@@ -734,7 +756,7 @@ func (s *Scheduler) runJob(job *Job) {
 	if err := s.cfg.Faults.Fire(faults.SchedDispatch); err != nil {
 		s.finishJob(job, Outcome{
 			Verdict: VerdictError,
-			Engine:  job.req.Engine,
+			Engine:  job.engine,
 			Reason:  "error",
 			Error:   fmt.Sprintf("dispatch failed: %v", err),
 		})

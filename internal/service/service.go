@@ -219,7 +219,8 @@ type Request struct {
 	// them; a Runner uses them only when it is handed no budget.
 	Limits Limits
 	// IdemKey, when non-empty, dedupes Submit: while a job submitted under
-	// the same key is still tracked, resubmits return that job.
+	// the same key is still tracked, resubmits of the same formula return
+	// that job, and resubmits of another are refused (ErrIdemConflict).
 	IdemKey string
 	// Trace, when non-nil, receives one trace.Event per executed pipeline
 	// pass (in portfolio mode, of the HQS arm; PQE rounds for SolvePQE). A

@@ -11,6 +11,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -59,11 +60,17 @@ type Sink interface {
 // Recorder is a bounded, concurrency-safe Sink that retains events in
 // arrival order. Once the bound is reached further events are counted but
 // dropped, so a pathological solve cannot hold the job history hostage.
+//
+// Retained events are packed into one pointer-free byte log (see
+// appendEvent) rather than kept as Event values with one counter map each:
+// a finished job's trace sits in the daemon's history for as long as the
+// job does, and a flat log is a fraction of the size and nothing for the
+// garbage collector to scan. Events decodes the log on demand.
 type Recorder struct {
 	mu      sync.Mutex
 	max     int
-	seq     int
-	events  []Event
+	n       int    // retained events; they carry Seq 1..n
+	log     []byte // the retained events, packed by appendEvent
 	dropped int
 }
 
@@ -80,20 +87,30 @@ func NewRecorder(max int) *Recorder {
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
-	ev.Seq = r.seq
-	if r.max > 0 && len(r.events) < r.max {
-		r.events = append(r.events, ev)
+	if r.max > 0 && r.n < r.max {
+		r.log = appendEvent(r.log, ev)
+		r.n++
 		return
 	}
 	r.dropped++
 }
 
-// Events returns a copy of the retained events in arrival order.
+// Events decodes the retained events in arrival order. Each call returns
+// fresh values the caller may keep or modify.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	if r.n == 0 {
+		return nil
+	}
+	events := make([]Event, r.n)
+	d := decoder{b: r.log}
+	for i := range events {
+		events[i] = d.event()
+		// Only the first max events are retained, so the i-th carries Seq i+1.
+		events[i].Seq = i + 1
+	}
+	return events
 }
 
 // Dropped returns how many events arrived after the retention bound.
@@ -107,7 +124,80 @@ func (r *Recorder) Dropped() int {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
+}
+
+// appendEvent packs ev, without its Seq, onto the Recorder's log: integers
+// as varints, strings length-prefixed, Changed as one byte, and Counters as
+// a count (0 for a nil map, len+1 otherwise, so an empty map survives) of
+// name/value pairs.
+func appendEvent(b []byte, ev Event) []byte {
+	b = appendString(b, ev.Stage)
+	b = appendString(b, ev.Pass)
+	b = binary.AppendVarint(b, int64(ev.Wall))
+	for _, v := range [...]int{ev.NodesBefore, ev.NodesAfter, ev.UnivBefore, ev.UnivAfter, ev.ExistBefore, ev.ExistAfter} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	if ev.Changed {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	if ev.Counters == nil {
+		b = append(b, 0)
+	} else {
+		b = binary.AppendUvarint(b, uint64(len(ev.Counters))+1)
+		for k, v := range ev.Counters {
+			b = appendString(b, k)
+			b = binary.AppendVarint(b, v)
+		}
+	}
+	return appendString(b, ev.Err)
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// decoder reads back what appendEvent wrote. The log is the Recorder's own,
+// so it is well-formed by construction.
+type decoder struct{ b []byte }
+
+func (d *decoder) event() Event {
+	ev := Event{Stage: d.string(), Pass: d.string(), Wall: time.Duration(d.varint())}
+	for _, p := range [...]*int{&ev.NodesBefore, &ev.NodesAfter, &ev.UnivBefore, &ev.UnivAfter, &ev.ExistBefore, &ev.ExistAfter} {
+		*p = int(d.varint())
+	}
+	ev.Changed = d.b[0] == 1
+	d.b = d.b[1:]
+	if n := d.uvarint(); n > 0 {
+		ev.Counters = make(map[string]int64, n-1)
+		for i := uint64(1); i < n; i++ {
+			k := d.string()
+			ev.Counters[k] = d.varint()
+		}
+	}
+	ev.Err = d.string()
+	return ev
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) string() string {
+	n := d.uvarint()
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
 }
 
 // Writer is a Sink streaming every event as one JSON line, for

@@ -2,8 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -173,4 +178,136 @@ func TestSummarizeAggregatesAndOrders(t *testing.T) {
 	if Summarize(nil) != nil && len(Summarize(nil)) != 0 {
 		t.Fatal("empty input must summarize to empty")
 	}
+}
+
+// TestRecorderRoundTrip checks the packed log: every retained event decodes
+// to exactly what was emitted, with Seq assigned, whatever its integers,
+// strings and counters hold.
+func TestRecorderRoundTrip(t *testing.T) {
+	cases := []struct {
+		name string
+		ev   Event
+	}{
+		{"zero", Event{}},
+		{"negative ints", Event{Stage: "hqs", Pass: "thm1", Wall: -5, NodesBefore: -1, NodesAfter: -1 << 40,
+			UnivBefore: -3, UnivAfter: -4, ExistBefore: -5, ExistAfter: -6}},
+		{"large ints", Event{Stage: "qbf", Pass: "sweep", Wall: math.MaxInt64, NodesBefore: math.MaxInt,
+			NodesAfter: math.MinInt, UnivBefore: 1 << 62, Changed: true,
+			Counters: map[string]int64{"max": math.MaxInt64, "min": math.MinInt64}}},
+		{"empty counters", Event{Stage: "hqs", Pass: "build", Counters: map[string]int64{}}},
+		{"counters", Event{Stage: "hqs", Pass: "preprocess", Wall: 3 * time.Millisecond, Changed: true,
+			Counters: map[string]int64{"units": 2, "gates": 1, "": 0, "zero": 0}}},
+		{"err", Event{Stage: "hqs", Pass: "unitpure", Err: "pipeline: cancelled"}},
+		{"non-ASCII", Event{Stage: "∀∃", Pass: "élim", Err: "budget ⏱ \x00\xff",
+			Counters: map[string]int64{"Σ": -7, "日本": 1 << 33}}},
+	}
+	r := NewRecorder(len(cases))
+	want := make([]Event, len(cases))
+	for i, c := range cases {
+		r.Emit(c.ev)
+		want[i] = c.ev
+		want[i].Seq = i + 1
+	}
+	got := r.Events()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(want))
+	}
+	for i, c := range cases {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: got %+v\nwant %+v", c.name, got[i], want[i])
+		}
+	}
+	// Each call decodes fresh values: changing one result leaves the log as is.
+	got[len(got)-1].Counters["Σ"] = 0
+	if again := r.Events(); !reflect.DeepEqual(again, want) {
+		t.Fatal("Events shares state between calls")
+	}
+	if NewRecorder(4).Events() != nil {
+		t.Fatal("an empty recorder must return nil events")
+	}
+}
+
+// TestRecorderConcurrentEmit emits from several goroutines at once (run it
+// under -race): every event is retained or counted as dropped exactly once,
+// the retained ones carry Seq 1..max, and each decodes intact.
+func TestRecorderConcurrentEmit(t *testing.T) {
+	const goroutines, each, max = 8, 200, 1000
+	r := NewRecorder(max)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.Emit(Event{Stage: "hqs", Pass: "unitpure", NodesBefore: g, NodesAfter: i,
+					Counters: map[string]int64{"g": int64(g), "i": int64(i)}})
+			}
+		}(g)
+	}
+	wg.Wait()
+	evs := r.Events()
+	if len(evs) != max || r.Len() != max || r.Dropped() != goroutines*each-max {
+		t.Fatalf("retained %d (Len %d), dropped %d; want %d and %d", len(evs), r.Len(), r.Dropped(), max, goroutines*each-max)
+	}
+	for i, ev := range evs {
+		if ev.Seq != i+1 || ev.Counters["g"] != int64(ev.NodesBefore) || ev.Counters["i"] != int64(ev.NodesAfter) {
+			t.Fatalf("event %d decoded inconsistently: %+v", i, ev)
+		}
+	}
+}
+
+// FuzzRecorder builds events from the fuzz bytes, emits them, and requires
+// Events to return them unchanged, with Seq assigned.
+func FuzzRecorder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("hqs\x00unitpure\x00\x01\x02\x03\xff\xfe"))
+	f.Add([]byte("qbf\x00∀∃\x00\x80\x00\x00\x00\x00\x00\x00\x00\x7f\x05units\x00err"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewRecorder(16)
+		var want []Event
+		for len(data) > 0 && len(want) < 16 {
+			var ev Event
+			ev, data = fuzzEvent(data)
+			r.Emit(ev)
+			ev.Seq = len(want) + 1
+			want = append(want, ev)
+		}
+		if got := r.Events(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// fuzzEvent consumes a prefix of data as one event: NUL-terminated strings,
+// 8-byte integers, and a counter count taken modulo 5 (with 4 standing for a
+// nil map). Missing bytes read as zero.
+func fuzzEvent(data []byte) (Event, []byte) {
+	str := func() string {
+		i := bytes.IndexByte(data, 0)
+		if i < 0 {
+			i = len(data)
+		}
+		s := string(data[:i])
+		data = data[min(i+1, len(data)):]
+		return s
+	}
+	num := func() int64 {
+		var b [8]byte
+		n := copy(b[:], data)
+		data = data[n:]
+		return int64(binary.LittleEndian.Uint64(b[:]))
+	}
+	ev := Event{Stage: str(), Pass: str(), Wall: time.Duration(num()),
+		NodesBefore: int(num()), NodesAfter: int(num()), UnivBefore: int(num()),
+		UnivAfter: int(num()), ExistBefore: int(num()), ExistAfter: int(num())}
+	ev.Changed = num()&1 == 1
+	if n := num() % 5; n != 4 && n != -4 {
+		ev.Counters = map[string]int64{}
+		for i := int64(0); i < n || i < -n; i++ {
+			k := str()
+			ev.Counters[k] = num()
+		}
+	}
+	ev.Err = str()
+	return ev, data
 }
